@@ -161,7 +161,7 @@ ok_id=$("$CLI" submit demo:5 --socket "$SOCK" --name ok | awk '{print $3}')
 ob_id=$("$CLI" submit demo:5 --socket "$SOCK" --name over-budget \
     --max-vtime-ns 50000 | awk '{print $3}')
 fl_id=$("$CLI" submit demo:3 --socket "$SOCK" --name flaky \
-    --fault-rate 0.6 --repeat 3 | awk '{print $3}')
+    --fault-rate 0.9 --repeat 3 | awk '{print $3}')
 rc_ok=0; "$CLI" wait "$ok_id" --socket "$SOCK" > target/serve.ok.txt || rc_ok=$?
 rc_ob=0; "$CLI" wait "$ob_id" --socket "$SOCK" > /dev/null || rc_ob=$?
 rc_fl=0; "$CLI" wait "$fl_id" --socket "$SOCK" > /dev/null || rc_fl=$?
@@ -387,5 +387,13 @@ for field in 'serve\.pool_' 'serve\.queue_wait_ms\.lane' 'serve\.warm_target'; d
     }
 done
 echo "    lanes narrow wait $lanes_wait ms < fifo $fifo_wait ms, digests identical, warm pool + lane telemetry OK"
+
+echo "==> benchmark: its own tests, then a smoke run of all four workloads"
+# The benchmark is a separate package compiled against the crates'
+# public API; building and smoke-running it here catches an API change
+# that would break it. --smoke exits non-zero if any correctness check
+# (digest, path count, verdict) fails.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --seed 1 --smoke
 
 echo "==> OK"

@@ -4,7 +4,7 @@
 //! snapshot context switches vs the naive-and-consistent reboot+replay
 //! baseline, sweeping the number of symbolic branches (paths = 2^k) and
 //! the length of the device init sequence. A second part sweeps the
-//! `ParallelEngine` worker count over a fork-heavy workload and records
+//! engine's worker count over a fork-heavy workload and records
 //! the scaling curve in `BENCH_analysis_speed.json`.
 //!
 //! Usage: `exp_analysis_speed [--workers 1,2,4,8] [--json PATH]`.
@@ -12,7 +12,7 @@
 //! (the CI smoke mode); without arguments the full experiment runs.
 
 use hardsnap::firmware;
-use hardsnap::{ConsistencyMode, Engine, EngineConfig, ParallelEngine, Searcher, TelemetryConfig};
+use hardsnap::{ConsistencyMode, Engine, EngineConfig, Searcher, TelemetryConfig};
 use hardsnap_bench::{banner, fmt_ns, row};
 use hardsnap_bus::HwTarget;
 use hardsnap_fpga::{FpgaOptions, FpgaTarget};
@@ -80,9 +80,7 @@ fn scale_point_telemetry(asm: &str, workers: usize, telemetry: TelemetryConfig) 
         telemetry,
         ..Default::default()
     };
-    let soc = hardsnap_periph::soc().unwrap();
-    let proto = SimTarget::new(soc).unwrap();
-    let mut engine = ParallelEngine::new(&proto, workers, config).unwrap();
+    let mut engine = Engine::with_workers(target(false), workers, config).unwrap();
     engine.load_firmware(&prog);
     let r = engine.run();
     assert!(r.bugs.is_empty(), "workers={workers}: {:?}", r.bugs);
@@ -102,7 +100,7 @@ fn scale_point_telemetry(asm: &str, workers: usize, telemetry: TelemetryConfig) 
 fn parallel_sweep(worker_counts: &[usize], json_path: &str) {
     const FORK_K: u32 = 7; // 2^7 = 128 paths: fork-heavy.
     println!();
-    println!("--- parallel scaling: ParallelEngine over branching firmware (k={FORK_K}) ---");
+    println!("--- parallel scaling: engine workers over branching firmware (k={FORK_K}) ---");
     let widths = [8, 7, 13, 14, 14, 12, 9];
     row(
         &[

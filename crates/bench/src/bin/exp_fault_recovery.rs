@@ -2,7 +2,7 @@
 //! preserve the analysis result?"
 //!
 //! Sweeps a deterministic fault-injection rate over the transport
-//! between the parallel engine and its target replicas (bus handshake
+//! between the engine and its target replicas (bus handshake
 //! timeouts, scan-chain bit flips, truncated captures, restore
 //! timeouts, full hangs — see `hardsnap_bus::FaultPlan`) and records
 //! the recovery work (retries, re-captures, quarantines) plus the
@@ -14,7 +14,7 @@
 
 use hardsnap::firmware;
 use hardsnap::{
-    ConsistencyMode, EngineConfig, FaultPlan, FaultyTarget, MetricsSnapshot, ParallelEngine,
+    ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, HwTarget, MetricsSnapshot,
     Searcher, TelemetryConfig,
 };
 use hardsnap_bench::{banner, fmt_ns, row};
@@ -85,16 +85,14 @@ fn run_point(asm: &str, rate: f64, config: &EngineConfig) -> Point {
     let prog = hardsnap_isa::assemble(asm).unwrap();
     let soc = hardsnap_periph::soc().unwrap();
     let sim = SimTarget::new(soc).unwrap();
-    let r = if rate > 0.0 {
-        let proto = FaultyTarget::new(sim, FaultPlan::uniform(0xE4_FA17, rate));
-        let mut engine = ParallelEngine::new(&proto, WORKERS, config.clone()).unwrap();
-        engine.load_firmware(&prog);
-        engine.run()
+    let target: Box<dyn HwTarget> = if rate > 0.0 {
+        Box::new(FaultyTarget::new(sim, FaultPlan::uniform(0xE4_FA17, rate)))
     } else {
-        let mut engine = ParallelEngine::new(&sim, WORKERS, config.clone()).unwrap();
-        engine.load_firmware(&prog);
-        engine.run()
+        Box::new(sim)
     };
+    let mut engine = Engine::with_workers(target, WORKERS, config.clone()).unwrap();
+    engine.load_firmware(&prog);
+    let r = engine.run();
     assert!(
         r.fault_log.is_empty(),
         "rate {rate}: states died: {:?}",
@@ -126,8 +124,8 @@ fn run_quarantine(asm: &str, config: &EngineConfig) -> Point {
         hang_rate: 0.10,
         ..FaultPlan::off()
     };
-    let proto = FaultyTarget::new(sim, plan);
-    let mut engine = ParallelEngine::new(&proto, WORKERS, config.clone()).unwrap();
+    let proto = Box::new(FaultyTarget::new(sim, plan));
+    let mut engine = Engine::with_workers(proto, WORKERS, config.clone()).unwrap();
     engine.load_firmware(&prog);
     let r = engine.run();
     assert!(r.fault_log.is_empty(), "states died: {:?}", r.fault_log);
@@ -175,7 +173,7 @@ fn main() {
     );
     println!();
     println!(
-        "--- {WORKERS}-worker ParallelEngine over branching firmware (k={fork_k}), \
+        "--- {WORKERS}-worker engine over branching firmware (k={fork_k}), \
          uniform fault rate sweep ---"
     );
     let widths = [7, 9, 8, 10, 12, 13, 10, 9];

@@ -21,7 +21,7 @@
 //!
 //! Usage: `exp_snapshot_overhead [--smoke] [--json PATH]`.
 
-use hardsnap::{ConsistencyMode, Engine, EngineConfig, ParallelEngine, Searcher};
+use hardsnap::{ConsistencyMode, Engine, EngineConfig, Searcher};
 use hardsnap_bench::{banner, fmt_ns, row, synthetic_design};
 use hardsnap_bus::{HwSnapshot, HwTarget, SnapshotCapture};
 use hardsnap_fpga::{FpgaOptions, FpgaTarget};
@@ -211,15 +211,9 @@ fn analysis_digest(fpga: bool, engine: SimEngine, workers: usize, delta: bool) -
         delta_snapshots: delta,
         ..Default::default()
     };
-    if workers > 1 {
-        let mut e = ParallelEngine::new(target.as_ref(), workers, config).expect("parallel engine");
-        e.load_firmware(&program);
-        e.run().canonical_digest()
-    } else {
-        let mut e = Engine::new(target, config);
-        e.load_firmware(&program);
-        e.run().canonical_digest()
-    }
+    let mut e = Engine::with_workers(target, workers, config).expect("engine replicas");
+    e.load_firmware(&program);
+    e.run().canonical_digest()
 }
 
 fn main() {

@@ -21,8 +21,8 @@
 //! Usage: `exp_snapshot_persist [--smoke] [--json PATH]`.
 
 use hardsnap::{
-    resume_sequential, snapshot_sequential, ConsistencyMode, Engine, EngineConfig, RunResult,
-    Searcher, StoreStats,
+    resume_campaign, snapshot_campaign, ConsistencyMode, Engine, EngineConfig, RunResult, Searcher,
+    StoreStats,
 };
 use hardsnap_bench::{banner, fmt_ns, row};
 use hardsnap_bus::persist::write_full;
@@ -309,8 +309,7 @@ fn main() {
     );
     let campaign_dir = dir.join("campaign");
     let t0 = Instant::now();
-    snapshot_sequential(&campaign_dir, &mut partial_engine, &partial.result)
-        .expect("campaign save");
+    snapshot_campaign(&campaign_dir, &mut partial_engine, &partial.result).expect("campaign save");
     let save_us = t0.elapsed().as_micros();
     drop(partial_engine);
 
@@ -324,7 +323,7 @@ fn main() {
         },
     );
     let t0 = Instant::now();
-    resume_sequential(&campaign_dir, &mut resumed_engine).expect("campaign load");
+    resume_campaign(&campaign_dir, &mut resumed_engine).expect("campaign load");
     let load_us = t0.elapsed().as_micros();
     let resumed = resumed_engine.run();
     println!();

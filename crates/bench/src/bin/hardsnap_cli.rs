@@ -26,8 +26,7 @@
 //! any Verilog file in the supported subset.
 
 use hardsnap::{
-    resume_parallel, resume_sequential, snapshot_parallel, snapshot_sequential, ConsistencyMode,
-    Engine, EngineConfig, ParallelEngine, RunResult, Searcher, StoreStats,
+    resume_campaign, snapshot_campaign, ConsistencyMode, Engine, EngineConfig, Searcher,
 };
 use hardsnap_bus::{FaultPlan, FaultyTarget, HwTarget, SnapshotFile};
 use hardsnap_fpga::{FpgaOptions, FpgaTarget};
@@ -110,7 +109,8 @@ USAGE:
       Symbolically analyze HS32 firmware against the built-in SoC.
       --sim-engine selects the RTL evaluation backend (sim target only;
       all three produce bit-identical results — the digest proves it);
-      --workers N > 1 runs the parallel engine (HardSnap mode only);
+      --workers N explores with N hardware replicas, worker 0 on the
+      main thread (more than one needs --mode hardsnap);
       --delta-snapshots on makes capture/restore O(changed state) with
       copy-on-write delta images (bit-identical digests either way);
       --snapshot-mem-budget caps resident snapshot bytes — cold entries
@@ -395,34 +395,16 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     if trace_out.is_some() || metrics_out.is_some() {
         config.telemetry.enabled = true;
     }
-    let (result, queries, store): (RunResult, Option<u64>, (StoreStats, usize)) = if workers > 1 {
-        let mut engine = ParallelEngine::new(target.as_ref(), workers, config)?;
-        match resume_dir {
-            Some(dir) => resume_parallel(Path::new(dir), &mut engine)?,
-            None => engine.load_firmware(&program),
-        }
-        let r = engine.run();
-        if let Some(dir) = save_dir {
-            snapshot_parallel(Path::new(dir), &mut engine, &r)?;
-            println!("campaign saved to {dir}/");
-        }
-        let st = (engine.store.stats(), engine.store.peak_bytes());
-        (r, None, st)
-    } else {
-        let mut engine = Engine::new(target, config);
-        match resume_dir {
-            Some(dir) => resume_sequential(Path::new(dir), &mut engine)?,
-            None => engine.load_firmware(&program),
-        }
-        let r = engine.run();
-        if let Some(dir) = save_dir {
-            snapshot_sequential(Path::new(dir), &mut engine, &r)?;
-            println!("campaign saved to {dir}/");
-        }
-        let q = engine.executor.solver.stats.queries;
-        let st = (engine.store.stats(), engine.store.peak_bytes());
-        (r, Some(q), st)
-    };
+    let mut engine = Engine::with_workers(target, workers, config)?;
+    match resume_dir {
+        Some(dir) => resume_campaign(Path::new(dir), &mut engine)?,
+        None => engine.load_firmware(&program),
+    }
+    let result = engine.run();
+    if let Some(dir) = save_dir {
+        snapshot_campaign(Path::new(dir), &mut engine, &result)?;
+        println!("campaign saved to {dir}/");
+    }
     println!("paths completed : {}", result.metrics.paths_completed);
     println!("instructions    : {}", result.instructions);
     println!("context switches: {}", result.metrics.context_switches);
@@ -432,14 +414,14 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         result.host_time.as_secs_f64() * 1e3
     );
     println!("canonical digest: {:#018x}", result.canonical_digest());
-    let (st, peak) = store;
+    let st = engine.store.stats();
     println!(
         "snapshot store  : spills {} / page-ins {} / resident peak {} bytes",
-        st.spills, st.page_ins, peak
+        st.spills,
+        st.page_ins,
+        engine.store.peak_bytes()
     );
-    if let Some(q) = queries {
-        println!("solver queries  : {q}");
-    }
+    println!("solver queries  : {}", engine.executor.solver.stats.queries);
     println!(
         "faults          : injected {} / retried {} / recovered {} / quarantined {}",
         result.faults.injected,

@@ -150,13 +150,7 @@ fn parse_hex_u64(v: Option<&Value>) -> Option<u64> {
 /// Flat names only: a member must not be able to write outside the
 /// destination directory.
 fn check_member_name(name: &str) -> Result<(), PersistError> {
-    if name.is_empty()
-        || name == "."
-        || name == ".."
-        || name.contains('/')
-        || name.contains('\\')
-        || name.contains('\0')
-    {
+    if !crate::persist::is_flat_name(name) {
         return Err(PersistError::Malformed(format!(
             "pack manifest: unsafe member name '{}'",
             name.escape_default()

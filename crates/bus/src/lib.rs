@@ -26,8 +26,8 @@ pub use archive::{PackEntry, PackManifest, PACK_MAGIC, PACK_SCHEMA};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyTarget};
 pub use map::{MemoryMap, Region, RegionKind};
 pub use persist::{
-    mem_words_hash, regs_values_hash, ImageKind, PersistError, PersistMeta, PersistedImage,
-    SectionEntry, SectionTag, SnapshotFile,
+    is_flat_name, mem_words_hash, regs_values_hash, ImageKind, PersistError, PersistMeta,
+    PersistedImage, SectionEntry, SectionTag, SnapshotFile,
 };
 pub use snapshot::{
     shape_hash_parts, HwSnapshot, MemImage, RegImage, SnapshotCapture, SnapshotDelta,

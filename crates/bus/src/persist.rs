@@ -264,6 +264,20 @@ pub fn mem_words_hash(words: &[u64]) -> u64 {
     h
 }
 
+/// Whether `name` is a flat file name: non-empty, not `.` or `..`, no
+/// path separator, no NUL. Names read from an archive or a campaign
+/// manifest are joined onto a directory, and only a flat name stays
+/// inside it — an absolute name would replace the directory and `..`
+/// would climb out of it.
+pub fn is_flat_name(name: &str) -> bool {
+    !(name.is_empty()
+        || name == "."
+        || name == ".."
+        || name.contains('/')
+        || name.contains('\\')
+        || name.contains('\0'))
+}
+
 struct Builder {
     kind: ImageKind,
     payloads: Vec<(SectionTag, u32, u64, Vec<u8>)>,

@@ -70,7 +70,7 @@ pub struct TargetCaps {
 /// harnesses report: it reflects the modeled platform (FPGA clock, USB3
 /// link, scan shifting) rather than host wall-clock.
 ///
-/// Targets are `Send` so the parallel engine can hand each worker
+/// Targets are `Send` so the engine can hand each worker
 /// thread a private replica (see [`HwTarget::fork_clean`]).
 pub trait HwTarget: Send {
     /// Human-readable target name for reports.

@@ -14,16 +14,20 @@
 //! it does in RAM.
 //!
 //! Save → resume is digest-transparent: seeding a fresh engine with a
-//! checkpoint ([`resume_sequential`] / [`resume_parallel`]) and running
-//! to completion yields the same [`RunResult::canonical_digest`] as one
-//! uninterrupted run, because the split is just another schedule and
-//! the digest only folds schedule-invariant facts.
+//! checkpoint ([`resume_campaign`]) and running to completion yields
+//! the same [`RunResult::canonical_digest`] as one uninterrupted run, at
+//! any worker count on either side, because the split is just another
+//! schedule and the digest only folds schedule-invariant facts.
+//!
+//! Loading follows only flat file names
+//! ([`hardsnap_bus::is_flat_name`]): the manifest's checksum is not a
+//! MAC, so a crafted manifest or delta image naming `/etc/hostname` or
+//! `../x` is refused as corrupt instead of being read.
 
-use crate::engine::{Engine, RunResult};
-use crate::parallel::{kind_rank, ParallelEngine};
+use crate::engine::{kind_rank, Engine, RunResult};
 use crate::snapshots::{PersistEntry, SnapId, SnapshotStore};
 use hardsnap_bus::persist::{write_delta, write_full};
-use hardsnap_bus::{HwSnapshot, PersistError, PersistedImage, TargetError};
+use hardsnap_bus::{is_flat_name, HwSnapshot, PersistError, PersistedImage, TargetError};
 use hardsnap_symex::{BugKind, BugReport, Model, PortableState, StateId};
 use std::collections::HashMap;
 use std::error::Error;
@@ -34,13 +38,9 @@ use std::path::{Path, PathBuf};
 pub const MANIFEST: &str = "campaign.hscamp";
 
 /// Manifest magic: 8 bytes, version-suffixed like the snapshot TLV.
-/// Version 2 added the consumed virtual-time and quantum budgets; older
-/// manifests are refused with a version error rather than misread.
+/// Version 2 added the consumed virtual-time and quantum budgets; any
+/// other magic, version 1 included, is refused rather than misread.
 const MAGIC: &[u8; 8] = b"HSCAMP2\0";
-
-/// The previous manifest version, recognized only to produce a clear
-/// "too old" error instead of a generic bad-magic one.
-const MAGIC_V1: &[u8; 8] = b"HSCAMP1\0";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -128,8 +128,14 @@ fn io_err(path: &Path, e: impl fmt::Display) -> CampaignError {
     }
 }
 
-/// Everything a checkpoint persists, in engine-neutral form. Produced
-/// by [`checkpoint_sequential`] / [`checkpoint_parallel`] and by
+fn unsafe_name(what: &str, name: &str) -> CampaignError {
+    CampaignError::Corrupt(format!(
+        "{what} names '{}', not a file inside the campaign directory",
+        name.escape_default()
+    ))
+}
+
+/// Everything a checkpoint persists. Produced by [`checkpoint`] and by
 /// [`load_campaign`]; the frontier's snapshot ids refer to whichever
 /// store the checkpoint was drained from (on save) or loaded into (on
 /// load).
@@ -293,13 +299,6 @@ fn decode_manifest(data: &[u8]) -> Result<(Checkpoint, Vec<Option<String>>), Cam
         )));
     }
     if &data[..MAGIC.len()] != MAGIC {
-        if &data[..MAGIC_V1.len()] == MAGIC_V1 {
-            return Err(CampaignError::Corrupt(
-                "manifest version HSCAMP1 is too old (budget fields missing); \
-                 re-save the campaign with this version"
-                    .into(),
-            ));
-        }
         return Err(CampaignError::Corrupt("bad magic".into()));
     }
     let (body, tail) = data.split_at(data.len() - 8);
@@ -375,6 +374,9 @@ fn decode_manifest(data: &[u8]) -> Result<(Checkpoint, Vec<Option<String>>), Cam
         let state = PortableState::from_bytes(bytes)
             .map_err(|e| CampaignError::Corrupt(format!("frontier state: {e}")))?;
         let file = r.str()?;
+        if !file.is_empty() && !is_flat_name(&file) {
+            return Err(unsafe_name("frontier snapshot", &file));
+        }
         frontier.push((state, None));
         files.push(if file.is_empty() { None } else { Some(file) });
     }
@@ -573,6 +575,9 @@ fn load_snapshot_file(
             base_content_hash,
             delta,
         } => {
+            if !is_flat_name(&base_ref) {
+                return Err(unsafe_name(&format!("delta '{name}' base"), &base_ref));
+            }
             let (base_id, base_snap) = load_base(dir, store, &base_ref, bases)?;
             if base_snap.shape_hash() != base_shape_hash {
                 return Err(CampaignError::Corrupt(format!(
@@ -597,19 +602,15 @@ fn load_snapshot_file(
 // Engine glue
 // ---------------------------------------------------------------------
 
-/// Drains a sequential [`Engine`] after a budget-stopped `run()` into a
+/// Drains an [`Engine`] after a budget-stopped `run()` into a
 /// [`Checkpoint`] ready for [`save_campaign`]. `result` must be the
 /// `RunResult` that run returned — it carries the accumulated counters
 /// and findings the manifest persists.
 ///
 /// # Errors
 ///
-/// Propagates [`Engine::take_frontier`] failures (non-HardSnap mode, or
-/// a failed save of the live hardware context).
-pub fn checkpoint_sequential(
-    engine: &mut Engine,
-    result: &RunResult,
-) -> Result<Checkpoint, CampaignError> {
+/// Propagates [`Engine::take_frontier`] failures (non-HardSnap mode).
+pub fn checkpoint(engine: &mut Engine, result: &RunResult) -> Result<Checkpoint, CampaignError> {
     let frontier = engine.take_frontier()?;
     let mut covered: Vec<u32> = engine.covered_set().iter().copied().collect();
     covered.sort_unstable();
@@ -630,59 +631,22 @@ pub fn checkpoint_sequential(
     })
 }
 
-/// Drains a [`ParallelEngine`] after a budget-stopped `run()` into a
-/// [`Checkpoint`] ready for [`save_campaign`].
-pub fn checkpoint_parallel(engine: &mut ParallelEngine, result: &RunResult) -> Checkpoint {
-    let frontier = engine.take_frontier();
-    let mut covered: Vec<u32> = engine.covered_set().iter().copied().collect();
-    covered.sort_unstable();
-    let completed = result
-        .completed
-        .iter()
-        .map(|s| PortableState::export(&engine.executor.pool, s))
-        .collect();
-    Checkpoint {
-        instructions: result.instructions,
-        paths_completed: result.metrics.paths_completed,
-        vtime_ns: result.hw_virtual_time_ns,
-        quanta: result.metrics.quanta,
-        covered,
-        bugs: result.bugs.clone(),
-        completed,
-        frontier,
-    }
-}
-
-/// Saves `engine`'s interrupted campaign into `dir` (sequential form).
+/// Saves `engine`'s interrupted campaign into `dir`.
 ///
 /// # Errors
 ///
 /// Any [`CampaignError`] from draining or writing.
-pub fn snapshot_sequential(
+pub fn snapshot_campaign(
     dir: &Path,
     engine: &mut Engine,
     result: &RunResult,
 ) -> Result<(), CampaignError> {
-    let cp = checkpoint_sequential(engine, result)?;
+    let cp = checkpoint(engine, result)?;
     save_campaign(dir, &engine.store, &cp)
 }
 
-/// Saves `engine`'s interrupted campaign into `dir` (parallel form).
-///
-/// # Errors
-///
-/// Any [`CampaignError`] from writing.
-pub fn snapshot_parallel(
-    dir: &Path,
-    engine: &mut ParallelEngine,
-    result: &RunResult,
-) -> Result<(), CampaignError> {
-    let cp = checkpoint_parallel(engine, result);
-    save_campaign(dir, &engine.store, &cp)
-}
-
-/// Loads the campaign in `dir` into a freshly built sequential
-/// [`Engine`]: snapshots enter the engine's store, prior results seed
+/// Loads the campaign in `dir` into a freshly built [`Engine`] of any
+/// worker count: snapshots enter the engine's store, prior results seed
 /// the budgets and the next `RunResult`, and the frontier is enqueued.
 /// Do **not** also call `load_firmware` — the frontier carries the
 /// program state.
@@ -690,28 +654,7 @@ pub fn snapshot_parallel(
 /// # Errors
 ///
 /// Any [`CampaignError`] from reading or restoring.
-pub fn resume_sequential(dir: &Path, engine: &mut Engine) -> Result<(), CampaignError> {
-    let cp = load_campaign(dir, &engine.store)?;
-    engine.seed_prior(
-        cp.instructions,
-        cp.paths_completed,
-        cp.vtime_ns,
-        cp.quanta,
-        cp.covered,
-        cp.bugs,
-        cp.completed,
-    );
-    engine.resume_frontier(cp.frontier);
-    Ok(())
-}
-
-/// Loads the campaign in `dir` into a freshly built [`ParallelEngine`]
-/// (see [`resume_sequential`]).
-///
-/// # Errors
-///
-/// Any [`CampaignError`] from reading or restoring.
-pub fn resume_parallel(dir: &Path, engine: &mut ParallelEngine) -> Result<(), CampaignError> {
+pub fn resume_campaign(dir: &Path, engine: &mut Engine) -> Result<(), CampaignError> {
     let cp = load_campaign(dir, &engine.store)?;
     engine.seed_prior(
         cp.instructions,
@@ -774,12 +717,12 @@ mod tests {
                 partial.metrics.paths_completed < 8,
                 "cut must actually interrupt the run"
             );
-            snapshot_sequential(&dir, &mut engine, &partial).unwrap();
+            snapshot_campaign(&dir, &mut engine, &partial).unwrap();
         }
 
         // Fresh engine, full budget, resumed from disk.
         let mut engine = soc_engine(config);
-        resume_sequential(&dir, &mut engine).unwrap();
+        resume_campaign(&dir, &mut engine).unwrap();
         let resumed = engine.run();
         assert_eq!(resumed.metrics.paths_completed, 8);
         assert_eq!(resumed.canonical_digest(), want);
@@ -794,10 +737,13 @@ mod tests {
             delta_snapshots: true,
             ..EngineConfig::default()
         };
-        let soc = hardsnap_periph::soc().unwrap();
-        let proto = SimTarget::new(soc).unwrap();
+        let two_workers = |config: &EngineConfig| {
+            let soc = hardsnap_periph::soc().unwrap();
+            let target = Box::new(SimTarget::new(soc).unwrap());
+            Engine::with_workers(target, 2, config.clone()).unwrap()
+        };
         let want = {
-            let mut engine = ParallelEngine::new(&proto, 2, config.clone()).unwrap();
+            let mut engine = two_workers(&config);
             engine.load_firmware(&prog);
             engine.run().canonical_digest()
         };
@@ -805,14 +751,14 @@ mod tests {
         {
             let mut cut = config.clone();
             cut.max_instructions = 40;
-            let mut engine = ParallelEngine::new(&proto, 2, cut).unwrap();
+            let mut engine = two_workers(&cut);
             engine.load_firmware(&prog);
             let partial = engine.run();
-            snapshot_parallel(&dir, &mut engine, &partial).unwrap();
+            snapshot_campaign(&dir, &mut engine, &partial).unwrap();
         }
 
-        let mut engine = ParallelEngine::new(&proto, 2, config).unwrap();
-        resume_parallel(&dir, &mut engine).unwrap();
+        let mut engine = two_workers(&config);
+        resume_campaign(&dir, &mut engine).unwrap();
         let resumed = engine.run();
         assert_eq!(resumed.metrics.paths_completed, 8);
         assert_eq!(resumed.canonical_digest(), want);
@@ -836,7 +782,7 @@ mod tests {
         let mut engine = soc_engine(config);
         engine.load_firmware(&prog);
         let partial = engine.run();
-        snapshot_sequential(&dir, &mut engine, &partial).unwrap();
+        snapshot_campaign(&dir, &mut engine, &partial).unwrap();
         let snap_path = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -874,7 +820,7 @@ mod tests {
         let mut engine = soc_engine(config);
         engine.load_firmware(&prog);
         let partial = engine.run();
-        snapshot_sequential(&dir, &mut engine, &partial).unwrap();
+        snapshot_campaign(&dir, &mut engine, &partial).unwrap();
         for entry in std::fs::read_dir(&dir).unwrap() {
             let p = entry.unwrap().path();
             assert!(
@@ -898,7 +844,7 @@ mod tests {
         let mut engine = soc_engine(config);
         engine.load_firmware(&prog);
         let partial = engine.run();
-        snapshot_sequential(&dir, &mut engine, &partial).unwrap();
+        snapshot_campaign(&dir, &mut engine, &partial).unwrap();
         let path = dir.join(MANIFEST);
         let clean = std::fs::read(&path).unwrap();
         let store = SnapshotStore::new();
@@ -911,6 +857,70 @@ mod tests {
             assert!(
                 load_campaign(&dir, &store).is_err(),
                 "flip at byte {pos} went undetected"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_manifest_is_refused_as_bad_magic() {
+        let mut data = b"HSCAMP1\0".to_vec();
+        data.resize(64, 0);
+        match decode_manifest(&data) {
+            Err(CampaignError::Corrupt(m)) => assert_eq!(m, "bad magic"),
+            other => panic!("v1 manifest must be refused, got {:?}", other.err()),
+        }
+    }
+
+    /// Writes a manifest whose frontier names `file` as its snapshot.
+    fn manifest_naming(dir: &Path, file: &str) {
+        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(1)).unwrap();
+        let mut ex = hardsnap_symex::Executor::new(hardsnap_symex::Concretization::Minimal);
+        let s = ex.initial_state(prog.image.clone(), prog.entry);
+        let sid = SnapId::default();
+        let cp = Checkpoint {
+            instructions: 0,
+            paths_completed: 0,
+            vtime_ns: 0,
+            quanta: 0,
+            covered: Vec::new(),
+            bugs: Vec::new(),
+            completed: Vec::new(),
+            frontier: vec![(PortableState::export(&ex.pool, &s), Some(sid))],
+        };
+        let files = HashMap::from([(sid, file.to_string())]);
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join(MANIFEST), encode_manifest(&cp, &files)).unwrap();
+    }
+
+    #[test]
+    fn load_refuses_names_that_leave_the_campaign_dir() {
+        let dir = tmp("unsafe");
+        let snap = {
+            let mut t = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
+            hardsnap_bus::HwTarget::reset(&mut t);
+            hardsnap_bus::HwTarget::save_snapshot(&mut t).unwrap()
+        };
+        let delta = hardsnap_bus::SnapshotDelta {
+            regs: Vec::new(),
+            mem_words: Vec::new(),
+            cycle: snap.cycle,
+        };
+        for bad in ["/etc/hostname", "../x", "..", "a/b"] {
+            // The manifest itself names the file.
+            manifest_naming(&dir, bad);
+            let err = load_campaign(&dir, &SnapshotStore::new()).err();
+            assert!(
+                matches!(err, Some(CampaignError::Corrupt(_))),
+                "manifest naming {bad:?}: {err:?}"
+            );
+            // A flat-named delta image whose base_ref leaves the dir.
+            std::fs::write(dir.join("snap-0.hsnap"), write_delta(&snap, &delta, bad)).unwrap();
+            manifest_naming(&dir, "snap-0.hsnap");
+            let err = load_campaign(&dir, &SnapshotStore::new()).err();
+            assert!(
+                matches!(err, Some(CampaignError::Corrupt(_))),
+                "base_ref {bad:?}: {err:?}"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,14 +1,18 @@
-//! The HardSnap analysis engine: Algorithm 1 of the paper.
+//! The HardSnap analysis engine: Algorithm 1 of the paper, at any
+//! worker count.
 //!
-//! The engine owns the symbolic executor, a hardware target and the
+//! The engine owns the symbolic executor, N hardware replicas and the
 //! snapshot store, and schedules symbolic states with **hardware context
-//! switching**: whenever the selected state is not the one whose
-//! hardware context is live, the live context is saved (`UpdateState`)
-//! and the selected state's private snapshot is restored
-//! (`RestoreState`). Forked states receive fresh, non-shared hardware
-//! snapshots.
+//! switching**: a state runs a quantum only after its private hardware
+//! snapshot is restored (`RestoreState`), and its continuation leaves
+//! with the live context saved (`UpdateState`). Forked states receive
+//! fresh, non-shared hardware snapshots. The loop itself lives in
+//! `worker.rs`; worker 0 runs it on the calling thread over the target
+//! handed to [`Engine::new`], and [`Engine::with_workers`] adds
+//! power-on forks of that target on scoped threads.
 //!
-//! Two baseline modes reproduce the paper's Fig. 1 comparison:
+//! Two baseline modes reproduce the paper's Fig. 1 comparison by
+//! replacing only the context-switch step (one worker only):
 //!
 //! * [`ConsistencyMode::NaiveConsistent`] — reboot-and-replay: on every
 //!   context switch the hardware is fully reset and the state's entire
@@ -18,20 +22,20 @@
 //!   (fast but wrong — the mode used by prior hardware-in-the-loop DSE).
 
 use crate::snapshots::{SnapId, SnapshotStore};
-use crate::supervise::{FaultSummary, RetryPolicy, Supervisor};
-use hardsnap_bus::{BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError};
-use hardsnap_symex::{
-    BugReport, Concretization, Executor, PortableState, StateId, StepOutcome, SymMmio, SymState,
-};
-use hardsnap_telemetry::{Counter, Metric, MetricsSnapshot, Recorder, TelemetryConfig};
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::supervise::{FaultSummary, RetryPolicy};
+use crate::worker::{run_worker, Carry, ItemState, Queue, Shared, WorkItem, Worker, WorkerOutput};
+use hardsnap_bus::{HwSnapshot, HwTarget, TargetError};
+use hardsnap_symex::{BugReport, Concretization, Executor, PortableState, StateId, SymState};
+use hardsnap_telemetry::{Counter, MetricsSnapshot, TelemetryConfig};
+use hardsnap_util::sync::scope;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Whether per-operation I/O tracing is on, sampled once per process
 /// (it sits on the hottest path in the engine: every forwarded MMIO
-/// operation and every replayed one). Controlled by the unified
-/// `HARDSNAP_TELEMETRY=io` switch; the legacy `HARDSNAP_TRACE_IO`
-/// variable keeps working (see [`hardsnap_telemetry::TelemetryConfig`]).
+/// operation and every replayed one). Controlled by the
+/// `HARDSNAP_TELEMETRY=io` switch (see
+/// [`hardsnap_telemetry::TelemetryConfig`]).
 pub(crate) fn trace_io() -> bool {
     hardsnap_telemetry::global().trace_io
 }
@@ -228,8 +232,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// One forwarded I/O operation (recorded for reboot-replay and
-/// diagnostics).
+/// One forwarded I/O operation (recorded for reboot-replay).
 ///
 /// `at_age` is the device age (cycles the owning state has experienced)
 /// at which the operation was issued. Replay must reproduce not only the
@@ -318,12 +321,12 @@ impl RunResult {
     /// completed paths, coverage and instruction count — everything a
     /// schedule must not change. Timing (`host_time`,
     /// `hw_virtual_time_ns`) and bookkeeping (`metrics`) are excluded:
-    /// the sequential and parallel engines legitimately differ there.
+    /// worker counts legitimately differ there.
     ///
     /// All hashed fields are pool-independent (ids, PCs, console bytes,
-    /// solver models), so digests compare across engines whose term
-    /// pools interned in different orders. Sequential and parallel runs
-    /// of the same seed must produce equal digests whenever the run
+    /// solver models), so digests compare across workers whose term
+    /// pools interned in different orders. Runs of the same seed at any
+    /// worker count must produce equal digests whenever the run
     /// completed inside its budgets; the determinism suite relies on
     /// exactly that.
     pub fn canonical_digest(&self) -> u64 {
@@ -334,7 +337,7 @@ impl RunResult {
         }
         let mut items: Vec<Vec<u8>> = Vec::new();
         for b in &self.bugs {
-            let mut e = vec![b'B', crate::parallel::kind_rank(b.kind)];
+            let mut e = vec![b'B', kind_rank(b.kind)];
             push_u64(&mut e, u64::from(b.pc));
             push_u64(&mut e, b.state_id.0);
             e.extend_from_slice(b.description.as_bytes());
@@ -380,9 +383,7 @@ impl RunResult {
 
 /// First exceeded budget in the canonical priority order
 /// (cancel → wall-clock → instructions → paths → virtual time →
-/// quanta), or `None` while every budget still has headroom. Shared by
-/// the sequential and parallel engines so "which budget tripped" is
-/// reported identically regardless of worker count.
+/// quanta), or `None` while every budget still has headroom.
 pub(crate) fn budget_stop(
     config: &EngineConfig,
     executed: u64,
@@ -419,177 +420,147 @@ pub(crate) fn budget_stop(
 pub struct HwAssertion {
     /// Name for reports.
     pub name: String,
-    /// Returns false when violated.
-    pub check: Box<dyn Fn(&HwSnapshot) -> bool>,
+    /// Returns false when violated. Shared by every worker's thread.
+    pub check: Box<dyn Fn(&HwSnapshot) -> bool + Send + Sync>,
 }
 
-/// The HardSnap engine (Algorithm 1).
+/// The HardSnap engine (Algorithm 1): N workers, N hardware replicas,
+/// one shared snapshot store.
 pub struct Engine {
-    /// The symbolic executor (pool, solver, policy).
+    /// The symbolic executor of worker 0, which runs on the calling
+    /// thread. Completed paths are imported into its pool, and its
+    /// solver statistics cover every worker after a run.
     pub executor: Executor,
-    target: Box<dyn HwTarget>,
-    /// Snapshot store shared with diagnostics.
+    /// The shared, lock-sharded snapshot store.
     pub store: SnapshotStore,
-    config: EngineConfig,
-    active: VecDeque<SymState>,
-    /// Which state's hardware context is currently live.
-    current_owner: Option<StateId>,
-    /// State id → its private snapshot id.
-    snap_of: HashMap<StateId, SnapId>,
-    /// State id → forwarded-I/O log (for reboot replay + diagnostics).
-    io_logs: HashMap<StateId, Vec<IoOp>>,
-    /// State id → device age (cycles of hardware time the state has
-    /// experienced; drives timing-accurate replay).
-    hw_age: HashMap<StateId, u64>,
-    /// Metrics.
+    /// Merged metrics of the last run (including a resumed campaign's
+    /// carried paths and quanta).
     pub metrics: EngineMetrics,
-    /// Engine-side modeled time (reboot penalties) not visible to the
-    /// target's own clock.
-    extra_time_ns: u64,
-    /// Deterministic RNG state for [`Searcher::Random`].
-    rng_state: u64,
-    /// Most recent shared delta base (delta-snapshot mode).
-    last_base: Option<SnapId>,
-    /// The target's live delta base mapped to its store id: native
-    /// deltas whose base `Arc` matches are installed without re-diffing
-    /// or materializing (delta-snapshot mode).
-    target_base: Option<(SnapId, Arc<HwSnapshot>)>,
-    /// Distinct firmware PCs executed across all states.
-    covered_pcs: HashSet<u32>,
-    /// Hardware property assertions.
-    hw_assertions: Vec<HwAssertion>,
-    /// Violations of hardware assertions: (assertion name, state id).
+    /// Violations of hardware assertions, (assertion name, state id),
+    /// sorted and deduplicated.
     pub hw_violations: Vec<(String, StateId)>,
-    /// Retry supervision over the target's fallible operations.
-    supervisor: Supervisor,
-    /// Unrecoverable-fault records, each naming the state it killed.
-    fault_log: Vec<String>,
-    /// Results carried in from a saved campaign ([`Engine::seed_prior`]):
-    /// folded into the next `run()`'s budgets and result so a
-    /// save → resume split reports exactly what one uninterrupted run
-    /// would have.
-    carry_bugs: Vec<BugReport>,
-    carry_completed: Vec<SymState>,
-    carry_instructions: u64,
-    carry_vtime_ns: u64,
-    /// Telemetry sink (track 0, "engine"); shared with the supervisor
-    /// and attached to the target. Disabled = a single `None` branch.
-    recorder: Recorder,
-}
-
-/// MMIO proxy handed to the executor: forwards to the live target and
-/// appends to the owning state's I/O log with device-age stamps.
-struct TargetMmio<'a> {
-    target: &'a mut dyn HwTarget,
-    log: &'a mut Vec<IoOp>,
-    /// Retry supervision: transient bus faults are absorbed here, so
-    /// only deterministic design errors (or exhausted retries) reach
-    /// the executor as bugs.
-    sup: &'a mut Supervisor,
-    /// The owning state's device age at window start.
-    age_base: u64,
-    /// The target's cycle counter at window start.
-    cycle_base: u64,
-}
-
-impl TargetMmio<'_> {
-    fn age_now(&self) -> u64 {
-        self.age_base + (self.target.cycle() - self.cycle_base)
-    }
-}
-
-impl SymMmio for TargetMmio<'_> {
-    fn mmio_read(&mut self, _state: &SymState, addr: u32) -> Result<u32, BusError> {
-        let at_age = self.age_now();
-        let v = self.sup.bus_read(self.target, addr)?;
-        if trace_io() {
-            eprintln!("live  R {addr:#010x} -> {v:#010x} @age {at_age}");
-        }
-        self.log.push(IoOp {
-            is_write: false,
-            addr,
-            value: v,
-            at_age,
-        });
-        Ok(v)
-    }
-
-    fn mmio_write(&mut self, _state: &SymState, addr: u32, data: u32) -> Result<(), BusError> {
-        let at_age = self.age_now();
-        self.sup.bus_write(self.target, addr, data)?;
-        if trace_io() {
-            eprintln!("live  W {addr:#010x} <- {data:#010x} @age {at_age}");
-        }
-        self.log.push(IoOp {
-            is_write: true,
-            addr,
-            value: data,
-            at_age,
-        });
-        Ok(())
-    }
+    /// Hardware virtual time each worker's replica spent in the last
+    /// run. The replicas run concurrently on real deployments, so the
+    /// campaign's modeled wall clock is the *max* of these (while
+    /// [`RunResult::hw_virtual_time_ns`] stays the schedule-invariant
+    /// sum).
+    pub worker_vtimes_ns: Vec<u64>,
+    config: EngineConfig,
+    workers: Vec<Worker>,
+    /// Spare target for the first quarantining worker whose replica
+    /// cannot rebuild itself ([`Engine::set_failover`]).
+    failover: Option<Box<dyn HwTarget>>,
+    /// Schedulable work between runs: roots, resumed states, and what a
+    /// budget stop left queued.
+    frontier: VecDeque<WorkItem>,
+    /// xorshift64* state of [`Searcher::Random`], kept across runs.
+    rng: u64,
+    /// Union of covered PCs across runs.
+    covered: HashSet<u32>,
+    hw_assertions: Vec<HwAssertion>,
+    /// Results of the run that produced a resumed campaign
+    /// ([`Engine::seed_prior`]), folded into the next run.
+    carry: Carry,
 }
 
 impl Engine {
-    /// Creates an engine over a hardware target.
-    pub fn new(mut target: Box<dyn HwTarget>, config: EngineConfig) -> Self {
-        let rng_state = match config.searcher {
-            Searcher::Random(seed) => seed | 1,
-            _ => 1,
-        };
-        let retry = config.retry;
-        let recorder = Recorder::from_config(&config.telemetry, 0, "engine");
-        target.attach_recorder(&recorder);
-        if config.delta_snapshots {
-            target.set_delta_snapshots(true);
+    /// Creates a one-worker engine that drives `target` itself.
+    pub fn new(target: Box<dyn HwTarget>, config: EngineConfig) -> Engine {
+        Engine::build(vec![target], config)
+    }
+
+    /// Creates an engine with `workers` workers (clamped to ≥ 1):
+    /// `target` is worker 0's replica, driven on the calling thread, and
+    /// the other N−1 replicas are power-on forks of it
+    /// ([`HwTarget::fork_clean`]).
+    ///
+    /// # Errors
+    ///
+    /// [`TargetError::Unsupported`] for more than one worker outside
+    /// [`ConsistencyMode::HardSnap`] (the baselines serialize on one
+    /// shared device); any error from [`HwTarget::fork_clean`].
+    pub fn with_workers(
+        target: Box<dyn HwTarget>,
+        workers: usize,
+        config: EngineConfig,
+    ) -> Result<Engine, TargetError> {
+        if workers > 1 && config.mode != ConsistencyMode::HardSnap {
+            return Err(TargetError::Unsupported(
+                "more than one worker requires ConsistencyMode::HardSnap".into(),
+            ));
         }
-        let mut supervisor = Supervisor::new(retry);
-        supervisor.recorder = recorder.clone();
+        let forks = (1..workers)
+            .map(|_| target.fork_clean())
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut replicas = vec![target];
+        replicas.extend(forks);
+        Ok(Engine::build(replicas, config))
+    }
+
+    fn build(replicas: Vec<Box<dyn HwTarget>>, config: EngineConfig) -> Engine {
         let store = SnapshotStore::new();
         store.set_mem_budget(config.snapshot_mem_budget);
+        let workers = replicas
+            .into_iter()
+            .enumerate()
+            .map(|(w, t)| Worker::new(w, t, &config))
+            .collect();
         Engine {
             executor: Executor::new(config.policy),
-            target,
             store,
-            config,
-            active: VecDeque::new(),
-            current_owner: None,
-            snap_of: HashMap::new(),
-            io_logs: HashMap::new(),
-            hw_age: HashMap::new(),
             metrics: EngineMetrics::default(),
-            extra_time_ns: 0,
-            rng_state,
-            last_base: None,
-            target_base: None,
-            covered_pcs: HashSet::new(),
-            hw_assertions: Vec::new(),
             hw_violations: Vec::new(),
-            supervisor,
-            fault_log: Vec::new(),
-            carry_bugs: Vec::new(),
-            carry_completed: Vec::new(),
-            carry_instructions: 0,
-            carry_vtime_ns: 0,
-            recorder,
+            worker_vtimes_ns: Vec::new(),
+            rng: match config.searcher {
+                Searcher::Random(seed) => seed | 1,
+                _ => 1,
+            },
+            config,
+            workers,
+            failover: None,
+            frontier: VecDeque::new(),
+            covered: HashSet::new(),
+            hw_assertions: Vec::new(),
+            carry: Carry::default(),
         }
     }
 
-    /// Resets the hardware and enqueues the initial state of `program`.
+    /// Number of workers / hardware replicas.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Installs a spare target used for failover: when a quarantined
+    /// replica cannot rebuild itself via [`HwTarget::fork_clean`], the
+    /// first worker in that situation takes this spare instead of
+    /// soldiering on with a reset of the faulty device. Snapshots are
+    /// portable across targets sharing the canonical format (paper
+    /// §III-B), so the spare may be a different platform — typically a
+    /// simulator standing in for a failed FPGA board.
+    pub fn set_failover(&mut self, target: Box<dyn HwTarget>) {
+        self.failover = Some(target);
+    }
+
+    /// Resets worker 0's hardware and enqueues the initial state of
+    /// `program` (a root: power-on hardware, reset again by whichever
+    /// worker first picks it up in HardSnap mode).
     pub fn load_firmware(&mut self, program: &hardsnap_isa::Program) {
-        self.target.reset();
+        let w0 = &mut self.workers[0];
+        w0.target.reset();
+        w0.live = None;
         let s = self
             .executor
             .initial_state(program.image.clone(), program.entry);
-        self.io_logs.insert(s.id, Vec::new());
-        self.active.push_back(s);
+        let root = PortableState::export(&self.executor.pool, &s);
+        self.frontier
+            .push_back(WorkItem::new(ItemState::Portable(root), None));
     }
 
     /// Registers a hardware property checked on every snapshot taken.
     pub fn add_hw_assertion(
         &mut self,
         name: impl Into<String>,
-        check: impl Fn(&HwSnapshot) -> bool + 'static,
+        check: impl Fn(&HwSnapshot) -> bool + Send + Sync + 'static,
     ) {
         self.hw_assertions.push(HwAssertion {
             name: name.into(),
@@ -597,591 +568,166 @@ impl Engine {
         });
     }
 
-    /// The live hardware target.
+    /// Worker 0's hardware target.
     pub fn target(&self) -> &dyn HwTarget {
-        self.target.as_ref()
+        self.workers[0].target.as_ref()
     }
 
-    /// Mutable access to the live hardware target (diagnosis).
+    /// Mutable access to worker 0's hardware target (diagnosis).
     pub fn target_mut(&mut self) -> &mut dyn HwTarget {
-        self.target.as_mut()
+        self.workers[0].target.as_mut()
     }
 
-    /// Number of active (schedulable) states.
+    /// Number of schedulable states waiting for the next run.
     pub fn active_states(&self) -> usize {
-        self.active.len()
+        self.frontier.len()
     }
 
-    /// The forwarded-I/O log of a state.
-    pub fn io_log(&self, id: StateId) -> Option<&[IoOp]> {
-        self.io_logs.get(&id).map(|v| v.as_slice())
-    }
-
-    /// Transfers the analysis to another hardware target mid-run — the
-    /// paper's multi-target orchestration (§III-B). The live hardware
-    /// state is moved onto the new target; stored snapshots remain valid
-    /// because both targets share the canonical snapshot format. Both
-    /// sides of the handoff run supervised (transient link faults are
-    /// retried, the captured image is integrity-checked).
+    /// Transfers a one-worker analysis to another hardware target
+    /// between runs — the paper's multi-target orchestration (§III-B).
+    /// The live hardware state is moved onto the new target; stored
+    /// snapshots remain valid because both targets share the canonical
+    /// snapshot format. Both sides of the handoff run supervised
+    /// (transient link faults are retried, the captured image is
+    /// integrity-checked).
     ///
     /// # Errors
     ///
-    /// Propagates snapshot/transfer failures; on error the old target is
-    /// kept.
-    pub fn switch_target(
-        &mut self,
-        mut new_target: Box<dyn HwTarget>,
-    ) -> Result<(), hardsnap_bus::TargetError> {
-        let _span = self.recorder.span("engine", "switch-target");
-        let snap = self.supervisor.save_snapshot(self.target.as_mut())?;
-        new_target.attach_recorder(&self.recorder);
-        new_target.set_delta_snapshots(self.config.delta_snapshots);
-        self.supervisor
-            .restore_snapshot(new_target.as_mut(), &snap)?;
-        self.metrics.snapshots_saved += 1;
-        self.metrics.snapshots_restored += 1;
-        self.recorder.count(Counter::ContextSwitches);
-        self.target = new_target;
-        // The new target starts with no delta base of its own; its next
-        // capture ships a fresh full image.
-        self.target_base = None;
+    /// [`TargetError::Unsupported`] past one worker; otherwise
+    /// propagates snapshot/transfer failures, keeping the old target.
+    pub fn switch_target(&mut self, mut new_target: Box<dyn HwTarget>) -> Result<(), TargetError> {
+        if self.workers.len() != 1 {
+            return Err(TargetError::Unsupported(
+                "switch_target drives a one-worker engine".into(),
+            ));
+        }
+        let w = &mut self.workers[0];
+        let _span = w.rec.span("engine", "switch-target");
+        let snap = w.sup.save_snapshot(w.target.as_mut())?;
+        w.sup.restore_snapshot(new_target.as_mut(), &snap)?;
+        w.install(new_target, &self.config);
+        w.rec.count(Counter::ContextSwitches);
         Ok(())
     }
 
-    /// `SelectNextState` (paper line 4): heuristic selection.
-    fn select_next_state(&mut self) -> Option<SymState> {
-        match self.config.searcher {
-            Searcher::Dfs => self.active.pop_back(),
-            Searcher::Bfs | Searcher::RoundRobin => self.active.pop_front(),
-            Searcher::Random(_) => {
-                if self.active.is_empty() {
-                    return None;
-                }
-                // xorshift64*: deterministic, no RNG dependency.
-                self.rng_state ^= self.rng_state << 13;
-                self.rng_state ^= self.rng_state >> 7;
-                self.rng_state ^= self.rng_state << 17;
-                let i = (self.rng_state % self.active.len() as u64) as usize;
-                self.active.swap_remove_back(i)
-            }
-        }
-    }
-
-    /// Hardware context switch (paper lines 5-9): `UpdateState(prev)`
-    /// then `RestoreState(next)`.
-    ///
-    /// Transient link faults are retried by the supervisor. If
-    /// `UpdateState(prev)` still fails, `prev`'s context is lost past
-    /// its last snapshot — the state is killed (named in the fault log)
-    /// and serving `next` proceeds. If `RestoreState(next)` still
-    /// fails, the error is returned so the caller can kill `next`.
-    fn context_switch(&mut self, next: &SymState) -> Result<(), TargetError> {
-        if self.current_owner == Some(next.id) {
-            return Ok(());
-        }
-        self.metrics.context_switches += 1;
-        self.recorder.count(Counter::ContextSwitches);
-        let _span = self.recorder.span("engine", "context-switch");
-        match self.config.mode {
-            ConsistencyMode::HardSnap => {
-                if let Some(prev) = self.current_owner {
-                    let saved = if self.config.delta_snapshots {
-                        self.supervisor
-                            .save_capture(self.target.as_mut())
-                            .map(|cap| {
-                                // Materializing just for assertion checks
-                                // would defeat O(changed): skip it when
-                                // no assertions are registered.
-                                if !self.hw_assertions.is_empty() {
-                                    if let Ok(full) = cap.materialize() {
-                                        self.check_hw_assertions(&full, prev);
-                                    }
-                                }
-                                self.metrics.snapshots_saved += 1;
-                                self.store_capture(prev, cap);
-                            })
-                    } else {
-                        self.supervisor
-                            .save_snapshot(self.target.as_mut())
-                            .map(|snap| {
-                                self.check_hw_assertions(&snap, prev);
-                                self.metrics.snapshots_saved += 1;
-                                self.store_full(prev, snap);
-                            })
-                    };
-                    match saved {
-                        Ok(()) => {}
-                        Err(e) => {
-                            // The live context advanced past prev's last
-                            // snapshot; it cannot be reconstructed. Kill
-                            // prev, keep serving next.
-                            self.fault_log
-                                .push(format!("state {prev:?} killed: UpdateState failed: {e}"));
-                            self.metrics.states_dropped += 1;
-                            self.active.retain(|s| s.id != prev);
-                            self.current_owner = None;
-                            self.retire_state(prev);
-                            self.target.reset();
-                        }
-                    }
-                }
-                match self.snap_of.get(&next.id) {
-                    Some(&sid) => {
-                        // Engine-owned sids are never delta bases, so the
-                        // chain cannot break; if the store is ever
-                        // corrupted, fail with the precise broken link
-                        // rather than a bare unwrap.
-                        let snap = self.store.try_get(sid).map_err(|e| {
-                            TargetError::CorruptSnapshot(format!("state {:?}: {e}", next.id))
-                        })?;
-                        self.supervisor
-                            .restore_snapshot(self.target.as_mut(), &snap)?;
-                        self.metrics.snapshots_restored += 1;
-                    }
-                    None => {
-                        // Initial state: "no corresponding hardware
-                        // snapshot" — power-on hardware.
-                        self.target.reset();
-                    }
-                }
-            }
-            ConsistencyMode::NaiveConsistent => {
-                // Reboot and replay the whole interaction history with
-                // its original timing (ops AND idle gaps); otherwise
-                // time-sensitive peripherals (a hash mid-computation, a
-                // running timer) end up in the wrong phase.
-                self.target.reset();
-                self.metrics.reboots += 1;
-                self.recorder.count(Counter::Reboots);
-                self.extra_time_ns += self.config.reboot_cost_ns;
-                let base = self.target.cycle();
-                if let Some(log) = self.io_logs.get(&next.id).cloned() {
-                    for op in log {
-                        let age_now = self.target.cycle() - base;
-                        if op.at_age > age_now {
-                            self.target.step(op.at_age - age_now);
-                        }
-                        if trace_io() {
-                            eprintln!(
-                                "replay {} {:#010x} val {:#010x} @age {} (cycle_now {})",
-                                if op.is_write { "W" } else { "R" },
-                                op.addr,
-                                op.value,
-                                op.at_age,
-                                self.target.cycle() - base
-                            );
-                        }
-                        if op.is_write {
-                            let _ = self.target.bus_write(op.addr, op.value);
-                        } else {
-                            let _ = self.target.bus_read(op.addr);
-                        }
-                        self.metrics.replayed_ios += 1;
-                    }
-                }
-                // Advance to the state's current device age.
-                let target_age = self.hw_age.get(&next.id).copied().unwrap_or(0);
-                let age_now = self.target.cycle() - base;
-                if target_age > age_now {
-                    self.target.step(target_age - age_now);
-                }
-            }
-            ConsistencyMode::NaiveInconsistent => {
-                // Shared hardware: do nothing. This is the bug.
-            }
-        }
-        self.current_owner = Some(next.id);
-        Ok(())
-    }
-
-    fn check_hw_assertions(&mut self, snap: &HwSnapshot, owner: StateId) {
-        for a in &self.hw_assertions {
-            if !(a.check)(snap)
-                && !self
-                    .hw_violations
-                    .iter()
-                    .any(|(n, s)| *s == owner && n == &a.name)
-            {
-                self.hw_violations.push((a.name.clone(), owner));
-            }
-        }
-    }
-
-    /// Stores a full snapshot as `owner`'s private image (update in
-    /// place when the state already has one).
-    fn store_full(&mut self, owner: StateId, snap: HwSnapshot) {
-        match self.snap_of.get(&owner) {
-            Some(&sid) => self.store.update(sid, snap),
-            None => {
-                let sid = self.store.insert(snap);
-                self.snap_of.insert(owner, sid);
-            }
-        }
-    }
-
-    /// Stores a delta against `bid` as `owner`'s private image without
-    /// materializing; falls back to a full store only if the store
-    /// refuses the native install (base vanished — cannot happen for
-    /// engine-pinned bases, but never silently lose a snapshot).
-    fn store_delta(
-        &mut self,
-        owner: StateId,
-        bid: SnapId,
-        delta: SnapshotDelta,
-        base: &Arc<HwSnapshot>,
-    ) {
-        let installed = match self.snap_of.get(&owner) {
-            Some(&sid) => self.store.update_delta_native(sid, bid, delta.clone()),
-            None => match self.store.insert_delta_native(bid, delta.clone()) {
-                Some(sid) => {
-                    self.snap_of.insert(owner, sid);
-                    true
-                }
-                None => false,
-            },
-        };
-        if !installed {
-            // The delta was produced against this exact base, so apply
-            // can only fail on store corruption; record it loudly
-            // instead of panicking (the owner keeps its previous image).
-            match delta.apply(base) {
-                Ok(full) => self.store_full(owner, full),
-                Err(e) => self.fault_log.push(format!(
-                    "state {owner:?}: delta unusable against its base: {e}"
-                )),
-            }
-        }
-    }
-
-    /// Stores a target capture (full or native delta) as `owner`'s
-    /// private image, maintaining the shared-base bookkeeping.
-    fn store_capture(&mut self, owner: StateId, cap: SnapshotCapture) {
-        match cap {
-            SnapshotCapture::Full(arc) => {
-                // Fresh base epoch: install the full image as the shared
-                // base and record owner as an empty delta against it, so
-                // the target's subsequent native deltas (expressed
-                // against this exact Arc) install in O(delta).
-                let bid = self.store.insert_base((*arc).clone());
-                self.last_base = Some(bid);
-                let empty = SnapshotDelta {
-                    regs: Vec::new(),
-                    mem_words: Vec::new(),
-                    cycle: arc.cycle,
-                };
-                self.store_delta(owner, bid, empty, &arc);
-                self.target_base = Some((bid, arc));
-            }
-            SnapshotCapture::Delta { base, delta } => {
-                match &self.target_base {
-                    Some((bid, tracked)) if Arc::ptr_eq(tracked, &base) => {
-                        let bid = *bid;
-                        self.store_delta(owner, bid, delta, &base);
-                    }
-                    _ => {
-                        // The target rebased (or switched) without the
-                        // engine seeing the new base as a Full capture;
-                        // resolve once and store full.
-                        match delta.apply(&base) {
-                            Ok(full) => self.store_full(owner, full),
-                            Err(e) => {
-                                // Shape-checked by the supervisor; keep a
-                                // loud record if it ever happens.
-                                self.fault_log
-                                    .push(format!("state {owner:?}: delta capture unusable: {e}"));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Gives every freshly forked state its own non-shared hardware
-    /// snapshot (paper §IV-B last paragraph).
-    ///
-    /// The supervised save happens before any store mutation, so a
-    /// terminal fault leaves the store untouched and the caller can
-    /// kill the fork family cleanly.
-    fn snapshot_forked(
-        &mut self,
-        parent: StateId,
-        successors: &[SymState],
-    ) -> Result<(), TargetError> {
-        let age = self.hw_age.get(&parent).copied().unwrap_or(0);
-        if self.config.mode != ConsistencyMode::HardSnap {
-            // Baselines: children inherit the parent's I/O log and age.
-            let log = self.io_logs.get(&parent).cloned().unwrap_or_default();
-            for s in successors {
-                self.io_logs.entry(s.id).or_insert_with(|| log.clone());
-                self.hw_age.entry(s.id).or_insert(age);
-            }
-            return Ok(());
-        }
-        let log = self.io_logs.get(&parent).cloned().unwrap_or_default();
-        // Delta mode: the target hands back a native capture — either a
-        // fresh full base or an O(changed) delta against the shared
-        // immutable base `Arc`. Children are stored as copy-on-write
-        // deltas, so long analyses keep roughly one full image plus
-        // per-state diffs in the store, with no post-hoc re-diffing.
-        if self.config.delta_snapshots {
-            let cap = self.supervisor.save_capture(self.target.as_mut())?;
-            if !self.hw_assertions.is_empty() {
-                if let Ok(full) = cap.materialize() {
-                    self.check_hw_assertions(&full, parent);
-                }
-            }
-            self.metrics.snapshots_saved += 1;
-            enum Resolved {
-                Native(SnapId, SnapshotDelta, Arc<HwSnapshot>),
-                Full(HwSnapshot),
-            }
-            let resolved = match cap {
-                SnapshotCapture::Full(arc) => {
-                    let bid = self.store.insert_base((*arc).clone());
-                    self.last_base = Some(bid);
-                    self.target_base = Some((bid, arc.clone()));
-                    let empty = SnapshotDelta {
-                        regs: Vec::new(),
-                        mem_words: Vec::new(),
-                        cycle: arc.cycle,
-                    };
-                    Resolved::Native(bid, empty, arc)
-                }
-                SnapshotCapture::Delta { base, delta } => match &self.target_base {
-                    Some((bid, tracked)) if Arc::ptr_eq(tracked, &base) => {
-                        Resolved::Native(*bid, delta, base)
-                    }
-                    _ => match delta.apply(&base) {
-                        Ok(full) => Resolved::Full(full),
-                        Err(e) => {
-                            return Err(TargetError::CorruptSnapshot(format!(
-                                "fork capture for {parent:?}: {e}"
-                            )))
-                        }
-                    },
-                },
-            };
-            for s in successors {
-                self.io_logs.entry(s.id).or_insert_with(|| log.clone());
-                self.hw_age.entry(s.id).or_insert(age);
-                match &resolved {
-                    Resolved::Native(bid, delta, base) => {
-                        self.store_delta(s.id, *bid, delta.clone(), base)
-                    }
-                    Resolved::Full(full) => self.store_full(s.id, full.clone()),
-                }
-            }
-            return Ok(());
-        }
-        let snap = self.supervisor.save_snapshot(self.target.as_mut())?;
-        self.check_hw_assertions(&snap, parent);
-        self.metrics.snapshots_saved += 1;
-        for s in successors {
-            self.io_logs.entry(s.id).or_insert_with(|| log.clone());
-            self.hw_age.entry(s.id).or_insert(age);
-            self.store_full(s.id, snap.clone());
-        }
-        Ok(())
-    }
-
-    fn retire_state(&mut self, id: StateId) {
-        // Final property check: when the terminating state owns the live
-        // hardware, inspect its end-of-path hardware state.
-        if !self.hw_assertions.is_empty()
-            && self.current_owner == Some(id)
-            && self.config.mode == ConsistencyMode::HardSnap
-        {
-            if let Ok(snap) = self.target.save_snapshot() {
-                self.metrics.snapshots_saved += 1;
-                self.check_hw_assertions(&snap, id);
-            }
-        }
-        if let Some(sid) = self.snap_of.remove(&id) {
-            self.store.remove(sid);
-        }
-        self.io_logs.remove(&id);
-        self.hw_age.remove(&id);
-        if self.current_owner == Some(id) {
-            self.current_owner = None;
-        }
-    }
-
-    /// Runs the analysis to completion (or budget exhaustion).
+    /// Runs the analysis to completion (or budget exhaustion): worker 0
+    /// on this thread, the others on scoped threads. Results merge in
+    /// state-id order, so the digest is the same at any worker count.
     pub fn run(&mut self) -> RunResult {
         let host_start = std::time::Instant::now();
-        let hw_t0 = self.target.virtual_time_ns();
-        let mut bugs = std::mem::take(&mut self.carry_bugs);
-        let mut completed: Vec<SymState> = std::mem::take(&mut self.carry_completed);
-        let mut sample_console = completed
-            .first()
-            .map(|s| s.console.clone())
-            .unwrap_or_default();
-        let mut executed: u64 = std::mem::take(&mut self.carry_instructions);
-        let carry_vtime = std::mem::take(&mut self.carry_vtime_ns);
-
-        let stop = loop {
-            // Budgets are checked before popping, so a state selected at
-            // the budget boundary stays in the frontier instead of
-            // being silently dropped (a saved campaign must account for
-            // every live state). Cancellation and the wall deadline win
-            // over "also out of budget" ties (they are the serve
-            // daemon's watchdog hooks).
-            let consumed_vtime = (self.target.virtual_time_ns() - hw_t0)
-                + self.extra_time_ns
-                + self.supervisor.extra_vtime_ns
-                + carry_vtime;
-            if let Some(why) = budget_stop(
-                &self.config,
-                executed,
-                self.metrics.paths_completed,
-                consumed_vtime,
-                self.metrics.quanta,
-            ) {
-                break why;
-            }
-            let Some(mut state) = self.select_next_state() else {
-                break StopReason::Complete;
-            };
-            // Lines 5-9: hardware context switch when the schedule moves
-            // to a different state.
-            if let Err(e) = self.context_switch(&state) {
-                // RestoreState(next) exhausted its retries: next's
-                // hardware context is unreachable. Kill it, record the
-                // casualty by name, and move on with healthy hardware.
-                self.fault_log
-                    .push(format!("state {:?} killed: {e}", state.id));
-                self.metrics.states_dropped += 1;
-                self.current_owner = None;
-                self.retire_state(state.id);
-                self.target.reset();
-                continue;
-            }
-
-            // Run the selected state for up to one quantum (KLEE-style
-            // batching keeps context switches bounded).
-            let mut remaining = self.config.quantum.max(1);
-            let quantum_budget = remaining;
-            self.metrics.quanta += 1;
-            self.recorder.count(Counter::Quanta);
-            let mut qspan = self.recorder.span("engine", "quantum");
-            let window_age = self.hw_age.get(&state.id).copied().unwrap_or(0);
-            let window_cycle = self.target.cycle();
-            // All in-quantum continuations keep the same state id, so
-            // the window's cycles are attributed to the selected state.
-            let window_owner = state.id;
-            'quantum: loop {
-                // Line 11: ServePendingInterrupt. Supervised: a glitched
-                // IRQ read (EMI on the interrupt net) is re-sampled
-                // until two consecutive reads agree, so spurious /
-                // dropped / delayed lines never change which interrupt
-                // the executor actually delivers.
-                let lines = self.supervisor.irq_lines(self.target.as_mut());
-                if lines != 0 && self.executor.enter_irq(&mut state, lines).is_some() {
-                    self.metrics.irqs_delivered += 1;
-                    self.recorder.count(Counter::IrqsDelivered);
-                }
-
-                // Lines 12-14: step and collect successors.
-                let state_id = state.id;
-                self.covered_pcs.insert(state.pc);
-                let log = self.io_logs.entry(state_id).or_default();
-                let mut proxy = TargetMmio {
-                    target: self.target.as_mut(),
-                    log,
-                    sup: &mut self.supervisor,
-                    age_base: window_age,
-                    cycle_base: window_cycle,
-                };
-                let outcome = self.executor.step(state, &mut proxy);
-                executed += 1;
-                remaining -= 1;
-                // Advance hardware time alongside firmware execution.
-                self.target.step(self.config.cycles_per_instruction);
-
-                match outcome {
-                    StepOutcome::ContinueWith(s) => {
-                        if remaining == 0 || executed >= self.config.max_instructions {
-                            self.active.push_back(s);
-                            break 'quantum;
-                        }
-                        state = s;
-                    }
-                    StepOutcome::Fork(successors) => {
-                        if let Err(e) = self.snapshot_forked(state_id, &successors) {
-                            // The fork-point snapshot is gone; neither
-                            // the parent nor the children can ever be
-                            // restored. Kill the whole fork family.
-                            self.fault_log.push(format!(
-                                "state {state_id:?} killed with {} fork children: \
-                                 fork snapshot failed: {e}",
-                                successors.len()
-                            ));
-                            self.metrics.states_dropped += successors.len() as u64;
-                            for s in &successors {
-                                self.retire_state(s.id);
-                            }
-                            self.retire_state(state_id);
-                            self.current_owner = None;
-                            self.target.reset();
-                            break 'quantum;
-                        }
-                        for s in successors {
-                            if self.active.len() >= self.config.max_states {
-                                self.metrics.states_dropped += 1;
-                                self.retire_state(s.id);
-                                continue;
-                            }
-                            self.active.push_back(s);
-                        }
-                        break 'quantum;
-                    }
-                    StepOutcome::Halted(s) => {
-                        self.metrics.paths_completed += 1;
-                        if sample_console.is_empty() {
-                            sample_console = s.console.clone();
-                        }
-                        self.retire_state(state_id);
-                        if completed.len() < self.config.max_paths {
-                            completed.push(s);
-                        }
-                        break 'quantum;
-                    }
-                    StepOutcome::Bug {
-                        report,
-                        continuation,
-                    } => {
-                        bugs.push(report);
-                        match continuation {
-                            Some(s) => {
-                                if !self.io_logs.contains_key(&s.id) {
-                                    let parent_log =
-                                        self.io_logs.get(&state_id).cloned().unwrap_or_default();
-                                    self.io_logs.insert(s.id, parent_log);
-                                }
-                                self.active.push_back(s);
-                            }
-                            None => {
-                                self.metrics.paths_completed += 1;
-                                self.retire_state(state_id);
-                            }
-                        }
-                        break 'quantum;
-                    }
-                }
-            }
-            let ran = quantum_budget - remaining;
-            qspan.set_arg(ran);
-            drop(qspan);
-            self.recorder.observe(Metric::QuantumInstructions, ran);
-            let elapsed = self.target.cycle() - window_cycle;
-            let entry = self.hw_age.entry(window_owner).or_insert(window_age);
-            *entry = window_age + elapsed;
+        // A resumed campaign continues where the saved run stopped: the
+        // shared budget counters start from the carried-in totals, and
+        // if those already exhaust a budget the queue starts stopped so
+        // the frontier survives untouched for the next checkpoint.
+        let mut carry = std::mem::take(&mut self.carry);
+        let exhausted = budget_stop(
+            &self.config,
+            carry.instructions,
+            carry.paths,
+            carry.vtime_ns,
+            carry.quanta,
+        );
+        let queue = Queue::new(std::mem::take(&mut self.frontier), self.rng, exhausted);
+        let shared = Shared::new(
+            queue,
+            self.store.clone(),
+            &self.config,
+            &self.hw_assertions,
+            self.workers.len(),
+            &carry,
+            self.failover.take(),
+        );
+        let (w0, rest) = self.workers.split_first_mut().expect("at least one worker");
+        let executor = &mut self.executor;
+        let mut outputs: Vec<WorkerOutput> = scope(|scp| {
+            let shared = &shared;
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .map(|w| {
+                    scp.spawn(move || {
+                        let mut ex = Executor::new(shared.config.policy);
+                        let mut out = run_worker(shared, w, &mut ex);
+                        out.solver = ex.solver.stats;
+                        out
+                    })
+                })
+                .collect();
+            let mut outputs = vec![run_worker(shared, w0, executor)];
+            outputs.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked")),
+            );
+            outputs
+        });
+        // An unused spare survives for the next run; whatever the stop
+        // flag stranded in the queue is the still-schedulable frontier.
+        self.failover = shared.failover.lock().take();
+        let (stop, dropped) = {
+            let mut q = shared.q.lock();
+            self.frontier = std::mem::take(&mut q.items);
+            self.rng = q.rng;
+            q.outcome()
         };
 
+        // Deterministic merge: order by state id, never by arrival.
+        // Carried-in results merge exactly like another worker's output.
+        let mut bugs = std::mem::take(&mut carry.bugs);
+        let mut completed_port = std::mem::take(&mut carry.completed);
+        let mut metrics = EngineMetrics {
+            paths_completed: carry.paths,
+            quanta: carry.quanta,
+            states_dropped: dropped,
+            ..EngineMetrics::default()
+        };
+        let mut vtime: u64 = 0;
+        let mut faults = FaultSummary::default();
+        let mut fault_log: Vec<String> = Vec::new();
+        // Telemetry merges in worker order, so track ids and labels are
+        // stable across runs.
+        let mut telemetry: Option<MetricsSnapshot> = None;
+        self.worker_vtimes_ns.clear();
+        for o in &mut outputs {
+            bugs.append(&mut o.bugs);
+            completed_port.append(&mut o.completed);
+            self.covered.extend(o.covered.iter().copied());
+            merge_metrics(&mut metrics, o.metrics);
+            vtime += o.vtime_ns;
+            self.worker_vtimes_ns.push(o.vtime_ns);
+            faults.merge(&o.faults);
+            fault_log.append(&mut o.fatal);
+            self.hw_violations.append(&mut o.violations);
+            if let Some(t) = o.telemetry.take() {
+                match &mut telemetry {
+                    Some(acc) => acc.merge(t),
+                    None => telemetry = Some(t),
+                }
+            }
+            let acc = &mut self.executor.solver.stats;
+            acc.queries += o.solver.queries;
+            acc.sat += o.solver.sat;
+            acc.unsat += o.solver.unsat;
+            acc.time_us += o.solver.time_us;
+        }
+        self.hw_violations.sort();
+        self.hw_violations.dedup();
+        bugs.sort_by(|a, b| {
+            (a.state_id.0, a.pc, kind_rank(a.kind), &a.description).cmp(&(
+                b.state_id.0,
+                b.pc,
+                kind_rank(b.kind),
+                &b.description,
+            ))
+        });
+        completed_port.sort_by_key(|s| s.id.0);
+        completed_port.truncate(self.config.max_paths);
+        let completed: Vec<SymState> = completed_port
+            .iter()
+            .map(|p| p.import(&mut self.executor.pool))
+            .collect();
         // The store's always-on counters are folded into the telemetry
         // snapshot only here, in the export side-channel.
-        let telemetry = self.recorder.snapshot().map(|mut t| {
+        if let Some(t) = &mut telemetry {
             let st = self.store.stats();
             t.add_counter("store_hits", st.hits);
             t.add_counter("store_misses", st.misses);
@@ -1190,28 +736,23 @@ impl Engine {
             t.add_counter("store_spills", st.spills);
             t.add_counter("store_page_ins", st.page_ins);
             t.add_counter("store_resident_bytes_hwm", self.store.peak_bytes() as u64);
-            t
-        });
+        }
+        self.metrics = metrics;
 
         RunResult {
+            sample_console: completed
+                .first()
+                .map(|s| s.console.clone())
+                .unwrap_or_default(),
             bugs,
             completed,
-            metrics: self.metrics,
-            hw_virtual_time_ns: self.target.virtual_time_ns() - hw_t0
-                + self.extra_time_ns
-                + self.supervisor.extra_vtime_ns
-                + carry_vtime,
-            covered_pcs: self.covered_pcs.len(),
+            metrics,
+            hw_virtual_time_ns: vtime + carry.vtime_ns,
             host_time: host_start.elapsed(),
-            instructions: executed,
-            sample_console,
-            faults: FaultSummary {
-                injected: self.target.fault_stats().map(|s| s.injected()).unwrap_or(0),
-                retried: self.supervisor.retried,
-                recovered: self.supervisor.recovered,
-                quarantined: 0,
-            },
-            fault_log: std::mem::take(&mut self.fault_log),
+            instructions: shared.executed.into_inner(),
+            covered_pcs: self.covered.len(),
+            faults,
+            fault_log,
             telemetry,
             stop,
         }
@@ -1221,66 +762,49 @@ impl Engine {
     /// checkpointing persists the set itself; `RunResult` only carries
     /// its size).
     pub fn covered_set(&self) -> &HashSet<u32> {
-        &self.covered_pcs
+        &self.covered
     }
 
-    /// Drains the active frontier for campaign checkpointing: every
-    /// still-schedulable state leaves as a portable serialization plus
-    /// the id of its private snapshot in [`Engine::store`] (`None` for a
-    /// state that still runs from power-on hardware).
-    ///
-    /// The state owning the live hardware context is saved first —
-    /// exactly the `UpdateState` half of a context switch — so no
-    /// hardware state exists only on the target when the store is
-    /// serialized. HardSnap mode only (the baselines keep their context
-    /// in replay logs, which a fresh process cannot reconstruct).
+    /// Drains the schedulable frontier for campaign checkpointing: every
+    /// state a budget stop left queued (plus any never-run root) leaves
+    /// as a portable state plus the id of its private snapshot in
+    /// [`Engine::store`] (`None` for a power-on root). Every queued
+    /// state's context was saved when its quantum ended, so nothing
+    /// lives only on a replica. Sorted by state id, so the checkpoint is
+    /// byte-stable at any worker count.
     ///
     /// # Errors
     ///
-    /// Propagates the supervised save failure for the live context; the
-    /// frontier is left untouched in that case.
+    /// [`TargetError::Unsupported`] outside HardSnap mode (the baselines
+    /// keep their context in replay logs, which a checkpoint does not
+    /// persist).
     pub fn take_frontier(&mut self) -> Result<Vec<(PortableState, Option<SnapId>)>, TargetError> {
         if self.config.mode != ConsistencyMode::HardSnap {
             return Err(TargetError::Unsupported(
                 "campaign checkpointing requires HardSnap mode".into(),
             ));
         }
-        if let Some(prev) = self.current_owner {
-            if self.active.iter().any(|s| s.id == prev) {
-                if self.config.delta_snapshots {
-                    let cap = self.supervisor.save_capture(self.target.as_mut())?;
-                    self.metrics.snapshots_saved += 1;
-                    self.store_capture(prev, cap);
-                } else {
-                    let snap = self.supervisor.save_snapshot(self.target.as_mut())?;
-                    self.metrics.snapshots_saved += 1;
-                    self.store_full(prev, snap);
-                }
-            }
-            self.current_owner = None;
-        }
-        let states: Vec<SymState> = self.active.drain(..).collect();
-        let mut out = Vec::with_capacity(states.len());
-        for s in states {
-            let snap = self.snap_of.get(&s.id).copied();
-            out.push((PortableState::export(&self.executor.pool, &s), snap));
-        }
+        let mut out: Vec<(PortableState, Option<SnapId>)> = self
+            .frontier
+            .drain(..)
+            .map(|it| (it.state.into_portable(&self.executor.pool), it.snap))
+            .collect();
+        out.sort_by_key(|(s, _)| s.id.0);
         Ok(out)
     }
 
     /// Enqueues a frontier exported by [`Engine::take_frontier`] (with
     /// snapshot ids re-mapped to this engine's store by the campaign
-    /// loader), in order, after resetting the hardware to power-on.
+    /// loader), in order.
     pub fn resume_frontier(&mut self, frontier: Vec<(PortableState, Option<SnapId>)>) {
-        self.target.reset();
-        for (ps, snap) in frontier {
-            let s = ps.import(&mut self.executor.pool);
-            self.io_logs.entry(s.id).or_default();
-            if let Some(sid) = snap {
-                self.snap_of.insert(s.id, sid);
-            }
-            self.active.push_back(s);
+        for w in &mut self.workers {
+            w.live = None;
         }
+        self.frontier.extend(
+            frontier
+                .into_iter()
+                .map(|(state, snap)| WorkItem::new(ItemState::Portable(state), snap)),
+        );
     }
 
     /// Seeds the engine with the results of the run that produced a
@@ -1288,6 +812,7 @@ impl Engine {
     /// budgets (instruction and path caps continue where the saved run
     /// stopped) and into its `RunResult` — making save → resume report
     /// exactly what one uninterrupted run would have.
+    #[allow(clippy::too_many_arguments)]
     pub fn seed_prior(
         &mut self,
         instructions: u64,
@@ -1298,15 +823,64 @@ impl Engine {
         bugs: Vec<BugReport>,
         completed: Vec<PortableState>,
     ) {
-        self.carry_instructions = instructions;
-        self.carry_vtime_ns = vtime_ns;
-        self.metrics.quanta += quanta;
-        self.metrics.paths_completed += paths_completed;
-        self.covered_pcs.extend(covered);
-        self.carry_bugs = bugs;
-        self.carry_completed = completed
-            .iter()
-            .map(|p| p.import(&mut self.executor.pool))
-            .collect();
+        self.covered.extend(covered);
+        self.carry = Carry {
+            bugs,
+            completed,
+            instructions,
+            paths: paths_completed,
+            vtime_ns,
+            quanta,
+        };
     }
+}
+
+/// Constructor kept for the host-clock benchmark
+/// (`benchmark/src/explore.rs`), which builds multi-worker engines from
+/// a prototype target. New code calls [`Engine::with_workers`].
+pub struct ParallelEngine;
+
+impl ParallelEngine {
+    /// An [`Engine`] with `workers` workers whose replicas are all
+    /// power-on forks of `prototype`; the prototype itself is not
+    /// driven.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::with_workers`], plus a failed fork of `prototype`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(
+        prototype: &dyn HwTarget,
+        workers: usize,
+        config: EngineConfig,
+    ) -> Result<Engine, TargetError> {
+        Engine::with_workers(prototype.fork_clean()?, workers, config)
+    }
+}
+
+/// Stable ordering rank for [`hardsnap_symex::BugKind`] (merge + digest
+/// sort key, campaign manifest encoding).
+pub(crate) fn kind_rank(kind: hardsnap_symex::BugKind) -> u8 {
+    use hardsnap_symex::BugKind::*;
+    match kind {
+        AssertFailed => 0,
+        FailHit => 1,
+        Unmapped => 2,
+        Unaligned => 3,
+        IllegalInstruction => 4,
+        Bus => 5,
+        MmioByteAccess => 6,
+    }
+}
+
+fn merge_metrics(into: &mut EngineMetrics, m: EngineMetrics) {
+    into.context_switches += m.context_switches;
+    into.snapshots_saved += m.snapshots_saved;
+    into.snapshots_restored += m.snapshots_restored;
+    into.reboots += m.reboots;
+    into.replayed_ios += m.replayed_ios;
+    into.paths_completed += m.paths_completed;
+    into.states_dropped += m.states_dropped;
+    into.irqs_delivered += m.irqs_delivered;
+    into.quanta += m.quanta;
 }

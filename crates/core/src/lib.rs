@@ -8,12 +8,18 @@
 //!
 //! * a combined HW/SW state: each [`hardsnap_symex::SymState`] owns a
 //!   private hardware snapshot in the [`SnapshotStore`];
-//! * the analysis [`Engine`] implementing the paper's Algorithm 1 —
-//!   state selection, hardware context switching (`UpdateState` /
-//!   `RestoreState`), atomic interrupt delivery, fork snapshots;
+//! * the analysis [`Engine`], the one implementation of the paper's
+//!   Algorithm 1 — state selection, hardware context switching
+//!   (`UpdateState` / `RestoreState`), atomic interrupt delivery, fork
+//!   snapshots — at any worker count: [`Engine::new`] drives one target
+//!   on the calling thread, [`Engine::with_workers`] adds power-on forks
+//!   of it on scoped threads, and the digest is the same either way;
 //! * the two baselines of Fig. 1 ([`ConsistencyMode::NaiveConsistent`]
 //!   reboot-and-replay, [`ConsistencyMode::NaiveInconsistent`] shared
-//!   hardware) used throughout the evaluation;
+//!   hardware), which swap only the context-switch step (one worker);
+//! * attempt/replay recovery from transport faults, with quarantine and
+//!   failover of replicas ([`supervise`]);
+//! * campaign checkpoints that resume in a fresh process ([`campaign`]);
 //! * multi-target orchestration ([`Engine::switch_target`]) between the
 //!   simulator and FPGA platforms;
 //! * the synthetic firmware workloads of the evaluation ([`firmware`]).
@@ -46,20 +52,18 @@
 pub mod campaign;
 pub mod engine;
 pub mod firmware;
-pub mod parallel;
 pub mod replica;
 pub mod snapshots;
 pub mod supervise;
+mod worker;
 
 pub use campaign::{
-    load_campaign, resume_parallel, resume_sequential, save_campaign, snapshot_parallel,
-    snapshot_sequential, CampaignError, Checkpoint,
+    load_campaign, resume_campaign, save_campaign, snapshot_campaign, CampaignError, Checkpoint,
 };
 pub use engine::{
     CancelToken, ConsistencyMode, Engine, EngineConfig, EngineMetrics, HwAssertion, IoOp,
-    RunResult, Searcher, StopReason,
+    ParallelEngine, RunResult, Searcher, StopReason,
 };
-pub use parallel::ParallelEngine;
 pub use replica::{arm_baseline, synthesize_baseline, ReplicaError};
 pub use snapshots::{PersistEntry, SnapId, SnapshotStore, StoreStats};
 pub use supervise::{FaultSummary, RetryPolicy, Supervisor};

@@ -34,7 +34,7 @@
 //! ## Concurrency
 //!
 //! The store is **lock-sharded**: ids map to `id % N` shards, each
-//! behind its own `RwLock`, so the N workers of the parallel engine do
+//! behind its own `RwLock`, so the N workers of the engine do
 //! not serialize on one store-wide lock. No operation ever holds two
 //! shard guards at once — delta chains are walked one locked hop at a
 //! time, and spilling serializes the victim *outside* any lock and
@@ -458,8 +458,12 @@ impl SnapshotStore {
                 Err(_) => return false,
             },
         };
+        // Every spill writes a file of its own. Page-in and update
+        // unlink the file they detached only after dropping the shard
+        // lock; with a shared per-id name, a re-spill of the same id in
+        // that window would have its fresh file unlinked under it.
         let written = self.spool_dir().and_then(|dir| {
-            let path = dir.join(format!("snap-{id}.hsnap"));
+            let path = dir.join(format!("snap-{id}-{}.hsnap", self.tick()));
             std::fs::write(&path, &image)
                 .map_err(|e| format!("write '{}': {e}", path.display()))?;
             Ok(path)
@@ -490,16 +494,10 @@ impl SnapshotStore {
             };
             let sz = s.entry.byte_size();
             if s.generation != generation || s.refs != 0 || s.hidden || sz == 0 {
-                // A concurrent spill of the same id may have won the
-                // race: both wrote the same spool path, so that path is
-                // now the entry's *live* backing file. Deleting it here
-                // would strand the entry pointing at nothing — every
-                // future page-in would fail forever.
-                let live = s.entry.spill_path() == Some(&path);
+                // Lost a race (update, page-in, or a concurrent spill of
+                // the same id): the file is ours alone, so drop it.
                 drop(g);
-                if !live {
-                    let _ = std::fs::remove_file(&path);
-                }
+                let _ = std::fs::remove_file(&path);
                 return false;
             }
             s.entry = match payload {
@@ -576,7 +574,8 @@ impl SnapshotStore {
                 // A concurrent page-in may have swapped the entry
                 // resident and unlinked the spool file between our
                 // path read and the file read — that is a win, not an
-                // error: hand back the resident payload.
+                // error: hand back the resident payload, or page in
+                // again if it has since been re-spilled to a new file.
                 let shard = self.inner.shards.shard_for(id);
                 let g = shard.read();
                 match g.entries.get(&id).map(|s| &s.entry) {
@@ -586,6 +585,10 @@ impl SnapshotStore {
                             base: *base,
                             delta: delta.clone(),
                         })
+                    }
+                    Some(entry) if entry.spill_path().is_some_and(|p| *p != path) => {
+                        drop(g);
+                        return self.page_in(id);
                     }
                     _ => return Err(e),
                 }
@@ -1316,6 +1319,20 @@ mod tests {
         assert!(store.len() <= 1);
     }
 
+    /// The spool file holding spilled entry `id`.
+    fn spool_file(spool: &Path, id: SnapId) -> PathBuf {
+        let prefix = format!("snap-{id}-");
+        std::fs::read_dir(spool)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(&prefix))
+            })
+            .expect("entry spilled")
+    }
+
     fn test_spool(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hardsnap-test-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1410,6 +1427,32 @@ mod tests {
         let _ = std::fs::remove_file(&blocker);
     }
 
+    /// Under a one-byte budget every page-in re-spills another entry, so
+    /// concurrent readers keep spilling and paging the same ids. Each
+    /// spill must own its spool file: with one file name per id, a
+    /// page-in unlinking the file it read could delete the file a
+    /// concurrent re-spill had just written, stranding the entry.
+    #[test]
+    fn concurrent_spill_and_page_in_never_strand_an_entry() {
+        let spool = test_spool("spill-race");
+        let store = SnapshotStore::new();
+        store.set_spool_dir(&spool);
+        store.set_mem_budget(Some(1));
+        let ids: Vec<SnapId> = (0..4).map(|v| store.insert(snap(v))).collect();
+        hardsnap_util::sync::scope(|s| {
+            for t in 0..4u64 {
+                let (store, ids) = (&store, &ids);
+                s.spawn(move || {
+                    for i in 0..400u64 {
+                        let v = ((i + t) % 4) as usize;
+                        assert_eq!(store.try_get(ids[v]).unwrap(), snap(v as u64));
+                    }
+                });
+            }
+        });
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
     #[test]
     fn corrupted_spool_file_is_a_typed_error() {
         let spool = test_spool("spill-corrupt");
@@ -1420,7 +1463,7 @@ mod tests {
         let _hot = store.insert(snap(2)); // forces `cold` out
         assert!(store.stats().spills >= 1);
         // Corrupt the spilled file on disk.
-        let path = spool.join(format!("snap-{cold}.hsnap"));
+        let path = spool_file(&spool, cold);
         let mut data = std::fs::read(&path).unwrap();
         let mid = data.len() / 2;
         data[mid] ^= 0x20;
@@ -1440,7 +1483,7 @@ mod tests {
         store.set_mem_budget(Some(snap(0).byte_size() + 64));
         let cold = store.insert(snap(1));
         let _hot = store.insert(snap(2));
-        let path = spool.join(format!("snap-{cold}.hsnap"));
+        let path = spool_file(&spool, cold);
         assert!(path.exists(), "cold entry should be on disk");
         // remove() resolves (paging in) and deletes; the file goes away
         // on page-in already.

@@ -42,10 +42,10 @@ pub struct RetryPolicy {
     /// Virtual-time deadline across one operation's retries: retrying
     /// stops once the backoff charged to the operation reaches this.
     pub op_deadline_ns: u64,
-    /// Parallel engine: terminal quantum failures a replica may absorb
+    /// Terminal quantum failures a worker's replica may absorb
     /// before it is quarantined and replaced.
     pub replica_fault_budget: u32,
-    /// Parallel engine: times one work item may be re-attempted (across
+    /// Times one work item may be re-attempted (across
     /// replica resets/replacements) before its state is dropped.
     pub max_item_attempts: u32,
 }
@@ -68,7 +68,7 @@ impl Default for RetryPolicy {
 /// wrapped fault injector actually fired (0 on honest transports);
 /// `retried`/`recovered` count supervised retries and operations that
 /// eventually succeeded after at least one failure; `quarantined`
-/// counts replicas the parallel engine replaced. None of these feed
+/// counts replicas the engine replaced. None of these feed
 /// `RunResult::canonical_digest` — recovery must be semantically
 /// invisible.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,7 +79,7 @@ pub struct FaultSummary {
     pub retried: u64,
     /// Operations that succeeded after at least one failed attempt.
     pub recovered: u64,
-    /// Replicas quarantined and replaced by the parallel engine.
+    /// Replicas quarantined and replaced by the engine.
     pub quarantined: u64,
 }
 
@@ -94,8 +94,8 @@ impl FaultSummary {
 }
 
 /// Retrying wrapper around a target's fallible operations. One lives in
-/// the sequential engine and one per parallel worker; they accumulate
-/// the retry counters and the backoff virtual time for the run report.
+/// each engine worker; they accumulate the retry counters and the
+/// backoff virtual time for the run report.
 #[derive(Clone, Debug, Default)]
 pub struct Supervisor {
     /// Active policy.

@@ -7,8 +7,8 @@
 
 use hardsnap::firmware;
 use hardsnap::{
-    resume_parallel, resume_sequential, snapshot_parallel, snapshot_sequential, CancelToken,
-    ConsistencyMode, Engine, EngineConfig, ParallelEngine, RunResult, Searcher, StopReason,
+    resume_campaign, snapshot_campaign, CancelToken, ConsistencyMode, Engine, EngineConfig,
+    RunResult, Searcher, StopReason,
 };
 use hardsnap_sim::SimTarget;
 use std::path::PathBuf;
@@ -28,19 +28,16 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+fn engine(config: &EngineConfig, workers: usize) -> Engine {
+    let target = Box::new(SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap());
+    Engine::with_workers(target, workers, config.clone()).unwrap()
+}
+
 fn run_fresh(asm: &str, config: &EngineConfig, workers: usize) -> RunResult {
-    let soc = hardsnap_periph::soc().unwrap();
     let prog = hardsnap_isa::assemble(asm).unwrap();
-    if workers > 1 {
-        let target = SimTarget::new(soc).unwrap();
-        let mut engine = ParallelEngine::new(&target, workers, config.clone()).unwrap();
-        engine.load_firmware(&prog);
-        engine.run()
-    } else {
-        let mut engine = Engine::new(Box::new(SimTarget::new(soc).unwrap()), config.clone());
-        engine.load_firmware(&prog);
-        engine.run()
-    }
+    let mut engine = engine(config, workers);
+    engine.load_firmware(&prog);
+    engine.run()
 }
 
 /// Runs under `first` until it stops, checkpoints into `dir`, then
@@ -53,29 +50,13 @@ fn cut_and_resume(
     dir: &PathBuf,
 ) -> (RunResult, RunResult) {
     let prog = hardsnap_isa::assemble(asm).unwrap();
-    if workers > 1 {
-        let soc = hardsnap_periph::soc().unwrap();
-        let target = SimTarget::new(soc).unwrap();
-        let mut engine = ParallelEngine::new(&target, workers, first.clone()).unwrap();
-        engine.load_firmware(&prog);
-        let r1 = engine.run();
-        snapshot_parallel(dir, &mut engine, &r1).unwrap();
-        let soc = hardsnap_periph::soc().unwrap();
-        let target = SimTarget::new(soc).unwrap();
-        let mut engine = ParallelEngine::new(&target, workers, second.clone()).unwrap();
-        resume_parallel(dir, &mut engine).unwrap();
-        (r1, engine.run())
-    } else {
-        let soc = hardsnap_periph::soc().unwrap();
-        let mut engine = Engine::new(Box::new(SimTarget::new(soc).unwrap()), first.clone());
-        engine.load_firmware(&prog);
-        let r1 = engine.run();
-        snapshot_sequential(dir, &mut engine, &r1).unwrap();
-        let soc = hardsnap_periph::soc().unwrap();
-        let mut engine = Engine::new(Box::new(SimTarget::new(soc).unwrap()), second.clone());
-        resume_sequential(dir, &mut engine).unwrap();
-        (r1, engine.run())
-    }
+    let mut first = engine(first, workers);
+    first.load_firmware(&prog);
+    let r1 = first.run();
+    snapshot_campaign(dir, &mut first, &r1).unwrap();
+    let mut second = engine(second, workers);
+    resume_campaign(dir, &mut second).unwrap();
+    (r1, second.run())
 }
 
 /// The property, parameterized by which budget axis cuts the first run.
@@ -187,29 +168,14 @@ fn repeated_cuts_chain_to_identical_digest() {
             // Quanta carry across resume (like instructions), so each
             // leg grants five *more* than the chain has consumed.
             cfg.max_quanta = (legs + 1) * 5;
-            let soc = hardsnap_periph::soc().unwrap();
-            let r = if workers > 1 {
-                let target = SimTarget::new(soc).unwrap();
-                let mut engine = ParallelEngine::new(&target, workers, cfg).unwrap();
-                if legs == 0 {
-                    engine.load_firmware(&prog);
-                } else {
-                    resume_parallel(&dir, &mut engine).unwrap();
-                }
-                let r = engine.run();
-                snapshot_parallel(&dir, &mut engine, &r).unwrap();
-                r
+            let mut engine = engine(&cfg, workers);
+            if legs == 0 {
+                engine.load_firmware(&prog);
             } else {
-                let mut engine = Engine::new(Box::new(SimTarget::new(soc).unwrap()), cfg);
-                if legs == 0 {
-                    engine.load_firmware(&prog);
-                } else {
-                    resume_sequential(&dir, &mut engine).unwrap();
-                }
-                let r = engine.run();
-                snapshot_sequential(&dir, &mut engine, &r).unwrap();
-                r
-            };
+                resume_campaign(&dir, &mut engine).unwrap();
+            }
+            let r = engine.run();
+            snapshot_campaign(&dir, &mut engine, &r).unwrap();
             legs += 1;
             assert!(legs <= 1_000, "workers={workers}: chain never completed");
             if r.stop == StopReason::Complete {

@@ -1,18 +1,17 @@
-//! Fault-injected transport: the engines must absorb an unreliable
-//! link without changing the analysis result.
+//! Fault-injected transport: the engine must absorb an unreliable link
+//! without changing the analysis result.
 //!
-//! The headline invariant is **full transparency in the parallel
-//! engine**: with faults injected on up to 10% of bus/scan/snapshot
-//! operations, every workload completes with a canonical digest
-//! bit-identical to the fault-free run, for any worker count — faults
-//! may only show up in `RunResult::faults` and in timing. The
-//! sequential engine guarantees **graceful degradation**: a terminal
-//! fault kills only the affected state and names it in the fault log.
+//! The headline invariant is **full transparency**: with faults
+//! injected on up to 10% of bus/scan/snapshot operations, every workload
+//! completes with a canonical digest bit-identical to the fault-free
+//! run, for any worker count — faults may only show up in
+//! `RunResult::faults` and in timing. A fault no replay can get past
+//! kills only the affected state, named in the fault log.
 
 use hardsnap::firmware;
 use hardsnap::{
-    ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, ParallelEngine, RetryPolicy,
-    RunResult, Searcher,
+    ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, RetryPolicy, RunResult,
+    Searcher,
 };
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget, TargetCaps, TargetError};
 use hardsnap_sim::SimTarget;
@@ -34,30 +33,22 @@ fn sim() -> SimTarget {
     SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap()
 }
 
-fn sequential_run(asm: &str, config: &EngineConfig, plan: FaultPlan) -> RunResult {
-    let target: Box<dyn HwTarget> = if plan.is_active() {
+fn target(plan: FaultPlan) -> Box<dyn HwTarget> {
+    if plan.is_active() {
         Box::new(FaultyTarget::new(sim(), plan))
     } else {
         Box::new(sim())
-    };
-    let mut engine = Engine::new(target, config.clone());
-    let prog = hardsnap_isa::assemble(asm).unwrap();
-    engine.load_firmware(&prog);
-    engine.run()
+    }
 }
 
 fn parallel_run(asm: &str, config: &EngineConfig, workers: usize, plan: FaultPlan) -> RunResult {
-    let prog = hardsnap_isa::assemble(asm).unwrap();
-    let run = |prototype: &dyn HwTarget| {
-        let mut engine = ParallelEngine::new(prototype, workers, config.clone()).unwrap();
-        engine.load_firmware(&prog);
-        engine.run()
-    };
-    if plan.is_active() {
-        run(&FaultyTarget::new(sim(), plan))
-    } else {
-        run(&sim())
-    }
+    let mut engine = Engine::with_workers(target(plan), workers, config.clone()).unwrap();
+    engine.load_firmware(&hardsnap_isa::assemble(asm).unwrap());
+    engine.run()
+}
+
+fn sequential_run(asm: &str, config: &EngineConfig, plan: FaultPlan) -> RunResult {
+    parallel_run(asm, config, 1, plan)
 }
 
 /// Same seed + same fault plan ⇒ the whole run replays exactly: same
@@ -77,8 +68,8 @@ fn fault_runs_replay_exactly_from_their_seed() {
 }
 
 /// The tentpole acceptance bar: with up to 10% of operations faulted,
-/// the parallel engine's digest is bit-identical to the fault-free
-/// sequential run for workers ∈ {1, 2, 4}.
+/// the engine's digest is bit-identical to the fault-free
+/// one-worker run for workers ∈ {1, 2, 4}.
 #[test]
 fn faulty_parallel_matches_fault_free_digest_across_worker_counts() {
     let asm = firmware::branching_firmware(3);
@@ -111,9 +102,9 @@ fn faulty_parallel_matches_fault_free_digest_across_worker_counts() {
     });
 }
 
-/// Transient bus faults in the sequential engine are absorbed by the
-/// retry layer: the digest matches fault-free and the summary shows
-/// recovery actually happened.
+/// Transient bus faults at one worker are absorbed by the retry layer:
+/// the digest matches fault-free and the summary shows recovery
+/// actually happened.
 #[test]
 fn sequential_recovers_transparently_from_transient_bus_faults() {
     // Dense MMIO traffic so a 10% per-op rate is guaranteed to fire.
@@ -186,8 +177,8 @@ fn failover_to_a_spare_target_preserves_the_result() {
         ..FaultPlan::off()
     };
     let prog = hardsnap_isa::assemble(&asm).unwrap();
-    let prototype = FaultyTarget::new(sim(), plan);
-    let mut engine = ParallelEngine::new(&prototype, 2, config.clone()).unwrap();
+    let prototype = Box::new(FaultyTarget::new(sim(), plan));
+    let mut engine = Engine::with_workers(prototype, 2, config.clone()).unwrap();
     // The spare is an honest simulator: once a worker fails over, its
     // link faults stop entirely.
     engine.set_failover(Box::new(sim()));
@@ -197,9 +188,10 @@ fn failover_to_a_spare_target_preserves_the_result() {
     assert_eq!(r.canonical_digest(), clean_digest);
 }
 
-/// Sequential graceful degradation: when `UpdateState` fails terminally
-/// the engine kills exactly the state whose context was lost, names it
-/// in the fault log, and finishes the rest of the exploration.
+/// Graceful degradation at one worker on a target that cannot rebuild
+/// itself: when `UpdateState` keeps failing, every attempt of the state
+/// dies, and once its attempts run out the engine kills exactly that
+/// state, names it in the fault log, and finishes the exploration.
 #[test]
 fn sequential_update_state_failure_kills_the_state_by_name() {
     /// Delegating wrapper whose snapshot captures start failing

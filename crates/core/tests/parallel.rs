@@ -1,12 +1,17 @@
-//! The parallel engine's headline invariant: worker count changes the
-//! wall clock, never the result. Every test compares a run against the
-//! sequential engine and across worker counts via the canonical digest.
+//! The engine's headline invariant: worker count changes the wall
+//! clock, never the result. Every test compares runs across worker
+//! counts via the canonical digest.
 
 use hardsnap::firmware::{self, PlantedBug};
 use hardsnap::{
     ConsistencyMode, Engine, EngineConfig, EngineMetrics, ParallelEngine, RunResult, Searcher,
 };
+use hardsnap_bus::{BusError, HwSnapshot, HwTarget, TargetCaps, TargetError};
 use hardsnap_sim::SimTarget;
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -19,18 +24,15 @@ fn config() -> EngineConfig {
 }
 
 fn sequential_run(asm: &str, config: &EngineConfig) -> RunResult {
-    let soc = hardsnap_periph::soc().unwrap();
-    let target = Box::new(SimTarget::new(soc).unwrap());
-    let mut engine = Engine::new(target, config.clone());
-    let prog = hardsnap_isa::assemble(asm).unwrap();
-    engine.load_firmware(&prog);
-    engine.run()
+    parallel_run(asm, config, 1).0
+}
+
+fn sim() -> Box<SimTarget> {
+    Box::new(SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap())
 }
 
 fn parallel_run(asm: &str, config: &EngineConfig, workers: usize) -> (RunResult, EngineMetrics) {
-    let soc = hardsnap_periph::soc().unwrap();
-    let target = SimTarget::new(soc).unwrap();
-    let mut engine = ParallelEngine::new(&target, workers, config.clone()).unwrap();
+    let mut engine = Engine::with_workers(sim(), workers, config.clone()).unwrap();
     let prog = hardsnap_isa::assemble(asm).unwrap();
     engine.load_firmware(&prog);
     let result = engine.run();
@@ -66,14 +68,17 @@ fn worker_count_does_not_change_the_result() {
             "workers={workers}: parallel result differs from sequential"
         );
     }
-    // Hardware virtual time is a sum of per-state costs, so it too is
-    // schedule-invariant (across worker counts; the sequential engine
-    // saves/restores less because consecutive quanta can share a live
-    // context).
-    let t1 = par_digests[0].2;
-    for &(workers, _, t) in &par_digests {
-        assert_eq!(t, t1, "workers={workers}: virtual time diverged");
+    // Hardware virtual time is a sum of per-state costs, so past one
+    // worker it too is schedule-invariant (one worker restores less
+    // because consecutive quanta of a state can share a live context).
+    let t2 = par_digests[1].2;
+    for &(workers, _, t) in &par_digests[1..] {
+        assert_eq!(t, t2, "workers={workers}: virtual time diverged");
     }
+    assert!(
+        par_digests[0].2 <= t2,
+        "one worker skips restores, never adds"
+    );
 }
 
 #[test]
@@ -129,8 +134,6 @@ fn fork_heavy_stress_hammers_the_shared_store() {
 
 #[test]
 fn baselines_are_rejected() {
-    let soc = hardsnap_periph::soc().unwrap();
-    let target = SimTarget::new(soc).unwrap();
     for mode in [
         ConsistencyMode::NaiveConsistent,
         ConsistencyMode::NaiveInconsistent,
@@ -140,8 +143,124 @@ fn baselines_are_rejected() {
             ..EngineConfig::default()
         };
         assert!(
-            ParallelEngine::new(&target, 2, config).is_err(),
+            Engine::with_workers(sim(), 2, config).is_err(),
             "{mode:?} must be refused (baselines serialize on one device)"
         );
     }
+}
+
+/// Threads seen by a [`ThreadSpy`] and its replicas.
+#[derive(Default)]
+struct Seen {
+    stepped: Mutex<HashSet<ThreadId>>,
+    restored: Mutex<HashSet<ThreadId>>,
+    met: Condvar,
+}
+
+/// Delegating target that records which threads clock it; the replicas
+/// it forks record into the same set. Restores wait until `meet`
+/// distinct threads have reached one: only fork children restore, and
+/// the first fork queues two of them, so with two workers each picks
+/// one and both are certain to run.
+struct ThreadSpy {
+    inner: Box<dyn HwTarget>,
+    seen: Arc<Seen>,
+    meet: usize,
+}
+
+impl HwTarget for ThreadSpy {
+    fn name(&self) -> &str {
+        "thread-spy"
+    }
+    fn caps(&self) -> TargetCaps {
+        self.inner.caps()
+    }
+    fn design_name(&self) -> &str {
+        self.inner.design_name()
+    }
+    fn reset(&mut self) {
+        self.inner.reset()
+    }
+    fn step(&mut self, cycles: u64) {
+        let me = std::thread::current().id();
+        self.seen.stepped.lock().unwrap().insert(me);
+        self.inner.step(cycles)
+    }
+    fn cycle(&self) -> u64 {
+        self.inner.cycle()
+    }
+    fn bus_read(&mut self, addr: u32) -> Result<u32, BusError> {
+        self.inner.bus_read(addr)
+    }
+    fn bus_write(&mut self, addr: u32, data: u32) -> Result<(), BusError> {
+        self.inner.bus_write(addr, data)
+    }
+    fn irq_lines(&mut self) -> u32 {
+        self.inner.irq_lines()
+    }
+    fn save_snapshot(&mut self) -> Result<HwSnapshot, TargetError> {
+        self.inner.save_snapshot()
+    }
+    fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
+        let mut met = self.seen.restored.lock().unwrap();
+        met.insert(std::thread::current().id());
+        self.seen.met.notify_all();
+        // The timeout only turns a missing worker into a failed
+        // assertion instead of a hung test.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while met.len() < self.meet && Instant::now() < deadline {
+            met = self
+                .seen
+                .met
+                .wait_timeout(met, Duration::from_millis(50))
+                .unwrap()
+                .0;
+        }
+        drop(met);
+        self.inner.restore_snapshot(snap)
+    }
+    fn virtual_time_ns(&self) -> u64 {
+        self.inner.virtual_time_ns()
+    }
+    fn snapshot_shape(&self) -> u64 {
+        self.inner.snapshot_shape()
+    }
+    fn fork_clean(&self) -> Result<Box<dyn HwTarget>, TargetError> {
+        Ok(Box::new(ThreadSpy {
+            inner: self.inner.fork_clean()?,
+            seen: self.seen.clone(),
+            meet: self.meet,
+        }))
+    }
+}
+
+/// Worker 0 runs on the calling thread, so a one-worker run spawns no
+/// thread at all (whichever constructor built it) and two workers spawn
+/// exactly one.
+#[test]
+fn worker_zero_runs_on_the_calling_thread() {
+    let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
+    let me = std::thread::current().id();
+    let threads = |meet: usize, build: &dyn Fn(Box<dyn HwTarget>) -> Engine| {
+        let seen = Arc::new(Seen::default());
+        let spy = ThreadSpy {
+            inner: sim(),
+            seen: seen.clone(),
+            meet,
+        };
+        let mut engine = build(Box::new(spy));
+        engine.load_firmware(&prog);
+        assert_eq!(engine.run().metrics.paths_completed, 8);
+        let stepped = seen.stepped.lock().unwrap().clone();
+        stepped
+    };
+    let one = threads(1, &|t| Engine::new(t, config()));
+    assert_eq!(one, HashSet::from([me]), "Engine::new");
+    let one = threads(1, &|t| {
+        ParallelEngine::new(t.as_ref(), 1, config()).unwrap()
+    });
+    assert_eq!(one, HashSet::from([me]), "ParallelEngine::new at 1 worker");
+    let two = threads(2, &|t| Engine::with_workers(t, 2, config()).unwrap());
+    assert!(two.contains(&me), "worker 0 ran elsewhere: {two:?}");
+    assert_eq!(two.len(), 2, "want the caller plus one worker: {two:?}");
 }

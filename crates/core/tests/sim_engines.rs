@@ -1,11 +1,11 @@
 //! The RTL evaluation backend is an implementation detail: the compiled
 //! bytecode engine (with and without dirty-cone scheduling) and the
 //! reference interpreter must produce bit-identical analysis results on
-//! the demo firmware, sequentially and across parallel worker counts.
+//! the demo firmware, at every worker count.
 //! This is the engine-level analogue of the `ci/check.sh` digest gate.
 
 use hardsnap::firmware;
-use hardsnap::{ConsistencyMode, Engine, EngineConfig, ParallelEngine, RunResult, Searcher};
+use hardsnap::{ConsistencyMode, Engine, EngineConfig, RunResult, Searcher};
 use hardsnap_sim::{SimEngine, SimTarget};
 
 fn config() -> EngineConfig {
@@ -20,17 +20,10 @@ fn config() -> EngineConfig {
 
 fn run(engine: SimEngine, workers: usize, asm: &str, config: &EngineConfig) -> RunResult {
     let soc = hardsnap_periph::soc().unwrap();
-    let target = SimTarget::with_engine(soc, engine).unwrap();
-    let prog = hardsnap_isa::assemble(asm).unwrap();
-    if workers == 1 {
-        let mut e = Engine::new(Box::new(target), config.clone());
-        e.load_firmware(&prog);
-        e.run()
-    } else {
-        let mut e = ParallelEngine::new(&target, workers, config.clone()).unwrap();
-        e.load_firmware(&prog);
-        e.run()
-    }
+    let target = Box::new(SimTarget::with_engine(soc, engine).unwrap());
+    let mut e = Engine::with_workers(target, workers, config.clone()).unwrap();
+    e.load_firmware(&hardsnap_isa::assemble(asm).unwrap());
+    e.run()
 }
 
 #[test]

@@ -7,8 +7,8 @@
 
 use hardsnap::firmware;
 use hardsnap::{
-    ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, MetricsSnapshot,
-    ParallelEngine, RunResult, Searcher, TelemetryConfig,
+    ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, MetricsSnapshot, RunResult,
+    Searcher, TelemetryConfig,
 };
 use hardsnap_sim::SimTarget;
 use hardsnap_util::json;
@@ -23,20 +23,20 @@ fn config(telemetry: TelemetryConfig) -> EngineConfig {
     }
 }
 
-fn run_parallel(workers: usize, telemetry: TelemetryConfig) -> RunResult {
+fn run_workers(workers: usize, telemetry: TelemetryConfig) -> RunResult {
     let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
-    let proto = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
-    let mut engine = ParallelEngine::new(&proto, workers, config(telemetry)).unwrap();
+    let proto = Box::new(SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap());
+    let mut engine = Engine::with_workers(proto, workers, config(telemetry)).unwrap();
     engine.load_firmware(&prog);
     engine.run()
 }
 
 #[test]
 fn digest_identical_with_telemetry_on_off_across_worker_counts() {
-    let baseline = run_parallel(1, TelemetryConfig::OFF).canonical_digest();
+    let baseline = run_workers(1, TelemetryConfig::OFF).canonical_digest();
     for workers in [1usize, 2, 4] {
         for telemetry in [TelemetryConfig::OFF, TelemetryConfig::ON] {
-            let r = run_parallel(workers, telemetry);
+            let r = run_workers(workers, telemetry);
             assert_eq!(
                 r.canonical_digest(),
                 baseline,
@@ -52,14 +52,14 @@ fn digest_identical_with_telemetry_on_off_across_worker_counts() {
 }
 
 #[test]
-fn sequential_engine_collects_engine_track_telemetry() {
+fn one_worker_collects_its_track_telemetry() {
     let prog = hardsnap_isa::assemble(&firmware::branching_firmware(2)).unwrap();
     let target = Box::new(SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap());
     let mut engine = Engine::new(target, config(TelemetryConfig::ON));
     engine.load_firmware(&prog);
     let r = engine.run();
     let t = r.telemetry.expect("telemetry enabled");
-    assert_eq!(t.tracks, vec![(0, "engine".to_string())]);
+    assert_eq!(t.tracks, vec![(0, "worker-0".to_string())]);
     assert_eq!(t.counter("context_switches"), r.metrics.context_switches);
     assert_eq!(t.counter("snapshots_saved"), r.metrics.snapshots_saved);
     assert!(t.counter("quanta") > 0, "quantum counter must tick");
@@ -81,8 +81,8 @@ fn sequential_engine_collects_engine_track_telemetry() {
 fn chrome_trace_roundtrips_and_names_the_span_taxonomy() {
     let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
     let sim = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
-    let proto = FaultyTarget::new(sim, FaultPlan::uniform(0xE4_FA17, 0.08));
-    let mut engine = ParallelEngine::new(&proto, 2, config(TelemetryConfig::ON)).unwrap();
+    let proto = Box::new(FaultyTarget::new(sim, FaultPlan::uniform(0xE4_FA17, 0.08)));
+    let mut engine = Engine::with_workers(proto, 2, config(TelemetryConfig::ON)).unwrap();
     engine.load_firmware(&prog);
     let r = engine.run();
     let t: &MetricsSnapshot = r.telemetry.as_ref().expect("telemetry enabled");

@@ -646,7 +646,6 @@ impl Daemon {
             let mut g = self.inner.lock().unwrap();
             g.running_replicas -= spec.workers;
             let job = g.jobs.get_mut(&id).unwrap();
-            job.state = JobState::Done;
             job.run_ms = started.elapsed().as_millis() as u64;
             match outcome {
                 Ok(o) => {
@@ -668,7 +667,9 @@ impl Daemon {
             } else {
                 Some(job.telemetry.clone())
             };
-            (job.summary(id), telemetry)
+            let mut summary = job.summary(id);
+            summary.state = JobState::Done;
+            (summary, telemetry)
         };
         // Per-job observability artifacts land before the terminal
         // commit: if the daemon dies between them, the re-run rewrites
@@ -683,6 +684,9 @@ impl Daemon {
             &dir.join("result.json"),
             summary.to_value().to_json().as_bytes(),
         );
+        // Only now is the job terminal in memory: whoever observes
+        // `Done` (status, wait_idle, a restart test) finds result.json.
+        self.inner.lock().unwrap().jobs.get_mut(&id).unwrap().state = JobState::Done;
         self.emit(EventBody::Terminal {
             id,
             verdict: summary

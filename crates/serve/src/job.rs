@@ -320,9 +320,11 @@ impl JobSummary {
                 Verdict::Flaky {
                     divergence_state_id,
                 } => {
+                    // State ids are 64-bit fork-tree hashes: hex, like
+                    // digests, because JSON numbers are f64.
                     m.insert(
                         "divergence_state_id".into(),
-                        Value::Num(*divergence_state_id as f64),
+                        Value::Str(crate::digest_hex(*divergence_state_id)),
                     );
                 }
                 Verdict::Error(msg) => {
@@ -370,7 +372,13 @@ impl JobSummary {
                 attempts: get_u64(m, "attempts")? as u32,
             }),
             Some("flaky") => Some(Verdict::Flaky {
-                divergence_state_id: get_u64(m, "divergence_state_id")?,
+                divergence_state_id: m
+                    .get("divergence_state_id")
+                    .and_then(Value::as_str)
+                    .and_then(|h| u64::from_str_radix(h.trim_start_matches("0x"), 16).ok())
+                    .ok_or_else(|| {
+                        ServeError::Protocol("job field 'divergence_state_id' must be hex".into())
+                    })?,
             }),
             Some("error") => Some(Verdict::Error(
                 m.get("error")
@@ -541,7 +549,7 @@ mod tests {
             Verdict::Cancelled,
             Verdict::Stable { attempts: 3 },
             Verdict::Flaky {
-                divergence_state_id: 9,
+                divergence_state_id: 0xfd95_d1b3_3a1f_6cd0,
             },
             Verdict::Error("boom".into()),
         ] {

@@ -25,9 +25,9 @@ use crate::job::{JobSpec, Verdict};
 use crate::ServeError;
 use hardsnap::campaign::MANIFEST;
 use hardsnap::{
-    load_campaign, resume_parallel, resume_sequential, snapshot_parallel, snapshot_sequential,
-    CancelToken, ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, HwTarget,
-    ParallelEngine, RunResult, Searcher, SnapshotStore, StopReason,
+    load_campaign, resume_campaign, snapshot_campaign, CancelToken, ConsistencyMode, Engine,
+    EngineConfig, FaultPlan, FaultyTarget, HwTarget, RunResult, Searcher, SnapshotStore,
+    StopReason,
 };
 use hardsnap_sim::{SimEngine, SimTarget};
 use std::path::Path;
@@ -177,33 +177,17 @@ fn run_leg(
     let resume = dir.join(MANIFEST).exists();
     let program = assemble(spec)?;
     let target = source.build(spec, attempt)?;
-    let result = if spec.workers > 1 {
-        let mut engine =
-            ParallelEngine::new(target.as_ref(), spec.workers, config).map_err(job_err)?;
-        if resume {
-            resume_parallel(dir, &mut engine).map_err(job_err)?;
-        } else {
-            engine.load_firmware(&program);
-        }
-        let r = engine.run();
-        if !matches!(r.stop, StopReason::Complete | StopReason::Paths) {
-            snapshot_parallel(dir, &mut engine, &r).map_err(job_err)?;
-        }
-        r
+    let mut engine = Engine::with_workers(target, spec.workers, config).map_err(job_err)?;
+    if resume {
+        resume_campaign(dir, &mut engine).map_err(job_err)?;
     } else {
-        let mut engine = Engine::new(target, config);
-        if resume {
-            resume_sequential(dir, &mut engine).map_err(job_err)?;
-        } else {
-            engine.load_firmware(&program);
-        }
-        let r = engine.run();
-        if !matches!(r.stop, StopReason::Complete | StopReason::Paths) {
-            snapshot_sequential(dir, &mut engine, &r).map_err(job_err)?;
-        }
-        r
-    };
-    Ok(result)
+        engine.load_firmware(&program);
+    }
+    let r = engine.run();
+    if !matches!(r.stop, StopReason::Complete | StopReason::Paths) {
+        snapshot_campaign(dir, &mut engine, &r).map_err(job_err)?;
+    }
+    Ok(r)
 }
 
 /// Runs the baseline campaign as a sequence of checkpointed legs until
@@ -269,17 +253,9 @@ fn run_attempt(
     if spec.max_instructions > 0 {
         config.max_instructions = spec.max_instructions;
     }
-    let result = if spec.workers > 1 {
-        let mut engine =
-            ParallelEngine::new(target.as_ref(), spec.workers, config).map_err(job_err)?;
-        engine.load_firmware(&program);
-        engine.run()
-    } else {
-        let mut engine = Engine::new(target, config);
-        engine.load_firmware(&program);
-        engine.run()
-    };
-    Ok(result)
+    let mut engine = Engine::with_workers(target, spec.workers, config).map_err(job_err)?;
+    engine.load_firmware(&program);
+    Ok(engine.run())
 }
 
 /// First completed-path state id present in one result but not the
@@ -483,14 +459,24 @@ mod tests {
             "recovery must hide low-rate faults"
         );
 
-        // At a 60% fault rate the supervisor's retry budget is
-        // routinely exhausted, states get killed, and the surviving
-        // path set depends on the fault schedule: flaky by design.
+        // Attempt/replay hides even a 60% fault rate: a failed quantum
+        // is replayed from its snapshot until it gets through.
         spec.fault_rate = 0.6;
+        let out = run_job(&spec, &tmp("replayed"), &cancel, false, &mut |_| {}).unwrap();
+        assert_eq!(
+            out.verdict,
+            Verdict::Stable { attempts: 3 },
+            "replay must hide a 60% fault rate"
+        );
+
+        // At 90% states exhaust their attempts and get killed, and the
+        // surviving path set depends on the fault schedule: flaky by
+        // design.
+        spec.fault_rate = 0.9;
         let out = run_job(&spec, &tmp("flaky"), &cancel, false, &mut |_| {}).unwrap();
         assert!(
             matches!(out.verdict, Verdict::Flaky { .. }),
-            "expected flaky at 60% fault rate, got {:?}",
+            "expected flaky at 90% fault rate, got {:?}",
             out.verdict
         );
     }

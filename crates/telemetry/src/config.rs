@@ -4,14 +4,13 @@
 //!
 //! * `on` / `1` / `metrics` — enable the recorder (counters,
 //!   histograms, spans; exporters become available);
-//! * `io` — log every replayed bus transaction to stderr (what the
-//!   legacy `HARDSNAP_TRACE_IO` flag did);
+//! * `io` — log every forwarded and replayed bus transaction to
+//!   stderr;
 //! * `off` / `0` — force everything off, overriding other tokens.
 //!
-//! `HARDSNAP_TRACE_IO` is deprecated but still honored when
-//! `HARDSNAP_TELEMETRY` is unset. Programmatic users (the CLI's
-//! `--trace-out`, tests) bypass the env entirely by constructing a
-//! `TelemetryConfig` by hand and placing it in `EngineConfig`.
+//! Programmatic users (the CLI's `--trace-out`, tests) bypass the env
+//! entirely by constructing a `TelemetryConfig` by hand and placing it
+//! in `EngineConfig`.
 
 use std::sync::OnceLock;
 
@@ -20,8 +19,7 @@ use std::sync::OnceLock;
 pub struct TelemetryConfig {
     /// Record counters, histograms and spans; attach exporters.
     pub enabled: bool,
-    /// Log replayed bus I/O to stderr (successor of
-    /// `HARDSNAP_TRACE_IO`).
+    /// Log forwarded and replayed bus I/O to stderr.
     pub trace_io: bool,
 }
 
@@ -41,31 +39,21 @@ impl TelemetryConfig {
     /// Parse from the process environment (uncached).
     pub fn from_env() -> TelemetryConfig {
         let mut cfg = TelemetryConfig::OFF;
-        match std::env::var("HARDSNAP_TELEMETRY") {
-            Ok(spec) => {
-                let mut force_off = false;
-                for tok in spec.split(',') {
-                    match tok.trim() {
-                        "" => {}
-                        "on" | "1" | "metrics" => cfg.enabled = true,
-                        "io" => cfg.trace_io = true,
-                        "off" | "0" => force_off = true,
-                        other => {
-                            eprintln!("[telemetry] ignoring unknown HARDSNAP_TELEMETRY token {other:?} (known: on, off, metrics, io)");
-                        }
-                    }
-                }
-                if force_off {
-                    cfg = TelemetryConfig::OFF;
+        let spec = std::env::var("HARDSNAP_TELEMETRY").unwrap_or_default();
+        let mut force_off = false;
+        for tok in spec.split(',') {
+            match tok.trim() {
+                "" => {}
+                "on" | "1" | "metrics" => cfg.enabled = true,
+                "io" => cfg.trace_io = true,
+                "off" | "0" => force_off = true,
+                other => {
+                    eprintln!("[telemetry] ignoring unknown HARDSNAP_TELEMETRY token {other:?} (known: on, off, metrics, io)");
                 }
             }
-            Err(_) => {
-                // Deprecated fallback, kept so existing invocations
-                // don't silently lose their I/O logs.
-                if std::env::var("HARDSNAP_TRACE_IO").is_ok_and(|v| v != "0") {
-                    cfg.trace_io = true;
-                }
-            }
+        }
+        if force_off {
+            cfg = TelemetryConfig::OFF;
         }
         cfg
     }
@@ -109,11 +97,6 @@ mod tests {
         assert_eq!(TelemetryConfig::from_env(), TelemetryConfig::OFF);
 
         std::env::remove_var("HARDSNAP_TELEMETRY");
-        std::env::set_var("HARDSNAP_TRACE_IO", "1");
-        let cfg = TelemetryConfig::from_env();
-        assert!(!cfg.enabled && cfg.trace_io);
-
-        std::env::remove_var("HARDSNAP_TRACE_IO");
         assert_eq!(TelemetryConfig::from_env(), TelemetryConfig::OFF);
     }
 }

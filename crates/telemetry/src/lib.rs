@@ -27,8 +27,7 @@
 //! count. Wall-clock values exist only in the exporter side-channel.
 //!
 //! Configuration is parsed once from `HARDSNAP_TELEMETRY` (see
-//! [`TelemetryConfig`]); the legacy `HARDSNAP_TRACE_IO` flag is still
-//! honored for bus I/O logging.
+//! [`TelemetryConfig`]).
 
 #![warn(missing_docs)]
 
