@@ -23,7 +23,7 @@
 
 use crate::snapshots::{SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, RetryPolicy};
-use crate::worker::{run_worker, Carry, ItemState, Queue, Shared, WorkItem, Worker, WorkerOutput};
+use crate::worker::{run_worker, Carry, Queue, Shared, WorkItem, Worker, WorkerOutput};
 use hardsnap_bus::{HwSnapshot, HwTarget, TargetError};
 use hardsnap_symex::{BugReport, Concretization, Executor, PortableState, StateId, SymState};
 use hardsnap_telemetry::{Counter, MetricsSnapshot, TelemetryConfig};
@@ -280,9 +280,9 @@ pub struct EngineMetrics {
 /// Result of a finished analysis run.
 #[derive(Debug)]
 pub struct RunResult {
-    /// Bugs found, in discovery order.
+    /// Bugs found, sorted by state id.
     pub bugs: Vec<BugReport>,
-    /// Final states of completed (halted) paths, in completion order
+    /// Final states of completed (halted) paths, sorted by state id
     /// (inspect final memory, console output and path constraints).
     pub completed: Vec<SymState>,
     /// Engine metrics.
@@ -295,7 +295,8 @@ pub struct RunResult {
     pub instructions: u64,
     /// Distinct firmware PCs covered across all explored paths.
     pub covered_pcs: usize,
-    /// Console output of the first completed path (diagnostics).
+    /// Console output of the completed path with the lowest state id
+    /// (diagnostics).
     pub sample_console: Vec<u8>,
     /// Fault-injection / recovery summary (injected, retried,
     /// recovered, quarantined). Deliberately excluded from
@@ -552,8 +553,7 @@ impl Engine {
             .executor
             .initial_state(program.image.clone(), program.entry);
         let root = PortableState::export(&self.executor.pool, &s);
-        self.frontier
-            .push_back(WorkItem::new(ItemState::Portable(root), None));
+        self.frontier.push_back(WorkItem::new(root, None));
     }
 
     /// Registers a hardware property checked on every snapshot taken.
@@ -787,7 +787,7 @@ impl Engine {
         let mut out: Vec<(PortableState, Option<SnapId>)> = self
             .frontier
             .drain(..)
-            .map(|it| (it.state.into_portable(&self.executor.pool), it.snap))
+            .map(|it| (it.state, it.snap))
             .collect();
         out.sort_by_key(|(s, _)| s.id.0);
         Ok(out)
@@ -803,7 +803,7 @@ impl Engine {
         self.frontier.extend(
             frontier
                 .into_iter()
-                .map(|(state, snap)| WorkItem::new(ItemState::Portable(state), snap)),
+                .map(|(state, snap)| WorkItem::new(state, snap)),
         );
     }
 

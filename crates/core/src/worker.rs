@@ -51,7 +51,6 @@ use crate::supervise::{FaultSummary, Supervisor};
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError};
 use hardsnap_symex::{
     BugReport, Executor, PortableState, SolverStats, StateId, StepOutcome, SymMmio, SymState,
-    TermPool,
 };
 use hardsnap_telemetry::{Counter, Metric, MetricsSnapshot, Recorder};
 use hardsnap_util::sync::Mutex;
@@ -59,8 +58,9 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
-/// A schedulable unit: one symbolic state detached from any term pool,
-/// plus its private hardware snapshot (`None` = power-on hardware).
+/// A schedulable unit: one symbolic state detached from any term pool
+/// (any worker's executor may import it), plus its private hardware
+/// snapshot (`None` = power-on hardware).
 ///
 /// A work item is re-runnable: a quantum is a pure function of the item
 /// and publishes nothing until its last fallible target operation has
@@ -68,7 +68,7 @@ use std::sync::{Arc, Condvar};
 /// replayed and produces bit-identical successors (fork ids derive from
 /// the state's own fork nonce, never from executor instance or timing).
 pub(crate) struct WorkItem {
-    pub(crate) state: ItemState,
+    pub(crate) state: PortableState,
     pub(crate) snap: Option<SnapId>,
     /// Failed attempts carried across quarantine re-queues, so
     /// `max_item_attempts` bounds an item's *total* failures no matter
@@ -80,38 +80,12 @@ pub(crate) struct WorkItem {
 }
 
 impl WorkItem {
-    pub(crate) fn new(state: ItemState, snap: Option<SnapId>) -> WorkItem {
+    pub(crate) fn new(state: PortableState, snap: Option<SnapId>) -> WorkItem {
         WorkItem {
             state,
             snap,
             strikes: 0,
             history: History::default(),
-        }
-    }
-}
-
-/// A work item's symbolic state. Past one worker it travels detached
-/// from any term pool, because any worker's executor may import it; with
-/// one worker every item is consumed by the executor that produced it,
-/// so it stays a [`SymState`] of that executor's pool.
-pub(crate) enum ItemState {
-    Portable(PortableState),
-    Pooled(SymState),
-}
-
-impl ItemState {
-    pub(crate) fn id(&self) -> StateId {
-        match self {
-            ItemState::Portable(p) => p.id,
-            ItemState::Pooled(s) => s.id,
-        }
-    }
-
-    /// The state detached from `pool`, the pool a pooled state lives in.
-    pub(crate) fn into_portable(self, pool: &TermPool) -> PortableState {
-        match self {
-            ItemState::Portable(p) => p,
-            ItemState::Pooled(s) => PortableState::export(pool, &s),
         }
     }
 }
@@ -160,13 +134,35 @@ impl Queue {
                 if self.items.is_empty() {
                     return None;
                 }
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                let i = (self.rng % self.items.len() as u64) as usize;
+                let i = self.draw(self.items.len());
                 self.items.swap_remove_back(i)
             }
         }
+    }
+
+    /// Whether [`Queue::select`] is sure to pick a continuation pushed
+    /// now, the newest item: under `Dfs` always, under the others only
+    /// from an otherwise empty queue. `Random` then spends the draw that
+    /// `select` would, so skipping the push and select leaves its pick
+    /// sequence unchanged.
+    fn selects_newest(&mut self, searcher: Searcher) -> bool {
+        match searcher {
+            Searcher::Dfs => true,
+            _ if !self.items.is_empty() => false,
+            Searcher::Random(_) => {
+                self.draw(1);
+                true
+            }
+            Searcher::Bfs | Searcher::RoundRobin => true,
+        }
+    }
+
+    /// The next xorshift64* draw, as an index below `n`.
+    fn draw(&mut self, n: usize) -> usize {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        (self.rng % n as u64) as usize
     }
 
     /// Why the run stopped, and how many successors the fork-bomb guard
@@ -190,9 +186,8 @@ pub(crate) struct Shared<'a> {
     assertions: &'a [HwAssertion],
     /// With one worker the replica's live context is the continuation it
     /// just saved, so picking that continuation skips the context
-    /// switch, and items stay in worker 0's term pool. Past one worker,
-    /// which worker picks an item is a race: skipping there would make
-    /// modeled time schedule-dependent, and items must be portable.
+    /// switch. Past one worker, which worker picks an item is a race:
+    /// skipping there would make modeled time schedule-dependent.
     one_worker: bool,
     pub(crate) executed: AtomicU64,
     paths: AtomicU64,
@@ -521,8 +516,8 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                     if shared.one_worker {
                         w.live = successors
                             .iter()
-                            .map(|s| s.state.id())
-                            .find(|&id| id == item.state.id());
+                            .map(|s| s.state.id)
+                            .find(|&id| id == item.state.id);
                     }
                     finish_item(shared, successors);
                     continue 'items;
@@ -535,7 +530,7 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                     if attempts >= config.retry.max_item_attempts {
                         out.fatal.push(format!(
                             "state {:?} killed after {attempts} attempts: {e}",
-                            item.state.id()
+                            item.state.id
                         ));
                         out.metrics.states_dropped += 1;
                         if let Some(sid) = item.snap {
@@ -600,10 +595,7 @@ fn run_quantum(
     out: &mut WorkerOutput,
 ) -> Result<Vec<WorkItem>, TargetError> {
     let config = shared.config;
-    let mut state = match &item.state {
-        ItemState::Pooled(s) => s.clone(),
-        ItemState::Portable(p) => p.import(&mut ex.pool),
-    };
+    let mut state = item.state.import(&mut ex.pool);
     let _qspan = w.rec.span("engine", "quantum");
     begin_quantum(shared, w, out);
     if w.live.take() != Some(state.id) {
@@ -618,13 +610,6 @@ fn run_quantum(
     };
     let window_age = item.history.age;
     let window_cycle = w.target.cycle();
-    let detach = |ex: &Executor, s: SymState| {
-        if shared.one_worker {
-            ItemState::Pooled(s)
-        } else {
-            ItemState::Portable(PortableState::export(&ex.pool, &s))
-        }
-    };
     let mut remaining = config.quantum.max(1);
     loop {
         // ServePendingInterrupt. Supervised: a glitched IRQ read is
@@ -689,7 +674,7 @@ fn run_quantum(
                 let mut items = Vec::with_capacity(succ.len());
                 for s in succ {
                     let existing = if s.id == state_id { item.snap } else { None };
-                    let mut it = WorkItem::new(detach(ex, s), None);
+                    let mut it = WorkItem::new(PortableState::export(&ex.pool, &s), None);
                     if let Some(stored) = &stored {
                         it.snap = Some(install(&shared.store, stored.clone(), existing)?);
                     }
@@ -717,7 +702,7 @@ fn run_quantum(
         };
         // UpdateState: the continuation's context goes into its private
         // snapshot (HardSnap) or its replay history (baselines).
-        let mut it = WorkItem::new(detach(ex, continuation), None);
+        let mut it = WorkItem::new(PortableState::export(&ex.pool, &continuation), None);
         if config.mode == ConsistencyMode::HardSnap {
             let stored = capture(shared, w, state_id, out)?;
             it.snap = Some(install(&shared.store, stored, item.snap)?);
@@ -734,14 +719,13 @@ fn begin_quantum(shared: &Shared, w: &Worker, out: &mut WorkerOutput) {
 }
 
 /// Whether a one-worker run keeps its continuation on the replica for
-/// the next quantum: the searcher would select it next anyway (`Dfs`
-/// takes the newest item; the others take it only from an empty queue)
-/// and no budget has tripped. The live context is then the state's own,
-/// exactly as after a restore, so saving and restoring it would only
-/// cost device time — a capture per quantum for a long init sequence.
+/// the next quantum: no budget has tripped and the searcher would select
+/// it next anyway (see [`Queue::selects_newest`]). The live context is
+/// then the state's own, exactly as after a restore, so saving and
+/// restoring it would only cost device time — a capture per quantum for
+/// a long init sequence.
 fn runs_on(shared: &Shared, w: &Worker, scratch: &Attempt) -> bool {
     shared.one_worker
-        && (shared.config.searcher == Searcher::Dfs || shared.q.lock().items.is_empty())
         && budget_stop(
             shared.config,
             shared.executed.load(Ordering::Relaxed),
@@ -750,6 +734,7 @@ fn runs_on(shared: &Shared, w: &Worker, scratch: &Attempt) -> bool {
             shared.quanta.load(Ordering::Relaxed),
         )
         .is_none()
+        && shared.q.lock().selects_newest(shared.config.searcher)
 }
 
 /// Hardware context switch (paper lines 5-9): makes the replica hold
@@ -771,7 +756,7 @@ fn context_switch(
                 // cannot break; a corrupted store fails with the precise
                 // broken link rather than a bare unwrap.
                 let snap = shared.store.try_get(sid).map_err(|e| {
-                    TargetError::CorruptSnapshot(format!("state {:?}: {e}", item.state.id()))
+                    TargetError::CorruptSnapshot(format!("state {:?}: {e}", item.state.id))
                 })?;
                 w.sup.restore_snapshot(w.target.as_mut(), &snap)?;
                 out.metrics.snapshots_restored += 1;

@@ -8,7 +8,9 @@
 //! engine stays the reference the multi-worker path is compared to.
 //!
 //! Rows were recorded once from that engine and are frozen here; a row
-//! changes only with a deliberate, documented semantic change.
+//! changes only with a deliberate, documented semantic change. Each row
+//! also pins its one-worker modeled hardware time as this engine
+//! computes it, so a change to the cost of a context switch shows.
 
 use hardsnap::firmware::{self, PlantedBug};
 use hardsnap::{ConsistencyMode, Engine, EngineConfig, RunResult, Searcher, StopReason};
@@ -144,13 +146,24 @@ fn bug_list(r: &RunResult) -> Vec<(String, u32)> {
     v
 }
 
-/// One frozen row of the retired engine's output.
+/// One frozen row of the retired engine's output, plus the row's
+/// one-worker modeled time as this engine computes it.
 struct Row {
     name: &'static str,
     digest: u64,
     stop: StopReason,
     paths: u64,
     instructions: u64,
+    /// `hw_virtual_time_ns` at one worker, recorded from this engine,
+    /// not the retired one. Against the retired engine, 40 HardSnap rows
+    /// cost less (it saved a fork parent's context again at its next
+    /// switch, an image equal to the fork capture; see EXPERIMENTS.md,
+    /// E3), the seven reboot rows up to 0.1% more (a fork child replays
+    /// up to its own fork-point device age), and the rest the same. Past
+    /// one worker, delta captures diff against whichever base the
+    /// capturing worker holds, so modeled time is pinned at one worker
+    /// only.
+    vtime_ns: u64,
     bugs: &'static [(BugKind, u32)],
 }
 
@@ -163,6 +176,7 @@ fn row(
     stop: StopReason,
     paths: u64,
     instructions: u64,
+    vtime_ns: u64,
     bugs: &'static [(BugKind, u32)],
 ) -> Row {
     Row {
@@ -171,6 +185,7 @@ fn row(
         stop,
         paths,
         instructions,
+        vtime_ns,
         bugs,
     }
 }
@@ -178,75 +193,75 @@ fn row(
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
     vec![
-    row("branching3/delta=false/dfs", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=false/bfs", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=false/rr", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=false/random", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=true/dfs", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=true/bfs", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=true/rr", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/delta=true/random", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching6/delta=false/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=false/bfs", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=false/rr", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=false/random", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=true/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=true/bfs", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=true/rr", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/delta=true/random", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("init_heavy/delta=false/dfs", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=false/bfs", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=false/rr", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=false/random", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=true/dfs", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=true/bfs", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=true/rr", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/delta=true/random", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("length-overflow/delta=false/dfs", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=false/bfs", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=false/rr", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=false/random", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=true/dfs", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=true/bfs", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=true/rr", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=true/random", 0xc8d40f38643032dd, Complete, 19, 107, &[(Unmapped, 0x120)]),
-    row("magic-command/delta=false/dfs", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=false/bfs", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=false/rr", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=false/random", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=true/dfs", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=true/bfs", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=true/rr", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("magic-command/delta=true/random", 0x56d136fef9a1de75, Complete, 2, 14, &[(FailHit, 0x130)]),
-    row("irq-gated/delta=false/dfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=false/bfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=false/rr", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=false/random", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=true/dfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=true/bfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=true/rr", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=true/random", 0xc0c94f1bc526cfdf, Complete, 2, 27, &[(FailHit, 0x154)]),
-    row("fig1/hardsnap", 0xedf59fb910028896, Complete, 2, 61, &[]),
-    row("fig1/reboot", 0xedf59fb910028896, Complete, 2, 61, &[]),
-    row("fig1/shared", 0x4268bfa5dbe25dc2, Complete, 2, 46, &[]),
-    row("branching3/reboot/rr", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/reboot/dfs", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching3/shared/rr", 0xb0af1a0f93dd64e7, Complete, 8, 109, &[(AssertFailed, 0x158), (AssertFailed, 0x158), (AssertFailed, 0x158), (AssertFailed, 0x158)]),
-    row("branching3/shared/dfs", 0x5ad607065cea53c4, Complete, 8, 109, &[]),
-    row("branching6/reboot/rr", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/reboot/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("branching6/shared/rr", 0x0c1d224af0d2b99b, Complete, 64, 893, &[(AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188)]),
-    row("branching6/shared/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, &[]),
-    row("init_heavy/reboot/rr", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/reboot/dfs", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/shared/rr", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("init_heavy/shared/dfs", 0xc03505a9de80faa3, Complete, 4, 99, &[]),
-    row("branching6/max_instructions=200/rr/delta=false", 0x02c212f4de383143, Instructions, 0, 200, &[]),
-    row("branching6/max_instructions=500/random/delta=true", 0x0968fac63e1cd72d, Instructions, 17, 500, &[]),
-    row("branching6/max_paths=5/dfs/delta=false", 0xeae5c71ed28b77ff, Paths, 5, 87, &[]),
-    row("branching6/max_paths=9/bfs/delta=true", 0xcf8697e5566220b9, Paths, 9, 755, &[]),
-    row("branching6/max_states=4/bfs/delta=false", 0x265b12be074eca7a, Complete, 4, 101, &[]),
-    row("branching6/max_states=3/rr/delta=true", 0xd44d83b94558e3e5, Complete, 3, 78, &[]),
+    row("branching3/delta=false/dfs", 0x5ad607065cea53c4, Complete, 8, 109, 429221800, &[]),
+    row("branching3/delta=false/bfs", 0x5ad607065cea53c4, Complete, 8, 109, 1061367600, &[]),
+    row("branching3/delta=false/rr", 0x5ad607065cea53c4, Complete, 8, 109, 1061367600, &[]),
+    row("branching3/delta=false/random", 0x5ad607065cea53c4, Complete, 8, 109, 1020584000, &[]),
+    row("branching3/delta=true/dfs", 0x5ad607065cea53c4, Complete, 8, 109, 25443800, &[]),
+    row("branching3/delta=true/bfs", 0x5ad607065cea53c4, Complete, 8, 109, 31794600, &[]),
+    row("branching3/delta=true/rr", 0x5ad607065cea53c4, Complete, 8, 109, 31794600, &[]),
+    row("branching3/delta=true/random", 0x5ad607065cea53c4, Complete, 8, 109, 31394200, &[]),
+    row("branching6/delta=false/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, 3862100200, &[]),
+    row("branching6/delta=false/bfs", 0xb07683a994fe9c2e, Complete, 64, 893, 9062009200, &[]),
+    row("branching6/delta=false/rr", 0xb07683a994fe9c2e, Complete, 64, 893, 9062009200, &[]),
+    row("branching6/delta=false/random", 0xb07683a994fe9c2e, Complete, 64, 893, 8817307600, &[]),
+    row("branching6/delta=true/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, 66570200, &[]),
+    row("branching6/delta=true/bfs", 0xb07683a994fe9c2e, Complete, 64, 893, 118740200, &[]),
+    row("branching6/delta=true/rr", 0xb07683a994fe9c2e, Complete, 64, 893, 118740200, &[]),
+    row("branching6/delta=true/random", 0xb07683a994fe9c2e, Complete, 64, 893, 116469800, &[]),
+    row("init_heavy/delta=false/dfs", 0xc03505a9de80faa3, Complete, 4, 99, 184648200, &[]),
+    row("init_heavy/delta=false/bfs", 0xc03505a9de80faa3, Complete, 4, 99, 164256400, &[]),
+    row("init_heavy/delta=false/rr", 0xc03505a9de80faa3, Complete, 4, 99, 164256400, &[]),
+    row("init_heavy/delta=false/random", 0xc03505a9de80faa3, Complete, 4, 99, 184648200, &[]),
+    row("init_heavy/delta=true/dfs", 0xc03505a9de80faa3, Complete, 4, 99, 23120200, &[]),
+    row("init_heavy/delta=true/bfs", 0xc03505a9de80faa3, Complete, 4, 99, 22919400, &[]),
+    row("init_heavy/delta=true/rr", 0xc03505a9de80faa3, Complete, 4, 99, 22919400, &[]),
+    row("init_heavy/delta=true/random", 0xc03505a9de80faa3, Complete, 4, 99, 23120200, &[]),
+    row("length-overflow/delta=false/dfs", 0xc8d40f38643032dd, Complete, 19, 107, 1102023200, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=false/bfs", 0xc8d40f38643032dd, Complete, 19, 107, 734970800, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=false/rr", 0xc8d40f38643032dd, Complete, 19, 107, 734970800, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=false/random", 0xc8d40f38643032dd, Complete, 19, 107, 1305941200, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=true/dfs", 0xc8d40f38643032dd, Complete, 19, 107, 31900200, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=true/bfs", 0xc8d40f38643032dd, Complete, 19, 107, 28285800, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=true/rr", 0xc8d40f38643032dd, Complete, 19, 107, 28285800, &[(Unmapped, 0x120)]),
+    row("length-overflow/delta=true/random", 0xc8d40f38643032dd, Complete, 19, 107, 33908200, &[(Unmapped, 0x120)]),
+    row("magic-command/delta=false/dfs", 0x56d136fef9a1de75, Complete, 2, 14, 61319400, &[(FailHit, 0x130)]),
+    row("magic-command/delta=false/bfs", 0x56d136fef9a1de75, Complete, 2, 14, 40927600, &[(FailHit, 0x130)]),
+    row("magic-command/delta=false/rr", 0x56d136fef9a1de75, Complete, 2, 14, 40927600, &[(FailHit, 0x130)]),
+    row("magic-command/delta=false/random", 0x56d136fef9a1de75, Complete, 2, 14, 61319400, &[(FailHit, 0x130)]),
+    row("magic-command/delta=true/dfs", 0x56d136fef9a1de75, Complete, 2, 14, 20938600, &[(FailHit, 0x130)]),
+    row("magic-command/delta=true/bfs", 0x56d136fef9a1de75, Complete, 2, 14, 20737800, &[(FailHit, 0x130)]),
+    row("magic-command/delta=true/rr", 0x56d136fef9a1de75, Complete, 2, 14, 20737800, &[(FailHit, 0x130)]),
+    row("magic-command/delta=true/random", 0x56d136fef9a1de75, Complete, 2, 14, 20938600, &[(FailHit, 0x130)]),
+    row("irq-gated/delta=false/dfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 61425400, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=false/bfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 41033600, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=false/rr", 0xc0c94f1bc526cfdf, Complete, 2, 27, 41033600, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=false/random", 0xc0c94f1bc526cfdf, Complete, 2, 27, 41033600, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=true/dfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 21043400, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=true/bfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 20842600, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=true/rr", 0xc0c94f1bc526cfdf, Complete, 2, 27, 20842600, &[(FailHit, 0x154)]),
+    row("irq-gated/delta=true/random", 0xc0c94f1bc526cfdf, Complete, 2, 27, 20842600, &[(FailHit, 0x154)]),
+    row("fig1/hardsnap", 0xedf59fb910028896, Complete, 2, 61, 530800800, &[]),
+    row("fig1/reboot", 0xedf59fb910028896, Complete, 2, 61, 1403024000, &[]),
+    row("fig1/shared", 0x4268bfa5dbe25dc2, Complete, 2, 46, 454000, &[]),
+    row("branching3/reboot/rr", 0x5ad607065cea53c4, Complete, 8, 109, 3004580000, &[]),
+    row("branching3/reboot/dfs", 0x5ad607065cea53c4, Complete, 8, 109, 1502142000, &[]),
+    row("branching3/shared/rr", 0xb0af1a0f93dd64e7, Complete, 8, 109, 984000, &[(AssertFailed, 0x158), (AssertFailed, 0x158), (AssertFailed, 0x158), (AssertFailed, 0x158)]),
+    row("branching3/shared/dfs", 0x5ad607065cea53c4, Complete, 8, 109, 984000, &[]),
+    row("branching6/reboot/rr", 0xb07683a994fe9c2e, Complete, 64, 893, 25458340000, &[]),
+    row("branching6/reboot/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, 12727790000, &[]),
+    row("branching6/shared/rr", 0x0c1d224af0d2b99b, Complete, 64, 893, 8040000, &[(AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188), (AssertFailed, 0x188)]),
+    row("branching6/shared/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, 8040000, &[]),
+    row("init_heavy/reboot/rr", 0xc03505a9de80faa3, Complete, 4, 99, 606324000, &[]),
+    row("init_heavy/reboot/dfs", 0xc03505a9de80faa3, Complete, 4, 99, 707342000, &[]),
+    row("init_heavy/shared/rr", 0xc03505a9de80faa3, Complete, 4, 99, 1112000, &[]),
+    row("init_heavy/shared/dfs", 0xc03505a9de80faa3, Complete, 4, 99, 1112000, &[]),
+    row("branching6/max_instructions=200/rr/delta=false", 0x02c212f4de383143, Instructions, 0, 200, 2285491600, &[]),
+    row("branching6/max_instructions=500/random/delta=true", 0x0968fac63e1cd72d, Instructions, 17, 500, 75741800, &[]),
+    row("branching6/max_paths=5/dfs/delta=false", 0xeae5c71ed28b77ff, Paths, 5, 87, 449395600, &[]),
+    row("branching6/max_paths=9/bfs/delta=true", 0xcf8697e5566220b9, Paths, 9, 755, 106328200, &[]),
+    row("branching6/max_states=4/bfs/delta=false", 0x265b12be074eca7a, Complete, 4, 101, 1142814800, &[]),
+    row("branching6/max_states=3/rr/delta=true", 0xd44d83b94558e3e5, Complete, 3, 78, 29571000, &[]),
     ]
 }
 
@@ -271,6 +286,9 @@ fn check(case: &Case, want: &Row, workers: usize) {
         .map(|(k, pc)| (format!("{k:?}"), *pc))
         .collect();
     assert_eq!(bug_list(&r), want_bugs, "{ctx}: bugs");
+    if workers == 1 {
+        assert_eq!(r.hw_virtual_time_ns, want.vtime_ns, "{ctx}: modeled time");
+    }
 }
 
 fn corpus_with_rows() -> Vec<(Case, Row)> {

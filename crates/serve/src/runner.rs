@@ -379,15 +379,32 @@ mod tests {
     fn legged_run_matches_uninterrupted_digest() {
         let dir = tmp("legged");
         let cancel = CancelToken::new();
-        let legged = run_job(&demo_spec(), &dir, &cancel, false, &mut |_| {}).unwrap();
+        let mut legged_vtime = 0;
+        let legged = run_job(&demo_spec(), &dir, &cancel, false, &mut |r| {
+            legged_vtime = r.hw_virtual_time_ns
+        })
+        .unwrap();
         assert_eq!(legged.verdict, Verdict::Completed);
 
         let mut one_shot = demo_spec();
         one_shot.leg_instructions = 0; // one huge leg
-        let whole = run_job(&one_shot, &tmp("whole"), &cancel, false, &mut |_| {}).unwrap();
+        let mut whole_vtime = 0;
+        let whole = run_job(&one_shot, &tmp("whole"), &cancel, false, &mut |r| {
+            whole_vtime = r.hw_virtual_time_ns
+        })
+        .unwrap();
         assert_eq!(
             legged.digest, whole.digest,
             "legging must not change semantics"
+        );
+        // Modeled time does change, and is pinned: at every leg
+        // boundary the running state's context is saved (UpdateState)
+        // and restored on the next leg's fresh replica, which one
+        // uninterrupted run does not need.
+        assert_eq!(
+            (legged_vtime, whole_vtime),
+            (449_613_600, 408_830_000),
+            "modeled time"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
