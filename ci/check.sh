@@ -55,8 +55,9 @@ echo "==> persistence gate: save -> fresh-process resume, digest bit-identical"
 # An instruction-budget-interrupted campaign checkpointed to disk and
 # resumed by a *fresh process* must report exactly the digest of one
 # uninterrupted run, whatever engine, worker count, or snapshot
-# representation produced the checkpoint. Every snapshot artifact the
-# save wrote must also pass deep validation standalone.
+# representation produced the checkpoint. The save must leave its one
+# checkpoint file, and that file (nested images included) must pass
+# deep validation standalone.
 for delta in off on; do
     for eng in interp bytecode; do
         for w in 1 2 4; do
@@ -73,11 +74,12 @@ for delta in off on; do
                 echo "resume diverged: --delta-snapshots $delta --sim-engine $eng --workers $w gave '$d', want $engine_digest"
                 exit 1
             fi
-            for f in "$dir"/*.hsnap; do
-                [ -e "$f" ] || continue
-                cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
-                    snapshot validate --deep "$f" > /dev/null
-            done
+            if [ ! -f "$dir/campaign.hscamp" ]; then
+                echo "no checkpoint file: $dir/campaign.hscamp"
+                exit 1
+            fi
+            cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
+                snapshot validate --deep "$dir/campaign.hscamp" > /dev/null
         done
     done
 done
@@ -286,26 +288,33 @@ echo "==> sched smoke run (warm-start speedup, lanes vs fifo, digest invariance)
 cargo run -q --release --offline -p hardsnap-bench --bin exp_sched -- \
     --smoke --json target/BENCH_sched.smoke.json
 
-echo "==> pack gate: archive round-trip with shape admission"
-# Re-uses a campaign directory the persistence gate wrote above. The
-# unpack side recomputes the live SoC shape and admits the archive
-# before extracting; every extracted image must still deep-validate.
-PDIR=target/campaign.off.bytecode.1
-"$CLI" snapshot pack "$PDIR" -o target/ci.hspack > /dev/null
+echo "==> ship gate: a checkpoint is one file that resumes anywhere"
+# Copies only the checkpoint file a persistence-gate run wrote into an
+# empty directory: inspect must name it a campaign of the SoC design,
+# deep validation must pass (nested images included), and a fresh
+# process must resume it to the reference digest.
+SHIP=target/ci-ship
+rm -rf "$SHIP"
+mkdir -p "$SHIP"
+cp target/campaign.off.bytecode.1/campaign.hscamp "$SHIP/"
 # Buffer inspect output before grepping: grep -q exits on first match
 # and would SIGPIPE the CLI mid-print under pipefail.
-"$CLI" snapshot inspect target/ci.hspack > target/ci.inspect.txt
-grep -q 'pack archive' target/ci.inspect.txt || {
-    echo "inspect did not recognize the pack archive"
+"$CLI" snapshot inspect "$SHIP/campaign.hscamp" > target/ci.inspect.txt
+if ! grep -q '^kind *: campaign$' target/ci.inspect.txt \
+    || ! grep -q '^design *: soc_top$' target/ci.inspect.txt; then
+    echo "inspect did not report a campaign of the SoC design:"
+    cat target/ci.inspect.txt
     exit 1
-}
-rm -rf target/ci-unpacked
-"$CLI" snapshot unpack target/ci.hspack target/ci-unpacked > /dev/null
-for f in target/ci-unpacked/*.hsnap; do
-    [ -e "$f" ] || continue
-    "$CLI" snapshot validate --deep "$f" > /dev/null
-done
-echo "    pack -> inspect -> shape-gated unpack -> deep validate OK"
+fi
+"$CLI" snapshot validate --deep "$SHIP/campaign.hscamp" > /dev/null
+"$CLI" analyze demo --sim-engine bytecode --delta-snapshots off --resume "$SHIP" \
+    > target/ship.resume.txt
+d=$(grep 'canonical digest' target/ship.resume.txt | awk '{print $NF}')
+if [ "$d" != "$engine_digest" ]; then
+    echo "shipped checkpoint resumed to '$d', want $engine_digest"
+    exit 1
+fi
+echo "    copy one file -> inspect -> deep validate -> fresh-process resume OK, digest $d"
 
 echo "==> sched gate: warm-pool daemon, mixed-priority burst, lanes vs fifo"
 # Drives the real daemon twice over its socket with the same burst —

@@ -39,8 +39,8 @@ fn bench_snapshot(c: &mut Criterion) {
 
     c.bench_function("snapshot_serialize_roundtrip", |b| {
         b.iter(|| {
-            let bytes = sim_snap.to_bytes();
-            std::hint::black_box(hardsnap_bus::HwSnapshot::from_bytes(&bytes).unwrap())
+            let bytes = hardsnap_bus::persist::write_full(&sim_snap);
+            std::hint::black_box(hardsnap_bus::PersistedImage::from_bytes(&bytes).unwrap())
         })
     });
 }

@@ -14,10 +14,8 @@
 //! hardsnap-cli trace-check <trace.json>
 //! hardsnap-cli fuzz <firmware.s> [--inputs N] [--reset snapshot|reboot]
 //!                   [--delta-snapshots on|off]
-//! hardsnap-cli snapshot inspect <file.hsnap | archive.hspack>
-//! hardsnap-cli snapshot validate [--deep] <file.hsnap>
-//! hardsnap-cli snapshot pack <dir> -o <archive.hspack>
-//! hardsnap-cli snapshot unpack <archive.hspack> <dest-dir> [--accept-any-shape]
+//! hardsnap-cli snapshot inspect <file>
+//! hardsnap-cli snapshot validate [--deep] <file>
 //! hardsnap-cli soc-stats
 //! ```
 //!
@@ -115,9 +113,10 @@ USAGE:
       copy-on-write delta images (bit-identical digests either way);
       --snapshot-mem-budget caps resident snapshot bytes — cold entries
       spill to disk and page back in transparently;
-      --save-snapshots checkpoints an interrupted campaign into DIR and
-      --resume continues one in a fresh process (HardSnap mode only;
-      the combined digest equals one uninterrupted run's);
+      --save-snapshots checkpoints an interrupted campaign into
+      DIR/campaign.hscamp and --resume continues one in a fresh process,
+      on this host or any other the file is copied to (HardSnap mode
+      only; the combined digest equals one uninterrupted run's);
       --trace-out / --metrics-out switch telemetry on and export a
       Chrome trace_event file (Perfetto / chrome://tracing) or a
       machine-readable metrics dump.
@@ -130,19 +129,12 @@ USAGE:
   hardsnap-cli fuzz <firmware.s> [--inputs N] [--reset snapshot|reboot]
                     [--delta-snapshots on|off]
       Coverage-guided fuzzing of HS32 firmware against the built-in SoC.
-  hardsnap-cli snapshot inspect <file.hsnap | archive.hspack>
-      Print a snapshot image's metadata and section table, or a pack
-      archive's manifest (design, shape hash, members).
-  hardsnap-cli snapshot validate [--deep] <file.hsnap>
-      Validate an image; --deep re-verifies every payload checksum.
-  hardsnap-cli snapshot pack <dir> -o <archive.hspack>
-      Pack a checkpoint/campaign directory into one archive whose
-      manifest records the design, its shape hash and per-member
-      content hashes — the transferable form of a warm-pool baseline.
-  hardsnap-cli snapshot unpack <archive.hspack> <dest-dir> [--accept-any-shape]
-      Unpack an archive. The receiver's design shape is checked against
-      the manifest BEFORE any payload is extracted; a mismatched
-      archive is refused (use --accept-any-shape to skip the gate).
+  hardsnap-cli snapshot inspect <file>
+      Print the metadata and section table of a snapshot file: a full
+      or delta image, or a campaign checkpoint (DIR/campaign.hscamp).
+  hardsnap-cli snapshot validate [--deep] <file>
+      Validate a snapshot file; --deep re-verifies every checksum, and
+      for a checkpoint deep-validates every nested image.
   hardsnap-cli soc-stats
       Print statistics of the built-in 4-peripheral SoC.
   hardsnap-cli serve [--state-dir DIR] [--socket PATH] [--pool N] [--queue-max N]
@@ -152,8 +144,8 @@ USAGE:
       of target replicas, with hard budgets, admission control and
       crash-safe resume (kill -9 + restart loses nothing).
       --warm-pool N keeps N pre-built replicas armed against a baseline
-      snapshot (--baseline FILE, e.g. one unpacked from a pack archive;
-      without it one is synthesized at start) so jobs skip the cold
+      snapshot (--baseline FILE, a full image file; without it one is
+      synthesized at start) so jobs skip the cold
       boot. --sched lanes (default) schedules by priority lane with
       aging and packing; --sched fifo is strict admission order.
   hardsnap-cli submit <firmware> [--socket PATH] [--name S] [--workers N]
@@ -604,108 +596,31 @@ fn check_chrome_trace(path: &str, v: &hardsnap_util::json::Value) -> CliResult {
     Ok(())
 }
 
-/// `snapshot inspect|validate|pack|unpack` — poke at persistent
-/// snapshot images and pack archives.
+/// `snapshot inspect|validate` — poke at any file of the snapshot codec.
 fn cmd_snapshot(args: &[String]) -> CliResult {
     let sub = args
         .first()
-        .ok_or("snapshot: missing subcommand (inspect|validate|pack|unpack)")?;
-    // Parsed by hand: the boolean flags (--deep, --accept-any-shape)
-    // are ones the generic flag parser (every --flag eats a value)
-    // cannot express.
+        .ok_or("snapshot: missing subcommand (inspect|validate)")?;
+    // Parsed by hand: --deep is a boolean flag, which the generic flag
+    // parser (every --flag eats a value) cannot express.
     let mut deep = false;
-    let mut accept_any_shape = false;
     let mut pos: Vec<&str> = Vec::new();
-    let mut out: Option<&str> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
+    for a in &args[1..] {
         match a.as_str() {
             "--deep" => deep = true,
-            "--accept-any-shape" => accept_any_shape = true,
-            "-o" | "--out" => {
-                out = Some(
-                    it.next()
-                        .map(String::as_str)
-                        .ok_or(format!("snapshot {sub}: {a} needs a value"))?,
-                );
-            }
             other if !other.starts_with('-') => pos.push(other),
             other => return Err(format!("snapshot {sub}: unknown flag '{other}'").into()),
         }
-    }
-    match sub.as_str() {
-        "pack" => {
-            let dir = pos
-                .first()
-                .ok_or("snapshot pack: missing <dir> to archive")?;
-            let out = out.ok_or("snapshot pack: missing -o <archive.hspack>")?;
-            let manifest = hardsnap_bus::archive::pack_dir_to(Path::new(dir), Path::new(out))?;
-            println!(
-                "packed {dir} -> {out}: design '{}' shape {:#018x}, {} member(s), {} payload bytes",
-                manifest.design,
-                manifest.shape_hash,
-                manifest.files.len(),
-                manifest.payload_len()
-            );
-            return Ok(());
-        }
-        "unpack" => {
-            let archive = pos
-                .first()
-                .ok_or("snapshot unpack: missing <archive.hspack>")?;
-            let dest = pos.get(1).ok_or("snapshot unpack: missing <dest-dir>")?;
-            // The admission gate: refuse an archive whose design shape
-            // does not match the live built-in SoC, before extracting
-            // a single payload byte.
-            let live_shape = if accept_any_shape {
-                0
-            } else {
-                SimTarget::new(hardsnap_periph::soc()?)?.snapshot_shape()
-            };
-            let manifest =
-                hardsnap_bus::archive::unpack_to(Path::new(archive), Path::new(dest), live_shape)?;
-            println!(
-                "unpacked {archive} -> {dest}: design '{}' shape {:#018x}, {} member(s){}",
-                manifest.design,
-                manifest.shape_hash,
-                manifest.files.len(),
-                if accept_any_shape {
-                    " (shape gate skipped)"
-                } else {
-                    " (shape verified)"
-                }
-            );
-            return Ok(());
-        }
-        _ => {}
     }
     let file = *pos
         .first()
         .ok_or_else(|| format!("snapshot {sub}: missing <file>"))?;
     match sub.as_str() {
         "inspect" => {
-            // A pack archive leads with its own magic; sniff it and
-            // print the manifest instead of the snapshot section table.
-            let head = std::fs::read(Path::new(file)).map_err(|e| format!("{file}: {e}"))?;
-            if head.starts_with(hardsnap_bus::PACK_MAGIC) {
-                let manifest = hardsnap_bus::archive::inspect(Path::new(file))?;
-                println!("file         : {file} ({} bytes)", head.len());
-                println!(
-                    "kind         : pack archive ({})",
-                    hardsnap_bus::PACK_SCHEMA
-                );
-                println!("design       : {}", manifest.design);
-                println!("shape hash   : {:#018x}", manifest.shape_hash);
-                println!("members      :");
-                for m in &manifest.files {
-                    println!("  {} ({} bytes, fnv {:#018x})", m.name, m.len, m.checksum);
-                }
-                return Ok(());
-            }
             let f = SnapshotFile::open(Path::new(file))?;
             let meta = f.meta()?;
             println!("file         : {file} ({} bytes)", f.file_len());
-            println!("kind         : {:?}", f.kind());
+            println!("kind         : {}", f.kind());
             println!("design       : {}", meta.design);
             println!("cycle        : {}", meta.cycle);
             println!("shape hash   : {:#018x}", meta.shape_hash);
@@ -717,8 +632,13 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
             println!("sections     :");
             for s in f.sections() {
                 println!(
-                    "  {:?}[{}] offset {} len {} checksum {:#018x} content {:#018x}",
-                    s.tag, s.index, s.offset, s.len, s.checksum, s.content_hash
+                    "  {}[{}] offset {} len {} checksum {:#018x} content {:#018x}",
+                    s.tag.name(),
+                    s.index,
+                    s.offset,
+                    s.len,
+                    s.checksum,
+                    s.content_hash
                 );
             }
             Ok(())
@@ -727,16 +647,17 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
             let f = SnapshotFile::open(Path::new(file))?;
             f.validate(deep)?;
             println!(
-                "{file}: OK ({} validation, {} sections)",
+                "{file}: OK ({} validation, {} {} file, {} sections)",
                 if deep { "deep" } else { "shallow" },
+                f.kind(),
+                f.meta()?.design,
                 f.sections().len()
             );
             Ok(())
         }
-        other => Err(format!(
-            "unknown snapshot subcommand '{other}' (want inspect|validate|pack|unpack)"
-        )
-        .into()),
+        other => {
+            Err(format!("unknown snapshot subcommand '{other}' (want inspect|validate)").into())
+        }
     }
 }
 

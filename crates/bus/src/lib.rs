@@ -15,19 +15,17 @@
 
 #![warn(missing_docs)]
 
-pub mod archive;
 pub mod fault;
 pub mod map;
 pub mod persist;
 pub mod snapshot;
 pub mod target;
 
-pub use archive::{PackEntry, PackManifest, PACK_MAGIC, PACK_SCHEMA};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyTarget};
 pub use map::{MemoryMap, Region, RegionKind};
 pub use persist::{
-    is_flat_name, mem_words_hash, regs_values_hash, ImageKind, PersistError, PersistMeta,
-    PersistedImage, SectionEntry, SectionTag, SnapshotFile,
+    mem_words_hash, regs_values_hash, ImageKind, PersistError, PersistMeta, PersistedImage,
+    SectionEntry, SectionTag, SnapshotFile,
 };
 pub use snapshot::{
     shape_hash_parts, HwSnapshot, MemImage, RegImage, SnapshotCapture, SnapshotDelta,

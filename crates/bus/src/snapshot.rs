@@ -8,10 +8,10 @@
 //! possible: a snapshot saved on one target restores bit-exactly on the
 //! other.
 //!
-//! Snapshots also serialize to a compact byte image
-//! ([`HwSnapshot::to_bytes`]) — the analogue of the CRIU checkpoint file
-//! the paper stores on persistent storage — and the image size drives the
-//! save/restore cost models in the benchmarks.
+//! Snapshots persist as files of the section codec in [`crate::persist`]
+//! — the analogue of the CRIU checkpoint file the paper stores on
+//! persistent storage — and [`HwSnapshot::byte_size`] is the size the
+//! save/restore cost models charge for.
 
 use std::collections::HashMap;
 
@@ -51,8 +51,6 @@ pub struct HwSnapshot {
     /// All memories, in scan-chain order.
     pub mems: Vec<MemImage>,
 }
-
-const MAGIC: &[u8; 8] = b"HSNAPv2\0";
 
 /// FNV-1a over a byte slice (the workspace's standard cheap digest).
 pub(crate) fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
@@ -205,104 +203,13 @@ impl HwSnapshot {
         Ok(())
     }
 
-    /// Serializes to the on-disk image format (the CRIU-checkpoint
-    /// analogue). The format is self-describing, versioned, and ends
-    /// with an FNV-1a checksum of the preceding bytes, so bit rot or
-    /// truncation of a stored image is detected on load.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.regs.len() * 24);
-        out.extend_from_slice(MAGIC);
-        put_str(&mut out, &self.design);
-        out.extend_from_slice(&self.cycle.to_le_bytes());
-        out.extend_from_slice(&(self.regs.len() as u32).to_le_bytes());
-        for r in &self.regs {
-            put_str(&mut out, &r.name);
-            out.extend_from_slice(&r.width.to_le_bytes());
-            out.extend_from_slice(&r.bits.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.mems.len() as u32).to_le_bytes());
-        for m in &self.mems {
-            put_str(&mut out, &m.name);
-            out.extend_from_slice(&m.width.to_le_bytes());
-            out.extend_from_slice(&(m.words.len() as u32).to_le_bytes());
-            for w in &m.words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        let sum = fnv1a(&out, FNV_OFFSET);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Deserializes an image produced by [`HwSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem found
-    /// (bad magic, truncation, or count overflow).
-    pub fn from_bytes(data: &[u8]) -> Result<HwSnapshot, String> {
-        if data.len() < 8 {
-            return Err("truncated snapshot: missing checksum".into());
-        }
-        let (body, tail) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body, FNV_OFFSET) != stored {
-            return Err("snapshot checksum mismatch".into());
-        }
-        let mut cur = Cursor { data: body, pos: 0 };
-        let magic = cur.take(8)?;
-        if magic != MAGIC {
-            return Err("bad snapshot magic".into());
-        }
-        let design = cur.get_str()?;
-        let cycle = cur.get_u64()?;
-        let nregs = cur.get_u32()? as usize;
-        if nregs > 1 << 24 {
-            return Err(format!("implausible register count {nregs}"));
-        }
-        let mut regs = Vec::with_capacity(nregs);
-        for _ in 0..nregs {
-            let name = cur.get_str()?;
-            let width = cur.get_u32()?;
-            let bits = cur.get_u64()?;
-            if width == 0 || width > 64 {
-                return Err(format!("register '{name}' has invalid width {width}"));
-            }
-            regs.push(RegImage { name, width, bits });
-        }
-        let nmems = cur.get_u32()? as usize;
-        if nmems > 1 << 20 {
-            return Err(format!("implausible memory count {nmems}"));
-        }
-        let mut mems = Vec::with_capacity(nmems);
-        for _ in 0..nmems {
-            let name = cur.get_str()?;
-            let width = cur.get_u32()?;
-            let depth = cur.get_u32()? as usize;
-            if width == 0 || width > 64 {
-                return Err(format!("memory '{name}' has invalid width {width}"));
-            }
-            if depth > 1 << 28 {
-                return Err(format!("implausible memory depth {depth}"));
-            }
-            let mut words = Vec::with_capacity(depth);
-            for _ in 0..depth {
-                words.push(cur.get_u64()?);
-            }
-            mems.push(MemImage { name, width, words });
-        }
-        Ok(HwSnapshot {
-            design,
-            cycle,
-            regs,
-            mems,
-        })
-    }
-
-    /// Size of the serialized image in bytes (without serializing);
-    /// drives the simulator-target save/restore cost model.
+    /// Bytes the save/restore cost models charge for this snapshot: the
+    /// design name, each register's name, width and bits, each memory's
+    /// name, geometry and words, plus 36 fixed bytes (cycle, counts and
+    /// a checksum's worth of framing). Computed, never serialized: a
+    /// [`crate::persist::write_full`] image adds its section framing on
+    /// top.
     pub fn byte_size(&self) -> usize {
-        // Magic + design + cycle + counts + trailing checksum.
         let mut n = 8 + 4 + self.design.len() + 8 + 4 + 4 + 8;
         for r in &self.regs {
             n += 4 + r.name.len() + 4 + 8;
@@ -311,44 +218,6 @@ impl HwSnapshot {
             n += 4 + m.name.len() + 4 + 4 + 8 * m.words.len();
         }
         n
-    }
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) struct Cursor<'a> {
-    pub(crate) data: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.data.len() {
-            return Err(format!("truncated snapshot at offset {}", self.pos));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn get_u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn get_u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn get_str(&mut self) -> Result<String, String> {
-        let len = self.get_u32()? as usize;
-        if len > 1 << 16 {
-            return Err(format!("implausible string length {len}"));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 name in snapshot".to_string())
     }
 }
 
@@ -381,15 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_identity() {
-        let s = sample();
-        let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), s.byte_size());
-        let s2 = HwSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(s, s2);
-    }
-
-    #[test]
     fn state_bits_counts_regs_and_mems() {
         assert_eq!(sample().state_bits(), 4 + 1 + 64);
     }
@@ -409,33 +269,6 @@ mod tests {
         b.regs[1].bits = 0;
         assert_eq!(a.diff_regs(&b), vec!["u_aes.busy"]);
         assert!(a.diff_regs(&a.clone()).is_empty());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[0] = b'X';
-        assert!(HwSnapshot::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let bytes = sample().to_bytes();
-        for cut in [7, 15, bytes.len() - 1] {
-            assert!(
-                HwSnapshot::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn bit_rot_rejected_by_checksum() {
-        let mut bytes = sample().to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        let err = HwSnapshot::from_bytes(&bytes).unwrap_err();
-        assert!(err.contains("checksum"), "{err}");
     }
 
     #[test]
@@ -475,18 +308,6 @@ mod tests {
         let mut bad = s;
         bad.regs[1].width = 65;
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn empty_snapshot_roundtrips() {
-        let s = HwSnapshot {
-            design: "d".into(),
-            cycle: 0,
-            regs: vec![],
-            mems: vec![],
-        };
-        assert_eq!(HwSnapshot::from_bytes(&s.to_bytes()).unwrap(), s);
-        assert_eq!(s.state_bits(), 0);
     }
 }
 
@@ -577,7 +398,8 @@ impl SnapshotDelta {
         Ok(out)
     }
 
-    /// Approximate stored size in bytes.
+    /// Bytes the save cost models charge for this delta: 12 per changed
+    /// register, 16 per changed memory word, plus 8.
     pub fn byte_size(&self) -> usize {
         8 + self.regs.len() * 12 + self.mem_words.len() * 16
     }

@@ -4,7 +4,8 @@
 //! the invariants the incremental snapshot transfer (HardSnap §IV-C)
 //! depends on.
 
-use hardsnap_bus::{HwSnapshot, MemImage, RegImage, SnapshotDelta};
+use hardsnap_bus::persist::write_full;
+use hardsnap_bus::{HwSnapshot, MemImage, PersistedImage, RegImage, SnapshotDelta};
 use hardsnap_util::prop::from_fn;
 use hardsnap_util::prop_check;
 use hardsnap_util::Rng;
@@ -101,13 +102,15 @@ fn empty_delta_for_identical_snapshots() {
 #[test]
 fn bytes_roundtrip_and_corrupt_header_is_an_error() {
     prop_check!(cases = 64, seed = 0xB17E_5AFE, (snap in from_fn(arb_snapshot)) => {
-        let bytes = snap.to_bytes();
-        assert_eq!(bytes.len(), snap.byte_size());
-        assert_eq!(HwSnapshot::from_bytes(&bytes).unwrap(), snap);
+        let bytes = write_full(&snap);
+        match PersistedImage::from_bytes(&bytes).unwrap() {
+            PersistedImage::Full(back) => assert_eq!(back, snap),
+            other => panic!("full image decoded as {other:?}"),
+        }
         // Truncations must fail cleanly, never panic.
         for cut in [0, 1, bytes.len() / 2, bytes.len().saturating_sub(1)] {
             if cut < bytes.len() {
-                assert!(HwSnapshot::from_bytes(&bytes[..cut]).is_err());
+                assert!(PersistedImage::from_bytes(&bytes[..cut]).is_err());
             }
         }
     });

@@ -1,83 +1,65 @@
 //! Campaign checkpointing: persist an analysis mid-flight and resume it
 //! in a fresh process.
 //!
-//! A checkpoint is a directory containing one `campaign.hscamp`
-//! manifest plus one `snap-<id>.hsnap` TLV image per frontier snapshot
-//! (see [`hardsnap_bus::persist`]). The manifest records everything the
-//! engine cannot rederive: accumulated budgets (instructions, completed
-//! paths), the covered-PC set, bug reports with their testcases,
-//! completed paths, and the schedulable frontier — each still-runnable
-//! state serialized portably next to the file name of its private
-//! hardware snapshot. Delta snapshots are saved as deltas: the shared
-//! base image is written once and each child references it by file
-//! name, so a fork-heavy frontier costs O(changed) on disk exactly as
-//! it does in RAM.
+//! A checkpoint is one file, [`MANIFEST`], of the section codec in
+//! [`hardsnap_bus::persist`] (kind [`ImageKind::Campaign`]). Its
+//! sections record everything the engine cannot rederive:
+//!
+//! | Section | Holds |
+//! |---|---|
+//! | `META` | design and shape hash of the snapshots, checked against the target on resume |
+//! | `COUNTERS` | consumed budgets: instructions, completed paths, virtual time, quanta |
+//! | `COVERED` | the covered-PC set |
+//! | `BUGS` | bug reports with their testcases |
+//! | `COMPLETED` | completed paths, portable |
+//! | `FRONTIER` | each schedulable state, portable, with the index of the image holding its hardware snapshot |
+//! | `IMAGE[k]` | one full or delta snapshot image, nested whole |
+//!
+//! A delta image names its base by the base's image index, so the shared
+//! base is stored once and a fork-heavy frontier costs O(changed) on disk
+//! exactly as it does in RAM. One [`write_atomic`] commits the file: a
+//! crash during a save leaves the previous checkpoint or the new one,
+//! whole, so a loader never pairs the states of one save with the
+//! snapshots of another. A checkpoint is also the unit of transport:
+//! copying that one file moves the campaign.
 //!
 //! Save → resume is digest-transparent: seeding a fresh engine with a
 //! checkpoint ([`resume_campaign`]) and running to completion yields
 //! the same [`RunResult::canonical_digest`] as one uninterrupted run, at
 //! any worker count on either side, because the split is just another
 //! schedule and the digest only folds schedule-invariant facts.
-//!
-//! Loading follows only flat file names
-//! ([`hardsnap_bus::is_flat_name`]): the manifest's checksum is not a
-//! MAC, so a crafted manifest or delta image naming `/etc/hostname` or
-//! `../x` is refused as corrupt instead of being read.
 
 use crate::engine::{kind_rank, Engine, RunResult};
 use crate::snapshots::{PersistEntry, SnapId, SnapshotStore};
-use hardsnap_bus::persist::{write_delta, write_full};
-use hardsnap_bus::{is_flat_name, HwSnapshot, PersistError, PersistedImage, TargetError};
+use hardsnap_bus::persist::{
+    put_bytes, put_str, write_atomic, write_delta, write_full, Cursor, ImageKind, PersistMeta,
+    PersistedImage, SectionTag, SectionWriter, SnapshotFile,
+};
+use hardsnap_bus::{HwSnapshot, PersistError, TargetError};
 use hardsnap_symex::{BugKind, BugReport, Model, PortableState, StateId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Manifest file name inside a campaign directory.
+/// Checkpoint file name inside a campaign directory.
 pub const MANIFEST: &str = "campaign.hscamp";
 
-/// Manifest magic: 8 bytes, version-suffixed like the snapshot TLV.
-/// Version 2 added the consumed virtual-time and quantum budgets; any
-/// other magic, version 1 included, is refused rather than misread.
-const MAGIC: &[u8; 8] = b"HSCAMP2\0";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// Frontier image reference of a state without a snapshot (a power-on
+/// root).
+const NO_IMAGE: u32 = u32::MAX;
 
 /// Errors from saving or loading a campaign checkpoint.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// Filesystem failure, naming the path.
-    Io {
-        /// The offending path.
-        path: PathBuf,
-        /// The underlying error, stringified.
-        error: String,
-    },
-    /// The manifest is malformed (bad magic, truncation, checksum
-    /// mismatch, or an impossible field).
+    /// The checkpoint decodes but does not hold together: an unknown bug
+    /// kind, a dangling image index, a delta whose base is a delta or
+    /// has the wrong identity, a frontier id the store lost.
     Corrupt(String),
-    /// A frontier snapshot image failed to load or verify.
+    /// The checkpoint file could not be written, read or decoded: I/O,
+    /// bad magic, checksum mismatch, truncation, malformed sections, or
+    /// a design-shape mismatch with the resuming target.
     Persist(PersistError),
-    /// A named snapshot file in the campaign directory is truncated or
-    /// corrupt — the typed face of "the manifest points at a snapshot
-    /// that did not survive the crash". `--resume` surfaces this with
-    /// the offending file name; it must never panic.
-    Snapshot {
-        /// The offending snapshot file (relative to the campaign dir).
-        file: String,
-        /// What was wrong with it.
-        error: PersistError,
-    },
     /// An engine-side failure while draining or restoring state.
     Target(TargetError),
 }
@@ -85,14 +67,8 @@ pub enum CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CampaignError::Io { path, error } => {
-                write!(f, "campaign I/O at '{}': {error}", path.display())
-            }
-            CampaignError::Corrupt(m) => write!(f, "corrupt campaign manifest: {m}"),
-            CampaignError::Persist(e) => write!(f, "campaign snapshot image: {e}"),
-            CampaignError::Snapshot { file, error } => {
-                write!(f, "campaign snapshot '{file}': {error}")
-            }
+            CampaignError::Corrupt(m) => write!(f, "corrupt campaign checkpoint: {m}"),
+            CampaignError::Persist(e) => write!(f, "campaign checkpoint: {e}"),
             CampaignError::Target(e) => write!(f, "campaign target operation: {e}"),
         }
     }
@@ -102,9 +78,8 @@ impl Error for CampaignError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CampaignError::Persist(e) => Some(e),
-            CampaignError::Snapshot { error, .. } => Some(error),
             CampaignError::Target(e) => Some(e),
-            _ => None,
+            CampaignError::Corrupt(_) => None,
         }
     }
 }
@@ -119,20 +94,6 @@ impl From<TargetError> for CampaignError {
     fn from(e: TargetError) -> Self {
         CampaignError::Target(e)
     }
-}
-
-fn io_err(path: &Path, e: impl fmt::Display) -> CampaignError {
-    CampaignError::Io {
-        path: path.to_path_buf(),
-        error: e.to_string(),
-    }
-}
-
-fn unsafe_name(what: &str, name: &str) -> CampaignError {
-    CampaignError::Corrupt(format!(
-        "{what} names '{}', not a file inside the campaign directory",
-        name.escape_default()
-    ))
 }
 
 /// Everything a checkpoint persists. Produced by [`checkpoint`] and by
@@ -163,69 +124,8 @@ pub struct Checkpoint {
 }
 
 // ---------------------------------------------------------------------
-// Manifest encoding
+// Save
 // ---------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CampaignError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.data.len())
-            .ok_or_else(|| {
-                CampaignError::Corrupt(format!("truncated at offset {} (need {n})", self.pos))
-            })?;
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CampaignError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CampaignError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CampaignError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> Result<&'a [u8], CampaignError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-    fn str(&mut self) -> Result<String, CampaignError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| CampaignError::Corrupt("non-UTF-8 string field".into()))
-    }
-}
 
 fn kind_from_rank(rank: u8) -> Option<BugKind> {
     Some(match rank {
@@ -240,202 +140,151 @@ fn kind_from_rank(rank: u8) -> Option<BugKind> {
     })
 }
 
-fn encode_manifest(cp: &Checkpoint, snap_files: &HashMap<SnapId, String>) -> Vec<u8> {
-    let mut w = Writer {
-        buf: MAGIC.to_vec(),
-    };
-    w.u64(cp.instructions);
-    w.u64(cp.paths_completed);
-    w.u64(cp.vtime_ns);
-    w.u64(cp.quanta);
-    w.u32(cp.covered.len() as u32);
-    for &pc in &cp.covered {
-        w.u32(pc);
+/// A section payload: a `u32` count, then each item.
+fn list<T>(items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) -> Vec<u8> {
+    let mut out = (items.len() as u32).to_le_bytes().to_vec();
+    for item in items {
+        put(&mut out, item);
     }
-    w.u32(cp.bugs.len() as u32);
-    for b in &cp.bugs {
-        w.u8(kind_rank(b.kind));
-        w.u32(b.pc);
-        w.u64(b.state_id.0);
-        w.str(&b.description);
-        match &b.testcase {
-            None => w.u8(0),
-            Some(model) => {
-                w.u8(1);
-                let mut vars: Vec<(&str, u64)> = model.iter().collect();
-                vars.sort_by(|a, b| a.0.cmp(b.0));
-                w.u32(vars.len() as u32);
-                for (name, value) in vars {
-                    w.str(name);
-                    w.u64(value);
-                }
-            }
-        }
-    }
-    w.u32(cp.completed.len() as u32);
-    for s in &cp.completed {
-        w.bytes(&s.to_bytes());
-    }
-    w.u32(cp.frontier.len() as u32);
-    for (s, snap) in &cp.frontier {
-        w.bytes(&s.to_bytes());
-        match snap {
-            Some(sid) => w.str(&snap_files[sid]),
-            None => w.str(""),
-        }
-    }
-    let sum = fnv1a(&w.buf, FNV_OFFSET);
-    w.u64(sum);
-    w.buf
+    out
 }
 
-/// Decoded manifest: the checkpoint with frontier snapshots still as
-/// file names (resolved against the store by [`load_campaign`]).
-fn decode_manifest(data: &[u8]) -> Result<(Checkpoint, Vec<Option<String>>), CampaignError> {
-    if data.len() < MAGIC.len() + 8 {
-        return Err(CampaignError::Corrupt(format!(
-            "file too short ({} bytes)",
-            data.len()
-        )));
+fn put_bug(out: &mut Vec<u8>, b: &BugReport) {
+    out.push(kind_rank(b.kind));
+    out.extend_from_slice(&b.pc.to_le_bytes());
+    out.extend_from_slice(&b.state_id.0.to_le_bytes());
+    put_str(out, &b.description);
+    match &b.testcase {
+        None => out.push(0),
+        Some(model) => {
+            out.push(1);
+            let mut vars: Vec<(&str, u64)> = model.iter().collect();
+            vars.sort_by(|a, b| a.0.cmp(b.0));
+            out.extend_from_slice(&(vars.len() as u32).to_le_bytes());
+            for (name, value) in vars {
+                put_str(out, name);
+                out.extend_from_slice(&value.to_le_bytes());
+            }
+        }
     }
-    if &data[..MAGIC.len()] != MAGIC {
-        return Err(CampaignError::Corrupt("bad magic".into()));
+}
+
+/// The `IMAGE` sections of a checkpoint being saved, numbered in
+/// first-use order: a delta's base is always written before the delta,
+/// so image 0 is always a full image.
+struct ImageWriter<'a> {
+    store: &'a SnapshotStore,
+    index: HashMap<SnapId, u32>,
+    bases: HashMap<SnapId, HwSnapshot>,
+    images: Vec<Vec<u8>>,
+    /// The checkpoint's META: the design of image 0.
+    meta: PersistMeta,
+}
+
+impl ImageWriter<'_> {
+    fn export(&self, sid: SnapId) -> Result<PersistEntry, CampaignError> {
+        self.store
+            .export_entry(sid)
+            .map_err(|e| CampaignError::Corrupt(format!("snapshot {sid}: {e}")))
     }
-    let (body, tail) = data.split_at(data.len() - 8);
-    let want = u64::from_le_bytes(tail.try_into().unwrap());
-    let got = fnv1a(body, FNV_OFFSET);
-    if want != got {
-        return Err(CampaignError::Corrupt(format!(
-            "checksum mismatch: manifest says {want:#018x}, content hashes to {got:#018x}"
-        )));
+
+    fn push(&mut self, sid: SnapId, image: Vec<u8>) -> u32 {
+        let k = self.images.len() as u32;
+        self.images.push(image);
+        self.index.insert(sid, k);
+        k
     }
-    let mut r = Reader {
-        data: body,
-        pos: MAGIC.len(),
-    };
-    let instructions = r.u64()?;
-    let paths_completed = r.u64()?;
-    let vtime_ns = r.u64()?;
-    let quanta = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut covered = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        covered.push(r.u32()?);
+
+    fn push_full(&mut self, sid: SnapId, snap: &HwSnapshot) -> u32 {
+        if self.images.is_empty() {
+            self.meta = PersistMeta {
+                design: snap.design.clone(),
+                shape_hash: snap.shape_hash(),
+                n_regs: snap.regs.len() as u32,
+                n_mems: snap.mems.len() as u32,
+                ..PersistMeta::default()
+            };
+        }
+        self.push(sid, write_full(snap))
     }
-    let n = r.u32()? as usize;
-    let mut bugs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let rank = r.u8()?;
-        let kind = kind_from_rank(rank)
-            .ok_or_else(|| CampaignError::Corrupt(format!("unknown bug kind rank {rank}")))?;
-        let pc = r.u32()?;
-        let state_id = StateId(r.u64()?);
-        let description = r.str()?;
-        let testcase = match r.u8()? {
-            0 => None,
-            1 => {
-                let vars = r.u32()? as usize;
-                let mut values: HashMap<String, u64> = HashMap::with_capacity(vars.min(1 << 16));
-                for _ in 0..vars {
-                    let name = r.str()?;
-                    let value = r.u64()?;
-                    values.insert(name, value);
+
+    /// The image index of snapshot `sid`, writing it (and its base) on
+    /// first use. The store's representation is kept: a delta entry is
+    /// written as a delta against its base's image.
+    fn image(&mut self, sid: SnapId) -> Result<u32, CampaignError> {
+        if let Some(&k) = self.index.get(&sid) {
+            return Ok(k);
+        }
+        match self.export(sid)? {
+            PersistEntry::Full(snap) => Ok(self.push_full(sid, &snap)),
+            PersistEntry::Delta { base, delta } => {
+                if !self.bases.contains_key(&base) {
+                    let PersistEntry::Full(snap) = self.export(base)? else {
+                        return Err(CampaignError::Corrupt(format!(
+                            "snapshot {sid}'s base {base} is itself a delta"
+                        )));
+                    };
+                    if !self.index.contains_key(&base) {
+                        self.push_full(base, &snap);
+                    }
+                    self.bases.insert(base, snap);
                 }
-                Some(Model::from(values))
+                let image = write_delta(&self.bases[&base], &delta, &self.index[&base].to_string());
+                Ok(self.push(sid, image))
             }
-            other => {
-                return Err(CampaignError::Corrupt(format!(
-                    "bad testcase presence flag {other}"
-                )))
-            }
+        }
+    }
+}
+
+fn encode(store: &SnapshotStore, cp: &Checkpoint) -> Result<Vec<u8>, CampaignError> {
+    let mut images = ImageWriter {
+        store,
+        index: HashMap::new(),
+        bases: HashMap::new(),
+        images: Vec::new(),
+        meta: PersistMeta::default(),
+    };
+    let mut frontier = (cp.frontier.len() as u32).to_le_bytes().to_vec();
+    for (state, snap) in &cp.frontier {
+        put_bytes(&mut frontier, &state.to_bytes());
+        let k = match snap {
+            Some(sid) => images.image(*sid)?,
+            None => NO_IMAGE,
         };
-        bugs.push(BugReport {
-            kind,
-            pc,
-            state_id,
-            testcase,
-            description,
-        });
+        frontier.extend_from_slice(&k.to_le_bytes());
     }
-    let n = r.u32()? as usize;
-    let mut completed = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let bytes = r.bytes()?;
-        completed.push(
-            PortableState::from_bytes(bytes)
-                .map_err(|e| CampaignError::Corrupt(format!("completed state: {e}")))?,
-        );
+    let counters = [cp.instructions, cp.paths_completed, cp.vtime_ns, cp.quanta]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut w = SectionWriter::new(ImageKind::Campaign, &images.meta);
+    w.push(SectionTag::Counters, 0, 0, counters);
+    w.push(
+        SectionTag::Covered,
+        0,
+        0,
+        list(&cp.covered, |out, pc| {
+            out.extend_from_slice(&pc.to_le_bytes())
+        }),
+    );
+    w.push(SectionTag::Bugs, 0, 0, list(&cp.bugs, put_bug));
+    w.push(
+        SectionTag::Completed,
+        0,
+        0,
+        list(&cp.completed, |out, s| put_bytes(out, &s.to_bytes())),
+    );
+    w.push(SectionTag::Frontier, 0, 0, frontier);
+    for (k, image) in images.images.into_iter().enumerate() {
+        w.push(SectionTag::Image, k as u32, 0, image);
     }
-    let n = r.u32()? as usize;
-    let mut frontier = Vec::with_capacity(n.min(1 << 16));
-    let mut files = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let bytes = r.bytes()?;
-        let state = PortableState::from_bytes(bytes)
-            .map_err(|e| CampaignError::Corrupt(format!("frontier state: {e}")))?;
-        let file = r.str()?;
-        if !file.is_empty() && !is_flat_name(&file) {
-            return Err(unsafe_name("frontier snapshot", &file));
-        }
-        frontier.push((state, None));
-        files.push(if file.is_empty() { None } else { Some(file) });
-    }
-    if r.pos != body.len() {
-        return Err(CampaignError::Corrupt(format!(
-            "{} trailing bytes after the frontier",
-            body.len() - r.pos
-        )));
-    }
-    Ok((
-        Checkpoint {
-            instructions,
-            paths_completed,
-            vtime_ns,
-            quanta,
-            covered,
-            bugs,
-            completed,
-            frontier,
-        },
-        files,
-    ))
+    Ok(w.finish())
 }
 
-// ---------------------------------------------------------------------
-// Save
-// ---------------------------------------------------------------------
-
-/// Writes `bytes` to `path` crash-atomically: the content goes to a
-/// `.tmp` sibling first, is fsynced, renamed over `path`, and the
-/// directory entry is fsynced last. A crash at any instant leaves
-/// either the old file or the complete new one — never a truncated
-/// hybrid — so a manifest can never point at a half-written snapshot
-/// from the *same* save (snapshots are committed before the manifest
-/// rename, which is the checkpoint's single commit point).
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself; failure to fsync a directory is
-        // not worth failing the save over (the data is already safe on
-        // any crash that doesn't also lose the rename).
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Writes `cp` (frontier snapshot ids referring to `store`) into `dir`,
-/// creating it if needed. Snapshots stored as deltas are persisted as
-/// deltas: the shared base image is written once as its own file and
-/// referenced by name, so the on-disk checkpoint stays O(changed).
+/// Writes `cp` (frontier snapshot ids referring to `store`) into `dir`
+/// as one [`MANIFEST`] file, creating `dir` if needed. Snapshots stored
+/// as deltas are persisted as deltas against one shared base image, so
+/// the checkpoint stays O(changed).
 ///
 /// # Errors
 ///
@@ -446,64 +295,202 @@ pub fn save_campaign(
     store: &SnapshotStore,
     cp: &Checkpoint,
 ) -> Result<(), CampaignError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let mut snap_files: HashMap<SnapId, String> = HashMap::new();
-    for (_, snap) in &cp.frontier {
-        if let Some(sid) = snap {
-            write_snapshot_file(dir, store, *sid, &mut snap_files)?;
-        }
-    }
-    let manifest = encode_manifest(cp, &snap_files);
-    let path = dir.join(MANIFEST);
-    write_atomic(&path, &manifest)?;
+    std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, e))?;
+    write_atomic(&dir.join(MANIFEST), &encode(store, cp)?)?;
     Ok(())
-}
-
-/// Persists snapshot `sid` into `dir` (memoized via `files`), writing
-/// its base first when the store holds it as a delta. Returns the file
-/// name.
-fn write_snapshot_file(
-    dir: &Path,
-    store: &SnapshotStore,
-    sid: SnapId,
-    files: &mut HashMap<SnapId, String>,
-) -> Result<String, CampaignError> {
-    if let Some(name) = files.get(&sid) {
-        return Ok(name.clone());
-    }
-    let name = format!("snap-{sid}.hsnap");
-    let image = match store
-        .export_entry(sid)
-        .map_err(|e| CampaignError::Corrupt(format!("frontier snapshot {sid}: {e}")))?
-    {
-        PersistEntry::Full(snap) => write_full(&snap),
-        PersistEntry::Delta { base, delta } => {
-            let base_name = write_snapshot_file(dir, store, base, files)?;
-            let base_snap = match store
-                .export_entry(base)
-                .map_err(|e| CampaignError::Corrupt(format!("delta base {base}: {e}")))?
-            {
-                PersistEntry::Full(s) => s,
-                PersistEntry::Delta { .. } => {
-                    return Err(CampaignError::Corrupt(format!(
-                        "snapshot {sid}'s base {base} is itself a delta"
-                    )))
-                }
-            };
-            write_delta(&base_snap, &delta, &base_name)
-        }
-    };
-    let path = dir.join(&name);
-    write_atomic(&path, &image)?;
-    files.insert(sid, name.clone());
-    Ok(name)
 }
 
 // ---------------------------------------------------------------------
 // Load
 // ---------------------------------------------------------------------
 
-/// Reads a checkpoint from `dir`, loading every referenced snapshot
+fn get_bug(c: &mut Cursor<'_>) -> Result<BugReport, CampaignError> {
+    let rank = c.get_u8()?;
+    let kind = kind_from_rank(rank)
+        .ok_or_else(|| CampaignError::Corrupt(format!("unknown bug kind rank {rank}")))?;
+    let pc = c.get_u32()?;
+    let state_id = StateId(c.get_u64()?);
+    let description = c.get_str()?;
+    let testcase = match c.get_u8()? {
+        0 => None,
+        1 => {
+            let n = c.count(12)?;
+            let mut values: HashMap<String, u64> = HashMap::with_capacity(n);
+            for _ in 0..n {
+                let name = c.get_str()?;
+                values.insert(name, c.get_u64()?);
+            }
+            Some(Model::from(values))
+        }
+        other => {
+            return Err(CampaignError::Corrupt(format!(
+                "bad testcase presence flag {other}"
+            )))
+        }
+    };
+    Ok(BugReport {
+        kind,
+        pc,
+        state_id,
+        testcase,
+        description,
+    })
+}
+
+fn get_state(c: &mut Cursor<'_>, what: &str) -> Result<PortableState, CampaignError> {
+    PortableState::from_bytes(c.get_bytes()?)
+        .map_err(|e| CampaignError::Corrupt(format!("{what} state: {e}")))
+}
+
+/// Puts a checkpoint's images into a store as its frontier references
+/// them: a full image becomes a fresh entry per reference, a delta base
+/// one shared base entry, and a delta a native delta entry against it.
+struct ImageLoader<'a> {
+    file: &'a SnapshotFile,
+    store: &'a SnapshotStore,
+    shape_hash: u64,
+    /// Base images already in the store: id, snapshot, content hash.
+    bases: HashMap<u32, (SnapId, HwSnapshot, u64)>,
+}
+
+impl ImageLoader<'_> {
+    /// Image `k`, decoded; its META (a full image's shape, a delta's
+    /// pinned base shape) must match the checkpoint's.
+    fn read(&self, k: u32) -> Result<PersistedImage, CampaignError> {
+        let payload = self
+            .file
+            .section_payload(self.file.find(SectionTag::Image, k)?)?;
+        let image = SnapshotFile::from_bytes_verified(payload.to_vec())?;
+        if image.meta()?.shape_hash != self.shape_hash {
+            return Err(CampaignError::Corrupt(format!(
+                "image {k} is of another design than META"
+            )));
+        }
+        Ok(image.materialize()?)
+    }
+
+    fn base(&mut self, k: u32) -> Result<&(SnapId, HwSnapshot, u64), CampaignError> {
+        if !self.bases.contains_key(&k) {
+            let PersistedImage::Full(snap) = self.read(k)? else {
+                return Err(CampaignError::Corrupt(format!(
+                    "base image {k} is itself a delta"
+                )));
+            };
+            let content = snap.content_hash();
+            let id = self.store.insert_base(snap.clone());
+            self.bases.insert(k, (id, snap, content));
+        }
+        Ok(&self.bases[&k])
+    }
+
+    fn load(&mut self, k: u32) -> Result<SnapId, CampaignError> {
+        let store = self.store;
+        match self.read(k)? {
+            PersistedImage::Full(snap) => Ok(store.insert(snap)),
+            PersistedImage::Delta {
+                base_ref,
+                base_content_hash,
+                delta,
+                ..
+            } => {
+                let b = base_ref
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|&b| b != k)
+                    .ok_or_else(|| {
+                        CampaignError::Corrupt(format!(
+                            "image {k}: base '{}' is not another image",
+                            base_ref.escape_default()
+                        ))
+                    })?;
+                let &(base_id, ref base, content) = self.base(b)?;
+                if base_content_hash != content {
+                    return Err(CampaignError::Corrupt(format!(
+                        "image {k} pins base content {base_content_hash:#018x}, \
+                         image {b} has {content:#018x}"
+                    )));
+                }
+                delta
+                    .validate_against(base)
+                    .map_err(|e| CampaignError::Corrupt(format!("image {k}: {e}")))?;
+                store.insert_delta_native(base_id, delta).ok_or_else(|| {
+                    CampaignError::Corrupt(format!("image {k} rejected by the store"))
+                })
+            }
+        }
+    }
+}
+
+/// Reads the checkpoint in `dir`, verifying the whole-file checksum
+/// before anything is decoded.
+fn open(dir: &Path) -> Result<SnapshotFile, CampaignError> {
+    let path = dir.join(MANIFEST);
+    let data = std::fs::read(&path).map_err(|e| PersistError::io(&path, e))?;
+    parse(data)
+}
+
+fn parse(data: Vec<u8>) -> Result<SnapshotFile, CampaignError> {
+    let file = SnapshotFile::from_bytes_verified(data)?;
+    if file.kind() != ImageKind::Campaign {
+        return Err(CampaignError::Corrupt(format!(
+            "{} snapshot image, not a checkpoint",
+            file.kind()
+        )));
+    }
+    Ok(file)
+}
+
+fn decode(file: &SnapshotFile, store: &SnapshotStore) -> Result<Checkpoint, CampaignError> {
+    let mut c = file.cursor(SectionTag::Counters, 0)?;
+    let [instructions, paths_completed, vtime_ns, quanta] =
+        [c.get_u64()?, c.get_u64()?, c.get_u64()?, c.get_u64()?];
+    c.finish()?;
+    let mut c = file.cursor(SectionTag::Covered, 0)?;
+    let covered = (0..c.count(4)?)
+        .map(|_| c.get_u32())
+        .collect::<Result<Vec<_>, _>>()?;
+    c.finish()?;
+    let mut c = file.cursor(SectionTag::Bugs, 0)?;
+    let bugs = (0..c.count(18)?)
+        .map(|_| get_bug(&mut c))
+        .collect::<Result<Vec<_>, _>>()?;
+    c.finish()?;
+    let mut c = file.cursor(SectionTag::Completed, 0)?;
+    let completed = (0..c.count(4)?)
+        .map(|_| get_state(&mut c, "completed"))
+        .collect::<Result<Vec<_>, _>>()?;
+    c.finish()?;
+    let mut images = ImageLoader {
+        file,
+        store,
+        shape_hash: file.meta()?.shape_hash,
+        bases: HashMap::new(),
+    };
+    let mut c = file.cursor(SectionTag::Frontier, 0)?;
+    let n = c.count(8)?;
+    let mut frontier = Vec::with_capacity(n);
+    for _ in 0..n {
+        let state = get_state(&mut c, "frontier")?;
+        let snap = match c.get_u32()? {
+            NO_IMAGE => None,
+            k => Some(images.load(k)?),
+        };
+        frontier.push((state, snap));
+    }
+    c.finish()?;
+    Ok(Checkpoint {
+        instructions,
+        paths_completed,
+        vtime_ns,
+        quanta,
+        covered,
+        bugs,
+        completed,
+        frontier,
+    })
+}
+
+/// Reads the checkpoint in `dir`, loading every referenced snapshot
 /// image into `store` and rewriting the frontier's snapshot ids to the
 /// freshly inserted entries. Delta images are verified against their
 /// base (shape and content hash pinned at write time) and installed as
@@ -512,90 +499,9 @@ fn write_snapshot_file(
 ///
 /// # Errors
 ///
-/// I/O failures, a corrupt manifest, and any snapshot-image problem.
+/// I/O failures, a corrupt file, and any snapshot-image problem.
 pub fn load_campaign(dir: &Path, store: &SnapshotStore) -> Result<Checkpoint, CampaignError> {
-    let path = dir.join(MANIFEST);
-    let data = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let (mut cp, files) = decode_manifest(&data)?;
-    // Base images are shared between sibling deltas: load each file
-    // once, memoized by name.
-    let mut loaded_bases: HashMap<String, (SnapId, HwSnapshot)> = HashMap::new();
-    for ((_, slot), file) in cp.frontier.iter_mut().zip(files) {
-        let Some(name) = file else { continue };
-        *slot = Some(load_snapshot_file(dir, store, &name, &mut loaded_bases)?);
-    }
-    Ok(cp)
-}
-
-/// Reads one snapshot image, converting every persistence failure
-/// (truncation, checksum mismatch, bad TLV) into
-/// [`CampaignError::Snapshot`] so the caller's error names the exact
-/// file that did not survive.
-fn read_snapshot_image(path: &Path, name: &str) -> Result<PersistedImage, CampaignError> {
-    PersistedImage::read(path).map_err(|error| CampaignError::Snapshot {
-        file: name.to_string(),
-        error,
-    })
-}
-
-fn load_base(
-    dir: &Path,
-    store: &SnapshotStore,
-    name: &str,
-    bases: &mut HashMap<String, (SnapId, HwSnapshot)>,
-) -> Result<(SnapId, HwSnapshot), CampaignError> {
-    if let Some((sid, snap)) = bases.get(name) {
-        return Ok((*sid, snap.clone()));
-    }
-    let path = dir.join(name);
-    match read_snapshot_image(&path, name)? {
-        PersistedImage::Full(snap) => {
-            let sid = store.insert_base(snap.clone());
-            bases.insert(name.to_string(), (sid, snap.clone()));
-            Ok((sid, snap))
-        }
-        PersistedImage::Delta { .. } => Err(CampaignError::Corrupt(format!(
-            "base image '{name}' is itself a delta"
-        ))),
-    }
-}
-
-fn load_snapshot_file(
-    dir: &Path,
-    store: &SnapshotStore,
-    name: &str,
-    bases: &mut HashMap<String, (SnapId, HwSnapshot)>,
-) -> Result<SnapId, CampaignError> {
-    let path = dir.join(name);
-    match read_snapshot_image(&path, name)? {
-        PersistedImage::Full(snap) => Ok(store.insert(snap)),
-        PersistedImage::Delta {
-            base_ref,
-            base_shape_hash,
-            base_content_hash,
-            delta,
-        } => {
-            if !is_flat_name(&base_ref) {
-                return Err(unsafe_name(&format!("delta '{name}' base"), &base_ref));
-            }
-            let (base_id, base_snap) = load_base(dir, store, &base_ref, bases)?;
-            if base_snap.shape_hash() != base_shape_hash {
-                return Err(CampaignError::Corrupt(format!(
-                    "delta '{name}' pins base shape {base_shape_hash:#018x} but '{base_ref}' has {:#018x}",
-                    base_snap.shape_hash()
-                )));
-            }
-            if base_snap.content_hash() != base_content_hash {
-                return Err(CampaignError::Corrupt(format!(
-                    "delta '{name}' pins base content {base_content_hash:#018x} but '{base_ref}' has {:#018x}",
-                    base_snap.content_hash()
-                )));
-            }
-            store.insert_delta_native(base_id, delta).ok_or_else(|| {
-                CampaignError::Corrupt(format!("delta '{name}' rejected by the store"))
-            })
-        }
-    }
+    decode(&open(dir)?, store)
 }
 
 // ---------------------------------------------------------------------
@@ -605,7 +511,7 @@ fn load_snapshot_file(
 /// Drains an [`Engine`] after a budget-stopped `run()` into a
 /// [`Checkpoint`] ready for [`save_campaign`]. `result` must be the
 /// `RunResult` that run returned — it carries the accumulated counters
-/// and findings the manifest persists.
+/// and findings the checkpoint persists.
 ///
 /// # Errors
 ///
@@ -653,9 +559,16 @@ pub fn snapshot_campaign(
 ///
 /// # Errors
 ///
-/// Any [`CampaignError`] from reading or restoring.
+/// Any [`CampaignError`] from reading or restoring;
+/// [`PersistError::ShapeMismatch`] (before any image enters the store)
+/// when the checkpoint's snapshots are of another design than the
+/// engine's target.
 pub fn resume_campaign(dir: &Path, engine: &mut Engine) -> Result<(), CampaignError> {
-    let cp = load_campaign(dir, &engine.store)?;
+    let file = open(dir)?;
+    if file.sections().iter().any(|s| s.tag == SectionTag::Image) {
+        file.meta()?.check_shape(engine.target().snapshot_shape())?;
+    }
+    let cp = decode(&file, &engine.store)?;
     engine.seed_prior(
         cp.instructions,
         cp.paths_completed,
@@ -672,9 +585,12 @@ pub fn resume_campaign(dir: &Path, engine: &mut Engine) -> Result<(), CampaignEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ConsistencyMode, EngineConfig};
+    use crate::engine::{ConsistencyMode, EngineConfig, Searcher, StopReason};
     use crate::firmware;
+    use hardsnap_bus::persist::for_each_damage;
+    use hardsnap_bus::{HwTarget, SnapshotDelta};
     use hardsnap_sim::SimTarget;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -694,6 +610,29 @@ mod tests {
         engine.load_firmware(prog);
         let r = engine.run();
         (r.canonical_digest(), r)
+    }
+
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// `branching_firmware(2)` cut at 30 instructions, checkpointed into
+    /// `dir`: a small real checkpoint.
+    fn small_checkpoint(dir: &Path) {
+        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(2)).unwrap();
+        let mut engine = soc_engine(EngineConfig {
+            mode: ConsistencyMode::HardSnap,
+            max_instructions: 30,
+            ..EngineConfig::default()
+        });
+        engine.load_firmware(&prog);
+        let partial = engine.run();
+        snapshot_campaign(dir, &mut engine, &partial).unwrap();
     }
 
     #[test]
@@ -766,163 +705,190 @@ mod tests {
     }
 
     #[test]
-    fn truncated_snapshot_file_is_a_typed_error_naming_it() {
-        // A crash between the snapshot writes and the manifest rename
-        // cannot happen (the manifest commits last), but a snapshot
-        // truncated *after* the save — torn disk, partial copy — must
-        // surface on resume as a typed error naming the file, never a
-        // panic.
-        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
-        let config = EngineConfig {
-            mode: ConsistencyMode::HardSnap,
-            max_instructions: 40,
-            ..EngineConfig::default()
-        };
-        let dir = tmp("truncsnap");
-        let mut engine = soc_engine(config);
-        engine.load_firmware(&prog);
-        let partial = engine.run();
-        snapshot_campaign(&dir, &mut engine, &partial).unwrap();
-        let snap_path = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .find(|p| p.extension().is_some_and(|e| e == "hsnap"))
-            .expect("an interrupted run must checkpoint at least one snapshot");
-        let full = std::fs::read(&snap_path).unwrap();
-        std::fs::write(&snap_path, &full[..full.len() / 2]).unwrap();
-
-        let store = SnapshotStore::new();
-        let err = match load_campaign(&dir, &store) {
-            Ok(_) => panic!("truncated snapshot must fail the load"),
-            Err(e) => e,
-        };
-        let name = snap_path.file_name().unwrap().to_str().unwrap();
-        match &err {
-            CampaignError::Snapshot { file, .. } => assert_eq!(file, name),
-            other => panic!("expected CampaignError::Snapshot, got {other:?}"),
-        }
-        assert!(
-            err.to_string().contains(name),
-            "error must name the bad file: {err}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn no_tmp_files_survive_a_save() {
-        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(2)).unwrap();
-        let config = EngineConfig {
-            mode: ConsistencyMode::HardSnap,
-            max_instructions: 30,
-            ..EngineConfig::default()
-        };
         let dir = tmp("notmp");
-        let mut engine = soc_engine(config);
-        engine.load_firmware(&prog);
-        let partial = engine.run();
-        snapshot_campaign(&dir, &mut engine, &partial).unwrap();
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let p = entry.unwrap().path();
-            assert!(
-                p.extension().map(|e| e != "tmp").unwrap_or(true),
-                "stray temp file after save: {}",
-                p.display()
-            );
-        }
+        small_checkpoint(&dir);
+        assert_eq!(files_in(&dir), [MANIFEST], "a checkpoint is one file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn manifest_flip_any_byte_is_a_typed_error() {
-        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(2)).unwrap();
-        let config = EngineConfig {
-            mode: ConsistencyMode::HardSnap,
-            max_instructions: 30,
-            ..EngineConfig::default()
-        };
-        let dir = tmp("flip");
-        let mut engine = soc_engine(config);
-        engine.load_firmware(&prog);
-        let partial = engine.run();
-        snapshot_campaign(&dir, &mut engine, &partial).unwrap();
-        let path = dir.join(MANIFEST);
-        let clean = std::fs::read(&path).unwrap();
+    /// What a loaded checkpoint hands the engine: counters, findings,
+    /// portable states, and the content of every frontier snapshot.
+    #[derive(Debug, PartialEq)]
+    struct Loaded {
+        counters: [u64; 4],
+        covered: Vec<u32>,
+        bugs: usize,
+        completed: Vec<Vec<u8>>,
+        frontier: Vec<(Vec<u8>, Option<u64>)>,
+        native_deltas: usize,
+    }
+
+    fn loaded(dir: &Path) -> Loaded {
         let store = SnapshotStore::new();
-        // Every single-byte corruption must surface as CampaignError,
-        // never a panic or a silently different checkpoint.
-        for pos in 0..clean.len() {
-            let mut bad = clean.clone();
-            bad[pos] ^= 0x41;
-            std::fs::write(&path, &bad).unwrap();
-            assert!(
-                load_campaign(&dir, &store).is_err(),
-                "flip at byte {pos} went undetected"
-            );
+        let cp = load_campaign(dir, &store).unwrap();
+        let snaps = cp.frontier.iter().filter_map(|(_, s)| *s);
+        Loaded {
+            counters: [cp.instructions, cp.paths_completed, cp.vtime_ns, cp.quanta],
+            covered: cp.covered.clone(),
+            bugs: cp.bugs.len(),
+            completed: cp.completed.iter().map(PortableState::to_bytes).collect(),
+            frontier: cp
+                .frontier
+                .iter()
+                .map(|(s, sid)| {
+                    (
+                        s.to_bytes(),
+                        sid.map(|id| store.get(id).unwrap().content_hash()),
+                    )
+                })
+                .collect(),
+            native_deltas: snaps
+                .filter(|&id| matches!(store.export_entry(id), Ok(PersistEntry::Delta { .. })))
+                .count(),
         }
+    }
+
+    #[test]
+    fn a_crash_during_a_leg_save_leaves_one_whole_leg() {
+        // Two consecutive 128-instruction legs of a `demo:5` job, saved
+        // into one directory the way the serve runner saves them.
+        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(5)).unwrap();
+        for delta in [false, true] {
+            let dir = tmp(&format!("legs-{delta}"));
+            let leg = |max_instructions: u64| {
+                let mut engine = soc_engine(EngineConfig {
+                    mode: ConsistencyMode::HardSnap,
+                    searcher: Searcher::RoundRobin,
+                    delta_snapshots: delta,
+                    max_instructions,
+                    ..EngineConfig::default()
+                });
+                if dir.join(MANIFEST).exists() {
+                    resume_campaign(&dir, &mut engine).unwrap();
+                } else {
+                    engine.load_firmware(&prog);
+                }
+                let r = engine.run();
+                assert_eq!(r.stop, StopReason::Instructions);
+                snapshot_campaign(&dir, &mut engine, &r).unwrap();
+                assert_eq!(files_in(&dir), [MANIFEST]);
+                std::fs::read(dir.join(MANIFEST)).unwrap()
+            };
+            let a = leg(128);
+            let b = leg(256);
+
+            // Every state a crash during B's save can leave: the rename
+            // is the one commit point, so the loader sees A or B whole.
+            let crash = tmp(&format!("crash-{delta}"));
+            let state = |manifest: &[u8], tmp_file: Option<&[u8]>| {
+                let _ = std::fs::remove_dir_all(&crash);
+                std::fs::create_dir_all(&crash).unwrap();
+                std::fs::write(crash.join(MANIFEST), manifest).unwrap();
+                if let Some(t) = tmp_file {
+                    std::fs::write(crash.join("campaign.tmp"), t).unwrap();
+                }
+                loaded(&crash)
+            };
+            let (want_a, want_b) = (state(&a, None), state(&b, None));
+            assert_ne!(want_a, want_b, "the legs must be told apart");
+            if delta {
+                assert!(want_b.native_deltas > 0, "deltas resume as native deltas");
+            }
+            let b_file = SnapshotFile::from_bytes(b.clone()).unwrap();
+            let cuts = std::iter::once(0)
+                .chain(b_file.sections().iter().map(|s| s.offset as usize))
+                .chain([b.len() - 8, b.len()]);
+            for cut in cuts {
+                assert_eq!(state(&a, Some(&b[..cut])), want_a, "B cut at {cut}");
+            }
+            assert_eq!(state(&b, Some(&a)), want_b, "B with a stale tmp");
+            assert_eq!(state(&b, Some(&b[..b.len() / 2])), want_b);
+
+            // A later save over the stale tmp commits and cleans it up.
+            let store = SnapshotStore::new();
+            let cp = load_campaign(&crash, &store).unwrap();
+            save_campaign(&crash, &store, &cp).unwrap();
+            assert_eq!(files_in(&crash), [MANIFEST]);
+            assert_eq!(loaded(&crash), want_b);
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&crash);
+        }
+    }
+
+    #[test]
+    fn every_damaged_codec_file_is_a_typed_error() {
+        // A full image, a delta image, and a small real checkpoint: every
+        // byte flip, every truncation and every section-bounds overflow
+        // is refused with a typed error, never a panic or a value.
+        let mut t = SimTarget::new(hardsnap_periph::timer().unwrap()).unwrap();
+        t.reset();
+        let base = t.save_snapshot().unwrap();
+        let mut moved = base.clone();
+        moved.cycle += 5;
+        moved.regs[0].bits ^= 1;
+        let delta = SnapshotDelta::between(&base, &moved).unwrap();
+        for (kind, clean) in [
+            ("full", write_full(&base)),
+            ("delta", write_delta(&base, &delta, "0")),
+        ] {
+            for_each_damage(&clean, |what, bad| {
+                let lazy = SnapshotFile::from_bytes(bad.to_vec()).and_then(|f| f.validate(true));
+                assert!(
+                    lazy.is_err(),
+                    "{kind} image, {what}: deep validation passed"
+                );
+                let eager = PersistedImage::from_bytes(bad);
+                assert!(eager.is_err(), "{kind} image, {what}: decoded {eager:?}");
+            });
+        }
+        let dir = tmp("damage");
+        small_checkpoint(&dir);
+        let clean = std::fs::read(dir.join(MANIFEST)).unwrap();
+        let file = parse(clean.clone()).unwrap();
+        assert!(
+            file.sections().iter().any(|s| s.tag == SectionTag::Image),
+            "the checkpoint must nest images"
+        );
+        for_each_damage(&clean, |what, bad| {
+            let got = parse(bad.to_vec()).and_then(|f| decode(&f, &SnapshotStore::new()));
+            assert!(got.is_err(), "checkpoint, {what}: decoded a checkpoint");
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn version_one_manifest_is_refused_as_bad_magic() {
-        let mut data = b"HSCAMP1\0".to_vec();
-        data.resize(64, 0);
-        match decode_manifest(&data) {
-            Err(CampaignError::Corrupt(m)) => assert_eq!(m, "bad magic"),
-            other => panic!("v1 manifest must be refused, got {:?}", other.err()),
+    fn retired_formats_are_refused_as_bad_magic() {
+        // The per-file checkpoint manifests and pack archives this
+        // codec replaced, and the monolithic image format.
+        for magic in [b"HSCAMP1\0", b"HSCAMP2\0", b"HSPACK1\0", b"HSNAPv2\0"] {
+            let mut data = magic.to_vec();
+            data.resize(64, 0);
+            match parse(data) {
+                Err(CampaignError::Persist(PersistError::BadMagic)) => {}
+                other => panic!("{magic:?} must be bad magic, got {:?}", other.err()),
+            }
         }
-    }
-
-    /// Writes a manifest whose frontier names `file` as its snapshot.
-    fn manifest_naming(dir: &Path, file: &str) {
-        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(1)).unwrap();
-        let mut ex = hardsnap_symex::Executor::new(hardsnap_symex::Concretization::Minimal);
-        let s = ex.initial_state(prog.image.clone(), prog.entry);
-        let sid = SnapId::default();
-        let cp = Checkpoint {
-            instructions: 0,
-            paths_completed: 0,
-            vtime_ns: 0,
-            quanta: 0,
-            covered: Vec::new(),
-            bugs: Vec::new(),
-            completed: Vec::new(),
-            frontier: vec![(PortableState::export(&ex.pool, &s), Some(sid))],
-        };
-        let files = HashMap::from([(sid, file.to_string())]);
-        std::fs::create_dir_all(dir).unwrap();
-        std::fs::write(dir.join(MANIFEST), encode_manifest(&cp, &files)).unwrap();
     }
 
     #[test]
-    fn load_refuses_names_that_leave_the_campaign_dir() {
-        let dir = tmp("unsafe");
-        let snap = {
-            let mut t = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
-            hardsnap_bus::HwTarget::reset(&mut t);
-            hardsnap_bus::HwTarget::save_snapshot(&mut t).unwrap()
-        };
-        let delta = hardsnap_bus::SnapshotDelta {
-            regs: Vec::new(),
-            mem_words: Vec::new(),
-            cycle: snap.cycle,
-        };
-        for bad in ["/etc/hostname", "../x", "..", "a/b"] {
-            // The manifest itself names the file.
-            manifest_naming(&dir, bad);
-            let err = load_campaign(&dir, &SnapshotStore::new()).err();
-            assert!(
-                matches!(err, Some(CampaignError::Corrupt(_))),
-                "manifest naming {bad:?}: {err:?}"
-            );
-            // A flat-named delta image whose base_ref leaves the dir.
-            std::fs::write(dir.join("snap-0.hsnap"), write_delta(&snap, &delta, bad)).unwrap();
-            manifest_naming(&dir, "snap-0.hsnap");
-            let err = load_campaign(&dir, &SnapshotStore::new()).err();
-            assert!(
-                matches!(err, Some(CampaignError::Corrupt(_))),
-                "base_ref {bad:?}: {err:?}"
-            );
+    fn resuming_on_another_design_is_a_shape_mismatch() {
+        let dir = tmp("shape");
+        small_checkpoint(&dir);
+        let timer = SimTarget::new(hardsnap_periph::timer().unwrap()).unwrap();
+        let mut engine = Engine::new(
+            Box::new(timer),
+            EngineConfig {
+                mode: ConsistencyMode::HardSnap,
+                ..EngineConfig::default()
+            },
+        );
+        match resume_campaign(&dir, &mut engine) {
+            Err(CampaignError::Persist(PersistError::ShapeMismatch { .. })) => {}
+            Err(e) => panic!("expected a shape mismatch, got {e}"),
+            Ok(()) => panic!("a SoC checkpoint resumed on the timer design"),
         }
+        assert!(engine.store.is_empty(), "refused before any image loaded");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

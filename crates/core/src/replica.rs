@@ -15,8 +15,8 @@
 //!   loads only the sections that actually diverged — O(changed), the
 //!   PR 6 property, applied to pool refill.
 //! * [`synthesize_baseline`] — capture the target's post-reset state
-//!   into a TLV image, for daemons started without an explicit
-//!   `--baseline` (and for seeding archives that travel to other hosts).
+//!   into a full image file, for daemons started without an explicit
+//!   `--baseline`.
 
 use hardsnap_bus::persist::{write_full, PersistError, PersistMeta, SnapshotFile};
 use hardsnap_bus::{HwTarget, LazyRestore, TargetError};

@@ -8,8 +8,10 @@
 //! `submit` → admission check (pool + bounded queue) → journal
 //! `jobs/<id>/job.json` (crash-atomic, **before** the ack) → `Queued` →
 //! scheduler grants `workers` replicas → `Running` (leg loop in
-//! [`crate::runner`], checkpointing `jobs/<id>/checkpoint/` every leg)
-//! → terminal verdict → `result.json` (crash-atomic) → `Done`.
+//! [`crate::runner`], re-committing the one-file checkpoint
+//! `jobs/<id>/checkpoint/campaign.hscamp` every leg) → terminal verdict
+//! → `result.json` (crash-atomic) → `Done`. A queued job cancelled
+//! before it seats takes the same terminal commit.
 //!
 //! ## Scheduling
 //!
@@ -50,7 +52,9 @@
 //! * a job with `job.json` but no `result.json` is re-enqueued on
 //!   restart and resumes from its last checkpointed leg;
 //! * a job with `result.json` is terminal and is reported as-is;
-//! * a half-written anything cannot exist (tmp + rename + fsync).
+//! * a half-written anything cannot exist: every durable file goes
+//!   through [`write_atomic`] (tmp + fsync + rename), and a checkpoint
+//!   is one file, so a crash mid-save leaves the previous leg whole.
 //!
 //! Because the leg runner re-derives all progress from the checkpoint,
 //! a recovered campaign finishes with a canonical digest bit-identical
@@ -62,8 +66,9 @@ use crate::job::{DaemonStats, JobSpec, JobState, JobSummary, Verdict, MAX_LANE};
 use crate::pool::{PoolConfig, WarmPool};
 use crate::proto::{read_line, write_line, Request, Response};
 use crate::runner::{self, ReplicaSource};
-use crate::{digest_hex, write_atomic, ServeError};
+use crate::{digest_hex, ServeError};
 use hardsnap::{CancelToken, StopReason};
+use hardsnap_bus::persist::write_atomic;
 use hardsnap_telemetry::{
     prometheus_text, Counter, FlightRecorder, Metric, MetricsSnapshot, Recorder,
 };
@@ -358,7 +363,7 @@ impl Daemon {
     /// recorded in the `serve.journal_fsync_us` histogram.
     fn journal_write(&self, path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
         let t0 = Instant::now();
-        let r = write_atomic(path, bytes);
+        let r = write_atomic(path, bytes).map_err(ServeError::from);
         self.rec
             .observe(Metric::ServeJournalFsyncUs, t0.elapsed().as_micros() as u64);
         r
@@ -667,9 +672,7 @@ impl Daemon {
             } else {
                 Some(job.telemetry.clone())
             };
-            let mut summary = job.summary(id);
-            summary.state = JobState::Done;
-            (summary, telemetry)
+            (job.summary(id), telemetry)
         };
         // Per-job observability artifacts land before the terminal
         // commit: if the daemon dies between them, the re-run rewrites
@@ -678,14 +681,22 @@ impl Daemon {
             let _ = write_atomic(&dir.join("metrics.json"), t.metrics_json().as_bytes());
             let _ = write_atomic(&dir.join("trace.json"), t.chrome_trace_json().as_bytes());
         }
-        // Terminal commit point: result.json lands crash-atomically;
-        // until it exists, a restart re-runs the job from its checkpoint.
+        // Until result.json exists, a restart re-runs the job from its
+        // checkpoint.
+        self.commit_terminal(id, summary);
+        self.schedule();
+    }
+
+    /// The terminal commit, in this order: `result.json` lands
+    /// crash-atomically, then the job turns `Done` in memory, then
+    /// `Terminal` is published. Whoever observes `Done` (`status`,
+    /// `wait`, [`Daemon::wait_idle`], a restart) finds `result.json`.
+    fn commit_terminal(&self, id: u64, mut summary: JobSummary) {
+        summary.state = JobState::Done;
         let _ = self.journal_write(
-            &dir.join("result.json"),
+            &self.job_dir(id).join("result.json"),
             summary.to_value().to_json().as_bytes(),
         );
-        // Only now is the job terminal in memory: whoever observes
-        // `Done` (status, wait_idle, a restart test) finds result.json.
         self.inner.lock().unwrap().jobs.get_mut(&id).unwrap().state = JobState::Done;
         self.emit(EventBody::Terminal {
             id,
@@ -703,7 +714,6 @@ impl Daemon {
                 .unwrap_or(1),
         });
         self.changed.notify_all();
-        self.schedule();
     }
 
     /// Cooperatively cancels a job. Queued jobs terminalize
@@ -726,8 +736,10 @@ impl Daemon {
                     self.rec.count(Counter::JobsCancelled);
                     return Ok(());
                 }
+                // A verdict on a queued job means a cancel is already
+                // committing it.
+                JobState::Queued if job.verdict.is_some() => return Ok(()),
                 JobState::Queued => {
-                    job.state = JobState::Done;
                     job.verdict = Some(Verdict::Cancelled);
                     job.queue_wait_ms = job.submitted_at.elapsed().as_millis() as u64;
                     let summary = job.summary(id);
@@ -737,18 +749,7 @@ impl Daemon {
                 }
             }
         };
-        let _ = self.journal_write(
-            &self.job_dir(id).join("result.json"),
-            summary.to_value().to_json().as_bytes(),
-        );
-        self.emit(EventBody::Terminal {
-            id,
-            verdict: Verdict::Cancelled.as_str().to_string(),
-            stop: None,
-            digest: None,
-            exit_code: u64::from(Verdict::Cancelled.exit_code()),
-        });
-        self.changed.notify_all();
+        self.commit_terminal(id, summary);
         Ok(())
     }
 
@@ -975,14 +976,13 @@ impl Daemon {
         });
     }
 
-    /// Blocks until no job is queued or running (test / drain helper),
-    /// or the timeout elapses. Returns `true` when idle.
+    /// Blocks until every job is `Done` (test / drain helper), or the
+    /// timeout elapses. Returns `true` when idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut g = self.inner.lock().unwrap();
         loop {
-            let busy = !g.queue.is_empty() || g.jobs.values().any(|j| j.state == JobState::Running);
-            if !busy {
+            if g.jobs.values().all(|j| j.state == JobState::Done) {
                 return true;
             }
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
@@ -1332,6 +1332,58 @@ mod tests {
             Some(&done_digest),
             "recovered run must digest identically to an uninterrupted one"
         );
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    #[test]
+    fn cancelling_a_queued_job_commits_result_json_before_done() {
+        let state = tmp("cancel-queued");
+        let cfg = DaemonConfig {
+            state_dir: state.clone(),
+            pool_replicas: 1,
+            queue_max: 8,
+            ..DaemonConfig::default()
+        };
+        let d1 = Daemon::new(cfg.clone()).unwrap();
+        // A long job holds the only replica, so the next one queues.
+        let mut long = demo("hold");
+        long.firmware = "demo:6".into();
+        long.leg_instructions = 16;
+        let hold = d1.submit(long).unwrap();
+        let queued = d1.submit(demo("queued")).unwrap();
+        assert_eq!(d1.status(Some(queued))[0].state, JobState::Queued);
+        // An observer that sees `Done` must find result.json.
+        let result = d1.job_dir(queued).join("result.json");
+        let watcher = {
+            let (d, result) = (Arc::clone(&d1), result.clone());
+            std::thread::spawn(move || {
+                while d.status(Some(queued))[0].state != JobState::Done {
+                    std::hint::spin_loop();
+                }
+                assert!(result.exists(), "Done published before result.json");
+            })
+        };
+        d1.cancel(queued).unwrap();
+        watcher.join().unwrap();
+        let on_disk =
+            JobSummary::from_value(&parse(&std::fs::read_to_string(&result).unwrap()).unwrap())
+                .unwrap();
+        assert_eq!(on_disk.verdict, Some(Verdict::Cancelled));
+        assert_eq!(on_disk.verdict.unwrap().exit_code(), 4);
+        d1.cancel(hold).unwrap();
+        assert!(d1.wait_idle(Duration::from_secs(60)));
+        drop(d1);
+
+        // A restart keeps the job cancelled and never runs it.
+        let d2 = Daemon::new(cfg).unwrap();
+        assert_eq!(d2.recover().unwrap(), 0, "nothing to re-enqueue");
+        assert!(d2.wait_idle(Duration::from_secs(60)));
+        let s = &d2.status(Some(queued))[0];
+        assert_eq!(
+            (s.state.clone(), s.verdict.clone()),
+            (JobState::Done, Some(Verdict::Cancelled))
+        );
+        assert!(!d2.job_dir(queued).join("checkpoint").exists());
         let _ = std::fs::remove_dir_all(&state);
     }
 

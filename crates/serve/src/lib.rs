@@ -19,10 +19,11 @@
 //!   dropped or unboundedly queued.
 //! * **Crash safety** — every accepted job is journaled to the state
 //!   directory before it is acknowledged, and every leg of progress is
-//!   checkpointed with the crash-atomic campaign format
-//!   (tmp + rename + fsync). `kill -9` the daemon at any instant,
-//!   restart it, and every in-flight campaign resumes and finishes with
-//!   a canonical digest **bit-identical** to an uninterrupted run.
+//!   checkpointed as one campaign file committed by
+//!   [`hardsnap_bus::persist::write_atomic`] (tmp + fsync + rename).
+//!   `kill -9` the daemon at any instant, restart it, and every
+//!   in-flight campaign resumes and finishes with a canonical digest
+//!   **bit-identical** to an uninterrupted run.
 //! * **Flaky-run detection** — a completed job can be re-executed
 //!   `repeat` times with re-seeded fault plans on its own replica
 //!   allocation; digest divergence is reported as `flaky` (with the
@@ -54,7 +55,6 @@ pub use proto::{Request, Response};
 pub use runner::ReplicaSource;
 
 use std::fmt;
-use std::path::Path;
 
 /// Errors from the campaign service, client or daemon side.
 #[derive(Debug)]
@@ -88,26 +88,10 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Writes `bytes` to `path` crash-atomically (tmp sibling + fsync +
-/// rename + directory fsync), the same discipline as campaign
-/// checkpoints: a crash leaves the old file or the complete new one,
-/// never a torn hybrid.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| ServeError::Io(format!("{}: {e}", path.display()));
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io)?;
-        f.write_all(bytes).map_err(io)?;
-        f.sync_all().map_err(io)?;
+impl From<hardsnap_bus::PersistError> for ServeError {
+    fn from(e: hardsnap_bus::PersistError) -> Self {
+        ServeError::Io(e.to_string())
     }
-    std::fs::rename(&tmp, path).map_err(io)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 /// Formats a 64-bit digest for the wire (hex string, exact — JSON

@@ -28,9 +28,9 @@
 //! Arming checks it against the prototype's live shape *before* any
 //! payload I/O; a baseline from a different design disables the pool
 //! (every lease then misses and jobs cold-boot — correctness never
-//! depends on the pool). An operator can point `--baseline` at a
-//! snapshot unpacked from a `hardsnap-cli snapshot pack` archive, which
-//! performs the same gate at transfer time.
+//! depends on the pool). `--baseline` takes a full image file; since
+//! leases fork power-on replicas whatever the baseline, it sets where
+//! re-arming starts, never what a job computes.
 
 use crate::ServeError;
 use hardsnap::replica::arm_baseline;

@@ -4,11 +4,11 @@
 //! A job never runs as one monolithic engine invocation. It runs as a
 //! sequence of **legs**: each leg is a fresh engine (fresh replica
 //! allocation) that resumes the job's campaign checkpoint, executes at
-//! most `leg_instructions` more instructions, and re-checkpoints with
-//! the crash-atomic campaign format. The checkpoint directory is
-//! therefore *always* within one leg of the job's true progress — a
-//! `kill -9` of the daemon loses at most one leg, and the restart path
-//! is the same code path as an ordinary leg boundary. Budgets (virtual
+//! most `leg_instructions` more instructions, and re-commits the
+//! checkpoint — one file, one atomic rename. The checkpoint is
+//! therefore *always* one whole leg of the job's progress — a `kill -9`
+//! of the daemon loses at most one leg, and the restart path is the
+//! same code path as an ordinary leg boundary. Budgets (virtual
 //! time, quanta, wall-clock, instructions) and the cancel token are
 //! enforced by the engine *between quanta*, so every stop — including a
 //! watchdog cancellation — leaves a valid partial result and a
@@ -381,7 +381,16 @@ mod tests {
         let cancel = CancelToken::new();
         let mut legged_vtime = 0;
         let legged = run_job(&demo_spec(), &dir, &cancel, false, &mut |r| {
-            legged_vtime = r.hw_virtual_time_ns
+            legged_vtime = r.hw_virtual_time_ns;
+            let files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(
+                files,
+                [MANIFEST],
+                "a checkpoint is one file after every leg"
+            );
         })
         .unwrap();
         assert_eq!(legged.verdict, Verdict::Completed);

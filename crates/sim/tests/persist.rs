@@ -1,11 +1,12 @@
 //! Property: the TLV snapshot container round-trips captures of
 //! randomly generated designs bit-exactly — full images and delta
 //! images both decode to exactly what was encoded and re-encode to the
-//! same bytes — and any single-byte corruption anywhere in an image
-//! surfaces as a typed [`hardsnap_bus::PersistError`], never a panic
-//! and never a silently different snapshot.
+//! same bytes — and any damage to an image (a flipped byte, a
+//! truncation, an overflowing section bound) surfaces as a typed
+//! [`hardsnap_bus::PersistError`], never a panic and never a silently
+//! different snapshot.
 
-use hardsnap_bus::persist::{write_delta, write_full};
+use hardsnap_bus::persist::{for_each_damage, write_delta, write_full};
 use hardsnap_bus::{PersistedImage, SnapshotDelta, SnapshotFile};
 use hardsnap_rtl::{Module, PortDir};
 use hardsnap_sim::{SimEngine, Simulator, SnapshotTracker};
@@ -107,28 +108,24 @@ fn images_round_trip_bit_exactly_on_random_designs() {
 
 #[test]
 fn any_single_byte_flip_is_a_typed_error() {
-    // One representative design; every byte position of both image
-    // kinds corrupted in turn. Cheap decode checks (header/table
+    // One representative design; both image kinds run through the
+    // codec's damage generator (every byte flipped, every truncation,
+    // every section-bounds overflow). Cheap decode checks (header/table
     // checksums) may reject immediately; anything they admit must fail
-    // deep validation or materialization — no flip may yield a usable,
-    // silently different snapshot.
+    // deep validation or materialization — no damage may yield a
+    // usable, silently different snapshot.
     let (base, new) = capture_pair(0xC0_44E7);
     let delta = SnapshotDelta::between(&base, &new).unwrap();
     for (kind, clean) in [
         ("full", write_full(&base)),
         ("delta", write_delta(&base, &delta, "base.hsnap")),
     ] {
-        for pos in 0..clean.len() {
-            let mut bad = clean.clone();
-            bad[pos] ^= 0x41;
-            let caught = match SnapshotFile::from_bytes(bad) {
+        for_each_damage(&clean, |what, bad| {
+            let caught = match SnapshotFile::from_bytes(bad.to_vec()) {
                 Err(_) => true,
                 Ok(f) => f.validate(true).is_err() || f.materialize().is_err(),
             };
-            assert!(
-                caught,
-                "{kind} image: flipping byte {pos} went completely undetected"
-            );
-        }
+            assert!(caught, "{kind} image, {what}: went completely undetected");
+        });
     }
 }

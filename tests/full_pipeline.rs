@@ -291,8 +291,12 @@ fn soc_snapshot_persists_through_bytes() {
         .unwrap();
     t.step(13);
     let snap = t.save_snapshot().unwrap();
-    let bytes = snap.to_bytes();
-    let restored = hardsnap_bus::HwSnapshot::from_bytes(&bytes).unwrap();
+    let bytes = hardsnap_bus::persist::write_full(&snap);
+    let hardsnap_bus::PersistedImage::Full(restored) =
+        hardsnap_bus::PersistedImage::from_bytes(&bytes).unwrap()
+    else {
+        panic!("a full image must decode as one");
+    };
     assert_eq!(restored, snap);
     // A fresh target accepts the deserialized image.
     let mut t2 = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();

@@ -4,7 +4,8 @@
 //! save/restore idempotence on the real SoC. All stimulus derives from
 //! fixed seeds; a failure prints the case seed to reproduce it.
 
-use hardsnap_bus::{HwSnapshot, HwTarget, MemImage, RegImage};
+use hardsnap_bus::persist::write_full;
+use hardsnap_bus::{HwSnapshot, HwTarget, MemImage, PersistedImage, RegImage};
 use hardsnap_scan::{ChainMap, ChainSegment};
 use hardsnap_sim::SimTarget;
 use hardsnap_util::prop::{any, from_fn, vec_of};
@@ -84,10 +85,14 @@ fn snapshot_bytes_roundtrip() {
                     .collect(),
                 mems: vec![MemImage { name: "m".into(), width: 64, words: words.clone() }],
             };
-            let bytes = snap.to_bytes();
-            assert_eq!(bytes.len(), snap.byte_size());
-            let back = HwSnapshot::from_bytes(&bytes).unwrap();
-            assert_eq!(back, snap);
+            let bytes = write_full(&snap);
+            // The image is the cost-model size plus section framing:
+            // 120 bytes, and 40 per memory section.
+            assert_eq!(bytes.len(), snap.byte_size() + 120 + 40 * snap.mems.len());
+            match PersistedImage::from_bytes(&bytes).unwrap() {
+                PersistedImage::Full(back) => assert_eq!(back, snap),
+                other => panic!("full image decoded as {other:?}"),
+            }
         }
     );
 }
@@ -247,7 +252,7 @@ fn same_seed_same_snapshot_image() {
             }
             t.step(rng.gen_range(0..50));
         }
-        t.save_snapshot().unwrap().to_bytes()
+        write_full(&t.save_snapshot().unwrap())
     }
     let a = seeded_run(0xD57E_2141_57);
     let b = seeded_run(0xD57E_2141_57);
