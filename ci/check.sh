@@ -329,14 +329,25 @@ run_burst() { # state-dir, sched policy, summary-out; leaves no daemon
     "$SERVE" --state-dir "$dir" --socket "$sock" --pool 2 --queue-max 16 \
         --sched "$policy" --aging-ms 400 --warm-pool 2 >> "$SERVE_LOG" 2>&1 &
     SERVE_PID=$!
-    # Let the pool arm so the burst actually exercises warm leases.
-    # Poll output is buffered to a file: grep -q on a live pipe exits
-    # on first match and would SIGPIPE the CLI mid-print.
+    # Wait until both prototypes are built: from then on every seat in
+    # the burst leases one, because at most 2 jobs run and a job returns
+    # its lease before it frees its replicas. Poll output is buffered
+    # to a file: grep -q on a live pipe exits on first match and would
+    # SIGPIPE the CLI mid-print.
+    local warm=""
     for _ in $(seq 1 500); do
         "$CLI" status --socket "$sock" > "$dir/poll.txt" 2>/dev/null || true
-        grep -Eq 'warm [1-2]/2' "$dir/poll.txt" && break
+        if grep -q 'warm 2/2' "$dir/poll.txt"; then
+            warm=1
+            break
+        fi
         sleep 0.01
     done
+    if [ -z "$warm" ]; then
+        echo "warm pool never reached 2/2 ready under $policy:"
+        cat "$dir/poll.txt"
+        exit 1
+    fi
     local hold wide id
     hold=$("$CLI" submit demo:6 --socket "$sock" --name hold \
         --leg-instructions 64 | awk '{print $3}')
@@ -382,8 +393,17 @@ if ! cmp -s target/sched.fifo.digests target/sched.lanes.digests; then
     diff target/sched.fifo.digests target/sched.lanes.digests || true
     exit 1
 fi
-# The warm pool actually served the burst (pool-hit provenance), and
-# the new pool/lane telemetry fields are present and well-formed.
+# The warm pool served every seat of both bursts: 7 pool hits and no
+# miss (a zero counter is omitted from the snapshot). The lane/pool
+# telemetry fields are present and well-formed.
+for policy in fifo lanes; do
+    m="target/sched.$policy.txt.metrics.json"
+    if ! grep -q '"serve\.pool_hits": *7[,}]' "$m" || grep -q '"serve\.pool_misses"' "$m"; then
+        echo "$policy burst did not lease a warm prototype for each of its 7 jobs:"
+        grep -o '"serve\.pool_[a-z]*": *[0-9]*' "$m" || true
+        exit 1
+    fi
+done
 grep -q ' warm ' target/sched.lanes.txt || {
     echo "no job reported warm-pool provenance"
     exit 1
@@ -395,7 +415,7 @@ for field in 'serve\.pool_' 'serve\.queue_wait_ms\.lane' 'serve\.warm_target'; d
         exit 1
     }
 done
-echo "    lanes narrow wait $lanes_wait ms < fifo $fifo_wait ms, digests identical, warm pool + lane telemetry OK"
+echo "    lanes narrow wait $lanes_wait ms < fifo $fifo_wait ms, digests identical, 7/7 warm leases per burst, lane telemetry OK"
 
 echo "==> benchmark: its own tests, then a smoke run of all four workloads"
 # The benchmark is a separate package compiled against the crates'

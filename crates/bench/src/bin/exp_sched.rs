@@ -6,12 +6,12 @@
 //! needs. Three phases:
 //!
 //! 1. **Warm start**: the same tiny job runs through the job runner
-//!    from a cold boot (parse + elaborate + compile the SoC) and from
-//!    a warm armed prototype (`fork_clean`, exactly what the daemon's
-//!    pool hands out); wall time to the terminal leg is the
-//!    time-to-first-quantum proxy (the job itself is tiny, so replica
-//!    acquisition dominates). The warm run must be at least 5x faster
-//!    and digest bit-identically.
+//!    cold (it builds its own prototype: parse + elaborate + compile
+//!    the SoC) and warm (it forks a pre-built prototype, exactly what
+//!    the daemon's pool leases out); wall time to the terminal leg is
+//!    the time-to-first-quantum proxy (the job itself is tiny, so
+//!    replica acquisition dominates). The warm run must be at least 5x
+//!    faster and digest bit-identically.
 //! 2. **Narrow behind wide**: one long job holds a replica, a
 //!    2-worker wide job heads the queue, then a burst of narrow jobs
 //!    lands behind it. Under strict FIFO the unseatable wide head
@@ -25,12 +25,9 @@
 //!
 //! Usage: `exp_sched [--smoke] [--json PATH]`.
 
-use hardsnap::CancelToken;
+use hardsnap::{CancelToken, HwTarget};
 use hardsnap_bench::{banner, row};
-use hardsnap_serve::{
-    runner, Daemon, DaemonConfig, JobSpec, JobState, ReplicaSource, SchedPolicy, Verdict,
-};
-use hardsnap_sim::{SimEngine, SimTarget};
+use hardsnap_serve::{runner, Daemon, DaemonConfig, JobSpec, JobState, SchedPolicy, Verdict};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -60,24 +57,17 @@ struct WarmStart {
 }
 
 /// Phase 1: min-of-N wall time for the runner to take a tiny job to
-/// its terminal leg, cold boot vs warm fork. The warm side forks from
-/// an armed prototype — the very object a daemon pool lease wraps —
-/// so the delta is precisely what `--warm-pool` buys per job.
+/// its terminal leg, cold build vs warm fork. The cold side times the
+/// prototype build inside the job; the warm side forks a pre-built
+/// prototype — the very object a daemon pool lease wraps — so the delta
+/// is precisely what `--warm-pool` buys per job.
 fn phase_warm_start(k: u32, trials: usize) -> WarmStart {
-    let proto = SimTarget::with_engine(hardsnap_periph::soc().expect("soc"), SimEngine::Bytecode)
-        .expect("prototype");
+    let proto = runner::build_prototype().expect("prototype");
     let spec = demo_spec("ttfq", k, 0);
-    let run = |source: &ReplicaSource<'_>, dir: &std::path::Path| {
+    let run = |proto: Option<&dyn HwTarget>, dir: &std::path::Path| {
         let t0 = Instant::now();
-        let out = runner::run_job_with_source(
-            &spec,
-            dir,
-            &CancelToken::new(),
-            false,
-            source,
-            &mut |_| {},
-        )
-        .expect("run");
+        let out = runner::run_job(&spec, dir, &CancelToken::new(), false, proto, &mut |_| {})
+            .expect("run");
         assert_eq!(out.verdict, Verdict::Completed);
         (t0.elapsed().as_micros() as u64, out.digest)
     };
@@ -85,11 +75,8 @@ fn phase_warm_start(k: u32, trials: usize) -> WarmStart {
     let mut warm_us = u64::MAX;
     let mut digests_match = true;
     for t in 0..trials {
-        let (c_us, c_digest) = run(&ReplicaSource::Cold, &tmp(&format!("ttfq-cold-{t}")));
-        let (w_us, w_digest) = run(
-            &ReplicaSource::Warm(&proto),
-            &tmp(&format!("ttfq-warm-{t}")),
-        );
+        let (c_us, c_digest) = run(None, &tmp(&format!("ttfq-cold-{t}")));
+        let (w_us, w_digest) = run(Some(proto.as_ref()), &tmp(&format!("ttfq-warm-{t}")));
         cold_us = cold_us.min(c_us);
         warm_us = warm_us.min(w_us);
         digests_match &= c_digest == w_digest;

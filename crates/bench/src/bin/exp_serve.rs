@@ -56,7 +56,7 @@ fn demo_spec(name: &str, k: u32, leg: u64) -> JobSpec {
 /// canonical digest.
 fn reference_digest(spec: &JobSpec, tag: &str) -> u64 {
     let dir = tmp(&format!("ref-{tag}"));
-    let out = runner::run_job(spec, &dir, &CancelToken::new(), false, &mut |_| {})
+    let out = runner::run_job(spec, &dir, &CancelToken::new(), false, None, &mut |_| {})
         .expect("reference run");
     assert_eq!(out.verdict, Verdict::Completed, "reference must complete");
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,7 +160,7 @@ fn phase_over_budget(k: u32, reference: u64) -> OverBudget {
     let dir = tmp("over-budget");
     let mut spec = demo_spec("tight", k, 128);
     spec.max_vtime_ns = 50_000; // a handful of quanta
-    let out = runner::run_job(&spec, &dir, &CancelToken::new(), false, &mut |_| {})
+    let out = runner::run_job(&spec, &dir, &CancelToken::new(), false, None, &mut |_| {})
         .expect("budgeted run");
     let Verdict::OverBudget(stop) = out.verdict else {
         panic!("expected OverBudget, got {:?}", out.verdict);
@@ -168,8 +168,8 @@ fn phase_over_budget(k: u32, reference: u64) -> OverBudget {
     // The cancelled-at-quantum-boundary checkpoint must resume under a
     // raised budget to the exact uninterrupted digest.
     spec.max_vtime_ns = 0;
-    let resumed =
-        runner::run_job(&spec, &dir, &CancelToken::new(), false, &mut |_| {}).expect("resumed run");
+    let resumed = runner::run_job(&spec, &dir, &CancelToken::new(), false, None, &mut |_| {})
+        .expect("resumed run");
     assert_eq!(resumed.verdict, Verdict::Completed);
     let _ = std::fs::remove_dir_all(&dir);
     OverBudget {

@@ -41,11 +41,11 @@ fn main() -> ExitCode {
     // 4 cancelled/over-budget), so they dispatch before the plain
     // ok/fail commands.
     if let Some(
-        cmd @ ("serve" | "submit" | "status" | "cancel" | "wait" | "metrics" | "subscribe"
-        | "dump-flight" | "top"),
+        cmd @ ("submit" | "status" | "cancel" | "wait" | "metrics" | "subscribe" | "dump-flight"
+        | "top"),
     ) = args.first().map(String::as_str)
     {
-        return match cmd_serve_family(cmd, &args[1..]) {
+        return match cmd_service(cmd, &args[1..]) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -137,17 +137,9 @@ USAGE:
       for a checkpoint deep-validates every nested image.
   hardsnap-cli soc-stats
       Print statistics of the built-in 4-peripheral SoC.
-  hardsnap-cli serve [--state-dir DIR] [--socket PATH] [--pool N] [--queue-max N]
-                     [--warm-pool N] [--baseline FILE] [--sched fifo|lanes]
-                     [--aging-ms MS]
-      Run the campaign daemon: many concurrent jobs over a bounded pool
-      of target replicas, with hard budgets, admission control and
-      crash-safe resume (kill -9 + restart loses nothing).
-      --warm-pool N keeps N pre-built replicas armed against a baseline
-      snapshot (--baseline FILE, a full image file; without it one is
-      synthesized at start) so jobs skip the cold
-      boot. --sched lanes (default) schedules by priority lane with
-      aging and packing; --sched fifo is strict admission order.
+
+  The campaign-service verbs below talk to a running `hardsnap-serve`
+  daemon (see `hardsnap-serve --help`) over its unix socket.
   hardsnap-cli submit <firmware> [--socket PATH] [--name S] [--workers N]
                       [--priority 0..7] [--fault-rate R] [--fault-seed N]
                       [--repeat N] [--max-instructions N] [--max-vtime-ns N]
@@ -727,11 +719,10 @@ fn serve_error_code(e: &hardsnap_serve::ServeError) -> ExitCode {
     }
 }
 
-fn cmd_serve_family(cmd: &str, args: &[String]) -> ServeResult {
+fn cmd_service(cmd: &str, args: &[String]) -> ServeResult {
     let proto = |m: String| hardsnap_serve::ServeError::Protocol(m);
     let (pos, flags) = parse_flags(args).map_err(|e| proto(format!("{cmd}: {e}")))?;
     match cmd {
-        "serve" => cmd_serve(&flags),
         "submit" => cmd_submit(&pos, &flags),
         "status" => cmd_status(&pos, &flags),
         "cancel" => cmd_cancel(&pos, &flags),
@@ -750,55 +741,6 @@ fn serve_socket(flags: &[(&str, &str)]) -> std::path::PathBuf {
 
 fn connect(flags: &[(&str, &str)]) -> Result<hardsnap_serve::Client, hardsnap_serve::ServeError> {
     hardsnap_serve::Client::connect_retry(&serve_socket(flags), std::time::Duration::from_secs(5))
-}
-
-/// Runs the daemon in-process (same engine as the `hardsnap-serve`
-/// binary): recover, watchdog, unix-socket loop until `shutdown`.
-fn cmd_serve(flags: &[(&str, &str)]) -> ServeResult {
-    use hardsnap_serve::{Daemon, DaemonConfig, SchedPolicy, ServeError};
-    let bad = |m: String| ServeError::Protocol(m);
-    let mut cfg = DaemonConfig::default();
-    if let Some(d) = flag(flags, "state-dir") {
-        cfg.state_dir = std::path::PathBuf::from(d);
-    }
-    if let Some(n) = flag(flags, "pool") {
-        cfg.pool_replicas = n.parse().map_err(|_| bad(format!("bad --pool '{n}'")))?;
-    }
-    if let Some(n) = flag(flags, "queue-max") {
-        cfg.queue_max = n
-            .parse()
-            .map_err(|_| bad(format!("bad --queue-max '{n}'")))?;
-    }
-    if let Some(n) = flag(flags, "warm-pool") {
-        cfg.warm_pool = n
-            .parse()
-            .map_err(|_| bad(format!("bad --warm-pool '{n}'")))?;
-    }
-    if let Some(p) = flag(flags, "baseline") {
-        cfg.baseline = Some(std::path::PathBuf::from(p));
-    }
-    if let Some(s) = flag(flags, "sched") {
-        cfg.sched = SchedPolicy::parse(s)
-            .ok_or_else(|| bad(format!("bad --sched '{s}' (want fifo|lanes)")))?;
-    }
-    if let Some(n) = flag(flags, "aging-ms") {
-        cfg.aging_ms = n
-            .parse()
-            .map_err(|_| bad(format!("bad --aging-ms '{n}'")))?;
-    }
-    let socket = flag(flags, "socket")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| cfg.state_dir.join("serve.sock"));
-    let daemon = Daemon::new(cfg)?;
-    let resumed = daemon.recover()?;
-    if resumed > 0 {
-        eprintln!("serve: resumed {resumed} unfinished job(s)");
-    }
-    daemon.spawn_watchdog(std::time::Duration::from_millis(50));
-    eprintln!("serve: listening on {}", socket.display());
-    daemon.serve_unix(&socket)?;
-    daemon.wait_idle(std::time::Duration::from_millis(500));
-    Ok(ExitCode::SUCCESS)
 }
 
 fn parse_job_spec(
@@ -881,7 +823,7 @@ fn print_summary(s: &hardsnap_serve::JobSummary) {
 fn daemon_header(d: &hardsnap_serve::DaemonStats) -> String {
     let warm = if d.warm_target > 0 {
         format!(
-            "  warm {}/{} ready (+{} arming)",
+            "  warm {}/{} ready (+{} building)",
             d.warm_ready, d.warm_target, d.warm_arming
         )
     } else {
@@ -1150,7 +1092,7 @@ fn cmd_top(flags: &[(&str, &str)]) -> ServeResult {
             if d.warm_target > 0 {
                 let ready = d.warm_ready * 1000 / d.warm_target;
                 screen.push_str(&format!(
-                    "warm {} {:>3}%   {} ready / {} leased / {} arming of {}\n",
+                    "warm {} {:>3}%   {} ready / {} leased / {} building of {}\n",
                     bar20(ready),
                     ready / 10,
                     d.warm_ready,

@@ -176,8 +176,8 @@ pub enum PersistError {
         detail: String,
     },
     /// The file's design shape does not match the consumer's — e.g. a
-    /// warm-pool baseline or a campaign checkpoint from a different
-    /// design, rejected before any section payload is used.
+    /// campaign checkpoint from a different design, rejected before any
+    /// section payload is used.
     ShapeMismatch {
         /// Shape hash recorded in the file.
         expected: u64,
@@ -250,8 +250,8 @@ pub struct PersistMeta {
 impl PersistMeta {
     /// Rejects a file whose design shape differs from the consumer's.
     ///
-    /// This is the cheap admission gate used before restoring a warm-pool
-    /// baseline or resuming a checkpoint: the META section decides
+    /// This is the cheap admission gate used before resuming a
+    /// checkpoint: the META section decides
     /// compatibility without reading a single state payload. A
     /// `live_shape` of 0 means the consumer cannot fingerprint its own
     /// shape (the [`crate::HwTarget::snapshot_shape`] "unknown" value);

@@ -19,6 +19,10 @@
 //!   hardware), which swap only the context-switch step (one worker);
 //! * attempt/replay recovery from transport faults, with quarantine and
 //!   failover of replicas ([`supervise`]);
+//! * one way to make a replica: every extra worker, every rebuild of a
+//!   quarantined one and every replica of a served job is a
+//!   [`HwTarget::fork_clean`] — a power-on copy sharing the parent's
+//!   compiled design, whatever state the parent is in;
 //! * campaign checkpoints that resume in a fresh process ([`campaign`]);
 //! * multi-target orchestration ([`Engine::switch_target`]) between the
 //!   simulator and FPGA platforms;
@@ -52,7 +56,6 @@
 pub mod campaign;
 pub mod engine;
 pub mod firmware;
-pub mod replica;
 pub mod snapshots;
 pub mod supervise;
 mod worker;
@@ -64,7 +67,6 @@ pub use engine::{
     CancelToken, ConsistencyMode, Engine, EngineConfig, EngineMetrics, HwAssertion, IoOp,
     ParallelEngine, RunResult, Searcher, StopReason,
 };
-pub use replica::{arm_baseline, synthesize_baseline, ReplicaError};
 pub use snapshots::{PersistEntry, SnapId, SnapshotStore, StoreStats};
 pub use supervise::{FaultSummary, RetryPolicy, Supervisor};
 

@@ -1191,10 +1191,24 @@ mod tests {
     fn fork_clean_replicates_the_fabric() {
         use hardsnap_bus::map::soc as m;
         let mut t = fpga();
+        // Dirty the parent: bus write, step, save, step, restore.
         t.bus_write(m::TIMER_BASE + regs::timer::LOAD, 77).unwrap();
+        t.step(5);
+        let saved = t.save_snapshot().unwrap();
+        t.step(5);
+        t.restore_snapshot(&saved).unwrap();
         let mut r = t.fork_clean().unwrap();
         assert_eq!(r.cycle(), 0, "replica starts at power-on");
+        // It captures exactly what a cold-built fabric does, before and
+        // after reset.
+        let mut fresh =
+            FpgaTarget::new(hardsnap_periph::soc().unwrap(), &FpgaOptions::default()).unwrap();
+        let first = r.save_snapshot().unwrap();
+        assert_eq!(first, fresh.save_snapshot().unwrap());
         r.reset();
+        fresh.reset();
+        let first = r.save_snapshot().unwrap();
+        assert_eq!(first, fresh.save_snapshot().unwrap());
         assert_eq!(
             r.bus_read(m::TIMER_BASE + regs::timer::VALUE).unwrap(),
             0,

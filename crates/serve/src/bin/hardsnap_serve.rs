@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hardsnap-serve [--state-dir DIR] [--socket PATH] [--pool N]
-//!                [--queue-max N] [--warm-pool N] [--baseline FILE]
+//!                [--queue-max N] [--warm-pool N]
 //!                [--sched fifo|lanes] [--aging-ms MS]
 //!                [--metrics-addr HOST:PORT] [--no-observe] [--stdio]
 //! ```
@@ -17,9 +17,8 @@
 //! dumps its flight recorder to `<state-dir>/flight.json` before
 //! winding down.
 //!
-//! `--warm-pool N` keeps N pre-built replicas armed against a baseline
-//! snapshot (`--baseline FILE`, or one synthesized at start) so jobs
-//! start by forking a warm prototype instead of cold-booting the SoC.
+//! `--warm-pool N` keeps N pre-built prototypes of the SoC so jobs fork
+//! their replicas from a leased one instead of building their own.
 //! `--sched` picks the queue policy: `lanes` (default — priority lanes
 //! with aging and packing) or `fifo` (strict admission order).
 
@@ -75,7 +74,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "--pool" => cfg.pool_replicas = value("--pool")?.parse()?,
             "--queue-max" => cfg.queue_max = value("--queue-max")?.parse()?,
             "--warm-pool" => cfg.warm_pool = value("--warm-pool")?.parse()?,
-            "--baseline" => cfg.baseline = Some(PathBuf::from(value("--baseline")?)),
             "--sched" => {
                 let name = value("--sched")?;
                 cfg.sched = SchedPolicy::parse(&name)
@@ -87,10 +85,18 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "--stdio" => stdio = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: hardsnap-serve [--state-dir DIR] [--socket PATH] \
-                     [--pool N] [--queue-max N] [--warm-pool N] [--baseline FILE] \
-                     [--sched fifo|lanes] [--aging-ms MS] \
-                     [--metrics-addr HOST:PORT] [--no-observe] [--stdio]"
+                    "usage: hardsnap-serve [--state-dir DIR] [--socket PATH] [--pool N]
+                      [--queue-max N] [--warm-pool N] [--sched fifo|lanes]
+                      [--aging-ms MS] [--metrics-addr HOST:PORT] [--no-observe]
+                      [--stdio]
+
+Runs the campaign daemon: concurrent jobs over a bounded pool of
+target replicas, with hard budgets, admission control and crash-safe
+resume (kill -9 + restart loses nothing). --warm-pool N keeps N
+pre-built SoC prototypes that jobs fork their replicas from, so short
+jobs skip the SoC build. --sched lanes (default) schedules by priority
+lane with aging and packing; --sched fifo is strict admission order.
+Clients: hardsnap-cli submit|status|wait|cancel|metrics|subscribe|top."
                 );
                 return Ok(());
             }

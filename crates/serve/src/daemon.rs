@@ -37,11 +37,13 @@
 //! ## Warm replica pool
 //!
 //! With `warm_pool > 0` the daemon keeps a [`crate::pool::WarmPool`]
-//! of pre-built, baseline-armed prototypes. The scheduler leases one
-//! at seat time (provenance `"warm"`); the job forks its per-leg
-//! replicas from the prototype, skipping the SoC parse + elaborate +
-//! bytecode compile that dominates cold start. A miss (pool empty or
-//! disabled) falls back to a cold boot — latency, never correctness.
+//! of pre-built prototypes. The scheduler leases one at seat time
+//! (provenance `"warm"`); the job forks every replica from it, skipping
+//! the SoC parse + elaborate + bytecode compile that dominates cold
+//! start. A miss (every prototype leased or still building) makes the
+//! job build its own prototype at start (`"cold"`) — latency, never
+//! correctness. The run thread returns its lease before it frees its
+//! replicas, so a job seated on the freed replicas finds a prototype.
 //!
 //! ## Crash safety
 //!
@@ -63,9 +65,9 @@
 
 use crate::events::{EventBody, EventBus, Subscription};
 use crate::job::{DaemonStats, JobSpec, JobState, JobSummary, Verdict, MAX_LANE};
-use crate::pool::{PoolConfig, WarmPool};
+use crate::pool::WarmPool;
 use crate::proto::{read_line, write_line, Request, Response};
-use crate::runner::{self, ReplicaSource};
+use crate::runner;
 use crate::{digest_hex, ServeError};
 use hardsnap::{CancelToken, StopReason};
 use hardsnap_bus::persist::write_atomic;
@@ -144,12 +146,9 @@ pub struct DaemonConfig {
     /// Flight-recorder ring size (most recent events kept for the
     /// post-mortem `flight.json`).
     pub flight_capacity: usize,
-    /// Warm replicas to keep pre-armed (0 = no warm pool; jobs always
-    /// cold-boot).
+    /// Prototypes to keep pre-built (0 = no warm pool; every job
+    /// builds its own).
     pub warm_pool: usize,
-    /// Baseline snapshot the warm pool arms against; `None` synthesizes
-    /// one from a fresh prototype's post-reset state.
-    pub baseline: Option<PathBuf>,
     /// Scheduling policy (see [`SchedPolicy`]).
     pub sched: SchedPolicy,
     /// Lane aging quantum, ms: one lane level of priority equals this
@@ -168,7 +167,6 @@ impl Default for DaemonConfig {
             event_queue_cap: 1024,
             flight_capacity: 4096,
             warm_pool: 0,
-            baseline: None,
             sched: SchedPolicy::Lanes,
             aging_ms: 500,
         }
@@ -201,7 +199,7 @@ struct Job {
     /// `"warm"` / `"cold"` once seated; `None` while queued.
     provenance: Option<String>,
     /// Warm-pool lease, held from seat time until the run thread
-    /// finishes (its drop re-arms the replica in the background).
+    /// finishes (its drop returns the prototype to the pool).
     lease: Option<crate::pool::Lease>,
 }
 
@@ -282,7 +280,7 @@ pub struct Daemon {
     /// Ring of recent events for the post-mortem `flight.json`.
     flight: FlightRecorder,
     /// Warm replica pool (`Some` when `warm_pool > 0`).
-    pool: Option<Arc<WarmPool>>,
+    pool: Option<WarmPool>,
     /// Daemon birth; event timestamps are ms since this instant.
     started: Instant,
 }
@@ -299,18 +297,9 @@ impl Daemon {
             .map_err(|e| ServeError::Io(format!("{}: {e}", cfg.state_dir.display())))?;
         let flight_capacity = cfg.flight_capacity;
         let rec = Recorder::enabled(0, "serve");
-        // The pool arms its replicas on background threads; Daemon::new
-        // never waits for them.
-        let pool = (cfg.warm_pool > 0).then(|| {
-            WarmPool::new(
-                PoolConfig {
-                    replicas: cfg.warm_pool,
-                    baseline: cfg.baseline.clone(),
-                    state_dir: cfg.state_dir.clone(),
-                },
-                rec.clone(),
-            )
-        });
+        // The pool builds its prototypes on background threads;
+        // Daemon::new never waits for them.
+        let pool = (cfg.warm_pool > 0).then(|| WarmPool::new(cfg.warm_pool, rec.clone()));
         Ok(Arc::new(Daemon {
             cfg,
             inner: Mutex::new(Inner {
@@ -511,7 +500,7 @@ impl Daemon {
     /// Grants replicas to queued jobs (policy order, see
     /// [`SchedPolicy`]) and spawns their run threads. Called after
     /// every admission and every completion. Seating a job also leases
-    /// a warm-pool replica when one is armed — the pool mutex is a
+    /// a warm-pool prototype when one is ready — the pool mutex is a
     /// leaf lock, safe to take under the inner lock.
     fn schedule(self: &Arc<Daemon>) {
         loop {
@@ -563,19 +552,15 @@ impl Daemon {
         let started = Instant::now();
         let me = &self;
         let observe = self.cfg.observe;
-        // A leased warm prototype donates its compiled design via
-        // fork_clean; forks are power-on replicas, so warm and cold
-        // runs digest identically.
-        let source = match &lease {
-            Some(l) => ReplicaSource::Warm(l.prototype()),
-            None => ReplicaSource::Cold,
-        };
-        let outcome = runner::run_job_with_source(
+        // Replicas fork from the leased prototype, or from one the
+        // runner builds when the job was seated cold; forks are power-on
+        // replicas, so warm and cold runs digest identically.
+        let outcome = runner::run_job(
             &spec,
             &dir.join("checkpoint"),
             &cancel,
             observe,
-            &source,
+            lease.as_ref().map(|l| l.prototype()),
             &mut |r| {
                 // Each leg is a fresh engine, so counters in
                 // `r.telemetry` are per-leg deltas while
@@ -642,10 +627,8 @@ impl Daemon {
                 me.changed.notify_all();
             },
         );
-        // Return the warm replica now — its drop re-arms it in the
-        // background, so it is leasable again before this job's
-        // terminal bookkeeping finishes.
-        drop(source);
+        // Return the prototype before freeing the replicas, so the job
+        // the scheduler seats on them can lease it.
         drop(lease);
         let (summary, telemetry) = {
             let mut g = self.inner.lock().unwrap();
@@ -779,7 +762,7 @@ impl Daemon {
             warm_target: warm.target,
             warm_ready: warm.ready,
             warm_leased: warm.leased,
-            warm_arming: warm.arming,
+            warm_arming: warm.building,
         }
     }
 
@@ -806,7 +789,7 @@ impl Daemon {
         snap.set_gauge("serve.warm_target", warm.target);
         snap.set_gauge("serve.warm_ready", warm.ready);
         snap.set_gauge("serve.warm_leased", warm.leased);
-        snap.set_gauge("serve.warm_arming", warm.arming);
+        snap.set_gauge("serve.warm_arming", warm.building);
         snap
     }
 
@@ -996,12 +979,11 @@ impl Daemon {
         }
     }
 
-    /// Blocks until at least `n` warm replicas are armed and ready.
+    /// Blocks until at least `n` warm prototypes are built and ready.
     ///
     /// Returns `false` on timeout or when the daemon has no warm pool
-    /// (`warm_pool: 0`, or the pool disabled itself on a baseline
-    /// shape mismatch) — callers that need a warm start must treat
-    /// that as "cold boots only".
+    /// (`warm_pool: 0`) — callers that need a warm start must treat
+    /// that as "cold builds only".
     pub fn wait_warm_ready(&self, n: usize, timeout: Duration) -> bool {
         match &self.pool {
             Some(p) => p.wait_ready(n, timeout),
@@ -1491,6 +1473,18 @@ mod tests {
         let warm_digest = s.digest.clone().unwrap();
         let stats = d.daemon_stats();
         assert_eq!(stats.warm_target, 2);
+        // The job returned its lease before it went terminal.
+        assert_eq!(
+            (stats.warm_ready, stats.warm_leased, stats.warm_arming),
+            (2, 0, 0)
+        );
+        // Prototypes live in memory only: the state directory holds
+        // nothing but the job journal.
+        let entries: Vec<_> = std::fs::read_dir(&d.cfg.state_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, ["jobs"]);
 
         let d2 = daemon("warm-cold-ref", 2, 8);
         let id2 = d2.submit(demo("w")).unwrap();

@@ -278,9 +278,9 @@ pub struct JobSummary {
     pub run_ms: u64,
     /// Priority lane the job was admitted into (`0..=7`).
     pub lane: u64,
-    /// Replica provenance once scheduled: `"warm"` (leased a pre-armed
-    /// pool prototype) or `"cold"` (built from scratch). `None` while
-    /// queued.
+    /// Replica provenance once scheduled: `"warm"` (leased a pre-built
+    /// pool prototype) or `"cold"` (built its own at job start). `None`
+    /// while queued.
     pub provenance: Option<String>,
 }
 
@@ -446,11 +446,11 @@ pub struct DaemonStats {
     pub events_dropped: u64,
     /// Configured warm-pool size (0 = no warm pool).
     pub warm_target: u64,
-    /// Warm replicas armed and ready to lease.
+    /// Warm prototypes built and ready to lease.
     pub warm_ready: u64,
-    /// Warm replicas currently leased to running jobs.
+    /// Warm prototypes currently leased to running jobs.
     pub warm_leased: u64,
-    /// Warm replicas being built or re-armed in the background.
+    /// Warm prototypes still being built.
     pub warm_arming: u64,
 }
 

@@ -29,6 +29,11 @@
 //!   allocation; digest divergence is reported as `flaky` (with the
 //!   first diverging state id) vs `stable`, with CI-friendly exit
 //!   codes.
+//! * **Warm prototypes** — every replica a job runs is a power-on fork
+//!   of one prototype of the design, built by
+//!   [`runner::build_prototype`]. With `--warm-pool N` the daemon keeps
+//!   N prototypes built ([`WarmPool`]) so a job skips the SoC build;
+//!   where its prototype came from never changes a digest.
 //!
 //! The wire protocol is newline-delimited JSON over a unix socket (or
 //! stdio), built on the in-tree [`hardsnap_util::json`] reader/writer —
@@ -50,9 +55,8 @@ pub use client::{Client, EventStream};
 pub use daemon::{Daemon, DaemonConfig, SchedPolicy};
 pub use events::{Event, EventBody, EventBus, Subscription};
 pub use job::{DaemonStats, JobSpec, JobState, JobSummary, Verdict};
-pub use pool::{Lease, PoolConfig, PoolStats, WarmPool};
+pub use pool::{Lease, PoolStats, WarmPool};
 pub use proto::{Request, Response};
-pub use runner::ReplicaSource;
 
 use std::fmt;
 

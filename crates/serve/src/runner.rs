@@ -14,6 +14,13 @@
 //! watchdog cancellation — leaves a valid partial result and a
 //! resumable checkpoint.
 //!
+//! Every leg and every repeat attempt runs on replicas forked from one
+//! **prototype** with [`HwTarget::fork_clean`]: a warm-pool lease's, or
+//! one [`build_prototype`] makes at job start. A fork shares the
+//! prototype's compiled design and starts at power-on whatever state
+//! the prototype is in, so where the prototype came from never changes
+//! a digest or a modeled time. The firmware is assembled once per job.
+//!
 //! Flaky detection re-executes a *completed* job `repeat` times total,
 //! each attempt on a freshly forked replica (quarantined by
 //! construction: nothing is shared with the baseline run) with a
@@ -29,6 +36,7 @@ use hardsnap::{
     EngineConfig, FaultPlan, FaultyTarget, HwTarget, RunResult, Searcher, SnapshotStore,
     StopReason,
 };
+use hardsnap_isa::Program;
 use hardsnap_sim::{SimEngine, SimTarget};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -77,7 +85,7 @@ fn job_err(e: impl std::fmt::Display) -> ServeError {
 /// Assembles the job's firmware. `demo` / `demo:K` is the built-in
 /// branching firmware (2^K paths); anything else is read as an assembly
 /// file path.
-fn assemble(spec: &JobSpec) -> Result<hardsnap_isa::Program, ServeError> {
+fn assemble(spec: &JobSpec) -> Result<Program, ServeError> {
     let fw = spec.firmware.as_str();
     let src = match fw.strip_prefix("demo") {
         Some("") => hardsnap::firmware::branching_firmware(3),
@@ -91,39 +99,33 @@ fn assemble(spec: &JobSpec) -> Result<hardsnap_isa::Program, ServeError> {
     hardsnap_isa::assemble(&src).map_err(|e| ServeError::Job(format!("{fw}:{e}")))
 }
 
-/// Where a job's replicas come from.
+/// Builds one prototype: the built-in SoC on the bytecode engine (Verilog
+/// parse, elaboration, bytecode compile). The one place a job's design
+/// is built; the warm pool pre-builds these.
 ///
-/// `Cold` constructs the built-in SoC from scratch every leg (Verilog
-/// parse + elaboration + bytecode compile). `Warm` forks power-on
-/// replicas from a leased warm-pool prototype, sharing its compiled
-/// design — same semantics, none of the construction cost.
-/// [`HwTarget::fork_clean`] yields power-on state exactly like a fresh
-/// construction does, so the two sources are digest-equivalent by
-/// construction (pinned by the pool tests and `exp_sched`).
-pub enum ReplicaSource<'a> {
-    /// Build every replica from scratch.
-    Cold,
-    /// Fork replicas from this armed prototype.
-    Warm(&'a dyn HwTarget),
+/// # Errors
+///
+/// [`ServeError::Job`] if the SoC fails to build.
+pub fn build_prototype() -> Result<Box<dyn HwTarget>, ServeError> {
+    let soc = hardsnap_periph::soc().map_err(job_err)?;
+    Ok(Box::new(
+        SimTarget::with_engine(soc, SimEngine::Bytecode).map_err(job_err)?,
+    ))
 }
 
-impl ReplicaSource<'_> {
-    /// Builds one replica for `spec`, wrapped in a deterministic fault
-    /// injector when the spec asks for faults.
-    fn build(&self, spec: &JobSpec, attempt: u32) -> Result<Box<dyn HwTarget>, ServeError> {
-        let target: Box<dyn HwTarget> = match self {
-            ReplicaSource::Cold => {
-                let soc = hardsnap_periph::soc().map_err(job_err)?;
-                Box::new(SimTarget::with_engine(soc, SimEngine::Bytecode).map_err(job_err)?)
-            }
-            ReplicaSource::Warm(proto) => proto.fork_clean().map_err(job_err)?,
-        };
-        if spec.fault_rate > 0.0 {
-            let plan = FaultPlan::uniform(attempt_seed(spec, attempt), spec.fault_rate);
-            Ok(Box::new(FaultyTarget::new(target, plan)))
-        } else {
-            Ok(target)
-        }
+/// Forks one power-on replica of `proto` for `spec`, wrapped in a
+/// deterministic fault injector when the spec asks for faults.
+fn replica(
+    proto: &dyn HwTarget,
+    spec: &JobSpec,
+    attempt: u32,
+) -> Result<Box<dyn HwTarget>, ServeError> {
+    let target = proto.fork_clean().map_err(job_err)?;
+    if spec.fault_rate > 0.0 {
+        let plan = FaultPlan::uniform(attempt_seed(spec, attempt), spec.fault_rate);
+        Ok(Box::new(FaultyTarget::new(target, plan)))
+    } else {
+        Ok(target)
     }
 }
 
@@ -171,17 +173,15 @@ fn run_leg(
     spec: &JobSpec,
     dir: &Path,
     config: EngineConfig,
-    attempt: u32,
-    source: &ReplicaSource<'_>,
+    program: &Program,
+    proto: &dyn HwTarget,
 ) -> Result<RunResult, ServeError> {
-    let resume = dir.join(MANIFEST).exists();
-    let program = assemble(spec)?;
-    let target = source.build(spec, attempt)?;
+    let target = replica(proto, spec, 0)?;
     let mut engine = Engine::with_workers(target, spec.workers, config).map_err(job_err)?;
-    if resume {
+    if dir.join(MANIFEST).exists() {
         resume_campaign(dir, &mut engine).map_err(job_err)?;
     } else {
-        engine.load_firmware(&program);
+        engine.load_firmware(program);
     }
     let r = engine.run();
     if !matches!(r.stop, StopReason::Complete | StopReason::Paths) {
@@ -195,10 +195,9 @@ fn run_leg(
 fn run_legs(
     spec: &JobSpec,
     dir: &Path,
-    cancel: &CancelToken,
-    deadline: Option<Instant>,
-    observe: bool,
-    source: &ReplicaSource<'_>,
+    base: &EngineConfig,
+    program: &Program,
+    proto: &dyn HwTarget,
     on_leg: &mut dyn FnMut(&RunResult),
 ) -> Result<RunResult, ServeError> {
     let leg = if spec.leg_instructions > 0 {
@@ -222,9 +221,9 @@ fn run_legs(
         0
     };
     loop {
-        let mut config = base_config(spec, cancel, deadline, observe);
+        let mut config = base.clone();
         config.max_instructions = spec_cap.min(carried.saturating_add(leg));
-        let result = run_leg(spec, dir, config, 0, source)?;
+        let result = run_leg(spec, dir, config, program, proto)?;
         carried = result.instructions;
         on_leg(&result);
         // An Instructions stop below the job's own cap is just a leg
@@ -243,10 +242,10 @@ fn run_attempt(
     spec: &JobSpec,
     cancel: &CancelToken,
     attempt: u32,
-    source: &ReplicaSource<'_>,
+    program: &Program,
+    proto: &dyn HwTarget,
 ) -> Result<RunResult, ServeError> {
-    let program = assemble(spec)?;
-    let target = source.build(spec, attempt)?;
+    let target = replica(proto, spec, attempt)?;
     // Repeat attempts are digest-compared and discarded; they never
     // need telemetry.
     let mut config = base_config(spec, cancel, None, false);
@@ -254,7 +253,7 @@ fn run_attempt(
         config.max_instructions = spec.max_instructions;
     }
     let mut engine = Engine::with_workers(target, spec.workers, config).map_err(job_err)?;
-    engine.load_firmware(&program);
+    engine.load_firmware(program);
     Ok(engine.run())
 }
 
@@ -278,12 +277,14 @@ fn divergence_state_id(a: &RunResult, b: &RunResult) -> u64 {
 ///
 /// `dir` is the job's checkpoint directory (created on first
 /// checkpoint); it may already hold a campaign from a previous daemon
-/// incarnation, in which case the job resumes seamlessly. `on_leg` is
-/// called after every leg with the cumulative partial result so the
-/// daemon can publish live progress. With `observe` the engine's
-/// telemetry recorder is enabled for each leg (per-leg
-/// [`RunResult::telemetry`] snapshots become available) — observe-only,
-/// digests are unaffected.
+/// incarnation, in which case the job resumes seamlessly. Every replica
+/// is forked from `proto` — a leased warm-pool prototype — or, when it
+/// is `None`, from one [`build_prototype`] makes at job start; either
+/// way the digest is the same. `on_leg` is called after every leg with
+/// the cumulative partial result so the daemon can publish live
+/// progress. With `observe` the engine's telemetry recorder is enabled
+/// for each leg (per-leg [`RunResult::telemetry`] snapshots become
+/// available) — observe-only, digests are unaffected.
 ///
 /// # Errors
 ///
@@ -293,29 +294,21 @@ pub fn run_job(
     dir: &Path,
     cancel: &CancelToken,
     observe: bool,
-    on_leg: &mut dyn FnMut(&RunResult),
-) -> Result<Outcome, ServeError> {
-    run_job_with_source(spec, dir, cancel, observe, &ReplicaSource::Cold, on_leg)
-}
-
-/// [`run_job`] with an explicit replica source: `Cold` builds each
-/// replica from scratch, `Warm` forks them from a leased warm-pool
-/// prototype. The source affects only construction latency — never the
-/// canonical digest.
-///
-/// # Errors
-///
-/// [`ServeError::Job`] on a bad spec or an engine/campaign failure.
-pub fn run_job_with_source(
-    spec: &JobSpec,
-    dir: &Path,
-    cancel: &CancelToken,
-    observe: bool,
-    source: &ReplicaSource<'_>,
+    proto: Option<&dyn HwTarget>,
     on_leg: &mut dyn FnMut(&RunResult),
 ) -> Result<Outcome, ServeError> {
     let deadline = (spec.wall_ms > 0).then(|| Instant::now() + Duration::from_millis(spec.wall_ms));
-    let baseline = run_legs(spec, dir, cancel, deadline, observe, source, on_leg)?;
+    let program = assemble(spec)?;
+    let cold;
+    let proto = match proto {
+        Some(p) => p,
+        None => {
+            cold = build_prototype()?;
+            cold.as_ref()
+        }
+    };
+    let base = base_config(spec, cancel, deadline, observe);
+    let baseline = run_legs(spec, dir, &base, &program, proto, on_leg)?;
     let stop = baseline.stop;
     let mut verdict = match stop {
         StopReason::Complete | StopReason::Paths => Verdict::Completed,
@@ -333,7 +326,7 @@ pub fn run_job_with_source(
             attempts: spec.repeat,
         };
         for attempt in 1..spec.repeat {
-            let rerun = run_attempt(spec, cancel, attempt, source)?;
+            let rerun = run_attempt(spec, cancel, attempt, &program, proto)?;
             if rerun.stop == StopReason::Cancelled {
                 verdict = Verdict::Cancelled;
                 break;
@@ -375,12 +368,29 @@ mod tests {
         }
     }
 
+    /// A prototype driven away from power-on: written over the bus,
+    /// stepped, saved, stepped again and restored.
+    fn dirtied_prototype() -> Box<dyn HwTarget> {
+        use hardsnap_bus::map::soc::TIMER_BASE;
+        use hardsnap_periph::regs::timer;
+        let mut proto = build_prototype().unwrap();
+        proto.bus_write(TIMER_BASE + timer::LOAD, 77).unwrap();
+        proto
+            .bus_write(TIMER_BASE + timer::CTRL, timer::CTRL_ENABLE)
+            .unwrap();
+        proto.step(5);
+        let snap = proto.save_snapshot().unwrap();
+        proto.step(5);
+        proto.restore_snapshot(&snap).unwrap();
+        proto
+    }
+
     #[test]
     fn legged_run_matches_uninterrupted_digest() {
         let dir = tmp("legged");
         let cancel = CancelToken::new();
         let mut legged_vtime = 0;
-        let legged = run_job(&demo_spec(), &dir, &cancel, false, &mut |r| {
+        let legged = run_job(&demo_spec(), &dir, &cancel, false, None, &mut |r| {
             legged_vtime = r.hw_virtual_time_ns;
             let files: Vec<_> = std::fs::read_dir(&dir)
                 .unwrap()
@@ -398,7 +408,7 @@ mod tests {
         let mut one_shot = demo_spec();
         one_shot.leg_instructions = 0; // one huge leg
         let mut whole_vtime = 0;
-        let whole = run_job(&one_shot, &tmp("whole"), &cancel, false, &mut |r| {
+        let whole = run_job(&one_shot, &tmp("whole"), &cancel, false, None, &mut |r| {
             whole_vtime = r.hw_virtual_time_ns
         })
         .unwrap();
@@ -415,6 +425,25 @@ mod tests {
             (449_613_600, 408_830_000),
             "modeled time"
         );
+
+        // Forks start at power-on whatever state their prototype is in:
+        // a dirtied prototype gives the same digest and modeled times.
+        let dirty = dirtied_prototype();
+        let forked = tmp("forked");
+        for (spec, vtime) in [(demo_spec(), legged_vtime), (one_shot, whole_vtime)] {
+            let mut got = 0;
+            let out = run_job(
+                &spec,
+                &forked,
+                &cancel,
+                false,
+                Some(dirty.as_ref()),
+                &mut |r| got = r.hw_virtual_time_ns,
+            )
+            .unwrap();
+            assert_eq!((out.digest, got), (whole.digest, vtime));
+            let _ = std::fs::remove_dir_all(&forked);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -424,7 +453,7 @@ mod tests {
         let cancel = CancelToken::new();
         let mut spec = demo_spec();
         spec.max_vtime_ns = 1_000; // absurdly tight: trips on the first quantum
-        let out = run_job(&spec, &dir, &cancel, false, &mut |_| {}).unwrap();
+        let out = run_job(&spec, &dir, &cancel, false, None, &mut |_| {}).unwrap();
         assert_eq!(out.verdict, Verdict::OverBudget(StopReason::VirtualTime));
         assert!(
             dir.join(MANIFEST).exists(),
@@ -434,13 +463,14 @@ mod tests {
         // Raise the budget and resume from the same directory: the
         // finished digest must equal an uninterrupted run's.
         spec.max_vtime_ns = 0;
-        let resumed = run_job(&spec, &dir, &cancel, false, &mut |_| {}).unwrap();
+        let resumed = run_job(&spec, &dir, &cancel, false, None, &mut |_| {}).unwrap();
         assert_eq!(resumed.verdict, Verdict::Completed);
         let whole = run_job(
             &demo_spec(),
             &tmp("vtime-whole"),
             &cancel,
             false,
+            None,
             &mut |_| {},
         )
         .unwrap();
@@ -453,18 +483,19 @@ mod tests {
         let dir = tmp("cancel");
         let cancel = CancelToken::new();
         cancel.cancel(); // pre-cancelled: stops at the first boundary
-        let out = run_job(&demo_spec(), &dir, &cancel, false, &mut |_| {}).unwrap();
+        let out = run_job(&demo_spec(), &dir, &cancel, false, None, &mut |_| {}).unwrap();
         assert_eq!(out.verdict, Verdict::Cancelled);
         assert!(dir.join(MANIFEST).exists());
 
         let fresh = CancelToken::new();
-        let resumed = run_job(&demo_spec(), &dir, &fresh, false, &mut |_| {}).unwrap();
+        let resumed = run_job(&demo_spec(), &dir, &fresh, false, None, &mut |_| {}).unwrap();
         assert_eq!(resumed.verdict, Verdict::Completed);
         let whole = run_job(
             &demo_spec(),
             &tmp("cancel-whole"),
             &fresh,
             false,
+            None,
             &mut |_| {},
         )
         .unwrap();
@@ -478,7 +509,7 @@ mod tests {
         let mut spec = demo_spec();
         spec.fault_rate = 0.05;
         spec.repeat = 3;
-        let out = run_job(&spec, &tmp("stable"), &cancel, false, &mut |_| {}).unwrap();
+        let out = run_job(&spec, &tmp("stable"), &cancel, false, None, &mut |_| {}).unwrap();
         assert_eq!(
             out.verdict,
             Verdict::Stable { attempts: 3 },
@@ -488,7 +519,7 @@ mod tests {
         // Attempt/replay hides even a 60% fault rate: a failed quantum
         // is replayed from its snapshot until it gets through.
         spec.fault_rate = 0.6;
-        let out = run_job(&spec, &tmp("replayed"), &cancel, false, &mut |_| {}).unwrap();
+        let out = run_job(&spec, &tmp("replayed"), &cancel, false, None, &mut |_| {}).unwrap();
         assert_eq!(
             out.verdict,
             Verdict::Stable { attempts: 3 },
@@ -499,7 +530,7 @@ mod tests {
         // surviving path set depends on the fault schedule: flaky by
         // design.
         spec.fault_rate = 0.9;
-        let out = run_job(&spec, &tmp("flaky"), &cancel, false, &mut |_| {}).unwrap();
+        let out = run_job(&spec, &tmp("flaky"), &cancel, false, None, &mut |_| {}).unwrap();
         assert!(
             matches!(out.verdict, Verdict::Flaky { .. }),
             "expected flaky at 90% fault rate, got {:?}",

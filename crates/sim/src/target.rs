@@ -560,10 +560,15 @@ mod tests {
     endmodule
     "#;
 
-    fn target() -> SimTarget {
+    /// The countdown on `engine`, as built: no reset, no stimulus.
+    fn cold(engine: SimEngine) -> SimTarget {
         let d = parse_design(COUNTDOWN).unwrap();
         let flat = hardsnap_rtl::elaborate(&d, "countdown").unwrap();
-        let mut t = SimTarget::new(flat).unwrap();
+        SimTarget::with_engine(flat, engine).unwrap()
+    }
+
+    fn target() -> SimTarget {
+        let mut t = cold(SimEngine::Bytecode);
         t.reset();
         t
     }
@@ -642,25 +647,40 @@ mod tests {
 
     #[test]
     fn fork_clean_replicas_are_independent_and_power_on() {
-        let mut t = target();
-        t.bus_write(0x00, 50).unwrap();
-        t.step(5);
-        let mut r = t.fork_clean().unwrap();
-        // The replica starts from power-on, not from the parent's state.
-        assert_eq!(r.cycle(), 0);
-        assert_eq!(r.virtual_time_ns(), 0);
-        r.reset();
-        assert_eq!(r.irq_lines(), 0);
-        // Driving the replica does not disturb the parent.
-        r.bus_write(0x00, 1).unwrap();
-        r.step(10);
-        assert_eq!(r.irq_lines(), 1);
-        let parent_snap = t.save_snapshot().unwrap();
-        assert!(parent_snap.reg("count").unwrap() > 40);
-        // Snapshots interchange between parent and replica (same design).
-        r.restore_snapshot(&parent_snap).unwrap();
-        let back = r.save_snapshot().unwrap();
-        assert_eq!(back.reg("count"), parent_snap.reg("count"));
+        for engine in [SimEngine::Bytecode, SimEngine::Interpreter] {
+            let mut t = cold(engine);
+            t.reset();
+            // Dirty the parent: bus write, step, save, step, restore.
+            t.bus_write(0x00, 50).unwrap();
+            t.step(5);
+            let saved = t.save_snapshot().unwrap();
+            t.step(5);
+            t.restore_snapshot(&saved).unwrap();
+            let mut r = t.fork_clean().unwrap();
+            // The replica starts from power-on, not from the parent's
+            // state: it captures exactly what a cold-built target does,
+            // before and after reset.
+            assert_eq!(r.cycle(), 0);
+            assert_eq!(r.virtual_time_ns(), 0);
+            let mut fresh = cold(engine);
+            let first = r.save_snapshot().unwrap();
+            assert_eq!(first, fresh.save_snapshot().unwrap(), "{engine:?}");
+            r.reset();
+            fresh.reset();
+            let first = r.save_snapshot().unwrap();
+            assert_eq!(first, fresh.save_snapshot().unwrap(), "{engine:?}");
+            assert_eq!(r.irq_lines(), 0);
+            // Driving the replica does not disturb the parent.
+            r.bus_write(0x00, 1).unwrap();
+            r.step(10);
+            assert_eq!(r.irq_lines(), 1);
+            let parent_snap = t.save_snapshot().unwrap();
+            assert!(parent_snap.reg("count").unwrap() > 40);
+            // Snapshots interchange between parent and replica (same design).
+            r.restore_snapshot(&parent_snap).unwrap();
+            let back = r.save_snapshot().unwrap();
+            assert_eq!(back.reg("count"), parent_snap.reg("count"));
+        }
     }
 
     #[test]

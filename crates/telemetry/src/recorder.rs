@@ -132,18 +132,12 @@ enum_metric! {
         ServeMetricsScrapes => "serve.metrics_scrapes",
         /// Flight-recorder dumps written (verb, SIGTERM, or panic).
         ServeFlightDumps => "serve.flight_dumps",
-        /// Jobs that leased a pre-armed warm-pool replica instead of
-        /// cold-booting one.
+        /// Jobs that leased a pre-built warm-pool prototype instead of
+        /// building one cold.
         ServePoolHits => "serve.pool_hits",
-        /// Jobs that wanted a warm replica but fell back to a cold
-        /// boot (pool empty, disabled, or shape mismatch).
+        /// Jobs that wanted a warm prototype but built one cold (every
+        /// prototype leased or still being built).
         ServePoolMisses => "serve.pool_misses",
-        /// Warm-pool replicas re-armed (restored back to the baseline
-        /// snapshot) after a lease was returned.
-        ServePoolRearms => "serve.pool_rearms",
-        /// Warm-pool arm/re-arm attempts that failed (the replica is
-        /// retired; the pool shrinks rather than leasing bad state).
-        ServePoolRearmFails => "serve.pool_rearm_fails",
     }
 }
 
@@ -216,10 +210,6 @@ enum_metric! {
         ServeQueueWaitLane6Ms => "serve.queue_wait_ms.lane6",
         /// Queue wait (ms) for lane 7 (highest priority).
         ServeQueueWaitLane7Ms => "serve.queue_wait_ms.lane7",
-        /// Wall-clock microseconds per warm-pool re-arm (power-on
-        /// reset + lazy restore from the baseline snapshot). Runs off
-        /// the critical path; this histogram proves it stays cheap.
-        ServePoolRearmUs => "serve.pool_rearm_us",
     }
 }
 
