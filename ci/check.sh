@@ -46,10 +46,20 @@ for delta in off on; do
                 echo "digest diverged: --delta-snapshots $delta --sim-engine $eng --workers $w gave $d, want $engine_digest"
                 exit 1
             fi
+            # Feasibility questions are sliced and cached per executor:
+            # 14 answered (2 per branch point) at any worker count, and at
+            # one worker exactly 8 from the cache (2 decided per depth).
+            read -r questions cached <<< "$(awk '/^solver queries/ {gsub(/[()]/, ""); print $4, $5}' \
+                "target/analyze.$delta.$eng.$w.txt")"
+            if [ "$questions" != 14 ] || { [ "$w" = 1 ] && [ "$cached" != 8 ]; }; then
+                echo "solver questions: --delta-snapshots $delta --sim-engine $eng --workers $w answered '$questions' ('$cached' cached), want 14 (8 cached at 1 worker)"
+                exit 1
+            fi
         done
     done
 done
 echo "    digests match across delta x engines x workers: $engine_digest"
+echo "    14 solver questions each, 8 from the cache at 1 worker"
 
 echo "==> persistence gate: save -> fresh-process resume, digest bit-identical"
 # An instruction-budget-interrupted campaign checkpointed to disk and

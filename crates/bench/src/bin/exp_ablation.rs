@@ -100,8 +100,11 @@ fn main() {
         ",
         hardsnap_bus::map::soc::TIMER_BASE
     );
-    let widths = [16, 7, 17, 9];
-    row(&["policy", "paths", "concretizations", "queries"], &widths);
+    let widths = [16, 7, 17, 9, 8];
+    row(
+        &["policy", "paths", "concretizations", "queries", "cached"],
+        &widths,
+    );
     for (name, policy) in [
         ("minimal", Concretization::Minimal),
         ("exhaustive(8)", Concretization::Exhaustive(8)),
@@ -119,6 +122,7 @@ fn main() {
                 &r.metrics.paths_completed.to_string(),
                 &e.executor.stats.concretizations.to_string(),
                 &e.executor.solver.stats.queries.to_string(),
+                &e.executor.solver.stats.cached.to_string(),
             ],
             &widths,
         );

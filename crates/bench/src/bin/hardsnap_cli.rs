@@ -405,7 +405,11 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         st.page_ins,
         engine.store.peak_bytes()
     );
-    println!("solver queries  : {}", engine.executor.solver.stats.queries);
+    let solver = engine.executor.solver.stats;
+    println!(
+        "solver queries  : {} ({} cached)",
+        solver.queries, solver.cached
+    );
     println!(
         "faults          : injected {} / retried {} / recovered {} / quarantined {}",
         result.faults.injected,

@@ -707,6 +707,7 @@ impl Engine {
             acc.queries += o.solver.queries;
             acc.sat += o.solver.sat;
             acc.unsat += o.solver.unsat;
+            acc.cached += o.solver.cached;
             acc.time_us += o.solver.time_us;
         }
         self.hw_violations.sort();

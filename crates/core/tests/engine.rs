@@ -59,6 +59,34 @@ fn branching_firmware_all_paths_consistent() {
     }
 }
 
+/// Branch `i` of `branching_firmware` tests a variable of its own, so
+/// each branch question slices to the condition alone. Only the first
+/// path to reach a depth runs the decision procedure, for its two
+/// questions; every other path's questions hit the executor's cache.
+#[test]
+fn one_worker_answers_branch_feasibility_from_the_cache() {
+    // (k, questions, cached, digest): 2 per branch point, 2k decided.
+    // The digests were recorded before answers were sliced or cached;
+    // branching3's is also the golden corpus row's.
+    for (k, questions, cached, digest) in [
+        (3, 14, 8, 0x5ad6_0706_5cea_53c4_u64),
+        (9, 1022, 1004, 0x91b4_38ae_5666_09ba),
+    ] {
+        let mut engine = sim_engine(ConsistencyMode::HardSnap, Searcher::RoundRobin);
+        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(k)).unwrap();
+        engine.load_firmware(&prog);
+        let result = engine.run();
+        assert_eq!(result.metrics.paths_completed, 1 << k);
+        assert_eq!(result.canonical_digest(), digest, "k={k}");
+        let s = engine.executor.solver.stats;
+        assert_eq!(
+            (s.queries, s.sat, s.unsat, s.cached),
+            (questions, questions, 0, cached),
+            "k={k}"
+        );
+    }
+}
+
 #[test]
 fn naive_inconsistent_corrupts_branching_firmware() {
     let mut engine = sim_engine(ConsistencyMode::NaiveInconsistent, Searcher::RoundRobin);

@@ -147,13 +147,13 @@ impl<'p> Blaster<'p> {
                 .map(|i| self.lit_const((value >> i) & 1 == 1))
                 .collect(),
             Term::Var { name, .. } => {
-                if let Some(b) = self.var_bits.get(&name) {
-                    b.clone()
-                } else {
-                    let bits: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
-                    self.var_bits.insert(name.clone(), bits.clone());
-                    bits
-                }
+                // One name is one variable: at a narrower width it is
+                // the low bits of the widest, as `TermPool::eval` masks.
+                let have = self.var_bits.get(&name).map_or(0, Vec::len);
+                let grow: Vec<Lit> = (have..w).map(|_| self.fresh()).collect();
+                let bits = self.var_bits.entry(name).or_default();
+                bits.extend(grow);
+                bits[..w].to_vec()
             }
             Term::Unary { op, a } => {
                 let av = self.blast(a);
@@ -482,6 +482,34 @@ mod tests {
         let m = check(&p, eq).expect("sat");
         assert_eq!(m["hi"], 0xbe);
         assert_eq!(m["lo"], 0xef);
+    }
+
+    #[test]
+    fn one_name_at_two_widths_shares_its_low_bits() {
+        // x@8 is the low byte of x@32, whichever is blasted first.
+        for narrow_first in [true, false] {
+            let mut p = TermPool::new();
+            let (narrow, wide) = if narrow_first {
+                (p.var("x", 8), p.var("x", 32))
+            } else {
+                let w = p.var("x", 32);
+                (p.var("x", 8), w)
+            };
+            let c12 = p.constant(0x12, 8);
+            let c34 = p.constant(0x1234, 32);
+            let lo = p.binary(BinOp::Eq, narrow, c12);
+            let full = p.binary(BinOp::Eq, wide, c34);
+            let both = if narrow_first {
+                p.and_cond(lo, full)
+            } else {
+                p.and_cond(full, lo)
+            };
+            assert!(check(&p, both).is_none(), "0x1234 has low byte 0x34");
+            let c5612 = p.constant(0x5612, 32);
+            let full = p.binary(BinOp::Eq, wide, c5612);
+            let both = p.and_cond(lo, full);
+            assert_eq!(check(&p, both).expect("sat")["x"], 0x5612);
+        }
     }
 
     #[test]

@@ -5,9 +5,39 @@
 //! `hardsnap` core crate; this module provides the per-instruction
 //! symbolic semantics, the fork points (symbolic branches, symbolic MMIO
 //! concretization, assertion checks) and test-case extraction.
+//!
+//! ## Solver questions
+//!
+//! The executor asks the solver two kinds of question:
+//!
+//! - **Feasibility** ([`Executor::feasible`]): can this branch go this
+//!   way, can this `assert` fail, can it hold? Answered on the
+//!   independent slice of the path constraint, from a per-executor
+//!   cache (see [`crate::solver`]).
+//! - **Models**: the bug test case ([`Executor::testcase`]) and the
+//!   values a symbolic term takes at the VM boundary (`Minimal`
+//!   concretization, `Exhaustive` enumeration through
+//!   [`BvSolver::solutions`]). These always see the whole path
+//!   constraint, because their models feed the canonical digest.
+//!
+//! Slicing is exact because a live state's constraints are satisfiable
+//! by construction. Every constraint a state gains is added here, and
+//! each one keeps the conjunction satisfiable:
+//!
+//! - a branch direction or an assertion outcome is assumed only after a
+//!   feasibility check of it answered SAT, or after the check of its
+//!   negation answered UNSAT (then every model of the constraints
+//!   satisfies it);
+//! - a `term == v` pin (`fork_on_values` after `concretize` at a load,
+//!   store or `jalr` address, and an MMIO store's address and data pins)
+//!   uses a value `v` read from a model of the constraints before it.
+//!
+//! `putc` concretizes its byte from a model but adds no constraint.
+//! States imported from a [`crate::PortableState`] or a checkpoint carry
+//! constraints built the same way.
 
 use crate::expr::{BinOp, TermId, TermPool, UnOp};
-use crate::solver::{BvSolver, Model, QueryResult};
+use crate::solver::{BvSolver, Feasibility, Model, QueryResult};
 use crate::state::{StateId, SymState};
 use hardsnap_bus::{BusError, RegionKind};
 use hardsnap_isa::encoding::{AluOp, Cond, Instr, NUM_IRQ_LINES, VECTOR_BASE};
@@ -122,10 +152,13 @@ pub struct ExecStats {
 
 /// The symbolic executor: owns the term pool and the solver.
 pub struct Executor {
-    /// Term arena shared by all states of this executor.
+    /// Term arena shared by all states of this executor. Never replace
+    /// it on a live executor: the feasibility cache keys its terms.
     pub pool: TermPool,
     /// Decision procedure.
     pub solver: BvSolver,
+    /// Feasibility answers, keyed by terms of `pool`.
+    feasibility: Feasibility,
     /// Concretization policy at the VM boundary.
     pub policy: Concretization,
     /// Statistics.
@@ -138,6 +171,7 @@ impl Executor {
         Executor {
             pool: TermPool::new(),
             solver: BvSolver::new(),
+            feasibility: Feasibility::default(),
             policy,
             stats: ExecStats::default(),
         }
@@ -146,6 +180,15 @@ impl Executor {
     /// Creates the initial state for a program image.
     pub fn initial_state(&mut self, image: Vec<u8>, entry: u32) -> SymState {
         SymState::initial(&mut self.pool, std::sync::Arc::new(image), entry)
+    }
+
+    /// Is `constraints ∧ cond` satisfiable? `constraints` must be a live
+    /// state's path constraint (satisfiable on its own). Answered on the
+    /// independent slice of `constraints` from this executor's cache;
+    /// counted in `solver.stats` (`cached` for a cache hit).
+    pub fn feasible(&mut self, constraints: &[TermId], cond: TermId) -> bool {
+        self.feasibility
+            .feasible(&self.pool, &mut self.solver, constraints, cond)
     }
 
     /// Extracts a concrete input assignment satisfying the state's path.
@@ -304,14 +347,8 @@ impl Executor {
                     next_pc = if v == 1 { taken_pc } else { next_pc };
                 } else {
                     let not_c = self.pool.not_cond(c);
-                    let sat_t = self
-                        .solver
-                        .check_with(&self.pool, &state.constraints, c)
-                        .is_sat();
-                    let sat_f = self
-                        .solver
-                        .check_with(&self.pool, &state.constraints, not_c)
-                        .is_sat();
+                    let sat_t = self.feasible(&state.constraints, c);
+                    let sat_f = self.feasible(&state.constraints, not_c);
                     state.instret += 1;
                     match (sat_t, sat_f) {
                         (true, true) => {
@@ -394,10 +431,7 @@ impl Executor {
                     }
                     Some(_) => return StepOutcome::ContinueWith(state),
                     None => {
-                        let can_fail = self
-                            .solver
-                            .check_with(&self.pool, &state.constraints, is_zero)
-                            .is_sat();
+                        let can_fail = self.feasible(&state.constraints, is_zero);
                         if can_fail {
                             let mut failing = state.clone();
                             failing.assume(is_zero);
@@ -408,10 +442,7 @@ impl Executor {
                                 "assertion can fail on this path".to_string(),
                             );
                             let not_zero = self.pool.not_cond(is_zero);
-                            let survives = self
-                                .solver
-                                .check_with(&self.pool, &state.constraints, not_zero)
-                                .is_sat();
+                            let survives = self.feasible(&state.constraints, not_zero);
                             let continuation = if survives {
                                 state.assume(not_zero);
                                 Some(state)
@@ -823,6 +854,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PortableState;
     use hardsnap_isa::assemble;
 
     fn exec_program(src: &str, policy: Concretization, max_steps: usize) -> ExecRunResult {
@@ -1083,6 +1115,44 @@ mod tests {
         };
         assert!(!s.in_isr);
         assert_eq!(ex.pool.as_const(s.reg(5)), Some(1));
+    }
+
+    /// `x < 10`, then three questions about `x`, built in `pool`.
+    fn questions(pool: &mut TermPool) -> (TermId, [TermId; 3]) {
+        let x = pool.var("x", 32);
+        let [three, ten, eleven] = [3, 10, 11].map(|v| pool.constant(v, 32));
+        let lt = pool.binary(BinOp::Ult, x, ten);
+        let is3 = pool.binary(BinOp::Eq, x, three);
+        let not3 = pool.not_cond(is3);
+        let is11 = pool.binary(BinOp::Eq, x, eleven);
+        (lt, [is3, not3, is11])
+    }
+
+    #[test]
+    fn feasibility_answers_survive_a_portable_round_trip() {
+        let mut ex = Executor::new(Concretization::Minimal);
+        let mut s = ex.initial_state(vec![0; 16], 0);
+        let (lt, qs) = questions(&mut ex.pool);
+        s.assume(lt);
+        let answers = qs.map(|q| ex.feasible(&s.constraints, q));
+        assert_eq!(answers, [true, true, false]);
+        let before = ex.solver.stats;
+        assert_eq!((before.queries, before.cached), (3, 0));
+
+        // Into the same pool: the same terms, so the same cache entry.
+        let port = PortableState::export(&ex.pool, &s);
+        let back = port.import(&mut ex.pool);
+        assert!(ex.feasible(&back.constraints, qs[0]));
+        let after = ex.solver.stats;
+        assert_eq!(after.cached, before.cached + 1);
+        assert_eq!(after.queries - after.cached, before.queries - before.cached);
+
+        // A fresh executor has its own pool and cache, and the same answers.
+        let mut fresh = Executor::new(Concretization::Minimal);
+        let moved = port.import(&mut fresh.pool);
+        let (_, qs) = questions(&mut fresh.pool);
+        assert_eq!(qs.map(|q| fresh.feasible(&moved.constraints, q)), answers);
+        assert_eq!(fresh.solver.stats.cached, 0);
     }
 
     #[test]

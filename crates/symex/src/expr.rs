@@ -4,7 +4,7 @@
 //! simplifications (constant folding, identities) so that purely
 //! concrete executions never touch the solver.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifies a term within its [`TermPool`].
@@ -522,28 +522,29 @@ impl TermPool {
         v & mask(w)
     }
 
-    /// Collects the names and widths of all variables under `id`.
+    /// Collects the names of all variables under `id`, each with the
+    /// widest width it appears at (one name is one variable, as the
+    /// bit-blaster and [`TermPool::eval`] key it). Visits each shared
+    /// sub-term once, so the cost is linear in the DAG, not the tree.
     pub fn variables(&self, id: TermId, out: &mut HashMap<String, u32>) {
-        match self.term(id) {
-            Term::Const { .. } => {}
-            Term::Var { name, width } => {
-                out.insert(name.clone(), *width);
+        let mut seen = HashSet::new();
+        let mut stack = vec![id];
+        while let Some(t) = stack.pop() {
+            if !seen.insert(t) {
+                continue;
             }
-            Term::Unary { a, .. } | Term::ZExt { a, .. } | Term::Extract { a, .. } => {
-                self.variables(*a, out)
-            }
-            Term::Binary { a, b, .. } => {
-                self.variables(*a, out);
-                self.variables(*b, out);
-            }
-            Term::Ite { c, t, e } => {
-                self.variables(*c, out);
-                self.variables(*t, out);
-                self.variables(*e, out);
-            }
-            Term::Concat { hi, lo } => {
-                self.variables(*hi, out);
-                self.variables(*lo, out);
+            match self.term(t) {
+                Term::Const { .. } => {}
+                Term::Var { name, width } => {
+                    let w = out.entry(name.clone()).or_insert(*width);
+                    *w = (*w).max(*width);
+                }
+                Term::Unary { a, .. } | Term::ZExt { a, .. } | Term::Extract { a, .. } => {
+                    stack.push(*a)
+                }
+                Term::Binary { a, b, .. } => stack.extend([*a, *b]),
+                Term::Ite { c, t, e } => stack.extend([*c, *t, *e]),
+                Term::Concat { hi, lo } => stack.extend([*hi, *lo]),
             }
         }
     }
@@ -669,6 +670,33 @@ mod tests {
         p.variables(e, &mut vars);
         assert_eq!(vars.get("x"), Some(&32));
         assert_eq!(vars.get("y"), Some(&8));
+    }
+
+    #[test]
+    fn variables_of_a_deep_self_sum_chain_is_linear() {
+        // `add r1, r1, r1` 64 times: a tree of 2^64 leaves, a DAG of 65
+        // nodes. A walk without a visited set never returns.
+        let mut p = TermPool::new();
+        let x = p.var("x", 32);
+        let mut t = x;
+        for _ in 0..64 {
+            t = p.binary(BinOp::Add, t, t);
+        }
+        let mut vars = HashMap::new();
+        p.variables(t, &mut vars);
+        assert_eq!(vars, HashMap::from([("x".to_string(), 32)]));
+    }
+
+    #[test]
+    fn one_name_at_two_widths_is_one_variable() {
+        let mut p = TermPool::new();
+        let narrow = p.var("x", 8);
+        let wide = p.var("x", 32);
+        let z = p.zext(narrow, 32);
+        let e = p.binary(BinOp::Add, wide, z);
+        let mut vars = HashMap::new();
+        p.variables(e, &mut vars);
+        assert_eq!(vars, HashMap::from([("x".to_string(), 32)]));
     }
 
     #[test]

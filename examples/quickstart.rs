@@ -44,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "hw virtual time : {} ms",
         result.hw_virtual_time_ns / 1_000_000
     );
-    println!("solver queries  : {}", engine.executor.solver.stats.queries);
+    let solver = engine.executor.solver.stats;
+    println!(
+        "solver queries  : {} ({} cached)",
+        solver.queries, solver.cached
+    );
     assert_eq!(result.metrics.paths_completed, 8);
     assert!(result.bugs.is_empty());
     println!();
