@@ -23,14 +23,21 @@ echo "==> sim-engine differential guard (bytecode vs interpreter)"
 cargo test -q --offline -p hardsnap-sim --test differential
 cargo test -q --offline -p hardsnap --test sim_engines
 
-echo "==> sim-engine digest gate: analyze demo, delta {off,on} x engines x workers {1,2,4}"
+echo "==> sim-throughput smoke run (three engines checksummed on every corpus design)"
+# exp_sim_throughput asserts that the interpreter, full-evaluation
+# bytecode and activity-scheduled bytecode end every run (active and
+# quiescent, every corpus design and the SoC) in the same state.
+cargo run -q --release --offline -p hardsnap-bench --bin exp_sim_throughput -- \
+    --smoke --json target/BENCH_sim_throughput.smoke.json
+
+echo "==> sim-engine digest gate: analyze demo, delta {off,on} x 3 engines x workers {1,2,4}"
 # End-to-end: the full analysis pipeline must produce one canonical
 # digest no matter which RTL evaluation backend runs underneath, how
 # many workers share the store, or whether snapshots travel as full
 # images or activity-proportional delta captures.
 engine_digest=""
 for delta in off on; do
-    for eng in interp bytecode; do
+    for eng in interp bytecode-full bytecode; do
         for w in 1 2 4; do
             cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
                 analyze demo --workers "$w" --sim-engine "$eng" --delta-snapshots "$delta" \

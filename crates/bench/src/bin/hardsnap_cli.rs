@@ -440,10 +440,14 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         println!("{}", t.summary_table());
         let exec = t.counter("sim.ops_executed");
         let skip = t.counter("sim.ops_skipped");
+        let runs = t.counter("sim.clocked_runs");
+        let idle = t.counter("sim.clocked_skipped");
         if exec + skip > 0 {
             println!(
-                "dirty-cone hit rate: {:.1}% of comb ops skipped ({skip} skipped, {exec} executed)",
-                100.0 * skip as f64 / (exec + skip) as f64
+                "dirty-cone hit rate: {:.1}% of comb ops skipped ({skip} skipped, {exec} executed), \
+                 {:.1}% of clocked-block runs skipped ({idle} skipped, {runs} run)",
+                100.0 * skip as f64 / (exec + skip) as f64,
+                100.0 * idle as f64 / (runs + idle).max(1) as f64
             );
         }
         if let Some(path) = trace_out {

@@ -10,10 +10,18 @@
 //! feeds each `sym` hypercall from the input tape, tracks PC coverage,
 //! mutates interesting inputs, and resets between inputs using either:
 //!
-//! * [`ResetStrategy::Snapshot`] — restore a (software clone, hardware
-//!   snapshot) pair taken once after startup;
+//! * [`ResetStrategy::Snapshot`] — restore the hardware snapshot taken
+//!   once after startup;
 //! * [`ResetStrategy::Reboot`] — reset the device (with its modeled
 //!   reboot cost) and re-execute firmware from the entry point.
+//!
+//! Either way the software side is rewound, not rebuilt: one working
+//! [`Cpu`] is reset to the baseline CPU with [`Cpu::reset_to`], which
+//! copies back only the RAM pages the last input stored to. A
+//! rebooted CPU (`Cpu::new`) equals that baseline, so both strategies
+//! run every input from the same software state. Per input, a reset
+//! is one hardware restore (or reboot) plus one CPU rewind, and both
+//! cost work in proportion to what the previous input changed.
 //!
 //! ## Example
 //!
@@ -36,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-use hardsnap::SnapshotStore;
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget};
 use hardsnap_isa::{Cpu, CpuFault, Event, MmioBus, Program};
 use hardsnap_util::Rng;
@@ -134,9 +141,11 @@ pub struct FuzzReport {
 /// A coverage-guided fuzzer bound to one hardware target.
 pub struct Fuzzer {
     target: Box<dyn HwTarget>,
-    program: Program,
     config: FuzzConfig,
+    /// The CPU at the entry point; every input starts from it.
     baseline_cpu: Cpu,
+    /// The working CPU, rewound to `baseline_cpu` before each input.
+    cpu: Cpu,
     baseline_hw: HwSnapshot,
     coverage: HashSet<u32>,
     corpus: Vec<Vec<u32>>,
@@ -147,8 +156,6 @@ pub struct Fuzzer {
     sweep: Option<(Vec<u32>, usize, u32)>,
     rng: Rng,
     extra_time_ns: u64,
-    /// Snapshot store (kept so campaign snapshots can be inspected).
-    pub store: SnapshotStore,
 }
 
 impl Fuzzer {
@@ -180,8 +187,8 @@ impl Fuzzer {
         );
         Ok(Fuzzer {
             target,
-            program: program.clone(),
             config,
+            cpu: baseline_cpu.clone(),
             baseline_cpu,
             baseline_hw,
             coverage: HashSet::new(),
@@ -190,7 +197,6 @@ impl Fuzzer {
             sweep: None,
             rng: Rng::seed_from_u64(config.seed),
             extra_time_ns: 0,
-            store: SnapshotStore::new(),
         })
     }
 
@@ -218,25 +224,25 @@ impl Fuzzer {
         t
     }
 
-    /// Prepares target + CPU for the next input per the reset strategy.
+    /// Prepares target + CPU for the next input per the reset strategy:
+    /// the hardware is restored or rebooted, and the working CPU is
+    /// rewound to the baseline either way (a rebooted CPU equals it).
     ///
     /// # Errors
     ///
     /// Propagates a failed baseline restore — the device no longer
     /// accepts the snapshot it produced at startup, so the campaign
     /// cannot continue on consistent state.
-    fn reset_for_input(&mut self) -> Result<Cpu, hardsnap_bus::TargetError> {
+    fn reset_for_input(&mut self) -> Result<(), hardsnap_bus::TargetError> {
         match self.config.reset {
-            ResetStrategy::Snapshot => {
-                self.target.restore_snapshot(&self.baseline_hw)?;
-                Ok(self.baseline_cpu.clone())
-            }
+            ResetStrategy::Snapshot => self.target.restore_snapshot(&self.baseline_hw)?,
             ResetStrategy::Reboot => {
                 self.target.reset();
                 self.extra_time_ns += self.config.reboot_cost_ns;
-                Ok(Cpu::new(&self.program))
             }
         }
+        self.cpu.reset_to(&self.baseline_cpu);
+        Ok(())
     }
 
     /// Runs one input; returns new-coverage flag and optional crash.
@@ -249,7 +255,8 @@ impl Fuzzer {
         &mut self,
         tape: &[u32],
     ) -> Result<(bool, Option<CpuFault>), hardsnap_bus::TargetError> {
-        let mut cpu = self.reset_for_input()?;
+        self.reset_for_input()?;
+        let cpu = &mut self.cpu;
         cpu.set_input_tape(tape.to_vec());
         let mut new_cov = false;
         let mut fault = None;
@@ -356,26 +363,29 @@ impl Fuzzer {
     }
 }
 
-/// Runs `workers` independent fuzzing islands in parallel (each with its
-/// own hardware target and a distinct seed) and merges their results:
-/// united coverage, deduplicated crashes, summed executions. Virtual
-/// hardware time is the maximum across islands (they run concurrently).
+/// Runs `workers` independent fuzzing islands in parallel (each on its
+/// own power-on fork of `proto`, with a distinct seed) and merges their
+/// results: united coverage, deduplicated crashes, summed executions.
+/// Virtual hardware time is the maximum across islands (they run
+/// concurrently).
 ///
 /// # Errors
 ///
-/// Propagates the first island-construction failure.
+/// Propagates the first fork or island-construction failure.
 pub fn parallel_campaign(
-    make_target: impl Fn() -> Box<dyn HwTarget> + Sync,
+    proto: &dyn HwTarget,
     program: &Program,
     config: FuzzConfig,
     workers: usize,
 ) -> Result<FuzzReport, hardsnap_bus::TargetError> {
     assert!(workers >= 1);
     let host_start = std::time::Instant::now();
+    let targets = (0..workers)
+        .map(|_| proto.fork_clean())
+        .collect::<Result<Vec<_>, _>>()?;
     let results = hardsnap_util::sync::scope(|scope| {
         let mut handles = Vec::new();
-        for w in 0..workers {
-            let make_target = &make_target;
+        for (w, target) in targets.into_iter().enumerate() {
             let cfg = FuzzConfig {
                 seed: config
                     .seed
@@ -384,7 +394,7 @@ pub fn parallel_campaign(
                 ..config
             };
             handles.push(scope.spawn(move || {
-                let mut f = Fuzzer::new(make_target(), program, cfg)?;
+                let mut f = Fuzzer::new(target, program, cfg)?;
                 let report = f.run()?;
                 let coverage: HashSet<u32> = f.coverage_set().clone();
                 Ok::<_, hardsnap_bus::TargetError>((report, coverage))
@@ -544,8 +554,7 @@ mod tests {
             assert!(fault.is_none());
         }
         // After a restore, the TX fifo must not be full.
-        let cpu = f.reset_for_input().unwrap();
-        drop(cpu);
+        f.reset_for_input().unwrap();
         let st = f
             .target
             .bus_read(hardsnap_bus::map::soc::UART_BASE + 0x08)
@@ -563,8 +572,9 @@ mod parallel_tests {
     #[test]
     fn parallel_islands_merge_coverage_and_crashes() {
         let prog = hardsnap_isa::assemble(&firmware::uart_parser_firmware()).unwrap();
+        let proto = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
         let report = parallel_campaign(
-            || Box::new(SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap()),
+            &proto,
             &prog,
             FuzzConfig {
                 max_inputs: 12000,
@@ -594,12 +604,10 @@ mod parallel_tests {
         // Not a strict benchmark, but 4 islands of N/4 inputs should not
         // be slower than 1 island of N inputs.
         let prog = hardsnap_isa::assemble(&firmware::uart_parser_firmware()).unwrap();
-        let mk = || -> Box<dyn HwTarget> {
-            Box::new(SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap())
-        };
+        let proto = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
         let t0 = std::time::Instant::now();
         let _ = parallel_campaign(
-            mk,
+            &proto,
             &prog,
             FuzzConfig {
                 max_inputs: 800,
@@ -613,7 +621,7 @@ mod parallel_tests {
         let serial = t0.elapsed();
         let t0 = std::time::Instant::now();
         let _ = parallel_campaign(
-            mk,
+            &proto,
             &prog,
             FuzzConfig {
                 max_inputs: 800,

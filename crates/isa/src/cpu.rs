@@ -134,9 +134,12 @@ pub enum Event {
     IrqEntered(u32),
 }
 
+/// RAM bytes per page of [`Cpu`]'s written-page set (1 KiB).
+const PAGE_SHIFT: u32 = 10;
+
 /// The complete software state of the CPU — the `S_sw` of the paper's
 /// state representation (PC, registers/stack, global memory).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Cpu {
     /// General registers (`r0` reads as zero).
     pub regs: [u32; NUM_REGS],
@@ -152,15 +155,52 @@ pub struct Cpu {
     pub halted: bool,
     /// Retired instruction count.
     pub instret: u64,
-    /// RAM contents.
-    pub ram: Vec<u8>,
+    /// RAM contents; written only by `stw`/`stb`, so that `written`
+    /// covers every change (read it with [`Cpu::ram`]).
+    ram: Vec<u8>,
     /// Input tape consumed by `sym` in concrete execution.
     pub input_tape: Vec<u32>,
     /// Next input-tape position.
     pub tape_pos: usize,
     /// Memory map (RAM/MMIO routing).
     pub map: MemoryMap,
+    /// Bitset of the RAM pages stored to since this CPU was created or
+    /// last rewound ([`Cpu::reset_to`]). Bookkeeping, not architectural
+    /// state: equality ignores it.
+    written: Vec<u64>,
 }
+
+impl PartialEq for Cpu {
+    fn eq(&self, other: &Self) -> bool {
+        let Cpu {
+            regs,
+            pc,
+            epc,
+            irq_enabled,
+            in_isr,
+            halted,
+            instret,
+            ram,
+            input_tape,
+            tape_pos,
+            map,
+            written: _,
+        } = self;
+        *regs == other.regs
+            && *pc == other.pc
+            && *epc == other.epc
+            && *irq_enabled == other.irq_enabled
+            && *in_isr == other.in_isr
+            && *halted == other.halted
+            && *instret == other.instret
+            && *ram == other.ram
+            && *input_tape == other.input_tape
+            && *tape_pos == other.tape_pos
+            && *map == other.map
+    }
+}
+
+impl Eq for Cpu {}
 
 impl Cpu {
     /// Creates a CPU with the default SoC memory map and a zeroed RAM,
@@ -175,6 +215,7 @@ impl Cpu {
         let mut ram = vec![0u8; ram_size];
         let n = program.image.len().min(ram.len());
         ram[..n].copy_from_slice(&program.image[..n]);
+        let pages = ram_size.div_ceil(1 << PAGE_SHIFT);
         Cpu {
             regs: [0; NUM_REGS],
             pc: program.entry,
@@ -187,7 +228,59 @@ impl Cpu {
             input_tape: Vec::new(),
             tape_pos: 0,
             map,
+            written: vec![0; pages.div_ceil(64)],
         }
+    }
+
+    /// Rewinds this CPU to `base`: registers, flags, `instret`, the
+    /// input tape and the memory map are copied, and RAM only in the
+    /// pages this CPU has stored to since it was cloned from `base` or
+    /// last rewound to it. Under that precondition the result equals
+    /// `base.clone()`, at a cost proportional to the pages written
+    /// rather than to the RAM size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two RAMs differ in size.
+    pub fn reset_to(&mut self, base: &Cpu) {
+        assert_eq!(self.ram.len(), base.ram.len(), "RAM sizes differ");
+        for (wi, word) in self.written.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let lo = (wi * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                let hi = (lo + (1 << PAGE_SHIFT)).min(self.ram.len());
+                self.ram[lo..hi].copy_from_slice(&base.ram[lo..hi]);
+                bits &= bits - 1;
+            }
+        }
+        self.regs = base.regs;
+        self.pc = base.pc;
+        self.epc = base.epc;
+        self.irq_enabled = base.irq_enabled;
+        self.in_isr = base.in_isr;
+        self.halted = base.halted;
+        self.instret = base.instret;
+        self.input_tape.clone_from(&base.input_tape);
+        self.tape_pos = base.tape_pos;
+        if self.map != base.map {
+            self.map = base.map.clone();
+        }
+        debug_assert!(
+            self.ram == base.ram,
+            "reset_to: this CPU did not start from `base`"
+        );
+    }
+
+    /// RAM contents (the image at address 0 of the RAM region).
+    pub fn ram(&self) -> &[u8] {
+        &self.ram
+    }
+
+    /// Records a store to RAM byte `addr` in the written-page set.
+    #[inline]
+    fn mark_written(&mut self, addr: usize) {
+        let page = addr >> PAGE_SHIFT;
+        self.written[page / 64] |= 1 << (page % 64);
     }
 
     /// Replaces the input tape consumed by `sym` (fuzzing input).
@@ -272,6 +365,7 @@ impl Cpu {
             Some(RegionKind::Ram) => {
                 let a = addr as usize;
                 self.ram[a..a + 4].copy_from_slice(&v.to_le_bytes());
+                self.mark_written(a);
                 Ok(())
             }
             Some(RegionKind::Rom) => Err(CpuFault::Unmapped { addr, pc }),
@@ -296,6 +390,7 @@ impl Cpu {
         match self.map.kind_of(addr) {
             Some(RegionKind::Ram) => {
                 self.ram[addr as usize] = v;
+                self.mark_written(addr as usize);
                 Ok(())
             }
             Some(RegionKind::Rom) => Err(CpuFault::Unmapped { addr, pc }),

@@ -68,3 +68,52 @@ fn memory_and_hypercall_roundtrip() {
         }
     );
 }
+
+/// `Cpu::reset_to` rewinds by written pages only, so it must land on
+/// exactly `base.clone()`: random word and byte stores anywhere in RAM
+/// above the program (page edges, the last word, repeats), a `sym` that
+/// moves the tape, from a base that has itself run part of the program
+/// and so carries written pages of its own. A second run and rewind
+/// from the rewound CPU must land there again.
+#[test]
+fn reset_to_after_random_stores_equals_a_fresh_clone_of_the_base() {
+    use hardsnap_isa::{assemble, Cpu, NoMmio};
+    use hardsnap_util::prop::vec_of;
+    prop_check!(
+        cases = 128,
+        seed = 0x5E5E_7000,
+        (
+            stores in vec_of((0x2000u32..0x1_0000, any::<u32>(), any::<bool>()), 1..48),
+            prefix in 0usize..8,
+            tape in vec_of(any::<u32>(), 0..3),
+        ) => {
+            let mut src = String::from("    sym r5, #0\n");
+            for &(addr, value, byte) in &stores {
+                let (op, addr) = if byte { ("stb", addr) } else { ("stw", addr & !3) };
+                src.push_str(&format!(
+                    "    li r1, {addr:#x}\n    li r2, {value:#x}\n    {op} r2, [r1, #0]\n"
+                ));
+            }
+            src.push_str("    halt\n");
+            let prog = assemble(&src).unwrap();
+            let run = |cpu: &mut Cpu, steps: usize| {
+                for _ in 0..steps {
+                    cpu.step(&mut NoMmio).unwrap();
+                }
+            };
+            let mut base = Cpu::new(&prog);
+            base.set_input_tape(tape.clone());
+            // Each store is five instructions (two `li`s and the store).
+            run(&mut base, 1 + 5 * prefix.min(stores.len()));
+            let fresh = base.clone();
+            let mut cpu = base.clone();
+            for _ in 0..2 {
+                run(&mut cpu, 1 + 5 * stores.len() + 1);
+                assert!(cpu.halted);
+                cpu.reset_to(&base);
+                assert!(cpu == fresh, "rewound CPU differs from a clone of the base");
+                assert_eq!(cpu.ram(), fresh.ram());
+            }
+        }
+    );
+}

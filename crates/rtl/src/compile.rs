@@ -14,9 +14,11 @@
 //!
 //! The program also carries the dependency maps an *activity-driven*
 //! evaluator needs: for every net (and memory), which combinational
-//! blocks read it, and which drive it. An engine can then re-execute
-//! only the fan-out cone of nets that actually changed — see
-//! `hardsnap-sim`'s compiled backend.
+//! blocks read it, which drive it, and which clocked blocks read or
+//! write it. An engine can then re-execute only the fan-out cone of
+//! nets that actually changed, and on a clock edge only the clocked
+//! blocks whose inputs or targets changed — see `hardsnap-sim`'s
+//! compiled backend.
 //!
 //! Bit-exactness relies on two invariants of the interpreter it
 //! replaces:
@@ -269,6 +271,13 @@ pub struct CompiledProgram {
     /// when the interpreter's global dirty flag would — empty for all
     /// sane synthesizable designs.
     pub self_rmw: Vec<u32>,
+    /// Per net: indices into `clocked_blocks` of blocks that read it or
+    /// write it (ascending, unique). A clocked block is a pure function
+    /// of these values, so an edge may skip it while none has changed.
+    pub net_clocked: Vec<Vec<u32>>,
+    /// Per memory: indices into `clocked_blocks` of blocks that read it
+    /// or write it (ascending, unique).
+    pub mem_clocked: Vec<Vec<u32>>,
     /// Number of scratch slots needed (max case-nesting depth).
     pub tmp_slots: usize,
     /// Total op count across all combinational blocks (activity
@@ -437,6 +446,7 @@ pub fn compile(module: &Module) -> Result<CompiledProgram, CompileError> {
         }
     }
 
+    let (net_clocked, mem_clocked) = clocked_deps(module);
     let total_comb_ops = comb_blocks.iter().map(|b| b.len() as u64).sum();
     Ok(CompiledProgram {
         ops: e.ops,
@@ -448,6 +458,8 @@ pub fn compile(module: &Module) -> Result<CompiledProgram, CompileError> {
         mem_readers,
         net_drivers,
         self_rmw,
+        net_clocked,
+        mem_clocked,
         tmp_slots: e.max_tmp as usize,
         total_comb_ops,
     })
@@ -716,6 +728,43 @@ impl Emitter<'_> {
             other => unreachable!("patch on non-jump op {other:?}"),
         }
     }
+}
+
+/// Per net and per memory, the clocked blocks (indices in process
+/// declaration order, as `clocked_blocks`) that read or write it: reads
+/// as [`stmt_reads`]/[`stmt_mem_reads`] collect them, plus every lvalue
+/// target. Blocks are visited in ascending order, so a list whose last
+/// entry is the current block has already seen it.
+fn clocked_deps(module: &Module) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    fn mark(list: &mut Vec<u32>, bi: u32) {
+        if list.last() != Some(&bi) {
+            list.push(bi);
+        }
+    }
+    let mut nets: Vec<Vec<u32>> = vec![Vec::new(); module.nets.len()];
+    let mut mems: Vec<Vec<u32>> = vec![Vec::new(); module.memories.len()];
+    let clocked = module
+        .processes
+        .iter()
+        .filter(|p| matches!(p.kind, ProcessKind::Clocked { .. }));
+    for (bi, p) in clocked.enumerate() {
+        let bi = bi as u32;
+        for s in &p.body {
+            stmt_reads(s, &mut |n| mark(&mut nets[n.0 as usize], bi));
+            stmt_mem_reads(s, &mut |m| mark(&mut mems[m.0 as usize], bi));
+            s.for_each(&mut |s| {
+                if let Stmt::Assign { lv, .. } = s {
+                    if let Some(n) = lv.target_net() {
+                        mark(&mut nets[n.0 as usize], bi);
+                    }
+                    if let Some(m) = lv.target_mem() {
+                        mark(&mut mems[m.0 as usize], bi);
+                    }
+                }
+            });
+        }
+    }
+    (nets, mems)
 }
 
 /// True when a comb node reads the *same whole net* it fully drives —

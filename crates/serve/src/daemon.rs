@@ -1474,6 +1474,11 @@ mod tests {
         let stats = d.daemon_stats();
         assert_eq!(stats.warm_target, 2);
         // The job returned its lease before it went terminal.
+        assert_eq!(stats.warm_leased, 0);
+        // The second prototype builds on its own thread, which a short
+        // job can outrun; once it is built both are ready.
+        assert!(p.wait_ready(2, Duration::from_secs(120)), "{:?}", p.stats());
+        let stats = d.daemon_stats();
         assert_eq!(
             (stats.warm_ready, stats.warm_leased, stats.warm_arming),
             (2, 0, 0)

@@ -5,8 +5,10 @@
 //! arrays — no [`hardsnap_rtl::Value`] construction anywhere on the hot
 //! path. A per-comb-block dirty flag plus the program's net→readers /
 //! mem→readers maps let `settle()` re-execute only blocks in the
-//! fan-out cone of nets that actually changed; a quiescent design costs
-//! two flag tests per cycle.
+//! fan-out cone of nets that actually changed, and a per-clocked-block
+//! flag lets a clock edge run only the processes whose inputs or
+//! targets changed; a quiescent design costs a few flag tests per
+//! cycle.
 //!
 //! ## Why dirty-cone settling is bit-exact
 //!
@@ -26,6 +28,29 @@
 //! * An external poke smashes a comb-driven net, so the poked net's
 //!   *drivers* are marked too — re-running them rewrites the derived
 //!   value exactly as a full interpreter settle would.
+//!
+//! ## Why skipping idle clocked blocks is bit-exact
+//!
+//! The interpreter runs every clocked process on every edge. Here each
+//! clocked block has a dirty flag, set by every value change to a net
+//! or memory the block reads *or writes* (`prog.net_clocked` /
+//! `prog.mem_clocked`): an NBA commit, the block's own included; a
+//! blocking store; a comb settle; a poke, and so every restore. Power-on,
+//! `fork` and `clear_state` set every flag. A clock edge clears a flag
+//! just before its block runs and skips blocks whose flag is clear.
+//!
+//! A clocked block is a pure function of the values it reads and of
+//! its targets' current values (a slice or bit store keeps the other
+//! bits). A flag that is still clear at an edge therefore means two
+//! things: the block's last run changed nothing (any store or commit
+//! that changed a target would have set it again), and nothing it
+//! reads or writes has changed since. Re-running it would write the
+//! values its targets already hold. One more fact makes that hold
+//! across blocks: `check_module` lets only one process write a given
+//! reg or memory, so no other block's write to the same target can be
+//! ordered after the skipped block's and lose to it. Full-evaluation
+//! mode (`activity` off) runs every clocked block, as the interpreter
+//! does.
 
 use hardsnap_rtl::{mask, BinaryOp, Block, CompiledProgram, Module, Op, UnaryOp};
 use std::sync::Arc;
@@ -72,6 +97,10 @@ struct ExecState {
     nba_mems: Vec<(u32, u64, u64)>,
     /// Per-comb-block dirty flag (indices match `prog.comb_blocks`).
     dirty: Vec<bool>,
+    /// Per-clocked-block dirty flag (indices match
+    /// `prog.clocked_blocks`): set by every change to a net or memory
+    /// the block reads or writes, cleared just before the block runs.
+    clk_dirty: Vec<bool>,
     any_dirty: bool,
     /// Mirrors the interpreter's global `comb_dirty` cadence; consumed
     /// by `settle()` to re-mark `self_rmw` blocks.
@@ -80,14 +109,17 @@ struct ExecState {
     /// outside it); a block never re-marks itself mid-settle, matching
     /// the interpreter's run-each-node-once-per-settle rule.
     cur_block: u32,
-    /// Whether activity scheduling is on (off = full re-evaluation of
-    /// every block per dirty settle, for benchmarking the win).
+    /// Whether activity scheduling is on (off = every comb block per
+    /// dirty settle and every clocked block per edge, for benchmarking
+    /// the win).
     activity: bool,
     /// Whether settle() currently charges the activity counters (only
     /// during `step`, so driver peeks don't skew the hit rate).
     account: bool,
     ops_executed: u64,
     ops_skipped: u64,
+    clocked_runs: u64,
+    clocked_skipped: u64,
     journal: Option<Journal>,
     snap_journal: Option<SnapJournal>,
 }
@@ -106,6 +138,7 @@ impl CompiledSim {
             nba_nets: Vec::new(),
             nba_mems: Vec::new(),
             dirty: vec![true; prog.comb_blocks.len()],
+            clk_dirty: vec![true; prog.clocked_blocks.len()],
             any_dirty: true,
             global_dirty: true,
             cur_block: u32::MAX,
@@ -113,6 +146,8 @@ impl CompiledSim {
             account: false,
             ops_executed: 0,
             ops_skipped: 0,
+            clocked_runs: 0,
+            clocked_skipped: 0,
             journal: None,
             snap_journal: None,
         };
@@ -141,6 +176,14 @@ impl CompiledSim {
 
     pub(crate) fn ops_skipped(&self) -> u64 {
         self.st.ops_skipped
+    }
+
+    pub(crate) fn clocked_runs(&self) -> u64 {
+        self.st.clocked_runs
+    }
+
+    pub(crate) fn clocked_skipped(&self) -> u64 {
+        self.st.clocked_skipped
     }
 
     pub(crate) fn peek_raw(&self, slot: usize) -> u64 {
@@ -278,6 +321,9 @@ impl ExecState {
                 self.any_dirty = true;
             }
         }
+        for &bi in &prog.net_clocked[slot as usize] {
+            self.clk_dirty[bi as usize] = true;
+        }
     }
 
     #[inline]
@@ -293,6 +339,9 @@ impl ExecState {
                 self.dirty[bi as usize] = true;
                 self.any_dirty = true;
             }
+        }
+        for &bi in &prog.mem_clocked[mem as usize] {
+            self.clk_dirty[bi as usize] = true;
         }
     }
 
@@ -337,11 +386,21 @@ impl ExecState {
         self.any_dirty = false;
     }
 
+    /// Runs the clocked blocks whose flag is set (every block in
+    /// full-evaluation mode), then commits their NBA writes. A flag is
+    /// cleared *before* its block runs, so a change the run itself
+    /// makes (a blocking store, its NBA commit) re-arms it for the next
+    /// edge.
     fn clock_edge(&mut self, prog: &CompiledProgram) {
         debug_assert!(self.nba_nets.is_empty() && self.nba_mems.is_empty());
         for bi in 0..prog.clocked_blocks.len() {
-            let b = prog.clocked_blocks[bi];
-            self.exec_block(prog, b);
+            if self.activity && !self.clk_dirty[bi] {
+                self.clocked_skipped += 1;
+                continue;
+            }
+            self.clk_dirty[bi] = false;
+            self.clocked_runs += 1;
+            self.exec_block(prog, prog.clocked_blocks[bi]);
         }
         // Commit NBA writes in program order. The scratch Vecs are
         // drained in place so their capacity survives across cycles.
@@ -432,9 +491,8 @@ impl ExecState {
                 }
             }
         }
-        for d in self.dirty.iter_mut() {
-            *d = true;
-        }
+        self.dirty.fill(true);
+        self.clk_dirty.fill(true);
         self.any_dirty = !prog.comb_blocks.is_empty();
         self.global_dirty = true;
     }

@@ -21,7 +21,8 @@
 //!   lowered once by [`hardsnap_rtl::compile`] into a levelized op
 //!   array over raw `u64` slots and executed by the activity-driven
 //!   engine in [`crate::compiled`] — only comb blocks in the fan-out
-//!   cone of changed nets re-run each cycle (Verilator-style).
+//!   cone of changed nets re-run each cycle (Verilator-style), and only
+//!   clocked processes whose inputs or targets changed run on an edge.
 //! * **Interpreter** ([`SimEngine::Interpreter`]): the original
 //!   tree-walking evaluator, retained as the semantic reference for
 //!   differential testing.
@@ -38,12 +39,12 @@ use std::sync::Arc;
 /// Which execution backend a [`Simulator`] runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEngine {
-    /// Compiled bytecode with activity-driven (dirty-cone) scheduling —
-    /// the default.
+    /// Compiled bytecode with activity-driven scheduling (dirty-cone
+    /// comb settles, idle clocked processes skipped) — the default.
     Bytecode,
     /// Compiled bytecode, but every dirty settle re-runs all comb
-    /// blocks (isolates the compilation win from the scheduling win in
-    /// benchmarks).
+    /// blocks and every edge runs all clocked processes (isolates the
+    /// compilation win from the scheduling win in benchmarks).
     BytecodeFullEval,
     /// The tree-walking reference interpreter.
     Interpreter,
@@ -182,9 +183,9 @@ impl Simulator {
     }
 
     /// Attaches a telemetry recorder; each subsequent [`Simulator::step`]
-    /// on a bytecode backend reports `sim.ops_executed` /
-    /// `sim.ops_skipped` counters and the per-step comb-activity
-    /// histogram through it.
+    /// on a bytecode backend reports the `sim.ops_executed` /
+    /// `sim.ops_skipped` and `sim.clocked_runs` / `sim.clocked_skipped`
+    /// counters and the per-step comb-activity histogram through it.
     pub fn attach_recorder(&mut self, rec: &Recorder) {
         self.rec = rec.clone();
     }
@@ -194,6 +195,17 @@ impl Simulator {
     pub fn comb_activity(&self) -> (u64, u64) {
         match &self.backend {
             Backend::Compiled(c) => (c.ops_executed(), c.ops_skipped()),
+            Backend::Interp(_) => (0, 0),
+        }
+    }
+
+    /// Lifetime totals of clocked-block runs `(run, skipped)` on clock
+    /// edges: a block is skipped when nothing it reads or writes changed
+    /// since its last run. Full evaluation skips none; both zero on the
+    /// interpreter.
+    pub fn clocked_activity(&self) -> (u64, u64) {
+        match &self.backend {
+            Backend::Compiled(c) => (c.clocked_runs(), c.clocked_skipped()),
             Backend::Interp(_) => (0, 0),
         }
     }
@@ -338,11 +350,15 @@ impl Simulator {
             match &mut self.backend {
                 Backend::Compiled(c) => {
                     let (e0, s0) = (c.ops_executed(), c.ops_skipped());
+                    let (r0, k0) = (c.clocked_runs(), c.clocked_skipped());
                     c.step_one();
                     if self.rec.is_enabled() {
                         let de = c.ops_executed() - e0;
                         self.rec.add(Counter::SimOpsExecuted, de);
                         self.rec.add(Counter::SimOpsSkipped, c.ops_skipped() - s0);
+                        self.rec.add(Counter::SimClockedRuns, c.clocked_runs() - r0);
+                        self.rec
+                            .add(Counter::SimClockedSkipped, c.clocked_skipped() - k0);
                         self.rec.observe(Metric::SimCombOpsPerStep, de);
                     }
                 }
@@ -1130,5 +1146,129 @@ mod tests {
         let (_, skip1) = s.comb_activity();
         assert!(skip1 > skip0, "quiescent cycles must skip comb blocks");
         assert_eq!(s.peek("y").unwrap().bits(), (7u64 + 1) ^ 0x5a);
+    }
+
+    /// One scripted edge: net pokes by name and `ram` word pokes, then
+    /// the edge.
+    type Edge<'a> = (&'a [(&'a str, u64)], &'a [(u32, u64)]);
+
+    const IDLE: Edge<'static> = (&[], &[]);
+
+    /// Runs `src` on all three engines through `script` and returns
+    /// each engine's `q` after every edge.
+    fn q_per_edge(src: &str, top: &str, script: &[Edge]) -> Vec<Vec<u64>> {
+        let engines = [
+            SimEngine::Bytecode,
+            SimEngine::BytecodeFullEval,
+            SimEngine::Interpreter,
+        ];
+        engines
+            .iter()
+            .map(|&engine| {
+                let d = parse_design(src).unwrap();
+                let flat = hardsnap_rtl::elaborate(&d, top).unwrap();
+                let mut s = Simulator::with_engine(flat, engine).unwrap();
+                script
+                    .iter()
+                    .map(|(nets, words)| {
+                        for &(name, v) in nets.iter() {
+                            s.poke(name, v).unwrap();
+                        }
+                        for &(addr, v) in words.iter() {
+                            s.poke_mem("ram", addr, v).unwrap();
+                        }
+                        s.step(1);
+                        s.peek("q").unwrap().bits()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn poked_register_is_reloaded_although_its_input_is_held() {
+        // The block reads only `d`, which never changes after the first
+        // edge; poking its target `q` must still make the next edge
+        // re-run it and load `d` again.
+        let src = r#"
+            module dff (input wire clk, input wire [3:0] d, output reg [3:0] q);
+                always @(posedge clk) q <= d;
+            endmodule
+        "#;
+        let runs = q_per_edge(
+            src,
+            "dff",
+            &[(&[("d", 5)], &[]), IDLE, (&[("q", 9)], &[]), IDLE],
+        );
+        for r in &runs {
+            assert_eq!(r, &vec![5, 5, 5, 5]);
+        }
+    }
+
+    #[test]
+    fn register_follows_a_poked_memory_word() {
+        // The block reads `ram[a]`; a poke of that word (as a restore
+        // writes it) must re-run the block although `a` is held.
+        let src = r#"
+            module rd (input wire clk, input wire [1:0] a, output reg [7:0] q);
+                reg [7:0] ram [0:3];
+                always @(posedge clk) q <= ram[a];
+            endmodule
+        "#;
+        let runs = q_per_edge(
+            src,
+            "rd",
+            &[
+                (&[("a", 2)], &[]),
+                (&[], &[(2, 0x5a)]),
+                IDLE,
+                (&[], &[(1, 7)]),
+                (&[], &[(2, 0xc3)]),
+            ],
+        );
+        for r in &runs {
+            assert_eq!(r, &vec![0, 0x5a, 0x5a, 0x5a, 0xc3]);
+        }
+    }
+
+    #[test]
+    fn blocking_self_update_keeps_its_block_running() {
+        // A blocking store changes `q` while its own block runs; that
+        // change must keep the block scheduled for the next edge.
+        let src = r#"
+            module cnt (input wire clk, output reg [7:0] q);
+                always @(posedge clk) q = q + 8'd1;
+            endmodule
+        "#;
+        let runs = q_per_edge(src, "cnt", &[IDLE; 5]);
+        for r in &runs {
+            assert_eq!(r, &vec![1, 2, 3, 4, 5]);
+        }
+    }
+
+    #[test]
+    fn idle_clocked_blocks_are_skipped_and_counted() {
+        let src = r#"
+            module two (input wire clk, input wire [7:0] x, output reg [7:0] q,
+                        output reg [7:0] n);
+                always @(posedge clk) q <= x;
+                always @(posedge clk) n <= n + 8'd1;
+            endmodule
+        "#;
+        let d = parse_design(src).unwrap();
+        let flat = hardsnap_rtl::elaborate(&d, "two").unwrap();
+        let mut s = Simulator::new(flat.clone()).unwrap();
+        s.poke("x", 3).unwrap();
+        s.step(10);
+        // `q <= x` runs on the first edge and once more because its
+        // commit changed `q`; the counter runs on every edge.
+        assert_eq!(s.clocked_activity(), (12, 8));
+        assert_eq!(s.peek("q").unwrap().bits(), 3);
+        assert_eq!(s.peek("n").unwrap().bits(), 10);
+        let mut full = Simulator::with_engine(flat.clone(), SimEngine::BytecodeFullEval).unwrap();
+        full.step(10);
+        assert_eq!(full.clocked_activity(), (20, 0));
+        let interp = Simulator::with_engine(flat, SimEngine::Interpreter).unwrap();
+        assert_eq!(interp.clocked_activity(), (0, 0));
     }
 }

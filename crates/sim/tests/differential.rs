@@ -32,24 +32,70 @@ fn snapshot_image(sim: &Simulator) -> Vec<u8> {
 /// Drives `sims` in lockstep with identical random stimulus for
 /// `cycles` cycles, asserting full-state agreement after every step.
 /// Returns the concatenated snapshot images taken along the way.
+///
+/// Besides input pokes the stimulus has quiet stretches (inputs held
+/// for 2–8 cycles, so an engine that skips idle logic actually gets
+/// to skip), direct pokes of one clocked register or memory word, and
+/// restores: every register and memory word poked back to an image
+/// saved earlier, as a snapshot restore writes them.
 fn drive_lockstep(module: &Module, sims: &mut [Simulator], seed: u64, cycles: u32) -> Vec<u8> {
     let inputs: Vec<_> = module
         .ports()
         .filter(|(_, n)| n.port == Some(PortDir::Input) && n.name != "clk")
         .map(|(id, _)| id)
         .collect();
+    let regs = module.clocked_regs();
     let mems: Vec<_> = module
         .iter_mems()
         .map(|(id, m)| (m.name.clone(), id))
         .collect();
     let mut rng = Rng::seed_from_u64(seed);
     let mut images = Vec::new();
+    let mut quiet = 0u32;
+    let mut saved: Option<(Vec<u64>, Vec<Vec<u64>>)> = None;
     for cycle in 0..cycles {
-        for &id in &inputs {
-            if rng.gen_bool(0.7) {
+        if quiet > 0 {
+            quiet -= 1;
+        } else if rng.gen_bool(0.2) {
+            quiet = rng.gen_range(2u32..=8);
+        } else {
+            for &id in &inputs {
+                if rng.gen_bool(0.7) {
+                    let v = rng.next_u64();
+                    for sim in sims.iter_mut() {
+                        sim.poke_id(id, v);
+                    }
+                }
+            }
+        }
+        if let Some(&id) = rng.choose(&regs) {
+            if rng.gen_bool(0.15) {
                 let v = rng.next_u64();
                 for sim in sims.iter_mut() {
                     sim.poke_id(id, v);
+                }
+            }
+        }
+        if rng.gen_bool(0.05) {
+            let s = &sims[0];
+            saved = Some((
+                regs.iter().map(|&id| s.peek_id(id).bits()).collect(),
+                mems.iter()
+                    .map(|(_, id)| s.mem_words(*id).to_vec())
+                    .collect(),
+            ));
+        }
+        if let Some((reg_vals, mem_vals)) = &saved {
+            if rng.gen_bool(0.05) {
+                for sim in sims.iter_mut() {
+                    for (&id, &v) in regs.iter().zip(reg_vals) {
+                        sim.poke_id(id, v);
+                    }
+                    for ((name, _), words) in mems.iter().zip(mem_vals) {
+                        for (addr, &w) in words.iter().enumerate() {
+                            sim.poke_mem(name, addr as u32, w).unwrap();
+                        }
+                    }
                 }
             }
         }
@@ -117,7 +163,7 @@ fn bytecode_and_interpreter_agree_on_random_designs() {
             Simulator::with_engine(module.clone(), SimEngine::Interpreter)
                 .unwrap_or_else(|e| panic!("seed {case_seed:#x}: interpreter: {e}")),
         ];
-        drive_lockstep(&module, &mut sims, case_seed ^ 0x5715_0CAB, 40);
+        drive_lockstep(&module, &mut sims, case_seed ^ 0x5715_0CAB, 64);
     });
 }
 

@@ -109,6 +109,11 @@ enum_metric! {
         SimOpsExecuted => "sim.ops_executed",
         /// Bytecode-simulator comb ops skipped by activity scheduling.
         SimOpsSkipped => "sim.ops_skipped",
+        /// Bytecode-simulator clocked-block runs (flagged blocks only).
+        SimClockedRuns => "sim.clocked_runs",
+        /// Bytecode-simulator clocked-block runs skipped because nothing
+        /// the block reads or writes changed since its last run.
+        SimClockedSkipped => "sim.clocked_skipped",
         /// Campaign-service jobs admitted (scheduled or queued).
         JobsAdmitted => "serve.jobs_admitted",
         /// Campaign-service submissions rejected with `Saturated`.

@@ -2,11 +2,20 @@
 //!
 //! Produces flat [`Module`]s that pass [`hardsnap_rtl::check_module`]
 //! by construction, covering the whole simulated subset: continuous
-//! assigns over acyclic wire chains, one clocked process with
-//! non-blocking (and occasional blocking) assigns to full nets, slices,
-//! dynamic bit indices and a memory, plus an `always @(*)` process with
-//! `if`/`case` control flow. Expressions draw from every [`Expr`]
-//! variant and operator.
+//! assigns over acyclic wire chains; one to three clocked processes
+//! with non-blocking (and occasional blocking) assigns to full nets,
+//! slices, dynamic bit indices and a memory, enable-gated loads
+//! (`if (en) r <= x`) and blocking temporaries; plus an `always @(*)`
+//! process with `if`/`case` control flow. Expressions draw from every
+//! [`Expr`] variant and operator.
+//!
+//! The clocked processes talk to each other the way real blocks do:
+//! each owns its registers (the checker allows one writing process per
+//! reg and per memory), and every process reads the registers the
+//! others own and the memory one of them writes. Some registers are
+//! written but never read (only a poke or a restore can change them
+//! behind their writer's back), and a process may open with a blocking
+//! temporary that its later statements read.
 //!
 //! The generator exists for differential testing: two simulator
 //! backends fed the same generated module and the same stimulus must
@@ -28,13 +37,14 @@ use hardsnap_util::Rng;
 /// [`hardsnap_rtl::check_module`] and simulator construction.
 pub fn gen_module(rng: &mut Rng, name: &str) -> Module {
     let mut m = Module::new(name);
-    m.add_net("clk", 1, NetKind::Wire, Some(PortDir::Input))
+    let clk = m
+        .add_net("clk", 1, NetKind::Wire, Some(PortDir::Input))
         .unwrap();
     let rst = m
         .add_net("rst", 1, NetKind::Wire, Some(PortDir::Input))
         .unwrap();
 
-    // Inputs.
+    // Inputs, then 1-bit enables (also readable like any input).
     let n_inputs = rng.gen_range(1u32..=4);
     let mut pool: Vec<(NetId, u32)> = vec![(rst, 1)];
     for i in 0..n_inputs {
@@ -44,23 +54,44 @@ pub fn gen_module(rng: &mut Rng, name: &str) -> Module {
             .unwrap();
         pool.push((id, w));
     }
-
-    // Registers (all owned by the single clocked process below).
-    let n_regs = rng.gen_range(1u32..=4);
-    let mut regs: Vec<(NetId, u32)> = Vec::new();
-    for i in 0..n_regs {
-        let w = rng.gen_range(1u32..=32);
-        let dir = if rng.gen_bool(0.5) {
-            Some(PortDir::Output)
-        } else {
-            None
-        };
-        let id = m.add_net(format!("r{i}"), w, NetKind::Reg, dir).unwrap();
-        regs.push((id, w));
-        pool.push((id, w));
+    let mut enables = Vec::new();
+    for i in 0..rng.gen_range(0u32..=2) {
+        let id = m
+            .add_net(format!("en{i}"), 1, NetKind::Wire, Some(PortDir::Input))
+            .unwrap();
+        enables.push(id);
+        pool.push((id, 1));
     }
 
-    // One memory, written only by the clocked process.
+    // Registers: each owned (written) by one clocked process and
+    // readable by all; every process owns at least one. A process may
+    // also own a register nothing reads.
+    let n_procs = rng.gen_range(1usize..=3);
+    let mut owned: Vec<Vec<(NetId, u32)>> = vec![Vec::new(); n_procs];
+    let mut n_regs = 0;
+    for (p, regs) in owned.iter_mut().enumerate() {
+        for _ in 0..rng.gen_range(1u32..=2) {
+            let w = rng.gen_range(1u32..=32);
+            let dir = if rng.gen_bool(0.5) {
+                Some(PortDir::Output)
+            } else {
+                None
+            };
+            let id = m
+                .add_net(format!("r{n_regs}"), w, NetKind::Reg, dir)
+                .unwrap();
+            n_regs += 1;
+            regs.push((id, w));
+            pool.push((id, w));
+        }
+        if rng.gen_bool(0.5) {
+            let w = rng.gen_range(1u32..=32);
+            let id = m.add_net(format!("wo{p}"), w, NetKind::Reg, None).unwrap();
+            regs.push((id, w));
+        }
+    }
+
+    // One memory, written by one clocked process, read by any.
     let mem = if rng.gen_bool(0.7) {
         let w = rng.gen_range(1u32..=32);
         let depth = rng.gen_range(2u32..=16);
@@ -68,6 +99,7 @@ pub fn gen_module(rng: &mut Rng, name: &str) -> Module {
     } else {
         None
     };
+    let mem_owner = rng.gen_range(0..n_procs);
 
     // Wires: one continuous assign each, reading only earlier nets.
     let n_wires = rng.gen_range(0u32..=5);
@@ -94,24 +126,44 @@ pub fn gen_module(rng: &mut Rng, name: &str) -> Module {
         pool.push((id, w));
     }
 
-    // The clocked process: writes every register and the memory.
-    let clk = m.find_net("clk").unwrap();
-    let body = {
+    // The clocked processes, in declaration order.
+    for (p, regs) in owned.iter().enumerate() {
+        let mut local = pool.clone();
+        let mut body = Vec::new();
+        if rng.gen_bool(0.4) {
+            // A blocking temporary the rest of the body reads.
+            let w = rng.gen_range(1u32..=32);
+            let t = m.add_net(format!("t{p}"), w, NetKind::Reg, None).unwrap();
+            let (rhs, _) = ExprGen {
+                rng,
+                pool: &pool,
+                mem,
+            }
+            .expr(2);
+            body.push(Stmt::Assign {
+                lv: LValue::Net(t),
+                rhs,
+                blocking: true,
+            });
+            local.push((t, w));
+        }
         let mut g = StmtGen {
             rng,
-            pool: &pool,
+            pool: &local,
             mem,
-            regs: &regs,
+            writes_mem: p == mem_owner,
+            regs,
+            enables: &enables,
         };
-        g.block(2)
-    };
-    m.processes.push(Process {
-        kind: ProcessKind::Clocked {
-            clock: clk,
-            edge: EdgeKind::Pos,
-        },
-        body,
-    });
+        body.extend(g.block(2));
+        m.processes.push(Process {
+            kind: ProcessKind::Clocked {
+                clock: clk,
+                edge: EdgeKind::Pos,
+            },
+            body,
+        });
+    }
 
     // Optionally one comb process driving a dedicated register that no
     // combinational unit reads (keeps the fabric acyclic).
@@ -122,7 +174,9 @@ pub fn gen_module(rng: &mut Rng, name: &str) -> Module {
             rng,
             pool: &pool,
             mem,
+            writes_mem: false,
             regs: &[(cw, w)],
+            enables: &[],
         };
         let body = g.comb_block(2);
         m.processes.push(Process {
@@ -255,8 +309,8 @@ impl ExprGen<'_> {
                 }
             }
             _ => {
-                let &(base, _) = self.rng.choose(self.pool).unwrap();
-                let (index, _) = self.expr(depth - 1);
+                let &(base, w) = self.rng.choose(self.pool).unwrap();
+                let index = self.index(w, depth - 1);
                 (
                     Expr::Index {
                         base,
@@ -265,6 +319,16 @@ impl ExprGen<'_> {
                     1,
                 )
             }
+        }
+    }
+
+    /// A bit index into a net of width `w`. A constant index is kept in
+    /// range: Verilog reads `x[k]` with a constant `k` as a static bit
+    /// select, which must name a bit of `x` to print and parse back.
+    fn index(&mut self, w: u32, depth: u32) -> Expr {
+        match self.expr(depth).0 {
+            Expr::Const(v) => Expr::Const(Value::new(v.bits() % u64::from(w), v.width())),
+            e => e,
         }
     }
 
@@ -305,17 +369,22 @@ impl ExprGen<'_> {
 }
 
 /// Statement generator for process bodies. `regs` is the set of nets
-/// this process owns (writes); reads come from `pool`.
+/// this process owns (writes); reads come from `pool` and `mem`, and
+/// the process writes `mem` only when `writes_mem`. `enables` are the
+/// 1-bit inputs that may gate an assignment.
 struct StmtGen<'a> {
     rng: &'a mut Rng,
     pool: &'a [(NetId, u32)],
     mem: Option<(MemId, u32)>,
+    writes_mem: bool,
     regs: &'a [(NetId, u32)],
+    enables: &'a [NetId],
 }
 
 impl StmtGen<'_> {
     /// A clocked-process block: NBA assigns (occasionally blocking, a
-    /// lint the checker permits) with `if`/`case` structure.
+    /// lint the checker permits) with `if`/`case` structure and
+    /// enable-gated loads.
     fn block(&mut self, depth: u32) -> Vec<Stmt> {
         let n = self.rng.gen_range(1u32..=3);
         let mut out = Vec::new();
@@ -389,6 +458,14 @@ impl StmtGen<'_> {
                 };
                 Stmt::Case { sel, arms, default }
             }
+            3 if clocked && !self.enables.is_empty() => {
+                let en = *self.rng.choose(self.enables).unwrap();
+                Stmt::If {
+                    cond: Expr::Net(en),
+                    then_s: vec![self.assign(clocked)],
+                    else_s: Vec::new(),
+                }
+            }
             _ => self.assign(clocked),
         }
     }
@@ -406,7 +483,7 @@ impl StmtGen<'_> {
         } else {
             true
         };
-        let mem_write = clocked && self.mem.is_some() && self.rng.gen_bool(0.25);
+        let mem_write = self.writes_mem && self.mem.is_some() && self.rng.gen_bool(0.25);
         let (lv, rhs) = if mem_write {
             let (mem, _) = self.mem.unwrap();
             let mut g = ExprGen {
@@ -431,7 +508,7 @@ impl StmtGen<'_> {
                         pool: self.pool,
                         mem: self.mem,
                     };
-                    let (index, _) = g.expr(1);
+                    let index = g.index(w, 1);
                     LValue::Index { base, index }
                 }
                 _ => LValue::Net(base),

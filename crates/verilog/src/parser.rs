@@ -638,7 +638,7 @@ impl Parser {
                 let then_e = self.parse_expr_prec(ctx, 0)?;
                 self.expect(Tok::Colon)?;
                 let else_e = self.parse_expr_prec(ctx, 0)?;
-                lhs = fold_cond(lhs, then_e, else_e);
+                lhs = fold_cond(&ctx.module, lhs, then_e, else_e);
                 continue;
             }
             let (op, prec, divmod) = match self.peek() {
@@ -817,9 +817,21 @@ fn fold_unary(op: UnaryOp, arg: Expr) -> Expr {
     }
 }
 
-fn fold_cond(cond: Expr, then_e: Expr, else_e: Expr) -> Expr {
+/// Builds `cond ? then_e : else_e`, folding a constant condition only
+/// where that keeps the expression's width: the width of `?:` is the
+/// wider arm's, and the taken arm alone may be narrower (which would
+/// change a case selector's width or the mask of a sum around it).
+fn fold_cond(module: &Module, cond: Expr, then_e: Expr, else_e: Expr) -> Expr {
     if let Expr::Const(c) = &cond {
-        return if c.is_true() { then_e } else { else_e };
+        if let (Expr::Const(t), Expr::Const(f)) = (&then_e, &else_e) {
+            let taken = if c.is_true() { t } else { f };
+            return Expr::Const(Value::new(taken.bits(), t.width().max(f.width())));
+        }
+        if let (Ok(wt), Ok(wf)) = (then_e.width(module), else_e.width(module)) {
+            if wt == wf {
+                return if c.is_true() { then_e } else { else_e };
+            }
+        }
     }
     Expr::Cond {
         cond: Box::new(cond),
@@ -972,6 +984,26 @@ mod tests {
             "#,
         );
         assert!(matches!(&m.assigns[0].rhs, Expr::Cond { .. }));
+    }
+
+    #[test]
+    fn constant_ternary_keeps_the_wider_arm_width() {
+        // `?:` is as wide as its wider arm; folding the constant
+        // condition to the 8-bit arm would make the sum 8 bits wide.
+        let m = parse_one(
+            r#"
+            module t (input wire [7:0] a, input wire [15:0] b,
+                      output wire [15:0] y, output wire [15:0] z);
+                assign y = (1'b1 ? a : b) + 8'hff;
+                assign z = 1'b0 ? 16'h1234 : 4'h3;
+            endmodule
+            "#,
+        );
+        assert_eq!(m.assigns[0].rhs.width(&m).unwrap(), 16);
+        match &m.assigns[1].rhs {
+            Expr::Const(v) => assert_eq!((v.bits(), v.width()), (3, 16)),
+            other => panic!("wrong tree: {other:?}"),
+        }
     }
 
     #[test]
