@@ -154,9 +154,20 @@ echo "==> serve smoke run (pool contention, admission, over-budget resume, SIGKI
 # rejects an over-wide job and a full queue with a typed error, that a
 # vtime-budgeted job stops over-budget and resumes to the reference
 # digest, and that SIGKILL-ing the live daemon mid-checkpoint loses
-# nothing after restart.
-cargo run -q --release --offline -p hardsnap-bench --bin exp_serve -- \
+# nothing after restart. It runs with TMPDIR pointed at an emptied
+# directory, so the check below sees every daemon state directory it
+# made and fails if one outlives the run.
+SERVE_TMP="$PWD/target/serve-smoke-tmp"
+rm -rf "$SERVE_TMP"
+mkdir -p "$SERVE_TMP"
+TMPDIR="$SERVE_TMP" cargo run -q --release --offline -p hardsnap-bench --bin exp_serve -- \
     --smoke --json target/BENCH_serve.smoke.json
+leftover=$(find "$SERVE_TMP" -mindepth 1 -maxdepth 1 -name 'hardsnap-exp-serve-*')
+if [ -n "$leftover" ]; then
+    echo "exp_serve left state directories behind:"
+    echo "$leftover"
+    exit 1
+fi
 
 echo "==> serve gate: daemon, concurrent verdict exit codes, kill -9 + restart"
 # Drives the real daemon binary over its unix socket with the CLI

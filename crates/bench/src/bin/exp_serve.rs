@@ -72,8 +72,9 @@ struct Contention {
 
 fn phase_contention(k: u32, jobs: usize, reference: u64) -> Contention {
     let pool = 2;
+    let dir = tmp("contention");
     let d = Daemon::new(DaemonConfig {
-        state_dir: tmp("contention"),
+        state_dir: dir.clone(),
         pool_replicas: pool,
         queue_max: jobs,
         ..DaemonConfig::default()
@@ -102,6 +103,8 @@ fn phase_contention(k: u32, jobs: usize, reference: u64) -> Contention {
         );
         max_wait = max_wait.max(s.queue_wait_ms);
     }
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
     Contention {
         jobs,
         pool,
@@ -116,8 +119,9 @@ struct Saturation {
 }
 
 fn phase_saturation(k: u32) -> Saturation {
+    let dir = tmp("saturation");
     let d = Daemon::new(DaemonConfig {
-        state_dir: tmp("saturation"),
+        state_dir: dir.clone(),
         pool_replicas: 1,
         queue_max: 1,
         ..DaemonConfig::default()
@@ -147,6 +151,8 @@ fn phase_saturation(k: u32) -> Saturation {
         "saturation phase hung"
     );
     assert!(rejected >= 1, "burst never saturated a 1+1 daemon");
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
     Saturation { admitted, rejected }
 }
 
@@ -310,8 +316,9 @@ fn timed_fleet(
     observe: bool,
     reference: u64,
 ) -> (u64, usize, usize) {
+    let dir = tmp(tag);
     let d = Daemon::new(DaemonConfig {
-        state_dir: tmp(tag),
+        state_dir: dir.clone(),
         pool_replicas: 2,
         queue_max: jobs,
         observe,
@@ -383,6 +390,8 @@ fn timed_fleet(
         assert!(events > 0, "subscriber saw no events");
         assert!(scrapes > 0, "no successful Prometheus scrape");
     }
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
     (wall_ms, events, scrapes)
 }
 

@@ -43,26 +43,27 @@ fn make_target(fpga: bool) -> Box<dyn HwTarget> {
 /// rather than clustering in one scan segment.
 fn perturb(base: &HwSnapshot, pct: u32) -> HwSnapshot {
     let mut snap = base.clone();
+    let layout = base.layout.clone();
     let nregs = snap.regs.len();
     let k = nregs * pct as usize / 100;
     for i in 0..k {
         let idx = i * nregs / k.max(1);
-        if snap.regs[idx].width > 0 {
-            snap.regs[idx].bits ^= 1;
+        if layout.regs()[idx].width > 0 {
+            snap.regs[idx] ^= 1;
         }
     }
-    let total_words: usize = snap.mems.iter().map(|m| m.words.len()).sum();
+    let total_words: usize = snap.mems.iter().map(Vec::len).sum();
     let kw = total_words * pct as usize / 100;
     let mut flat: Vec<(usize, usize)> = Vec::with_capacity(total_words);
     for (mi, m) in snap.mems.iter().enumerate() {
-        for wi in 0..m.words.len() {
+        for wi in 0..m.len() {
             flat.push((mi, wi));
         }
     }
     for i in 0..kw {
         let (mi, wi) = flat[i * total_words / kw.max(1)];
-        if snap.mems[mi].width > 0 {
-            snap.mems[mi].words[wi] ^= 1;
+        if layout.mems()[mi].width > 0 {
+            snap.mems[mi][wi] ^= 1;
         }
     }
     snap

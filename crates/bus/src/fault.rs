@@ -388,17 +388,15 @@ impl<T: HwTarget> FaultyTarget<T> {
 /// Damages a captured image the way a dropped scan cell does: one
 /// register with spare headroom gains a bit just above its width. Falls
 /// back to truncation when every register is already 64 bits wide.
-fn flip_scan_bit(snap: &mut HwSnapshot, rng: &mut Rng) {
-    let candidates: Vec<usize> = snap
-        .regs
-        .iter()
+pub fn flip_scan_bit(snap: &mut HwSnapshot, rng: &mut Rng) {
+    let candidates: Vec<(usize, u32)> = snap
+        .named_regs()
         .enumerate()
-        .filter(|(_, r)| r.width < 64)
-        .map(|(i, _)| i)
+        .filter(|(_, (_, width, _))| *width < 64)
+        .map(|(i, (_, width, _))| (i, width))
         .collect();
-    if let Some(&i) = rng.choose(&candidates) {
-        let r = &mut snap.regs[i];
-        r.bits |= 1 << r.width;
+    if let Some(&(i, width)) = rng.choose(&candidates) {
+        snap.regs[i] |= 1 << width;
     } else {
         truncate_capture(snap, rng);
     }
@@ -410,7 +408,7 @@ fn flip_scan_bit(snap: &mut HwSnapshot, rng: &mut Rng) {
 /// [`truncate_capture`], shape and width validation both pass — only
 /// the checksum trailer the scan controller computed over the full
 /// chain ([`HwTarget::capture_checksum`]) can expose the damage.
-fn zero_tail_readback(snap: &mut HwSnapshot, rng: &mut Rng) {
+pub fn zero_tail_readback(snap: &mut HwSnapshot, rng: &mut Rng) {
     let sections = snap.regs.len() + snap.mems.len();
     if sections == 0 {
         return;
@@ -418,26 +416,25 @@ fn zero_tail_readback(snap: &mut HwSnapshot, rng: &mut Rng) {
     let keep = rng.gen_range(0..sections);
     let nregs = snap.regs.len();
     for r in snap.regs.iter_mut().skip(keep) {
-        r.bits = 0;
+        *r = 0;
     }
     for m in snap.mems.iter_mut().skip(keep.saturating_sub(nregs)) {
-        for w in &mut m.words {
-            *w = 0;
-        }
+        m.fill(0);
     }
 }
 
 /// Damages a captured image the way a scan-out cut short does: trailing
 /// registers (or the last memory) disappear. An empty image gets its
 /// design label damaged instead — still a shape mismatch.
-fn truncate_capture(snap: &mut HwSnapshot, rng: &mut Rng) {
+pub fn truncate_capture(snap: &mut HwSnapshot, rng: &mut Rng) {
     if !snap.regs.is_empty() {
         let keep = rng.gen_range(0..snap.regs.len());
         snap.regs.truncate(keep);
     } else if !snap.mems.is_empty() {
         snap.mems.pop();
     } else {
-        snap.design.push('?');
+        let design = format!("{}?", snap.design());
+        snap.relabel(design);
     }
 }
 
@@ -683,17 +680,18 @@ fn flip_capture_bit(cap: &mut crate::SnapshotCapture, rng: &mut Rng) {
     match cap {
         crate::SnapshotCapture::Full(s) => flip_scan_bit(std::sync::Arc::make_mut(s), rng),
         crate::SnapshotCapture::Delta { base, delta } => {
-            let candidates: Vec<usize> = delta
+            let candidates: Vec<(usize, u32)> = delta
                 .regs
                 .iter()
-                .filter_map(|&(i, _)| base.regs.get(i as usize).map(|r| (i, r.width)))
+                .filter_map(|&(i, _)| {
+                    let i = i as usize;
+                    (i < base.regs.len()).then(|| base.reg_slot(i).1)
+                })
                 .enumerate()
-                .filter(|(_, (_, w))| *w < 64)
-                .map(|(k, _)| k)
+                .filter(|(_, w)| *w < 64)
                 .collect();
-            if let Some(&k) = rng.choose(&candidates) {
+            if let Some(&(k, width)) = rng.choose(&candidates) {
                 let (i, bits) = delta.regs[k];
-                let width = base.regs[i as usize].width;
                 delta.regs[k] = (i, bits | 1 << width);
             } else {
                 delta.regs.push((base.regs.len() as u32, 1));
@@ -726,7 +724,20 @@ fn truncate_any_capture(cap: &mut crate::SnapshotCapture, rng: &mut Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RegImage;
+    use crate::{RegSlot, SnapshotLayout};
+    use std::sync::Arc;
+
+    fn honest_layout() -> Arc<SnapshotLayout> {
+        let reg = |name: &str, width| RegSlot {
+            name: name.into(),
+            width,
+        };
+        Arc::new(SnapshotLayout::new(
+            "honest",
+            vec![reg("a", 8), reg("b", 16)],
+            vec![],
+        ))
+    }
 
     /// Honest in-memory target: bus ops always succeed, snapshots carry
     /// two registers, and the shape hash is self-computed.
@@ -734,6 +745,7 @@ mod tests {
         reg: u64,
         cycle: u64,
         resets: u64,
+        layout: Arc<SnapshotLayout>,
     }
 
     impl Honest {
@@ -742,26 +754,16 @@ mod tests {
                 reg: 0,
                 cycle: 0,
                 resets: 0,
+                layout: honest_layout(),
             }
         }
         fn image(&self) -> HwSnapshot {
-            HwSnapshot {
-                design: "honest".into(),
-                cycle: self.cycle,
-                regs: vec![
-                    RegImage {
-                        name: "a".into(),
-                        width: 8,
-                        bits: self.reg & 0xff,
-                    },
-                    RegImage {
-                        name: "b".into(),
-                        width: 16,
-                        bits: (self.reg >> 8) & 0xffff,
-                    },
-                ],
-                mems: vec![],
-            }
+            HwSnapshot::new(
+                self.layout.clone(),
+                self.cycle,
+                vec![self.reg & 0xff, (self.reg >> 8) & 0xffff],
+                vec![],
+            )
         }
     }
 
@@ -833,23 +835,7 @@ mod tests {
                 1 => pattern.push(t.bus_write(0x4000_0000 + i, i).is_ok()),
                 2 => pattern.push(t.save_snapshot().is_ok_and(|s| s.validate().is_ok())),
                 _ => {
-                    let s = HwSnapshot {
-                        design: "honest".into(),
-                        cycle: 0,
-                        regs: vec![
-                            RegImage {
-                                name: "a".into(),
-                                width: 8,
-                                bits: 1,
-                            },
-                            RegImage {
-                                name: "b".into(),
-                                width: 16,
-                                bits: 2,
-                            },
-                        ],
-                        mems: vec![],
-                    };
+                    let s = HwSnapshot::new(honest_layout(), 0, vec![1, 2], vec![]);
                     pattern.push(t.restore_snapshot(&s).is_ok());
                 }
             }

@@ -28,7 +28,7 @@ pub use persist::{
     SectionEntry, SectionTag, SnapshotFile,
 };
 pub use snapshot::{
-    shape_hash_parts, HwSnapshot, MemImage, RegImage, SnapshotCapture, SnapshotDelta,
+    shape_hash_parts, HwSnapshot, MemSlot, RegSlot, SnapshotCapture, SnapshotDelta, SnapshotLayout,
 };
 pub use target::{transfer_state, HwTarget, LazyRestore, TargetCaps, TargetKind};
 

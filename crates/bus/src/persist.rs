@@ -45,9 +45,10 @@
 //! malformed input.
 
 use crate::snapshot::{fnv1a, FNV_OFFSET};
-use crate::{HwSnapshot, MemImage, RegImage, SnapshotDelta};
+use crate::{HwSnapshot, MemSlot, RegSlot, SnapshotDelta, SnapshotLayout};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic of the codec.
 pub const TLV_MAGIC: &[u8; 8] = b"HSTLV01\0";
@@ -506,7 +507,7 @@ pub fn write_full(snap: &HwSnapshot) -> Vec<u8> {
     let mut b = SectionWriter::new(
         ImageKind::Full,
         &PersistMeta {
-            design: snap.design.clone(),
+            design: snap.design().to_string(),
             cycle: snap.cycle,
             shape_hash: snap.shape_hash(),
             content_hash: snap.content_hash(),
@@ -517,26 +518,26 @@ pub fn write_full(snap: &HwSnapshot) -> Vec<u8> {
     );
     let mut regs = Vec::with_capacity(4 + snap.regs.len() * 24);
     regs.extend_from_slice(&(snap.regs.len() as u32).to_le_bytes());
-    for r in &snap.regs {
-        put_str(&mut regs, &r.name);
-        regs.extend_from_slice(&r.width.to_le_bytes());
-        regs.extend_from_slice(&r.bits.to_le_bytes());
+    for (name, width, bits) in snap.named_regs() {
+        put_str(&mut regs, name);
+        regs.extend_from_slice(&width.to_le_bytes());
+        regs.extend_from_slice(&bits.to_le_bytes());
     }
     b.push(
         SectionTag::Regs,
         0,
-        regs_values_hash(snap.regs.iter().map(|r| r.bits)),
+        regs_values_hash(snap.regs.iter().copied()),
         regs,
     );
-    for (k, m) in snap.mems.iter().enumerate() {
-        let mut p = Vec::with_capacity(12 + m.name.len() + 8 * m.words.len());
-        put_str(&mut p, &m.name);
-        p.extend_from_slice(&m.width.to_le_bytes());
-        p.extend_from_slice(&(m.words.len() as u32).to_le_bytes());
-        for w in &m.words {
+    for (k, (name, width, words)) in snap.named_mems().enumerate() {
+        let mut p = Vec::with_capacity(12 + name.len() + 8 * words.len());
+        put_str(&mut p, name);
+        p.extend_from_slice(&width.to_le_bytes());
+        p.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        for w in words {
             p.extend_from_slice(&w.to_le_bytes());
         }
-        b.push(SectionTag::Mem, k as u32, mem_words_hash(&m.words), p);
+        b.push(SectionTag::Mem, k as u32, mem_words_hash(words), p);
     }
     b.finish()
 }
@@ -550,7 +551,7 @@ pub fn write_delta(base: &HwSnapshot, delta: &SnapshotDelta, base_ref: &str) -> 
     let mut b = SectionWriter::new(
         ImageKind::Delta,
         &PersistMeta {
-            design: base.design.clone(),
+            design: base.design().to_string(),
             cycle: delta.cycle,
             shape_hash: base.shape_hash(),
             content_hash: base.content_hash(),
@@ -829,15 +830,17 @@ impl SnapshotFile {
         Ok(meta)
     }
 
-    /// Loads the register-file section of a full image.
+    /// Loads the register-file section of a full image: the layout
+    /// entries it names and their values.
     ///
     /// # Errors
     ///
     /// Missing/corrupt/malformed REGS.
-    pub fn load_regs(&self) -> Result<Vec<RegImage>, PersistError> {
+    pub fn load_regs(&self) -> Result<(Vec<RegSlot>, Vec<u64>), PersistError> {
         let mut cur = self.cursor(SectionTag::Regs, 0)?;
         let n = cur.count(16)?;
-        let mut regs = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n);
         for _ in 0..n {
             let name = cur.get_str()?;
             let width = cur.get_u32()?;
@@ -847,18 +850,20 @@ impl SnapshotFile {
                     "register '{name}' has invalid width {width}"
                 )));
             }
-            regs.push(RegImage { name, width, bits });
+            slots.push(RegSlot { name, width });
+            values.push(bits);
         }
         cur.finish()?;
-        Ok(regs)
+        Ok((slots, values))
     }
 
-    /// Loads memory section `index` of a full image.
+    /// Loads memory section `index` of a full image: its layout entry
+    /// and its words.
     ///
     /// # Errors
     ///
     /// Missing/corrupt/malformed MEM section.
-    pub fn load_mem(&self, index: u32) -> Result<MemImage, PersistError> {
+    pub fn load_mem(&self, index: u32) -> Result<(MemSlot, Vec<u64>), PersistError> {
         let mut cur = self.cursor(SectionTag::Mem, index)?;
         let name = cur.get_str()?;
         let width = cur.get_u32()?;
@@ -872,7 +877,7 @@ impl SnapshotFile {
             .map(|_| cur.get_u64())
             .collect::<Result<Vec<_>, _>>()?;
         cur.finish()?;
-        Ok(MemImage { name, width, words })
+        Ok((MemSlot { name, width, depth }, words))
     }
 
     /// Loads the delta sections of a delta image.
@@ -917,7 +922,7 @@ impl SnapshotFile {
         let meta = self.meta()?;
         match self.kind {
             ImageKind::Full => {
-                let regs = self.load_regs()?;
+                let (reg_slots, regs) = self.load_regs()?;
                 if regs.len() != meta.n_regs as usize {
                     return Err(PersistError::Malformed(format!(
                         "META claims {} registers, REGS holds {}",
@@ -925,16 +930,18 @@ impl SnapshotFile {
                         regs.len()
                     )));
                 }
-                let mut mems = Vec::with_capacity(meta.n_mems.min(1 << 16) as usize);
+                let n_mems = meta.n_mems.min(1 << 16) as usize;
+                let mut mem_slots = Vec::with_capacity(n_mems);
+                let mut mems = Vec::with_capacity(n_mems);
                 for k in 0..meta.n_mems {
-                    mems.push(self.load_mem(k)?);
+                    let (slot, words) = self.load_mem(k)?;
+                    mem_slots.push(slot);
+                    mems.push(words);
                 }
-                let snap = HwSnapshot {
-                    design: meta.design,
-                    cycle: meta.cycle,
-                    regs,
-                    mems,
-                };
+                // A layout of its own, from the names in the file: a
+                // target restoring the image compares them with its own.
+                let layout = SnapshotLayout::new(meta.design, reg_slots, mem_slots);
+                let snap = HwSnapshot::new(Arc::new(layout), meta.cycle, regs, mems);
                 if snap.shape_hash() != meta.shape_hash {
                     return Err(PersistError::Malformed(
                         "reassembled shape hash differs from META".into(),
@@ -1000,14 +1007,14 @@ impl SnapshotFile {
         match self.materialize()? {
             PersistedImage::Full(snap) => {
                 let entry = self.find(SectionTag::Regs, 0)?;
-                if regs_values_hash(snap.regs.iter().map(|r| r.bits)) != entry.content_hash {
+                if regs_values_hash(snap.regs.iter().copied()) != entry.content_hash {
                     return Err(PersistError::ChecksumMismatch {
                         what: "REGS content hash".into(),
                     });
                 }
-                for (k, m) in snap.mems.iter().enumerate() {
+                for (k, words) in snap.mems.iter().enumerate() {
                     let entry = self.find(SectionTag::Mem, k as u32)?;
-                    if mem_words_hash(&m.words) != entry.content_hash {
+                    if mem_words_hash(words) != entry.content_hash {
                         return Err(PersistError::ChecksumMismatch {
                             what: format!("MEM[{k}] content hash"),
                         });
@@ -1133,32 +1140,35 @@ pub fn for_each_damage(clean: &[u8], mut check: impl FnMut(&str, &[u8])) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn sample() -> HwSnapshot {
-        HwSnapshot {
-            design: "soc_top".into(),
-            cycle: 4242,
-            regs: (0..10)
-                .map(|i| RegImage {
+        let layout = SnapshotLayout::new(
+            "soc_top",
+            (0..10)
+                .map(|i| RegSlot {
                     name: format!("u_p.r{i}"),
                     width: 32,
-                    bits: i * 3,
                 })
                 .collect(),
-            mems: vec![
-                MemImage {
+            vec![
+                MemSlot {
                     name: "u_p.ram".into(),
                     width: 32,
-                    words: (0..64).collect(),
+                    depth: 64,
                 },
-                MemImage {
+                MemSlot {
                     name: "u_p.fifo".into(),
                     width: 16,
-                    words: vec![7; 8],
+                    depth: 8,
                 },
             ],
-        }
+        );
+        HwSnapshot::new(
+            Arc::new(layout),
+            4242,
+            (0..10).map(|i| i * 3).collect(),
+            vec![(0..64).collect(), vec![7; 8]],
+        )
     }
 
     /// `sample()` with one register, one memory word and the cycle
@@ -1167,8 +1177,8 @@ mod tests {
         let base = sample();
         let mut new = base.clone();
         new.cycle = 5000;
-        new.regs[3].bits = 0xffff;
-        new.mems[0].words[9] = 0xabcd;
+        new.regs[3] = 0xffff;
+        new.mems[0][9] = 0xabcd;
         let delta = SnapshotDelta::between(&base, &new).unwrap();
         (new, delta)
     }
@@ -1192,10 +1202,8 @@ mod tests {
 
     #[test]
     fn full_roundtrip_eager() {
-        let empty = HwSnapshot {
-            design: "d".into(),
-            ..HwSnapshot::default()
-        };
+        let mut empty = HwSnapshot::default();
+        empty.relabel("d");
         for s in [sample(), empty] {
             let bytes = write_full(&s);
             match PersistedImage::from_bytes(&bytes).unwrap() {
@@ -1217,9 +1225,12 @@ mod tests {
         assert_eq!(meta.n_regs, 10);
         assert_eq!(meta.n_mems, 2);
         assert!(meta.base_ref.is_empty());
-        let regs = file.load_regs().unwrap();
+        let (slots, regs) = file.load_regs().unwrap();
+        assert_eq!(slots, s.layout.regs());
         assert_eq!(regs, s.regs);
-        assert_eq!(file.load_mem(1).unwrap(), s.mems[1]);
+        let (slot, words) = file.load_mem(1).unwrap();
+        assert_eq!(slot, s.layout.mems()[1]);
+        assert_eq!(words, s.mems[1]);
         file.validate(true).unwrap();
     }
 
@@ -1235,7 +1246,7 @@ mod tests {
         file.validate(true).unwrap();
         // The wrong base is rejected by content hash.
         let mut wrong = base.clone();
-        wrong.regs[0].bits ^= 1;
+        wrong.regs[0] ^= 1;
         match file.apply_to_base(&wrong) {
             Err(PersistError::BaseMismatch { .. }) => {}
             other => panic!("expected BaseMismatch, got {other:?}"),
@@ -1320,12 +1331,12 @@ mod tests {
         let regs_entry = file.find(SectionTag::Regs, 0).unwrap();
         assert_eq!(
             regs_entry.content_hash,
-            regs_values_hash(s.regs.iter().map(|r| r.bits))
+            regs_values_hash(s.regs.iter().copied())
         );
         let mem0 = file.find(SectionTag::Mem, 0).unwrap();
-        assert_eq!(mem0.content_hash, mem_words_hash(&s.mems[0].words));
+        assert_eq!(mem0.content_hash, mem_words_hash(&s.mems[0]));
         // A live state with one changed word hashes differently.
-        let mut live = s.mems[0].words.clone();
+        let mut live = s.mems[0].clone();
         live[3] ^= 1;
         assert_ne!(mem0.content_hash, mem_words_hash(&live));
     }
@@ -1334,7 +1345,7 @@ mod tests {
     fn capture_round_trips_through_files() {
         let base = Arc::new(sample());
         let mut new = (*base).clone();
-        new.regs[1].bits = 999;
+        new.regs[1] = 999;
         let delta = SnapshotDelta::between(&base, &new).unwrap();
         let cap = crate::SnapshotCapture::Delta {
             base: base.clone(),

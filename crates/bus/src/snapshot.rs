@@ -2,11 +2,29 @@
 //!
 //! A [`HwSnapshot`] is the paper's "offline representation" of hardware
 //! state: every flip-flop register and every memory of the design under
-//! test, by hierarchical name. Both targets produce and consume this one
-//! format, which is precisely what makes multi-target state transfer
-//! (FPGA → simulator and back, paper §III-B "target orchestration")
-//! possible: a snapshot saved on one target restores bit-exactly on the
-//! other.
+//! test. Both targets produce and consume this one format, which is
+//! precisely what makes multi-target state transfer (FPGA → simulator
+//! and back, paper §III-B "target orchestration") possible: a snapshot
+//! saved on one target restores bit-exactly on the other.
+//!
+//! An image has two halves, like the paper's scan-chain controller,
+//! which moves only values in chain order while the chain map names
+//! them once per design:
+//!
+//! * a [`SnapshotLayout`], shared through an [`Arc`] by every image of
+//!   one design: the design name, the register `(name, width)` and
+//!   memory `(name, width, depth)` lists in scan-chain order, and the
+//!   shape hash and image size computed from them once;
+//! * the values: the cycle counter, one `u64` per register and the words
+//!   of each memory, in the layout's order.
+//!
+//! An image whose value vectors match its layout — every honest capture
+//! — answers [`HwSnapshot::shape_hash`] and [`HwSnapshot::byte_size`]
+//! from the layout without touching a name. A truncated image, or one
+//! with values its layout does not name, walks the names instead and
+//! gets exactly what an image naming every entry would; a relabelled
+//! image carries a layout of its own. So damage still never hashes like
+//! the design's shape.
 //!
 //! Snapshots persist as files of the section codec in [`crate::persist`]
 //! — the analogue of the CRIU checkpoint file the paper stores on
@@ -14,43 +32,136 @@
 //! save/restore cost models charge for.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One flip-flop register's saved state.
+/// One register's entry in a [`SnapshotLayout`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegImage {
+pub struct RegSlot {
     /// Hierarchical register name (e.g. `u_aes.round_cnt`).
     pub name: String,
-    /// Width in bits (1..=64).
+    /// Width in bits (1..=64 in a valid image).
     pub width: u32,
-    /// The saved bits (normalized to the width).
-    pub bits: u64,
 }
 
-/// One memory's saved state.
+/// One memory's entry in a [`SnapshotLayout`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemImage {
+pub struct MemSlot {
     /// Hierarchical memory name.
     pub name: String,
     /// Word width in bits.
     pub width: u32,
-    /// All words, index 0 first.
-    pub words: Vec<u64>,
+    /// Number of words.
+    pub depth: usize,
+}
+
+/// The per-design half of a snapshot image, the analogue of the scan
+/// chain map: what each value of a [`HwSnapshot`] is, in chain order.
+/// Built once per design by a target (or once per decoded file) and
+/// shared by every image through an [`Arc`]; immutable, so the shape
+/// hash and image size cached at construction always match the names.
+#[derive(Clone, Debug)]
+pub struct SnapshotLayout {
+    design: String,
+    regs: Vec<RegSlot>,
+    mems: Vec<MemSlot>,
+    /// [`shape_hash_parts`] over the lists above.
+    shape_hash: u64,
+    /// [`HwSnapshot::byte_size`] of an image that fits this layout.
+    byte_size: usize,
+}
+
+impl SnapshotLayout {
+    /// Builds a layout, computing its shape hash and image size.
+    pub fn new(design: impl Into<String>, regs: Vec<RegSlot>, mems: Vec<MemSlot>) -> Self {
+        let design = design.into();
+        let shape_hash = shape_hash_parts(
+            &design,
+            regs.iter().map(|r| (r.name.as_str(), r.width)),
+            mems.iter().map(|m| (m.name.as_str(), m.width, m.depth)),
+        );
+        let byte_size = byte_size_parts(
+            &design,
+            regs.iter().map(|r| r.name.as_str()),
+            mems.iter().map(|m| (m.name.as_str(), m.depth)),
+        );
+        SnapshotLayout {
+            design,
+            regs,
+            mems,
+            shape_hash,
+            byte_size,
+        }
+    }
+
+    /// Name of the (flattened) design.
+    pub fn design(&self) -> &str {
+        &self.design
+    }
+
+    /// Registers, in scan-chain order.
+    pub fn regs(&self) -> &[RegSlot] {
+        &self.regs
+    }
+
+    /// Memories, in scan-chain order.
+    pub fn mems(&self) -> &[MemSlot] {
+        &self.mems
+    }
+
+    /// The shape fingerprint of every image that fits this layout (see
+    /// [`shape_hash_parts`]).
+    pub fn shape_hash(&self) -> u64 {
+        self.shape_hash
+    }
+}
+
+impl PartialEq for SnapshotLayout {
+    fn eq(&self, other: &Self) -> bool {
+        // The cached hash settles almost every mismatch without a name
+        // compare; equal hashes still compare the names, so equality is
+        // exact.
+        self.shape_hash == other.shape_hash
+            && self.design == other.design
+            && self.regs == other.regs
+            && self.mems == other.mems
+    }
+}
+
+impl Eq for SnapshotLayout {}
+
+impl Default for SnapshotLayout {
+    fn default() -> Self {
+        SnapshotLayout::new(String::new(), Vec::new(), Vec::new())
+    }
 }
 
 /// A complete hardware snapshot: the set `S_hw` of all hardware register
 /// values of the peripherals under test at a point in time (paper §IV-B).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct HwSnapshot {
-    /// Name of the (flattened) design this snapshot was taken from; used
-    /// to reject cross-design restores.
-    pub design: String,
+    /// What the values are: names and geometry, shared by every image of
+    /// the design.
+    pub layout: Arc<SnapshotLayout>,
     /// Target cycle counter at capture time.
     pub cycle: u64,
-    /// All registers, in scan-chain order.
-    pub regs: Vec<RegImage>,
-    /// All memories, in scan-chain order.
-    pub mems: Vec<MemImage>,
+    /// Register values, in the layout's (scan-chain) order.
+    pub regs: Vec<u64>,
+    /// Memory words, one vector per memory in the layout's order.
+    pub mems: Vec<Vec<u64>>,
 }
+
+impl PartialEq for HwSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        // `Arc` equality tries the pointer first: images of one layout
+        // compare values only.
+        self.cycle == other.cycle
+            && self.regs == other.regs
+            && self.mems == other.mems
+            && self.layout == other.layout
+    }
+}
+
+impl Eq for HwSnapshot {}
 
 /// FNV-1a over a byte slice (the workspace's standard cheap digest).
 pub(crate) fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
@@ -90,55 +201,155 @@ pub fn shape_hash_parts<'a>(
     h
 }
 
+/// [`HwSnapshot::byte_size`] from the names and memory depths.
+fn byte_size_parts<'a>(
+    design: &str,
+    regs: impl Iterator<Item = &'a str>,
+    mems: impl Iterator<Item = (&'a str, usize)>,
+) -> usize {
+    let mut n = 8 + 4 + design.len() + 8 + 4 + 4 + 8;
+    for name in regs {
+        n += 4 + name.len() + 4 + 8;
+    }
+    for (name, depth) in mems {
+        n += 4 + name.len() + 4 + 4 + 8 * depth;
+    }
+    n
+}
+
 impl HwSnapshot {
+    /// Assembles an image from its layout and values.
+    pub fn new(
+        layout: Arc<SnapshotLayout>,
+        cycle: u64,
+        regs: Vec<u64>,
+        mems: Vec<Vec<u64>>,
+    ) -> Self {
+        HwSnapshot {
+            layout,
+            cycle,
+            regs,
+            mems,
+        }
+    }
+
+    /// Name of the (flattened) design this snapshot was taken from; used
+    /// to reject cross-design restores.
+    pub fn design(&self) -> &str {
+        &self.layout.design
+    }
+
+    /// Whether the values have exactly the layout's geometry: one value
+    /// per register and the declared depth for every memory. Every
+    /// honest capture does, and only then are the shape hash and size
+    /// read from the layout.
+    pub fn fits_layout(&self) -> bool {
+        let l = &*self.layout;
+        self.regs.len() == l.regs.len()
+            && self.mems.len() == l.mems.len()
+            && self
+                .mems
+                .iter()
+                .zip(&l.mems)
+                .all(|(w, m)| w.len() == m.depth)
+    }
+
+    /// Moves the image onto a copy of its layout under another design
+    /// name: how a relabelled (or foreign) image is modelled.
+    pub fn relabel(&mut self, design: impl Into<String>) {
+        let l = &*self.layout;
+        self.layout = Arc::new(SnapshotLayout::new(design, l.regs.clone(), l.mems.clone()));
+    }
+
+    /// Name and width of register `i`. A value past the end of the
+    /// layout has no name there: it reads as an unnamed register of
+    /// width 0, which [`HwSnapshot::validate`] rejects.
+    pub(crate) fn reg_slot(&self, i: usize) -> (&str, u32) {
+        self.layout
+            .regs
+            .get(i)
+            .map_or(("", 0), |s| (s.name.as_str(), s.width))
+    }
+
+    /// Name and word width of memory `i` (unnamed, width 0 past the end
+    /// of the layout, as for registers).
+    fn mem_slot(&self, i: usize) -> (&str, u32) {
+        self.layout
+            .mems
+            .get(i)
+            .map_or(("", 0), |s| (s.name.as_str(), s.width))
+    }
+
+    /// The registers as `(name, width, bits)`, in chain order; a value
+    /// the layout does not name reads as `("", 0, bits)`.
+    pub fn named_regs(&self) -> impl Iterator<Item = (&str, u32, u64)> + '_ {
+        let slots = self.layout.regs.iter().map(|s| (s.name.as_str(), s.width));
+        slots
+            .chain(std::iter::repeat(("", 0)))
+            .zip(&self.regs)
+            .map(|((name, width), &bits)| (name, width, bits))
+    }
+
+    /// The memories as `(name, width, words)`, in chain order; a memory
+    /// the layout does not name reads as `("", 0, words)`.
+    pub fn named_mems(&self) -> impl Iterator<Item = (&str, u32, &[u64])> + '_ {
+        let slots = self.layout.mems.iter().map(|s| (s.name.as_str(), s.width));
+        slots
+            .chain(std::iter::repeat(("", 0)))
+            .zip(&self.mems)
+            .map(|((name, width), words)| (name, width, words.as_slice()))
+    }
+
     /// Total architectural state bits captured.
     pub fn state_bits(&self) -> u64 {
-        let r: u64 = self.regs.iter().map(|r| r.width as u64).sum();
+        let r: u64 = self.named_regs().map(|(_, w, _)| u64::from(w)).sum();
         let m: u64 = self
-            .mems
-            .iter()
-            .map(|m| m.width as u64 * m.words.len() as u64)
+            .named_mems()
+            .map(|(_, w, words)| u64::from(w) * words.len() as u64)
             .sum();
         r + m
     }
 
     /// Looks up a register's saved bits by hierarchical name.
     pub fn reg(&self, name: &str) -> Option<u64> {
-        self.regs.iter().find(|r| r.name == name).map(|r| r.bits)
+        self.named_regs()
+            .find(|&(n, _, _)| n == name)
+            .map(|(_, _, bits)| bits)
     }
 
-    /// Looks up a memory image by hierarchical name.
-    pub fn mem(&self, name: &str) -> Option<&MemImage> {
-        self.mems.iter().find(|m| m.name == name)
+    /// Looks up a memory's saved words by hierarchical name.
+    pub fn mem(&self, name: &str) -> Option<&[u64]> {
+        self.named_mems()
+            .find(|&(n, _, _)| n == name)
+            .map(|(_, _, words)| words)
     }
 
     /// Builds a name → bits map for diffing snapshots in diagnostics.
     pub fn reg_map(&self) -> HashMap<&str, u64> {
-        self.regs
-            .iter()
-            .map(|r| (r.name.as_str(), r.bits))
-            .collect()
+        self.named_regs().map(|(n, _, bits)| (n, bits)).collect()
     }
 
     /// Names of registers whose value differs between `self` and `other`
     /// (used by root-cause diagnosis in examples and tests).
     pub fn diff_regs<'a>(&'a self, other: &'a HwSnapshot) -> Vec<&'a str> {
         let theirs = other.reg_map();
-        self.regs
-            .iter()
-            .filter(|r| theirs.get(r.name.as_str()).is_none_or(|&b| b != r.bits))
-            .map(|r| r.name.as_str())
+        self.named_regs()
+            .filter(|(n, _, bits)| theirs.get(n).is_none_or(|b| b != bits))
+            .map(|(n, _, _)| n)
             .collect()
     }
 
-    /// Shape fingerprint of this image (see [`shape_hash_parts`]).
+    /// Shape fingerprint of this image (see [`shape_hash_parts`]): the
+    /// layout's cached hash when the values fit it, otherwise a walk
+    /// over the names the image carries values for.
     pub fn shape_hash(&self) -> u64 {
+        if self.fits_layout() {
+            return self.layout.shape_hash;
+        }
         shape_hash_parts(
-            &self.design,
-            self.regs.iter().map(|r| (r.name.as_str(), r.width)),
-            self.mems
-                .iter()
-                .map(|m| (m.name.as_str(), m.width, m.words.len())),
+            self.design(),
+            self.named_regs().map(|(n, w, _)| (n, w)),
+            self.named_mems().map(|(n, w, words)| (n, w, words.len())),
         )
     }
 
@@ -150,10 +361,10 @@ impl HwSnapshot {
     pub fn content_hash(&self) -> u64 {
         let mut h = self.shape_hash();
         for r in &self.regs {
-            h = fnv1a(&r.bits.to_le_bytes(), h);
+            h = fnv1a(&r.to_le_bytes(), h);
         }
         for m in &self.mems {
-            for w in &m.words {
+            for w in m {
                 h = fnv1a(&w.to_le_bytes(), h);
             }
         }
@@ -171,30 +382,25 @@ impl HwSnapshot {
     ///
     /// A description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        for r in &self.regs {
-            if r.width == 0 || r.width > 64 {
-                return Err(format!(
-                    "register '{}' has invalid width {}",
-                    r.name, r.width
-                ));
+        for (name, width, bits) in self.named_regs() {
+            if width == 0 || width > 64 {
+                return Err(format!("register '{name}' has invalid width {width}"));
             }
-            if r.width < 64 && r.bits >> r.width != 0 {
+            if width < 64 && bits >> width != 0 {
                 return Err(format!(
-                    "register '{}' carries bits outside its {}-bit width ({:#x})",
-                    r.name, r.width, r.bits
+                    "register '{name}' carries bits outside its {width}-bit width ({bits:#x})"
                 ));
             }
         }
-        for m in &self.mems {
-            if m.width == 0 || m.width > 64 {
-                return Err(format!("memory '{}' has invalid width {}", m.name, m.width));
+        for (name, width, words) in self.named_mems() {
+            if width == 0 || width > 64 {
+                return Err(format!("memory '{name}' has invalid width {width}"));
             }
-            if m.width < 64 {
-                for (i, w) in m.words.iter().enumerate() {
-                    if w >> m.width != 0 {
+            if width < 64 {
+                for (i, w) in words.iter().enumerate() {
+                    if w >> width != 0 {
                         return Err(format!(
-                            "memory '{}'[{i}] carries bits outside its {}-bit width ({w:#x})",
-                            m.name, m.width
+                            "memory '{name}'[{i}] carries bits outside its {width}-bit width ({w:#x})"
                         ));
                     }
                 }
@@ -208,16 +414,16 @@ impl HwSnapshot {
     /// name, geometry and words, plus 36 fixed bytes (cycle, counts and
     /// a checksum's worth of framing). Computed, never serialized: a
     /// [`crate::persist::write_full`] image adds its section framing on
-    /// top.
+    /// top. Read from the layout when the values fit it.
     pub fn byte_size(&self) -> usize {
-        let mut n = 8 + 4 + self.design.len() + 8 + 4 + 4 + 8;
-        for r in &self.regs {
-            n += 4 + r.name.len() + 4 + 8;
+        if self.fits_layout() {
+            return self.layout.byte_size;
         }
-        for m in &self.mems {
-            n += 4 + m.name.len() + 4 + 4 + 8 * m.words.len();
-        }
-        n
+        byte_size_parts(
+            self.design(),
+            self.named_regs().map(|(n, _, _)| n),
+            self.named_mems().map(|(n, _, words)| (n, words.len())),
+        )
     }
 }
 
@@ -226,27 +432,30 @@ mod tests {
     use super::*;
 
     fn sample() -> HwSnapshot {
-        HwSnapshot {
-            design: "soc_top".into(),
-            cycle: 1234,
-            regs: vec![
-                RegImage {
+        let layout = SnapshotLayout::new(
+            "soc_top",
+            vec![
+                RegSlot {
                     name: "u_uart.txfifo_head".into(),
                     width: 4,
-                    bits: 7,
                 },
-                RegImage {
+                RegSlot {
                     name: "u_aes.busy".into(),
                     width: 1,
-                    bits: 1,
                 },
             ],
-            mems: vec![MemImage {
+            vec![MemSlot {
                 name: "u_sha.w_mem".into(),
                 width: 32,
-                words: vec![0xdeadbeef, 0x01020304],
+                depth: 2,
             }],
-        }
+        );
+        HwSnapshot::new(
+            Arc::new(layout),
+            1234,
+            vec![7, 1],
+            vec![vec![0xdeadbeef, 0x01020304]],
+        )
     }
 
     #[test]
@@ -259,14 +468,14 @@ mod tests {
         let s = sample();
         assert_eq!(s.reg("u_aes.busy"), Some(1));
         assert_eq!(s.reg("nope"), None);
-        assert_eq!(s.mem("u_sha.w_mem").unwrap().words[0], 0xdeadbeef);
+        assert_eq!(s.mem("u_sha.w_mem").unwrap()[0], 0xdeadbeef);
     }
 
     #[test]
     fn diff_regs_reports_changes() {
         let a = sample();
         let mut b = sample();
-        b.regs[1].bits = 0;
+        b.regs[1] = 0;
         assert_eq!(a.diff_regs(&b), vec!["u_aes.busy"]);
         assert!(a.diff_regs(&a.clone()).is_empty());
     }
@@ -278,13 +487,34 @@ mod tests {
         truncated.regs.pop();
         assert_ne!(s.shape_hash(), truncated.shape_hash());
         let mut relabeled = s.clone();
-        relabeled.design = "other".into();
+        relabeled.relabel("other");
         assert_ne!(s.shape_hash(), relabeled.shape_hash());
         // Values do not affect the shape, only the content hash.
         let mut mutated = s.clone();
-        mutated.regs[0].bits ^= 1;
+        mutated.regs[0] ^= 1;
         assert_eq!(s.shape_hash(), mutated.shape_hash());
         assert_ne!(s.content_hash(), mutated.content_hash());
+    }
+
+    #[test]
+    fn fitting_images_read_shape_and_size_from_the_layout() {
+        let s = sample();
+        assert!(s.fits_layout());
+        assert_eq!(s.shape_hash(), s.layout.shape_hash());
+        // 36 fixed + design 7 + regs (16 + 18) + (16 + 10) + mem
+        // (12 + 11 + 16).
+        assert_eq!(s.byte_size(), 36 + 7 + 34 + 26 + 39);
+        let mut short_mem = s.clone();
+        short_mem.mems[0].pop();
+        assert!(!short_mem.fits_layout());
+        assert_eq!(short_mem.byte_size(), s.byte_size() - 8);
+        assert_ne!(short_mem.shape_hash(), s.shape_hash());
+        // A value the layout does not name is an unnamed width-0
+        // register: a different shape, and invalid.
+        let mut extra = s.clone();
+        extra.regs.push(0);
+        assert_ne!(extra.shape_hash(), s.shape_hash());
+        assert!(extra.validate().unwrap_err().contains("invalid width 0"));
     }
 
     #[test]
@@ -296,17 +526,34 @@ mod tests {
     }
 
     #[test]
+    fn equality_compares_layouts_by_content() {
+        let s = sample();
+        let mut copy = s.clone();
+        copy.layout = Arc::new((*s.layout).clone());
+        assert!(!Arc::ptr_eq(&s.layout, &copy.layout));
+        assert_eq!(s, copy);
+        copy.relabel("other");
+        assert_ne!(s, copy);
+    }
+
+    #[test]
     fn validate_catches_out_of_width_bits() {
         let s = sample();
         assert!(s.validate().is_ok());
         let mut bad = s.clone();
-        bad.regs[0].bits = 1 << bad.regs[0].width; // one bit above the width
+        bad.regs[0] = 1 << 4; // one bit above the 4-bit width
         assert!(bad.validate().unwrap_err().contains("u_uart.txfifo_head"));
         let mut bad = s.clone();
-        bad.mems[0].words[1] = 1 << 33; // 32-bit memory word
+        bad.mems[0][1] = 1 << 33; // 32-bit memory word
         assert!(bad.validate().unwrap_err().contains("u_sha.w_mem"));
-        let mut bad = s;
-        bad.regs[1].width = 65;
+        let mut regs = s.layout.regs().to_vec();
+        regs[1].width = 65;
+        let mut bad = s.clone();
+        bad.layout = Arc::new(SnapshotLayout::new(
+            "soc_top",
+            regs,
+            s.layout.mems().to_vec(),
+        ));
         assert!(bad.validate().is_err());
     }
 }
@@ -335,32 +582,47 @@ impl SnapshotDelta {
     /// Returns a description if the snapshots have different shapes
     /// (different design, register lists or memory layouts).
     pub fn between(base: &HwSnapshot, new: &HwSnapshot) -> Result<SnapshotDelta, String> {
-        if base.design != new.design {
-            return Err(format!(
-                "delta across designs '{}' vs '{}'",
-                base.design, new.design
-            ));
-        }
-        if base.regs.len() != new.regs.len() || base.mems.len() != new.mems.len() {
-            return Err("snapshot shapes differ".into());
+        // Two images that fit one shared layout have one shape without a
+        // name compare; anything else compares the names it carries.
+        let shared =
+            Arc::ptr_eq(&base.layout, &new.layout) && base.fits_layout() && new.fits_layout();
+        if !shared {
+            if base.design() != new.design() {
+                return Err(format!(
+                    "delta across designs '{}' vs '{}'",
+                    base.design(),
+                    new.design()
+                ));
+            }
+            if base.regs.len() != new.regs.len() || base.mems.len() != new.mems.len() {
+                return Err("snapshot shapes differ".into());
+            }
+            for (i, ((bn, bw, _), (nn, nw, _))) in
+                base.named_regs().zip(new.named_regs()).enumerate()
+            {
+                if bn != nn || bw != nw {
+                    return Err(format!("register {i} layout differs"));
+                }
+            }
+            for (mi, ((bn, _, bw), (nn, _, nw))) in
+                base.named_mems().zip(new.named_mems()).enumerate()
+            {
+                if bn != nn || bw.len() != nw.len() {
+                    return Err(format!("memory {mi} layout differs"));
+                }
+            }
         }
         let mut delta = SnapshotDelta {
             cycle: new.cycle,
             ..Default::default()
         };
         for (i, (b, n)) in base.regs.iter().zip(&new.regs).enumerate() {
-            if b.name != n.name || b.width != n.width {
-                return Err(format!("register {i} layout differs"));
-            }
-            if b.bits != n.bits {
-                delta.regs.push((i as u32, n.bits));
+            if b != n {
+                delta.regs.push((i as u32, *n));
             }
         }
         for (mi, (bm, nm)) in base.mems.iter().zip(&new.mems).enumerate() {
-            if bm.name != nm.name || bm.words.len() != nm.words.len() {
-                return Err(format!("memory {mi} layout differs"));
-            }
-            for (wi, (bw, nw)) in bm.words.iter().zip(&nm.words).enumerate() {
+            for (wi, (bw, nw)) in bm.iter().zip(nm).enumerate() {
                 if bw != nw {
                     delta.mem_words.push((mi as u32, wi as u32, *nw));
                 }
@@ -382,7 +644,7 @@ impl SnapshotDelta {
                 .regs
                 .get_mut(i as usize)
                 .ok_or_else(|| format!("register index {i} out of range"))?;
-            r.bits = bits;
+            *r = bits;
         }
         for &(mi, wi, v) in &self.mem_words {
             let m = out
@@ -390,7 +652,6 @@ impl SnapshotDelta {
                 .get_mut(mi as usize)
                 .ok_or_else(|| format!("memory index {mi} out of range"))?;
             let w = m
-                .words
                 .get_mut(wi as usize)
                 .ok_or_else(|| format!("word index {wi} out of range"))?;
             *w = v;
@@ -418,32 +679,30 @@ impl SnapshotDelta {
     /// A description of the first violated invariant.
     pub fn validate_against(&self, base: &HwSnapshot) -> Result<(), String> {
         for &(i, bits) in &self.regs {
-            let r = base
-                .regs
-                .get(i as usize)
-                .ok_or_else(|| format!("delta register index {i} out of range"))?;
-            if r.width < 64 && bits >> r.width != 0 {
+            if i as usize >= base.regs.len() {
+                return Err(format!("delta register index {i} out of range"));
+            }
+            let (name, width) = base.reg_slot(i as usize);
+            if width < 64 && bits >> width != 0 {
                 return Err(format!(
-                    "delta for register '{}' carries bits outside its {}-bit width ({bits:#x})",
-                    r.name, r.width
+                    "delta for register '{name}' carries bits outside its {width}-bit width ({bits:#x})"
                 ));
             }
         }
         for &(mi, wi, v) in &self.mem_words {
-            let m = base
+            let words = base
                 .mems
                 .get(mi as usize)
                 .ok_or_else(|| format!("delta memory index {mi} out of range"))?;
-            if wi as usize >= m.words.len() {
+            let (name, width) = base.mem_slot(mi as usize);
+            if wi as usize >= words.len() {
                 return Err(format!(
-                    "delta word index {wi} out of range for memory '{}'",
-                    m.name
+                    "delta word index {wi} out of range for memory '{name}'"
                 ));
             }
-            if m.width < 64 && v >> m.width != 0 {
+            if width < 64 && v >> width != 0 {
                 return Err(format!(
-                    "delta for memory '{}'[{wi}] carries bits outside its {}-bit width ({v:#x})",
-                    m.name, m.width
+                    "delta for memory '{name}'[{wi}] carries bits outside its {width}-bit width ({v:#x})"
                 ));
             }
         }
@@ -463,11 +722,11 @@ impl SnapshotDelta {
 #[derive(Clone, Debug)]
 pub enum SnapshotCapture {
     /// A complete image (also the base for subsequent deltas).
-    Full(std::sync::Arc<HwSnapshot>),
+    Full(Arc<HwSnapshot>),
     /// Only what changed since `base` was captured.
     Delta {
         /// The shared immutable base image this delta patches.
-        base: std::sync::Arc<HwSnapshot>,
+        base: Arc<HwSnapshot>,
         /// The changed registers and memory words.
         delta: SnapshotDelta,
     },
@@ -477,8 +736,8 @@ impl SnapshotCapture {
     /// The design the capture was taken from.
     pub fn design(&self) -> &str {
         match self {
-            SnapshotCapture::Full(s) => &s.design,
-            SnapshotCapture::Delta { base, .. } => &base.design,
+            SnapshotCapture::Full(s) => s.design(),
+            SnapshotCapture::Delta { base, .. } => base.design(),
         }
     }
 
@@ -542,22 +801,21 @@ mod delta_tests {
     use super::*;
 
     fn base() -> HwSnapshot {
-        HwSnapshot {
-            design: "d".into(),
-            cycle: 10,
-            regs: (0..8)
-                .map(|i| RegImage {
+        let layout = SnapshotLayout::new(
+            "d",
+            (0..8)
+                .map(|i| RegSlot {
                     name: format!("r{i}"),
                     width: 32,
-                    bits: i,
                 })
                 .collect(),
-            mems: vec![MemImage {
+            vec![MemSlot {
                 name: "m".into(),
                 width: 32,
-                words: vec![0; 16],
+                depth: 16,
             }],
-        }
+        );
+        HwSnapshot::new(Arc::new(layout), 10, (0..8).collect(), vec![vec![0; 16]])
     }
 
     #[test]
@@ -565,8 +823,8 @@ mod delta_tests {
         let b = base();
         let mut n = b.clone();
         n.cycle = 99;
-        n.regs[3].bits = 0xdead;
-        n.mems[0].words[7] = 42;
+        n.regs[3] = 0xdead;
+        n.mems[0][7] = 42;
         let d = SnapshotDelta::between(&b, &n).unwrap();
         assert_eq!(d.regs, vec![(3, 0xdead)]);
         assert_eq!(d.mem_words, vec![(0, 7, 42)]);
@@ -586,11 +844,16 @@ mod delta_tests {
     fn cross_design_delta_rejected() {
         let b = base();
         let mut o = base();
-        o.design = "other".into();
+        o.relabel("other");
         assert!(SnapshotDelta::between(&b, &o).is_err());
         let mut o = base();
         o.regs.pop();
         assert!(SnapshotDelta::between(&b, &o).is_err());
+        // A copy of the layout (not the shared one) still diffs by name.
+        let mut o = base();
+        o.layout = Arc::new((*b.layout).clone());
+        o.regs[2] = 5;
+        assert_eq!(SnapshotDelta::between(&b, &o).unwrap().regs, vec![(2, 5)]);
     }
 
     #[test]
@@ -629,11 +892,11 @@ mod delta_tests {
         let b = base();
         let mut n = b.clone();
         n.cycle = 77;
-        n.regs[5].bits = 9;
-        n.mems[0].words[2] = 3;
+        n.regs[5] = 9;
+        n.mems[0][2] = 3;
         let d = SnapshotDelta::between(&b, &n).unwrap();
         let cap = SnapshotCapture::Delta {
-            base: std::sync::Arc::new(b.clone()),
+            base: Arc::new(b.clone()),
             delta: d,
         };
         assert_eq!(cap.materialize().unwrap(), n);
@@ -641,7 +904,7 @@ mod delta_tests {
         assert_eq!(cap.cycle(), 77);
         assert!(cap.byte_size() < b.byte_size() / 4);
         assert!(cap.validate().is_ok());
-        let full = SnapshotCapture::Full(std::sync::Arc::new(n.clone()));
+        let full = SnapshotCapture::Full(Arc::new(n.clone()));
         assert_eq!(full.materialize().unwrap(), n);
         assert_eq!(full.byte_size(), n.byte_size());
     }

@@ -404,21 +404,25 @@ mod tests {
             0
         }
         fn save_snapshot(&mut self) -> Result<HwSnapshot, TargetError> {
-            Ok(HwSnapshot {
-                design: "fake".into(),
-                cycle: self.cycle,
-                regs: vec![crate::RegImage {
+            let layout = crate::SnapshotLayout::new(
+                "fake",
+                vec![crate::RegSlot {
                     name: "reg".into(),
                     width: 64,
-                    bits: self.reg,
                 }],
-                mems: vec![],
-            })
+                vec![],
+            );
+            Ok(HwSnapshot::new(
+                Arc::new(layout),
+                self.cycle,
+                vec![self.reg],
+                vec![],
+            ))
         }
         fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
-            if snap.design != "fake" {
+            if snap.design() != "fake" {
                 return Err(TargetError::DesignMismatch {
-                    expected: snap.design.clone(),
+                    expected: snap.design().to_string(),
                     found: "fake".into(),
                 });
             }
@@ -460,10 +464,8 @@ mod tests {
             cycle: 0,
             vtime: 0,
         };
-        let snap = HwSnapshot {
-            design: "other".into(),
-            ..Default::default()
-        };
+        let mut snap = HwSnapshot::default();
+        snap.relabel("other");
         assert!(matches!(
             b.restore_snapshot(&snap),
             Err(TargetError::DesignMismatch { .. })

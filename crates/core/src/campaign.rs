@@ -41,6 +41,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Checkpoint file name inside a campaign directory.
 pub const MANIFEST: &str = "campaign.hscamp";
@@ -175,7 +176,7 @@ fn put_bug(out: &mut Vec<u8>, b: &BugReport) {
 struct ImageWriter<'a> {
     store: &'a SnapshotStore,
     index: HashMap<SnapId, u32>,
-    bases: HashMap<SnapId, HwSnapshot>,
+    bases: HashMap<SnapId, Arc<HwSnapshot>>,
     images: Vec<Vec<u8>>,
     /// The checkpoint's META: the design of image 0.
     meta: PersistMeta,
@@ -198,7 +199,7 @@ impl ImageWriter<'_> {
     fn push_full(&mut self, sid: SnapId, snap: &HwSnapshot) -> u32 {
         if self.images.is_empty() {
             self.meta = PersistMeta {
-                design: snap.design.clone(),
+                design: snap.design().to_string(),
                 shape_hash: snap.shape_hash(),
                 n_regs: snap.regs.len() as u32,
                 n_mems: snap.mems.len() as u32,
@@ -350,7 +351,7 @@ struct ImageLoader<'a> {
     store: &'a SnapshotStore,
     shape_hash: u64,
     /// Base images already in the store: id, snapshot, content hash.
-    bases: HashMap<u32, (SnapId, HwSnapshot, u64)>,
+    bases: HashMap<u32, (SnapId, Arc<HwSnapshot>, u64)>,
 }
 
 impl ImageLoader<'_> {
@@ -369,7 +370,7 @@ impl ImageLoader<'_> {
         Ok(image.materialize()?)
     }
 
-    fn base(&mut self, k: u32) -> Result<&(SnapId, HwSnapshot, u64), CampaignError> {
+    fn base(&mut self, k: u32) -> Result<&(SnapId, Arc<HwSnapshot>, u64), CampaignError> {
         if !self.bases.contains_key(&k) {
             let PersistedImage::Full(snap) = self.read(k)? else {
                 return Err(CampaignError::Corrupt(format!(
@@ -377,6 +378,7 @@ impl ImageLoader<'_> {
                 )));
             };
             let content = snap.content_hash();
+            let snap = Arc::new(snap);
             let id = self.store.insert_base(snap.clone());
             self.bases.insert(k, (id, snap, content));
         }
@@ -826,7 +828,7 @@ mod tests {
         let base = t.save_snapshot().unwrap();
         let mut moved = base.clone();
         moved.cycle += 5;
-        moved.regs[0].bits ^= 1;
+        moved.regs[0] ^= 1;
         let delta = SnapshotDelta::between(&base, &moved).unwrap();
         for (kind, clean) in [
             ("full", write_full(&base)),

@@ -7,7 +7,9 @@
 //!
 //! Two storage representations are supported:
 //!
-//! * **full** images — one complete [`HwSnapshot`] per id;
+//! * **full** images — one complete [`HwSnapshot`] per id, held as an
+//!   `Arc` so a lookup, a fork's children and the engine's own copy
+//!   share one image instead of cloning it;
 //! * **delta** images — a [`SnapshotDelta`] against an immutable base
 //!   image. Fork-heavy analyses produce many snapshots that differ from
 //!   their fork point by a handful of registers, so delta storage cuts
@@ -125,7 +127,7 @@ impl std::error::Error for SnapshotError {}
 
 #[derive(Debug)]
 enum Entry {
-    Full(HwSnapshot),
+    Full(Arc<HwSnapshot>),
     Delta {
         base: SnapId,
         delta: SnapshotDelta,
@@ -176,7 +178,7 @@ impl Entry {
 /// entry again the instant it lands, and a read-back retry loop then
 /// livelocks with two threads ping-ponging each other's page-ins.
 enum Paged {
-    Full(HwSnapshot),
+    Full(Arc<HwSnapshot>),
     Delta { base: SnapId, delta: SnapshotDelta },
 }
 
@@ -223,7 +225,7 @@ struct StoreCounters {
 #[derive(Clone, Debug)]
 pub enum PersistEntry {
     /// Self-contained image.
-    Full(HwSnapshot),
+    Full(Arc<HwSnapshot>),
     /// Delta against the store entry `base`.
     Delta {
         /// Store id of the base image the delta applies to.
@@ -431,7 +433,7 @@ impl SnapshotStore {
     /// without a disk).
     fn spill(&self, id: SnapId) -> bool {
         enum Payload {
-            Full(HwSnapshot),
+            Full(Arc<HwSnapshot>),
             Delta(SnapId, SnapshotDelta),
         }
         let (generation, payload) = {
@@ -558,7 +560,7 @@ impl SnapshotStore {
                 PersistedImage::from_bytes(&data).map_err(|e| spill_err(e.to_string()))
             })
             .and_then(|img| match img {
-                PersistedImage::Full(snap) => Ok(Entry::Full(snap)),
+                PersistedImage::Full(snap) => Ok(Entry::Full(Arc::new(snap))),
                 PersistedImage::Delta {
                     base_ref, delta, ..
                 } => base_ref
@@ -652,7 +654,8 @@ impl SnapshotStore {
 
     /// Resolves `id` by walking its delta chain, locking one shard at a
     /// time (never two at once); spilled links page back in on the way.
-    fn try_resolve(&self, id: SnapId) -> Result<HwSnapshot, SnapshotError> {
+    /// A full entry comes back as its shared image, uncloned.
+    fn try_resolve(&self, id: SnapId) -> Result<Arc<HwSnapshot>, SnapshotError> {
         let mut chain: Vec<(SnapId, SnapshotDelta)> = Vec::new();
         let mut cur = id;
         let base_snap = loop {
@@ -697,9 +700,11 @@ impl SnapshotStore {
         };
         let mut snap = base_snap;
         for (eid, delta) in chain.iter().rev() {
-            snap = delta
-                .apply(&snap)
-                .map_err(|_| SnapshotError::Corrupt { id: *eid })?;
+            snap = Arc::new(
+                delta
+                    .apply(&snap)
+                    .map_err(|_| SnapshotError::Corrupt { id: *eid })?,
+            );
         }
         Ok(snap)
     }
@@ -750,9 +755,9 @@ impl SnapshotStore {
     }
 
     /// Stores a full snapshot under a fresh id.
-    pub fn insert(&self, snap: HwSnapshot) -> SnapId {
+    pub fn insert(&self, snap: impl Into<Arc<HwSnapshot>>) -> SnapId {
         let id = self.alloc_id();
-        self.install(id, Entry::Full(snap), false);
+        self.install(id, Entry::Full(snap.into()), false);
         id
     }
 
@@ -760,7 +765,8 @@ impl SnapshotStore {
     /// `base`; falls back to full storage if the delta would not save
     /// space or the shapes differ. Pins `base` so it outlives its
     /// dependents.
-    pub fn insert_delta(&self, base: SnapId, snap: HwSnapshot) -> SnapId {
+    pub fn insert_delta(&self, base: SnapId, snap: impl Into<Arc<HwSnapshot>>) -> SnapId {
+        let snap = snap.into();
         let id = self.alloc_id();
         let delta = self
             .try_resolve(base)
@@ -844,9 +850,9 @@ impl SnapshotStore {
 
     /// Registers a snapshot that exists only to serve as a delta base
     /// (freed automatically when the last dependent goes away).
-    pub fn insert_base(&self, snap: HwSnapshot) -> SnapId {
+    pub fn insert_base(&self, snap: impl Into<Arc<HwSnapshot>>) -> SnapId {
         let id = self.alloc_id();
-        self.install(id, Entry::Full(snap), true);
+        self.install(id, Entry::Full(snap.into()), true);
         id
     }
 
@@ -861,7 +867,8 @@ impl SnapshotStore {
     /// Overwrites the snapshot under `id` (the paper's `UpdateState`),
     /// preserving the entry's representation (delta entries stay deltas
     /// against their base) and keeping the pin count intact.
-    pub fn update(&self, id: SnapId, snap: HwSnapshot) {
+    pub fn update(&self, id: SnapId, snap: impl Into<Arc<HwSnapshot>>) {
+        let snap = snap.into();
         let repr_base = {
             let g = self.inner.shards.shard_for(id).read();
             g.entries.get(&id).and_then(|s| s.entry.pinned_base())
@@ -928,8 +935,9 @@ impl SnapshotStore {
     }
 
     /// Fetches a snapshot by id (reconstructing deltas and paging in
-    /// spilled entries transparently).
-    pub fn get(&self, id: SnapId) -> Option<HwSnapshot> {
+    /// spilled entries transparently). A full entry is returned as the
+    /// stored image itself, shared.
+    pub fn get(&self, id: SnapId) -> Option<Arc<HwSnapshot>> {
         let got = self.try_resolve(id).ok();
         self.note_lookup(got.is_some());
         got
@@ -942,7 +950,7 @@ impl SnapshotStore {
     /// # Errors
     ///
     /// [`SnapshotError`] naming the broken link of the chain.
-    pub fn try_get(&self, id: SnapId) -> Result<HwSnapshot, SnapshotError> {
+    pub fn try_get(&self, id: SnapId) -> Result<Arc<HwSnapshot>, SnapshotError> {
         let got = self.try_resolve(id);
         self.note_lookup(got.is_ok());
         got
@@ -952,12 +960,13 @@ impl SnapshotStore {
     /// was the last dependent. Removal of an id that is itself a pinned
     /// delta base is **deferred**: the entry is hidden and reclaimed
     /// once its last dependent goes away, so the chain never breaks.
-    pub fn remove(&self, id: SnapId) -> Option<HwSnapshot> {
-        let resolved = self.try_resolve(id).ok();
+    /// Nothing is resolved or paged in: a spilled entry just loses its
+    /// spool file. False when no entry exists under `id`.
+    pub fn remove(&self, id: SnapId) -> bool {
         let freed_base = {
             let mut g = self.inner.shards.shard_for(id).write();
             let defer = match g.entries.get_mut(&id) {
-                None => return None,
+                None => return false,
                 Some(stored) if stored.refs > 0 => {
                     // Deferred: live deltas still need this image.
                     stored.hidden = true;
@@ -968,10 +977,10 @@ impl SnapshotStore {
             if defer {
                 drop(g);
                 self.inner.counters.deferred.fetch_add(1, Ordering::Relaxed);
-                return resolved;
+                return true;
             }
             let Some(stored) = g.entries.remove(&id) else {
-                return resolved;
+                return false;
             };
             drop(g);
             self.discard(&stored);
@@ -984,18 +993,20 @@ impl SnapshotStore {
         if let Some(base) = freed_base {
             self.release_base(base);
         }
-        resolved
+        true
     }
 
     /// Unconditionally deletes `id`, **ignoring pins** — dependents are
     /// left with a broken chain (subsequent lookups report
     /// [`SnapshotError::MissingBase`]). This models external eviction
     /// or corruption of the backing storage; analyses never call it.
-    pub fn purge(&self, id: SnapId) -> Option<HwSnapshot> {
-        let resolved = self.try_resolve(id).ok();
+    /// False when no entry exists under `id`.
+    pub fn purge(&self, id: SnapId) -> bool {
         let freed_base = {
             let mut g = self.inner.shards.shard_for(id).write();
-            let stored = g.entries.remove(&id)?;
+            let Some(stored) = g.entries.remove(&id) else {
+                return false;
+            };
             drop(g);
             self.discard(&stored);
             self.inner
@@ -1007,7 +1018,7 @@ impl SnapshotStore {
         if let Some(base) = freed_base {
             self.release_base(base);
         }
-        resolved
+        true
     }
 
     /// Number of live entries (including hidden bases and spilled
@@ -1094,21 +1105,25 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hardsnap_bus::RegImage;
+    use hardsnap_bus::{RegSlot, SnapshotLayout};
 
     fn snap(v: u64) -> HwSnapshot {
-        HwSnapshot {
-            design: "d".into(),
-            cycle: v,
-            regs: (0..32)
-                .map(|i| RegImage {
+        let layout = SnapshotLayout::new(
+            "d",
+            (0..32)
+                .map(|i| RegSlot {
                     name: format!("r{i}"),
                     width: 32,
-                    bits: i * 11 + v,
                 })
                 .collect(),
-            mems: vec![],
-        }
+            vec![],
+        );
+        HwSnapshot::new(
+            Arc::new(layout),
+            v,
+            (0..32).map(|i| i * 11 + v).collect(),
+            vec![],
+        )
     }
 
     #[test]
@@ -1121,7 +1136,8 @@ mod tests {
         store.update(a, snap(9));
         assert_eq!(store.get(a).unwrap().reg("r0"), Some(9));
         assert_eq!(store.len(), 2);
-        assert!(store.remove(b).is_some());
+        assert!(store.remove(b));
+        assert!(!store.remove(b), "already gone");
         assert_eq!(store.len(), 1);
         assert!(store.get(b).is_none());
     }
@@ -1134,9 +1150,9 @@ mod tests {
         let bytes_after_base = store.total_bytes();
         // A snapshot differing in one register.
         let mut child_snap = base_snap.clone();
-        child_snap.regs[7].bits = 0xfeed;
+        child_snap.regs[7] = 0xfeed;
         let child = store.insert_delta(base, child_snap.clone());
-        assert_eq!(store.get(child).unwrap(), child_snap);
+        assert_eq!(*store.get(child).unwrap(), child_snap);
         assert!(
             store.total_bytes() - bytes_after_base < base_snap.byte_size() / 4,
             "delta must be small"
@@ -1164,13 +1180,13 @@ mod tests {
         let base_snap = snap(5);
         let base = store.insert_base(base_snap.clone());
         let mut v1 = base_snap.clone();
-        v1.regs[0].bits = 1;
+        v1.regs[0] = 1;
         let id = store.insert_delta(base, v1);
         let mut v2 = base_snap.clone();
-        v2.regs[1].bits = 2;
-        v2.regs[2].bits = 3;
+        v2.regs[1] = 2;
+        v2.regs[2] = 3;
         store.update(id, v2.clone());
-        assert_eq!(store.get(id).unwrap(), v2);
+        assert_eq!(*store.get(id).unwrap(), v2);
         assert!(store.total_bytes() < 2 * base_snap.byte_size());
     }
 
@@ -1179,9 +1195,9 @@ mod tests {
         let store = SnapshotStore::new();
         let base = store.insert_base(snap(1));
         let mut other = snap(2);
-        other.design = "different".into();
+        other.relabel("different");
         let id = store.insert_delta(base, other.clone());
-        assert_eq!(store.get(id).unwrap(), other);
+        assert_eq!(*store.get(id).unwrap(), other);
     }
 
     #[test]
@@ -1204,7 +1220,7 @@ mod tests {
         assert!(store.get(999).is_none());
         let b = store.insert(snap(2));
         let mut child = snap(2);
-        child.regs[0].bits = 77;
+        child.regs[0] = 77;
         let c = store.insert_delta(b, child);
         store.remove(b); // deferred: c pins it
         store.remove(c); // evicts c, then reclaims hidden b
@@ -1225,14 +1241,14 @@ mod tests {
         let base_snap = snap(5);
         let base = store.insert(base_snap.clone());
         let mut child_snap = base_snap.clone();
-        child_snap.regs[3].bits = 0xBAD;
+        child_snap.regs[3] = 0xBAD;
         let child = store.insert_delta(base, child_snap.clone());
         // Eviction pressure: repeated removes of the referenced base.
         for _ in 0..3 {
             store.remove(base);
         }
         assert_eq!(
-            store.try_get(child).unwrap(),
+            *store.try_get(child).unwrap(),
             child_snap,
             "pinned base survives, chain intact"
         );
@@ -1252,9 +1268,9 @@ mod tests {
         let base_snap = snap(5);
         let base = store.insert(base_snap.clone());
         let mut child_snap = base_snap.clone();
-        child_snap.regs[3].bits = 0xBAD;
+        child_snap.regs[3] = 0xBAD;
         let child = store.insert_delta(base, child_snap.clone());
-        assert_eq!(store.try_get(child).unwrap(), child_snap);
+        assert_eq!(*store.try_get(child).unwrap(), child_snap);
         // purge() bypasses pinning — the external-corruption model.
         store.purge(base);
         assert_eq!(store.get(child), None, "unrecoverable, but no panic");
@@ -1270,12 +1286,12 @@ mod tests {
         let s0 = snap(1);
         let a = store.insert(s0.clone());
         let mut s1 = s0.clone();
-        s1.regs[0].bits = 11;
+        s1.regs[0] = 11;
         let b = store.insert_delta(a, s1.clone());
         let mut s2 = s1.clone();
-        s2.regs[1].bits = 22;
+        s2.regs[1] = 22;
         let c = store.insert_delta(b, s2.clone());
-        assert_eq!(store.try_get(c).unwrap(), s2);
+        assert_eq!(*store.try_get(c).unwrap(), s2);
         store.purge(a);
         // c -> b (alive delta) -> a (gone): the broken link is b's base.
         assert_eq!(
@@ -1304,9 +1320,9 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..50u64 {
                         let mut img = snap(0);
-                        img.regs[(w as usize) % 32].bits = i;
+                        img.regs[(w as usize) % 32] = i;
                         let id = store.insert_delta(base, img.clone());
-                        assert_eq!(store.get(id).unwrap(), img);
+                        assert_eq!(*store.get(id).unwrap(), img);
                         store.update(id, snap(w * 100 + i));
                         assert_eq!(store.get(id).unwrap().cycle, w * 100 + i);
                         store.remove(id);
@@ -1357,7 +1373,7 @@ mod tests {
         assert!(s.spills >= 3, "expected spills, got {s:?}");
         // Every snapshot still resolves bit-exactly, paging in on demand.
         for (v, &id) in ids.iter().enumerate() {
-            assert_eq!(store.try_get(id).unwrap(), snap(v as u64));
+            assert_eq!(*store.try_get(id).unwrap(), snap(v as u64));
         }
         assert!(store.stats().page_ins >= 3);
         let _ = std::fs::remove_dir_all(&spool);
@@ -1371,7 +1387,7 @@ mod tests {
         let base_snap = snap(1);
         let base = store.insert_base(base_snap.clone());
         let mut child_snap = base_snap.clone();
-        child_snap.regs[0].bits = 0xAA;
+        child_snap.regs[0] = 0xAA;
         let child = store.insert_delta(base, child_snap.clone());
         // Budget far below one image: everything eligible spills, but
         // the pinned base must stay resident and the chain intact.
@@ -1379,8 +1395,8 @@ mod tests {
         for v in 10..16 {
             store.insert(snap(v));
         }
-        assert_eq!(store.try_get(child).unwrap(), child_snap);
-        assert_eq!(store.try_get(base).unwrap(), base_snap);
+        assert_eq!(*store.try_get(child).unwrap(), child_snap);
+        assert_eq!(*store.try_get(base).unwrap(), base_snap);
         let _ = std::fs::remove_dir_all(&spool);
     }
 
@@ -1392,16 +1408,16 @@ mod tests {
         let base_snap = snap(1);
         let base = store.insert_base(base_snap.clone());
         let mut child_snap = base_snap.clone();
-        child_snap.regs[3].bits = 0x77;
+        child_snap.regs[3] = 0x77;
         let child = store.insert_delta(base, child_snap.clone());
         // Make the delta cold, then pressure the budget so it spills.
         store.set_mem_budget(Some(base_snap.byte_size() + 64));
         let hot = store.insert(snap(9));
-        assert_eq!(store.get(hot).unwrap(), snap(9));
+        assert_eq!(*store.get(hot).unwrap(), snap(9));
         let s = store.stats();
         assert!(s.spills >= 1, "delta should have spilled: {s:?}");
         // Paged back in, the delta still applies to its pinned base.
-        assert_eq!(store.try_get(child).unwrap(), child_snap);
+        assert_eq!(*store.try_get(child).unwrap(), child_snap);
         let _ = std::fs::remove_dir_all(&spool);
     }
 
@@ -1420,7 +1436,7 @@ mod tests {
         // Nothing spilled (I/O fails), but the store still works and
         // the failures are counted, not panicked.
         for (v, &id) in ids.iter().enumerate() {
-            assert_eq!(store.try_get(id).unwrap(), snap(v as u64));
+            assert_eq!(*store.try_get(id).unwrap(), snap(v as u64));
         }
         assert!(store.stats().spill_fails > 0);
         assert_eq!(store.stats().spills, 0);
@@ -1445,7 +1461,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..400u64 {
                         let v = ((i + t) % 4) as usize;
-                        assert_eq!(store.try_get(ids[v]).unwrap(), snap(v as u64));
+                        assert_eq!(*store.try_get(ids[v]).unwrap(), snap(v as u64));
                     }
                 });
             }
@@ -1485,10 +1501,12 @@ mod tests {
         let _hot = store.insert(snap(2));
         let path = spool_file(&spool, cold);
         assert!(path.exists(), "cold entry should be on disk");
-        // remove() resolves (paging in) and deletes; the file goes away
-        // on page-in already.
-        assert_eq!(store.remove(cold).unwrap(), snap(1));
+        // remove() deletes without reading the entry back: nothing is
+        // paged in, and the spool file goes with the entry.
+        assert!(store.remove(cold));
+        assert_eq!(store.stats().page_ins, 0, "remove must not page in");
         assert!(!path.exists(), "spool file cleaned up");
+        assert!(store.get(cold).is_none());
         let _ = std::fs::remove_dir_all(&spool);
     }
 }

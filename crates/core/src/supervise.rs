@@ -415,7 +415,8 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hardsnap_bus::{FaultPlan, FaultyTarget, RegImage, TargetCaps, TargetKind};
+    use hardsnap_bus::{FaultPlan, FaultyTarget, RegSlot, SnapshotLayout, TargetCaps, TargetKind};
+    use std::sync::Arc;
 
     struct Flaky {
         fail_next: u32,
@@ -459,16 +460,20 @@ mod tests {
             0
         }
         fn save_snapshot(&mut self) -> Result<HwSnapshot, TargetError> {
-            Ok(HwSnapshot {
-                design: "flaky".into(),
-                cycle: 0,
-                regs: vec![RegImage {
+            let layout = SnapshotLayout::new(
+                "flaky",
+                vec![RegSlot {
                     name: "r".into(),
                     width: 8,
-                    bits: self.reg & 0xff,
                 }],
-                mems: vec![],
-            })
+                vec![],
+            );
+            Ok(HwSnapshot::new(
+                Arc::new(layout),
+                0,
+                vec![self.reg & 0xff],
+                vec![],
+            ))
         }
         fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
             self.reg = snap.reg("r").unwrap_or(0);

@@ -836,11 +836,12 @@ fn check_assertions(
 }
 
 /// A capture resolved into its store-ready form: a native delta against
-/// a base already registered in the shared store, or a full image.
+/// a base already registered in the shared store, or a full image that
+/// a fork's children share.
 #[derive(Clone)]
 enum Stored {
     Native(SnapId, SnapshotDelta, Arc<HwSnapshot>),
-    Full(HwSnapshot),
+    Full(Arc<HwSnapshot>),
 }
 
 /// Captures the replica's live context (supervised), checks the
@@ -865,7 +866,7 @@ fn capture(
     } else {
         let snap = w.sup.save_snapshot(w.target.as_mut())?;
         check_assertions(shared.assertions, &snap, owner, &mut out.violations);
-        Stored::Full(snap)
+        Stored::Full(Arc::new(snap))
     };
     out.metrics.snapshots_saved += 1;
     Ok(stored)
@@ -882,7 +883,7 @@ fn resolve_capture(
 ) -> Result<Stored, TargetError> {
     match cap {
         SnapshotCapture::Full(arc) => {
-            let bid = store.insert_base((*arc).clone());
+            let bid = store.insert_base(arc.clone());
             *anchor = Some((bid, arc.clone()));
             let empty = SnapshotDelta {
                 regs: Vec::new(),
@@ -896,7 +897,7 @@ fn resolve_capture(
                 Ok(Stored::Native(*bid, delta, base))
             }
             _ => match delta.apply(&base) {
-                Ok(full) => Ok(Stored::Full(full)),
+                Ok(full) => Ok(Stored::Full(Arc::new(full))),
                 Err(e) => Err(TargetError::CorruptSnapshot(format!(
                     "native delta unusable: {e}"
                 ))),

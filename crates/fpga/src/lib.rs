@@ -31,8 +31,8 @@
 
 use hardsnap_bus::{
     axi_ports, mem_words_hash, regs_values_hash, BusError, HwSnapshot, HwTarget, ImageKind,
-    LazyRestore, MemImage, RegImage, SectionTag, SnapshotCapture, SnapshotDelta, SnapshotFile,
-    TargetCaps, TargetError, TargetKind,
+    LazyRestore, MemSlot, RegSlot, SectionTag, SnapshotCapture, SnapshotDelta, SnapshotFile,
+    SnapshotLayout, TargetCaps, TargetError, TargetKind,
 };
 use hardsnap_rtl::{Module, NetId};
 use hardsnap_scan::{instrument, ports as scan_ports, ChainMap, ScanOptions};
@@ -122,7 +122,10 @@ pub struct FpgaTarget {
     chain: ChainMap,
     model: FpgaTimeModel,
     vtime_ns: u64,
-    design: String,
+    /// The chain map as a snapshot layout: registers in segment order,
+    /// memories in collar order, shared by every image of this fabric
+    /// and its replicas.
+    layout: Arc<SnapshotLayout>,
     readback: bool,
     instrumented_name: String,
     /// IRQ port resolved once at construction: `None` means the design
@@ -151,9 +154,28 @@ impl FpgaTarget {
     /// wrapped as [`SimError::Unsupported`] text) and simulator/port
     /// binding errors.
     pub fn new(module: Module, opts: &FpgaOptions) -> Result<Self, SimError> {
-        let design = module.name.clone();
         let (instrumented, chain) = instrument(&module, &opts.scan)
             .map_err(|e| SimError::Unsupported(format!("scan instrumentation failed: {e}")))?;
+        let layout = SnapshotLayout::new(
+            module.name.clone(),
+            chain
+                .segments
+                .iter()
+                .map(|seg| RegSlot {
+                    name: seg.name.clone(),
+                    width: seg.width,
+                })
+                .collect(),
+            chain
+                .mems
+                .iter()
+                .map(|c| MemSlot {
+                    name: c.name.clone(),
+                    width: c.width,
+                    depth: c.depth as usize,
+                })
+                .collect(),
+        );
         let instrumented_name = instrumented.name.clone();
         let sim = Simulator::new(instrumented)?;
         let axi = AxiLite::bind(&sim)?;
@@ -164,7 +186,7 @@ impl FpgaTarget {
             chain,
             model: opts.model.unwrap_or_default(),
             vtime_ns: 0,
-            design,
+            layout: Arc::new(layout),
             readback: opts.readback,
             instrumented_name,
             irq_net,
@@ -287,7 +309,7 @@ impl FpgaTarget {
     }
 
     /// Reads all collared memories through the collar ports.
-    fn collar_read_all(&mut self) -> Vec<MemImage> {
+    fn collar_read_all(&mut self) -> Vec<Vec<u64>> {
         let mut out = Vec::with_capacity(self.chain.mems.len());
         if self.chain.mems.is_empty() {
             return out;
@@ -312,41 +334,28 @@ impl FpgaTarget {
                 words.push(w);
                 total_words += 1;
             }
-            out.push(MemImage {
-                name: collar.name.clone(),
-                width: collar.width,
-                words,
-            });
+            out.push(words);
         }
         self.sim.poke(scan_ports::MEM_EN, 0).expect("collar port");
         self.charge_cycles(total_words);
         out
     }
 
-    /// Writes all collared memories through the collar ports.
-    fn collar_write_all(&mut self, mems: &[MemImage]) -> Result<(), TargetError> {
+    /// Writes all collared memories through the collar ports: `mems`
+    /// holds each collar's words in collar order, as checked by
+    /// [`FpgaTarget::restore_values`].
+    fn collar_write_all(&mut self, mems: &[&[u64]]) {
         if self.chain.mems.is_empty() {
-            return Ok(());
+            return;
         }
         self.sim.poke(scan_ports::MEM_EN, 1).expect("collar port");
         self.sim.poke(scan_ports::MEM_WE, 1).expect("collar port");
         let mut total_words = 0u64;
-        for collar in self.chain.mems.clone() {
-            let img = mems.iter().find(|m| m.name == collar.name).ok_or_else(|| {
-                TargetError::CorruptSnapshot(format!("missing memory '{}'", collar.name))
-            })?;
-            if img.words.len() != collar.depth as usize {
-                return Err(TargetError::CorruptSnapshot(format!(
-                    "memory '{}' has {} words, design expects {}",
-                    collar.name,
-                    img.words.len(),
-                    collar.depth
-                )));
-            }
+        for (collar, words) in self.chain.mems.clone().iter().zip(mems) {
             self.sim
                 .poke(scan_ports::MEM_SEL, collar.sel as u64)
                 .expect("collar port");
-            for (a, w) in img.words.iter().enumerate() {
+            for (a, w) in words.iter().enumerate() {
                 self.sim
                     .poke(scan_ports::MEM_ADDR, a as u64)
                     .expect("collar port");
@@ -360,7 +369,6 @@ impl FpgaTarget {
         self.sim.poke(scan_ports::MEM_WE, 0).expect("collar port");
         self.sim.poke(scan_ports::MEM_EN, 0).expect("collar port");
         self.charge_cycles(total_words);
-        Ok(())
     }
 
     /// Captures a snapshot via the configuration-readback path instead
@@ -393,40 +401,39 @@ impl FpgaTarget {
         let saved_vtime = self.vtime_ns;
         let saved_cycle_cost = self.sim.cycle();
         let stream = self.scan_cycle_preserving();
-        let values = self
+        let regs = self
             .chain
             .decode_words(&stream)
             .expect("stream length matches chain");
-        let regs = self
-            .chain
-            .segments
-            .iter()
-            .zip(values)
-            .map(|(seg, bits)| RegImage {
-                name: seg.name.clone(),
-                width: seg.width,
-                bits,
-            })
-            .collect();
         let mems = self.collar_read_all();
         self.vtime_ns = saved_vtime;
         let _ = saved_cycle_cost;
-        HwSnapshot {
-            design: self.design.clone(),
-            cycle: self.sim.cycle(),
-            regs,
-            mems,
-        }
+        HwSnapshot::new(self.layout.clone(), self.sim.cycle(), regs, mems)
     }
 
     /// Checks a restore image against the chain layout — registers
     /// present with in-range values, memories present with the right
-    /// depth and normalized words — without touching the fabric. An
-    /// image that passes cannot fail mid-shift.
-    fn validate_restore_image(&self, snap: &HwSnapshot) -> Result<Vec<u64>, TargetError> {
+    /// depth and normalized words — without touching the fabric, and
+    /// returns the register values in segment order and the words in
+    /// collar order. An image that passes cannot fail mid-shift.
+    ///
+    /// An image with this fabric's layout (its own captures and its
+    /// replicas', or an equal layout decoded from a file) is read by
+    /// index; any other is looked up by name, which is how a simulator
+    /// image arrives through `transfer_state`.
+    fn restore_values<'a>(
+        &self,
+        snap: &'a HwSnapshot,
+    ) -> Result<(Vec<u64>, Vec<&'a [u64]>), TargetError> {
+        let by_index = snap.layout == self.layout;
         let mut values = Vec::with_capacity(self.chain.segments.len());
-        for seg in &self.chain.segments {
-            let bits = snap.reg(&seg.name).ok_or_else(|| {
+        for (i, seg) in self.chain.segments.iter().enumerate() {
+            let bits = if by_index {
+                snap.regs.get(i).copied()
+            } else {
+                snap.reg(&seg.name)
+            };
+            let bits = bits.ok_or_else(|| {
                 TargetError::CorruptSnapshot(format!("missing register '{}'", seg.name))
             })?;
             if seg.width < 64 && bits >> seg.width != 0 {
@@ -437,53 +444,50 @@ impl FpgaTarget {
             }
             values.push(bits);
         }
-        for collar in &self.chain.mems {
-            let img = snap.mem(&collar.name).ok_or_else(|| {
+        let mut mems = Vec::with_capacity(self.chain.mems.len());
+        for (mi, collar) in self.chain.mems.iter().enumerate() {
+            let words = if by_index {
+                snap.mems.get(mi).map(Vec::as_slice)
+            } else {
+                snap.mem(&collar.name)
+            };
+            let words = words.ok_or_else(|| {
                 TargetError::CorruptSnapshot(format!("missing memory '{}'", collar.name))
             })?;
-            if img.words.len() != collar.depth as usize {
+            if words.len() != collar.depth as usize {
                 return Err(TargetError::CorruptSnapshot(format!(
                     "memory '{}' has {} words, design expects {}",
                     collar.name,
-                    img.words.len(),
+                    words.len(),
                     collar.depth
                 )));
             }
             if collar.width < 64 {
                 let msk = (1u64 << collar.width) - 1;
-                if let Some(wi) = img.words.iter().position(|&w| w & !msk != 0) {
+                if let Some(wi) = words.iter().position(|&w| w & !msk != 0) {
                     return Err(TargetError::CorruptSnapshot(format!(
                         "memory '{}'[{wi}] value exceeds its {} bits",
                         collar.name, collar.width
                     )));
                 }
             }
+            mems.push(words);
         }
-        Ok(values)
+        Ok((values, mems))
     }
 }
 
 /// Which chain segments and how many collar words differ between the
-/// currently-loaded state and a target image (both keyed by the chain
-/// layout) — the activity a partial scan pass has to move.
-fn diff_activity(cur: &HwSnapshot, want: &HwSnapshot, chain: &ChainMap) -> (Vec<bool>, u64) {
-    let dirty_segs: Vec<bool> = chain
-        .segments
+/// currently-loaded state and the values a restore will load (both in
+/// chain order) — the activity a partial scan pass has to move.
+fn diff_activity(cur: &HwSnapshot, regs: &[u64], mems: &[&[u64]]) -> (Vec<bool>, u64) {
+    let dirty_segs: Vec<bool> = cur.regs.iter().zip(regs).map(|(a, b)| a != b).collect();
+    let dirty_words = cur
+        .mems
         .iter()
-        .enumerate()
-        .map(|(i, seg)| want.reg(&seg.name) != Some(cur.regs[i].bits))
-        .collect();
-    let mut dirty_words = 0u64;
-    for (mi, collar) in chain.mems.iter().enumerate() {
-        if let Some(img) = want.mem(&collar.name) {
-            dirty_words += cur.mems[mi]
-                .words
-                .iter()
-                .zip(&img.words)
-                .filter(|(a, b)| a != b)
-                .count() as u64;
-        }
-    }
+        .zip(mems)
+        .map(|(a, b)| a.iter().zip(b.iter()).filter(|(x, y)| x != y).count() as u64)
+        .sum();
     (dirty_segs, dirty_words)
 }
 
@@ -502,7 +506,7 @@ impl HwTarget for FpgaTarget {
     }
 
     fn design_name(&self) -> &str {
-        &self.design
+        self.layout.design()
     }
 
     fn reset(&mut self) {
@@ -561,33 +565,17 @@ impl HwTarget for FpgaTarget {
         let span = self.rec.span("snapshot", "capture");
         let vtime_before = self.vtime_ns;
         let stream = self.scan_cycle_preserving();
-        let values = self
+        let regs = self
             .chain
             .decode_words(&stream)
             .map_err(|e| TargetError::CorruptSnapshot(e.to_string()))?;
-        let regs = self
-            .chain
-            .segments
-            .iter()
-            .zip(values)
-            .map(|(seg, bits)| RegImage {
-                name: seg.name.clone(),
-                width: seg.width,
-                bits,
-            })
-            .collect();
         let mems = self.collar_read_all();
         self.vtime_ns += self.model.scan_overhead_ns;
         self.rec.count(Counter::SnapshotsSaved);
         self.rec
             .observe(Metric::CaptureVtimeNs, self.vtime_ns - vtime_before);
         drop(span);
-        let snap = HwSnapshot {
-            design: self.design.clone(),
-            cycle: self.sim.cycle(),
-            regs,
-            mems,
-        };
+        let snap = HwSnapshot::new(self.layout.clone(), self.sim.cycle(), regs, mems);
         self.capture_checksum = snap.content_hash();
         Ok(snap)
     }
@@ -628,14 +616,14 @@ impl HwTarget for FpgaTarget {
             mem_words: Vec::new(),
             cycle: cur.cycle,
         };
-        for (i, (c, b)) in cur.regs.iter().zip(&base.regs).enumerate() {
-            if c.bits != b.bits {
+        for (i, (&c, &b)) in cur.regs.iter().zip(&base.regs).enumerate() {
+            if c != b {
                 dirty_segs[i] = true;
-                delta.regs.push((i as u32, c.bits));
+                delta.regs.push((i as u32, c));
             }
         }
         for (mi, (cm, bm)) in cur.mems.iter().zip(&base.mems).enumerate() {
-            for (wi, (&cw, &bw)) in cm.words.iter().zip(&bm.words).enumerate() {
+            for (wi, (&cw, &bw)) in cm.iter().zip(bm).enumerate() {
                 if cw != bw {
                     delta.mem_words.push((mi as u32, wi as u32, cw));
                 }
@@ -674,16 +662,16 @@ impl HwTarget for FpgaTarget {
     fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
         let span = self.rec.span("snapshot", "restore");
         let vtime_before = self.vtime_ns;
-        if snap.design != self.design {
+        if snap.design() != self.layout.design() {
             return Err(TargetError::DesignMismatch {
-                expected: snap.design.clone(),
-                found: self.design.clone(),
+                expected: snap.design().to_string(),
+                found: self.layout.design().to_string(),
             });
         }
         // Validate everything up front — registers AND memories — so the
         // restore is all-or-nothing: once shifting starts nothing below
         // can fail and leave the fabric half-loaded.
-        let values = self.validate_restore_image(snap)?;
+        let (values, mems) = self.restore_values(snap)?;
         let stream = self
             .chain
             .encode_words(&values)
@@ -695,15 +683,15 @@ impl HwTarget for FpgaTarget {
             // state transfer itself is exact (full image in, modeled
             // silently); only the charged time is partial.
             let cur = self.capture_via_scan_paths_silently();
-            let (dirty_segs, dirty_words) = diff_activity(&cur, snap, &self.chain);
+            let (dirty_segs, dirty_words) = diff_activity(&cur, &values, &mems);
             let saved_vtime = self.vtime_ns;
             self.scan_shift_in(&stream);
-            self.collar_write_all(&snap.mems)?;
+            self.collar_write_all(&mems);
             self.vtime_ns = saved_vtime;
             self.charge_cycles(self.chain.partial_shift_cycles(&dirty_segs) + dirty_words);
         } else {
             self.scan_shift_in(&stream);
-            self.collar_write_all(&snap.mems)?;
+            self.collar_write_all(&mems);
         }
         self.vtime_ns += self.model.scan_overhead_ns;
         self.rec.count(Counter::SnapshotsRestored);
@@ -723,10 +711,10 @@ impl HwTarget for FpgaTarget {
         }
         let corrupt = |e: hardsnap_bus::PersistError| TargetError::CorruptSnapshot(e.to_string());
         let meta = file.meta().map_err(corrupt)?;
-        if meta.design != self.design {
+        if meta.design != self.layout.design() {
             return Err(TargetError::DesignMismatch {
                 expected: meta.design,
-                found: self.design.clone(),
+                found: self.layout.design().to_string(),
             });
         }
         if meta.shape_hash != self.snapshot_shape() {
@@ -736,7 +724,8 @@ impl HwTarget for FpgaTarget {
         }
         // Observe the loaded state through the scan paths (modeled
         // silently — the partial cost is charged below), then page in
-        // only the file sections whose content hash differs from it.
+        // only the file sections whose content hash differs from it. A
+        // loaded section must name what the chain layout names there.
         let cur = self.capture_via_scan_paths_silently();
         let mut want = cur.clone();
         let mut total = 0usize;
@@ -746,8 +735,14 @@ impl HwTarget for FpgaTarget {
             match entry.tag {
                 SectionTag::Regs => {
                     total += 1;
-                    if entry.content_hash != regs_values_hash(want.regs.iter().map(|r| r.bits)) {
-                        want.regs = file.load_regs().map_err(corrupt)?;
+                    if entry.content_hash != regs_values_hash(want.regs.iter().copied()) {
+                        let (slots, values) = file.load_regs().map_err(corrupt)?;
+                        if slots != self.layout.regs() {
+                            return Err(TargetError::CorruptSnapshot(
+                                "register section does not match the scan chain".into(),
+                            ));
+                        }
+                        want.regs = values;
                         loaded += 1;
                         bytes += entry.len;
                     }
@@ -760,8 +755,14 @@ impl HwTarget for FpgaTarget {
                             "memory section index {idx} out of range"
                         ))
                     })?;
-                    if entry.content_hash != mem_words_hash(&live.words) {
-                        want.mems[idx] = file.load_mem(entry.index).map_err(corrupt)?;
+                    if entry.content_hash != mem_words_hash(live) {
+                        let (slot, words) = file.load_mem(entry.index).map_err(corrupt)?;
+                        if slot != self.layout.mems()[idx] {
+                            return Err(TargetError::CorruptSnapshot(format!(
+                                "memory section {idx} does not match the scan chain"
+                            )));
+                        }
+                        want.mems[idx] = words;
                         loaded += 1;
                         bytes += entry.len;
                     }
@@ -770,7 +771,7 @@ impl HwTarget for FpgaTarget {
             }
         }
         // All-or-nothing from here on, exactly like the eager restore.
-        let values = self.validate_restore_image(&want)?;
+        let (values, mems) = self.restore_values(&want)?;
         let stream = self
             .chain
             .encode_words(&values)
@@ -778,10 +779,10 @@ impl HwTarget for FpgaTarget {
         // The state transfer is exact (full image in, modeled silently);
         // the charged time is a partial-chain pass over the segments the
         // paged-in sections actually dirtied plus the dirty collar words.
-        let (dirty_segs, dirty_words) = diff_activity(&cur, &want, &self.chain);
+        let (dirty_segs, dirty_words) = diff_activity(&cur, &values, &mems);
         let saved_vtime = self.vtime_ns;
         self.scan_shift_in(&stream);
-        self.collar_write_all(&want.mems)?;
+        self.collar_write_all(&mems);
         self.vtime_ns = saved_vtime;
         self.charge_cycles(self.chain.partial_shift_cycles(&dirty_segs) + dirty_words);
         self.vtime_ns += self.model.scan_overhead_ns;
@@ -812,7 +813,9 @@ impl HwTarget for FpgaTarget {
             chain: self.chain.clone(),
             model: self.model,
             vtime_ns: 0,
-            design: self.design.clone(),
+            // Same bitstream, same chain map: the replica's images share
+            // this fabric's layout.
+            layout: self.layout.clone(),
             readback: self.readback,
             instrumented_name: self.instrumented_name.clone(),
             irq_net: self.irq_net,
@@ -828,19 +831,9 @@ impl HwTarget for FpgaTarget {
     }
 
     fn snapshot_shape(&self) -> u64 {
-        // Mirrors `save_snapshot` exactly: registers in chain-segment
+        // The layout `save_snapshot` attaches: registers in chain-segment
         // order, memories in collar order with their declared depths.
-        hardsnap_bus::shape_hash_parts(
-            &self.design,
-            self.chain
-                .segments
-                .iter()
-                .map(|seg| (seg.name.as_str(), seg.width)),
-            self.chain
-                .mems
-                .iter()
-                .map(|c| (c.name.as_str(), c.width, c.depth as usize)),
-        )
+        self.layout.shape_hash()
     }
 
     fn capture_checksum(&self) -> u64 {
@@ -961,8 +954,8 @@ mod tests {
         }
         let snap = t.save_snapshot().unwrap();
         let w = snap.mem("u_sha.w_mem").unwrap();
-        assert_eq!(w.words[0], 0x1111_0000);
-        assert_eq!(w.words[15], 0x1111_000f);
+        assert_eq!(w[0], 0x1111_0000);
+        assert_eq!(w[15], 0x1111_000f);
     }
 
     #[test]
@@ -1111,15 +1104,15 @@ mod tests {
 
         // An out-of-range register value is rejected up front...
         let mut bad = good.clone();
-        let w = bad.regs[0].width;
-        bad.regs[0].bits = 1u64 << w.min(63);
+        let w = bad.layout.regs()[0].width;
+        bad.regs[0] = 1u64 << w.min(63);
         assert!(matches!(
             t.restore_snapshot(&bad),
             Err(TargetError::CorruptSnapshot(_))
         ));
         // ...as is a truncated memory image...
         let mut bad2 = good.clone();
-        bad2.mems[0].words.pop();
+        bad2.mems[0].pop();
         assert!(matches!(
             t.restore_snapshot(&bad2),
             Err(TargetError::CorruptSnapshot(_))
@@ -1214,10 +1207,54 @@ mod tests {
             0,
             "replica state is independent of the parent"
         );
-        // Snapshots interchange between parent and replica.
+        // Snapshots interchange between parent and replica, which share
+        // one chain layout.
         let snap = t.save_snapshot().unwrap();
+        assert!(Arc::ptr_eq(&snap.layout, &first.layout));
+        assert_eq!(r.snapshot_shape(), t.snapshot_shape());
         r.restore_snapshot(&snap).unwrap();
         assert_eq!(r.bus_read(m::TIMER_BASE + regs::timer::VALUE).unwrap(), 77);
+    }
+
+    #[test]
+    fn a_foreign_layout_is_restored_by_name() {
+        use hardsnap_bus::map::soc as m;
+        let mut t = fpga();
+        t.bus_write(m::TIMER_BASE + regs::timer::LOAD, 4242)
+            .unwrap();
+        let snap = t.save_snapshot().unwrap();
+        // The same state under a layout listing the registers and the
+        // memories in reverse: only a by-name match restores it.
+        let l = &snap.layout;
+        let reversed = SnapshotLayout::new(
+            l.design(),
+            l.regs().iter().rev().cloned().collect(),
+            l.mems().iter().rev().cloned().collect(),
+        );
+        let foreign = HwSnapshot::new(
+            Arc::new(reversed),
+            snap.cycle,
+            snap.regs.iter().rev().copied().collect(),
+            snap.mems.iter().rev().cloned().collect(),
+        );
+        let mut r = fpga();
+        r.restore_snapshot(&foreign).unwrap();
+        let back = r.save_snapshot().unwrap();
+        assert_eq!(back.regs, snap.regs);
+        assert_eq!(back.mems, snap.mems);
+        // By name, a register the chain does not know is missing.
+        let mut renamed = foreign.layout.regs().to_vec();
+        renamed[0].name = "nonexistent_register".into();
+        let mut bad = foreign.clone();
+        bad.layout = Arc::new(SnapshotLayout::new(
+            l.design(),
+            renamed,
+            foreign.layout.mems().to_vec(),
+        ));
+        assert!(matches!(
+            r.restore_snapshot(&bad),
+            Err(TargetError::CorruptSnapshot(m)) if m.contains("missing register")
+        ));
     }
 
     #[test]
@@ -1238,7 +1275,7 @@ mod tests {
         let mut s = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
         s.reset();
         let snap = transfer_state(&mut f, &mut s).unwrap();
-        assert_eq!(snap.design, "soc_top");
+        assert_eq!(snap.design(), "soc_top");
         // The simulator continues the countdown and raises the IRQ.
         assert_eq!(s.irq_lines(), 0);
         s.step(600);

@@ -442,8 +442,8 @@ fn dma_snapshot_covers_the_sram() {
     }
     let snap = t.save_snapshot().unwrap();
     let sram = snap.mem("sram").expect("sram collared");
-    assert_eq!(sram.words.len(), 256);
-    assert_eq!(sram.words[5], 0xCAFE_0005);
+    assert_eq!(sram.len(), 256);
+    assert_eq!(sram[5], 0xCAFE_0005);
     // Trash the SRAM, restore, verify.
     for i in 0..16u32 {
         t.bus_write(regs::dma::SRAM + 4 * i, 0).unwrap();

@@ -10,13 +10,18 @@
 //! tracker falls back to a full index-aligned scan, producing the exact
 //! same delta bit-for-bit — only the host cost differs, never the image.
 //!
+//! Every image the tracker builds shares one [`SnapshotLayout`], built
+//! from the design once at construction and handed on to the trackers
+//! of `SimTarget::fork_clean` replicas, so a capture copies values only
+//! and a shape check of one of its own images compares no names.
+//!
 //! The tracker deliberately lives at the [`Simulator`] level rather than
 //! inside [`crate::SimTarget`] so designs without AXI ports (e.g. the
 //! random modules used by property tests) can exercise delta capture
 //! directly.
 
 use crate::Simulator;
-use hardsnap_bus::{HwSnapshot, MemImage, RegImage, SnapshotCapture, SnapshotDelta};
+use hardsnap_bus::{HwSnapshot, MemSlot, RegSlot, SnapshotCapture, SnapshotDelta, SnapshotLayout};
 use hardsnap_rtl::{MemId, NetId};
 use std::sync::Arc;
 
@@ -35,6 +40,8 @@ pub struct SnapshotTracker {
     slot_to_reg: Vec<u32>,
     /// Memory ids, in canonical capture order.
     mem_ids: Vec<MemId>,
+    /// Names and geometry of every image this tracker builds.
+    layout: Arc<SnapshotLayout>,
     /// The shared base image deltas are expressed against. `None` until
     /// the first capture (or after [`SnapshotTracker::reset`]).
     base: Option<Arc<HwSnapshot>>,
@@ -77,22 +84,70 @@ impl SnapshotTracker {
             slot_to_reg[id.0 as usize] = ri as u32;
         }
         let mem_ids: Vec<MemId> = module.iter_mems().map(|(id, _)| id).collect();
-        let mem_dirty = mem_ids
-            .iter()
-            .map(|&id| vec![false; sim.mem_words(id).len()])
-            .collect();
+        let layout = SnapshotLayout::new(
+            module.name.clone(),
+            reg_ids
+                .iter()
+                .map(|&id| {
+                    let net = module.net(id);
+                    RegSlot {
+                        name: net.name.clone(),
+                        width: net.width,
+                    }
+                })
+                .collect(),
+            mem_ids
+                .iter()
+                .map(|&id| {
+                    let mem = module.memory(id);
+                    MemSlot {
+                        name: mem.name.clone(),
+                        width: mem.width,
+                        depth: sim.mem_words(id).len(),
+                    }
+                })
+                .collect(),
+        );
+        Self::with_ids(reg_ids, slot_to_reg, mem_ids, Arc::new(layout))
+    }
+
+    /// A tracker for a replica of the same design (e.g. a
+    /// `Simulator::fork_clean` of this tracker's simulator): the same
+    /// resolved ids and the same shared layout, no base and nothing
+    /// dirty.
+    pub(crate) fn fork(&self) -> Self {
+        Self::with_ids(
+            self.reg_ids.clone(),
+            self.slot_to_reg.clone(),
+            self.mem_ids.clone(),
+            self.layout.clone(),
+        )
+    }
+
+    fn with_ids(
+        reg_ids: Vec<NetId>,
+        slot_to_reg: Vec<u32>,
+        mem_ids: Vec<MemId>,
+        layout: Arc<SnapshotLayout>,
+    ) -> Self {
         SnapshotTracker {
             reg_dirty: vec![false; reg_ids.len()],
             reg_dirty_list: Vec::new(),
-            mem_dirty,
+            mem_dirty: layout.mems().iter().map(|m| vec![false; m.depth]).collect(),
             mem_dirty_list: Vec::new(),
             nets_scratch: Vec::new(),
             mems_scratch: Vec::new(),
             reg_ids,
             slot_to_reg,
             mem_ids,
+            layout,
             base: None,
         }
+    }
+
+    /// The layout every image of this tracker carries.
+    pub(crate) fn layout(&self) -> &Arc<SnapshotLayout> {
+        &self.layout
     }
 
     /// Drops the base and all dirty state; the next capture is full.
@@ -120,37 +175,18 @@ impl SnapshotTracker {
     /// Builds the canonical full snapshot by scanning every resolved
     /// register and memory, in capture order.
     pub fn capture_full(&self, sim: &Simulator) -> HwSnapshot {
-        let module = sim.module();
-        let regs = self
-            .reg_ids
-            .iter()
-            .map(|&id| {
-                let net = module.net(id);
-                RegImage {
-                    name: net.name.clone(),
-                    width: net.width,
-                    bits: sim.peek_id(id).bits(),
-                }
-            })
-            .collect();
-        let mems = self
-            .mem_ids
-            .iter()
-            .map(|&id| {
-                let mem = module.memory(id);
-                MemImage {
-                    name: mem.name.clone(),
-                    width: mem.width,
-                    words: sim.mem_words(id).to_vec(),
-                }
-            })
-            .collect();
-        HwSnapshot {
-            design: module.name.clone(),
-            cycle: sim.cycle(),
-            regs,
-            mems,
-        }
+        HwSnapshot::new(
+            self.layout.clone(),
+            sim.cycle(),
+            self.reg_ids
+                .iter()
+                .map(|&id| sim.peek_id(id).bits())
+                .collect(),
+            self.mem_ids
+                .iter()
+                .map(|&id| sim.mem_words(id).to_vec())
+                .collect(),
+        )
     }
 
     /// Captures the current state as a delta against the shared base, or
@@ -201,7 +237,7 @@ impl SnapshotTracker {
             let mut list = std::mem::take(&mut self.reg_dirty_list);
             list.retain(|&ri| {
                 let cur = sim.peek_id(self.reg_ids[ri as usize]).bits();
-                if cur != base.regs[ri as usize].bits {
+                if cur != base.regs[ri as usize] {
                     delta.regs.push((ri, cur));
                     true
                 } else {
@@ -213,7 +249,7 @@ impl SnapshotTracker {
             let mut mlist = std::mem::take(&mut self.mem_dirty_list);
             mlist.retain(|&(mi, wi)| {
                 let cur = sim.mem_words(self.mem_ids[mi as usize])[wi as usize];
-                if cur != base.mems[mi as usize].words[wi as usize] {
+                if cur != base.mems[mi as usize][wi as usize] {
                     delta.mem_words.push((mi, wi, cur));
                     true
                 } else {
@@ -230,13 +266,13 @@ impl SnapshotTracker {
             // same delta the journal path would produce.
             for (ri, &id) in self.reg_ids.iter().enumerate() {
                 let cur = sim.peek_id(id).bits();
-                if cur != base.regs[ri].bits {
+                if cur != base.regs[ri] {
                     delta.regs.push((ri as u32, cur));
                 }
             }
             for (mi, &id) in self.mem_ids.iter().enumerate() {
                 let words = sim.mem_words(id);
-                let base_words = &base.mems[mi].words;
+                let base_words = &base.mems[mi];
                 for (wi, (&cur, &b)) in words.iter().zip(base_words).enumerate() {
                     if cur != b {
                         delta.mem_words.push((mi as u32, wi as u32, cur));
@@ -263,63 +299,73 @@ impl SnapshotTracker {
     /// which is what makes [`SnapshotTracker::restore_diff`]
     /// all-or-nothing.
     ///
+    /// An image carrying this tracker's own layout (every capture of it
+    /// or of a replica's tracker) has the design's names by
+    /// construction, so only counts and values are checked; the names
+    /// are compared for a foreign layout only (an image decoded from a
+    /// file, or captured on another target).
+    ///
     /// # Errors
     ///
     /// Returns a description of the first mismatch.
-    pub fn validate_shape(&self, sim: &Simulator, snap: &HwSnapshot) -> Result<(), String> {
-        let module = sim.module();
-        if snap.regs.len() != self.reg_ids.len() {
+    pub fn validate_shape(&self, snap: &HwSnapshot) -> Result<(), String> {
+        let design = &*self.layout;
+        if snap.regs.len() != design.regs().len() {
             return Err(format!(
                 "register count mismatch: snapshot has {}, design has {}",
                 snap.regs.len(),
-                self.reg_ids.len()
+                design.regs().len()
             ));
         }
-        for (&id, r) in self.reg_ids.iter().zip(&snap.regs) {
-            let net = module.net(id);
-            if r.name != net.name || r.width != net.width {
-                return Err(format!(
-                    "register mismatch: snapshot has '{}' ({} bits), design has '{}' ({} bits)",
-                    r.name, r.width, net.name, net.width
-                ));
-            }
-            if r.width < 64 && r.bits >> r.width != 0 {
-                return Err(format!(
-                    "register '{}' value {:#x} exceeds its {} bits",
-                    r.name, r.bits, r.width
-                ));
-            }
-        }
-        if snap.mems.len() != self.mem_ids.len() {
+        if snap.mems.len() != design.mems().len() {
             return Err(format!(
                 "memory count mismatch: snapshot has {}, design has {}",
                 snap.mems.len(),
-                self.mem_ids.len()
+                design.mems().len()
             ));
         }
-        for (&id, m) in self.mem_ids.iter().zip(&snap.mems) {
-            let mem = module.memory(id);
-            if m.name != mem.name || m.width != mem.width {
+        if !Arc::ptr_eq(&snap.layout, &self.layout) {
+            for ((name, width, _), net) in snap.named_regs().zip(design.regs()) {
+                if name != net.name || width != net.width {
+                    return Err(format!(
+                        "register mismatch: snapshot has '{name}' ({width} bits), design has '{}' ({} bits)",
+                        net.name, net.width
+                    ));
+                }
+            }
+            for ((name, width, _), mem) in snap.named_mems().zip(design.mems()) {
+                if name != mem.name || width != mem.width {
+                    return Err(format!(
+                        "memory mismatch: snapshot has '{name}' ({width} bits), design has '{}' ({} bits)",
+                        mem.name, mem.width
+                    ));
+                }
+            }
+        }
+        // The names match the design's, so its widths and depths apply.
+        for (&bits, net) in snap.regs.iter().zip(design.regs()) {
+            if net.width < 64 && bits >> net.width != 0 {
                 return Err(format!(
-                    "memory mismatch: snapshot has '{}' ({} bits), design has '{}' ({} bits)",
-                    m.name, m.width, mem.name, mem.width
+                    "register '{}' value {bits:#x} exceeds its {} bits",
+                    net.name, net.width
                 ));
             }
-            let depth = sim.mem_words(id).len();
-            if m.words.len() != depth {
+        }
+        for (words, mem) in snap.mems.iter().zip(design.mems()) {
+            if words.len() != mem.depth {
                 return Err(format!(
                     "memory '{}' depth mismatch: snapshot has {} words, design has {}",
-                    m.name,
-                    m.words.len(),
-                    depth
+                    mem.name,
+                    words.len(),
+                    mem.depth
                 ));
             }
-            if m.width < 64 {
-                let msk = hardsnap_rtl::mask(m.width);
-                if let Some(wi) = m.words.iter().position(|&w| w & !msk != 0) {
+            if mem.width < 64 {
+                let msk = hardsnap_rtl::mask(mem.width);
+                if let Some(wi) = words.iter().position(|&w| w & !msk != 0) {
                     return Err(format!(
-                        "memory '{}'[{}] value exceeds its {} bits",
-                        m.name, wi, m.width
+                        "memory '{}'[{wi}] value exceeds its {} bits",
+                        mem.name, mem.width
                     ));
                 }
             }
@@ -345,21 +391,21 @@ impl SnapshotTracker {
         sim: &mut Simulator,
         snap: &HwSnapshot,
     ) -> Result<RestoreStats, String> {
-        self.validate_shape(sim, snap)?;
+        self.validate_shape(snap)?;
         let mut stats = RestoreStats::default();
-        for (&id, r) in self.reg_ids.iter().zip(&snap.regs) {
-            if sim.peek_id(id).bits() != r.bits {
-                sim.poke_id(id, r.bits);
+        for (&id, &bits) in self.reg_ids.iter().zip(&snap.regs) {
+            if sim.peek_id(id).bits() != bits {
+                sim.poke_id(id, bits);
                 stats.regs_changed += 1;
             }
         }
-        for (&id, m) in self.mem_ids.iter().zip(&snap.mems) {
+        for (&id, words) in self.mem_ids.iter().zip(&snap.mems) {
             // Bulk fast path: untouched memories (the common case for
             // quiescent peripherals) are skipped with one slice compare.
-            if sim.mem_words(id) == &m.words[..] {
+            if sim.mem_words(id) == &words[..] {
                 continue;
             }
-            for (wi, &w) in m.words.iter().enumerate() {
+            for (wi, &w) in words.iter().enumerate() {
                 if sim.mem_words(id)[wi] != w {
                     sim.poke_mem_id(id, wi as u32, w);
                     stats.words_changed += 1;
@@ -447,7 +493,7 @@ mod tests {
         run_a_bit(&mut s, 5);
         let good = tr.capture_full(&s);
         let mut bad = good.clone();
-        bad.regs[0].bits = 1 << 20; // exceeds the 8-bit width
+        bad.regs[0] = 1 << 20; // exceeds the 8-bit width
         assert!(tr.restore_diff(&mut s, &bad).is_err());
         // The failed restore wrote nothing.
         assert_eq!(tr.capture_full(&s).content_hash(), good.content_hash());
@@ -455,7 +501,7 @@ mod tests {
         bad2.regs.remove(0);
         assert!(tr.restore_diff(&mut s, &bad2).is_err());
         let mut bad3 = good;
-        bad3.mems[0].words.pop();
+        bad3.mems[0].pop();
         assert!(tr.restore_diff(&mut s, &bad3).is_err());
     }
 

@@ -330,9 +330,9 @@ impl HwTarget for SimTarget {
     fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
         let mut span = self.rec.span("snapshot", "restore");
         span.set_arg(snap.byte_size() as u64);
-        if snap.design != self.sim.module().name {
+        if snap.design() != self.sim.module().name {
             return Err(TargetError::DesignMismatch {
-                expected: snap.design.clone(),
+                expected: snap.design().to_string(),
                 found: self.sim.module().name.clone(),
             });
         }
@@ -381,8 +381,10 @@ impl HwTarget for SimTarget {
         // Host-side live image (no virtual-time charge): the section
         // table's content hashes decide which payloads are read at all.
         // Sections that already match the live state are never loaded —
-        // the demand-paged part of "demand-paged lazy restore".
+        // the demand-paged part of "demand-paged lazy restore". A loaded
+        // section must name what the design's layout names there.
         let mut want = self.capture();
+        let layout = want.layout.clone();
         let mut total = 0usize;
         let mut loaded = 0usize;
         let mut bytes = 0u64;
@@ -390,8 +392,14 @@ impl HwTarget for SimTarget {
             match entry.tag {
                 SectionTag::Regs => {
                     total += 1;
-                    if entry.content_hash != regs_values_hash(want.regs.iter().map(|r| r.bits)) {
-                        want.regs = file.load_regs().map_err(corrupt)?;
+                    if entry.content_hash != regs_values_hash(want.regs.iter().copied()) {
+                        let (slots, values) = file.load_regs().map_err(corrupt)?;
+                        if slots != layout.regs() {
+                            return Err(TargetError::CorruptSnapshot(
+                                "register section does not match the running design".into(),
+                            ));
+                        }
+                        want.regs = values;
                         loaded += 1;
                         bytes += entry.len;
                     }
@@ -404,8 +412,14 @@ impl HwTarget for SimTarget {
                             "memory section index {idx} out of range"
                         ))
                     })?;
-                    if entry.content_hash != mem_words_hash(&live.words) {
-                        want.mems[idx] = file.load_mem(entry.index).map_err(corrupt)?;
+                    if entry.content_hash != mem_words_hash(live) {
+                        let (slot, words) = file.load_mem(entry.index).map_err(corrupt)?;
+                        if slot != layout.mems()[idx] {
+                            return Err(TargetError::CorruptSnapshot(format!(
+                                "memory section {idx} does not match the running design"
+                            )));
+                        }
+                        want.mems[idx] = words;
                         loaded += 1;
                         bytes += entry.len;
                     }
@@ -443,7 +457,8 @@ impl HwTarget for SimTarget {
         let sim = self.sim.fork_clean();
         let axi = AxiLite::bind(&sim)
             .map_err(|e| TargetError::CorruptSnapshot(format!("replica AXI bind: {e}")))?;
-        let tracker = SnapshotTracker::new(&sim);
+        // Same design: the replica's images share this target's layout.
+        let tracker = self.tracker.fork();
         Ok(Box::new(SimTarget {
             sim,
             axi,
@@ -463,20 +478,9 @@ impl HwTarget for SimTarget {
     }
 
     fn snapshot_shape(&self) -> u64 {
-        // Must iterate exactly as `capture` does so honest captures
-        // always hash equal to the design's own shape.
-        let module = self.sim.module();
-        let reg_ids = module.clocked_regs();
-        hardsnap_bus::shape_hash_parts(
-            &module.name,
-            reg_ids.iter().map(|&id| {
-                let net = module.net(id);
-                (net.name.as_str(), net.width)
-            }),
-            module
-                .iter_mems()
-                .map(|(id, mem)| (mem.name.as_str(), mem.width, self.sim.mem_words(id).len())),
-        )
+        // The layout every capture carries, so honest captures always
+        // hash equal to it.
+        self.tracker.layout().shape_hash()
     }
 
     fn capture_checksum(&self) -> u64 {
@@ -638,7 +642,7 @@ mod tests {
     fn restore_of_foreign_design_is_rejected() {
         let mut t = target();
         let mut snap = t.save_snapshot().unwrap();
-        snap.design = "other_design".into();
+        snap.relabel("other_design");
         assert!(matches!(
             t.restore_snapshot(&snap),
             Err(TargetError::DesignMismatch { .. })
@@ -684,6 +688,33 @@ mod tests {
     }
 
     #[test]
+    fn captures_of_a_target_and_its_replicas_share_one_layout() {
+        let mut t = target();
+        let mut r1 = t.fork_clean().unwrap();
+        let mut r2 = r1.fork_clean().unwrap();
+        let a = t.save_snapshot().unwrap();
+        t.set_delta_snapshots(true);
+        let SnapshotCapture::Full(b) = t.save_snapshot_delta().unwrap() else {
+            panic!("the first delta-mode capture is full");
+        };
+        let c = r1.save_snapshot().unwrap();
+        let d = r2.save_snapshot().unwrap();
+        for img in [&*b, &c, &d] {
+            assert!(Arc::ptr_eq(&a.layout, &img.layout));
+        }
+        assert!(a.fits_layout());
+        assert_eq!(a.shape_hash(), t.snapshot_shape());
+        assert_eq!(r2.snapshot_shape(), t.snapshot_shape());
+        // A separately built target of the same design has an equal
+        // layout of its own: its images are foreign, and still restore.
+        let mut other = target();
+        let e = other.save_snapshot().unwrap();
+        assert!(!Arc::ptr_eq(&a.layout, &e.layout));
+        assert_eq!(a.layout, e.layout);
+        other.restore_snapshot(&a).unwrap();
+    }
+
+    #[test]
     fn charge_cycles_saturates_instead_of_overflowing() {
         let d = parse_design(COUNTDOWN).unwrap();
         let flat = hardsnap_rtl::elaborate(&d, "countdown").unwrap();
@@ -709,8 +740,8 @@ mod tests {
 
         // A value wider than its register must be rejected up front...
         let mut bad = good.clone();
-        let w = bad.regs[0].width;
-        bad.regs[0].bits = 1u64 << w.min(63);
+        let w = bad.layout.regs()[0].width;
+        bad.regs[0] = 1u64 << w.min(63);
         assert!(matches!(
             t.restore_snapshot(&bad),
             Err(TargetError::CorruptSnapshot(_))
@@ -811,7 +842,7 @@ mod tests {
 
         // A wrong-design file is rejected before any state is written.
         let mut foreign = snap.clone();
-        foreign.design = "other".into();
+        foreign.relabel("other");
         let ffile = SnapshotFile::from_bytes(hardsnap_bus::persist::write_full(&foreign)).unwrap();
         assert!(matches!(
             t.restore_snapshot_lazy(&ffile),

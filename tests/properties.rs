@@ -5,7 +5,7 @@
 //! fixed seeds; a failure prints the case seed to reproduce it.
 
 use hardsnap_bus::persist::write_full;
-use hardsnap_bus::{HwSnapshot, HwTarget, MemImage, PersistedImage, RegImage};
+use hardsnap_bus::{HwSnapshot, HwTarget, MemSlot, PersistedImage, RegSlot, SnapshotLayout};
 use hardsnap_scan::{ChainMap, ChainSegment};
 use hardsnap_sim::SimTarget;
 use hardsnap_util::prop::{any, from_fn, vec_of};
@@ -71,20 +71,20 @@ fn snapshot_bytes_roundtrip() {
             words in vec_of(any::<u64>(), 0..64),
             cycle in any::<u64>(),
         ) => {
-            let snap = HwSnapshot {
-                design: "prop".into(),
-                cycle,
-                regs: regs
-                    .iter()
+            let layout = SnapshotLayout::new(
+                "prop",
+                regs.iter()
                     .enumerate()
-                    .map(|(i, &(bits, width))| RegImage {
-                        name: format!("r{i}"),
-                        width,
-                        bits: bits & mask(width),
-                    })
+                    .map(|(i, &(_, width))| RegSlot { name: format!("r{i}"), width })
                     .collect(),
-                mems: vec![MemImage { name: "m".into(), width: 64, words: words.clone() }],
-            };
+                vec![MemSlot { name: "m".into(), width: 64, depth: words.len() }],
+            );
+            let snap = HwSnapshot::new(
+                std::sync::Arc::new(layout),
+                cycle,
+                regs.iter().map(|&(bits, width)| bits & mask(width)).collect(),
+                vec![words.clone()],
+            );
             let bytes = write_full(&snap);
             // The image is the cost-model size plus section framing:
             // 120 bytes, and 40 per memory section.

@@ -121,7 +121,13 @@ fn corrupt_snapshot_rejected_cleanly() {
     let mut sim = SimTarget::new(hardsnap_periph::timer().unwrap()).unwrap();
     sim.reset();
     let mut snap = sim.save_snapshot().unwrap();
-    snap.regs[0].name = "nonexistent_register".into();
+    let mut regs = snap.layout.regs().to_vec();
+    regs[0].name = "nonexistent_register".into();
+    snap.layout = std::sync::Arc::new(hardsnap_bus::SnapshotLayout::new(
+        snap.design(),
+        regs,
+        snap.layout.mems().to_vec(),
+    ));
     assert!(matches!(
         sim.restore_snapshot(&snap),
         Err(hardsnap_bus::TargetError::CorruptSnapshot(_))
