@@ -101,6 +101,17 @@ for delta in off on; do
     done
 done
 echo "    resumed digests match across delta x engines x workers: $engine_digest"
+# One worker is deterministic down to the byte: both sim engines must
+# write the same checkpoint. Past one worker the frontier a budget cuts
+# depends on the schedule, so those files differ from run to run.
+for delta in off on; do
+    if ! cmp -s "target/campaign.$delta.interp.1/campaign.hscamp" \
+        "target/campaign.$delta.bytecode.1/campaign.hscamp"; then
+        echo "one-worker checkpoints differ between sim engines (--delta-snapshots $delta)"
+        exit 1
+    fi
+done
+echo "    one-worker checkpoints byte-identical across sim engines (delta off, on)"
 
 echo "==> snapshot-persistence smoke run (lazy restore + RAM budget + campaign resume)"
 # exp_snapshot_persist asserts internally that a quiescent lazy resume

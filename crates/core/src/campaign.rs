@@ -54,8 +54,9 @@ const NO_IMAGE: u32 = u32::MAX;
 #[derive(Debug)]
 pub enum CampaignError {
     /// The checkpoint decodes but does not hold together: an unknown bug
-    /// kind, a dangling image index, a delta whose base is a delta or
-    /// has the wrong identity, a frontier id the store lost.
+    /// kind, a state that does not decode or holds an ill-typed term, a
+    /// dangling image index, a delta whose base is a delta or has the
+    /// wrong identity, a frontier id the store lost.
     Corrupt(String),
     /// The checkpoint file could not be written, read or decoded: I/O,
     /// bad magic, checksum mismatch, truncation, malformed sections, or
@@ -592,6 +593,7 @@ mod tests {
     use hardsnap_bus::persist::for_each_damage;
     use hardsnap_bus::{HwTarget, SnapshotDelta};
     use hardsnap_sim::SimTarget;
+    use hardsnap_symex::PortableTerm;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -704,6 +706,48 @@ mod tests {
         assert_eq!(resumed.metrics.paths_completed, 8);
         assert_eq!(resumed.canonical_digest(), want);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_worker_checkpoint_bytes_are_pinned() {
+        // A one-worker `branching_firmware(3)` run cut at 40
+        // instructions, as `hardsnap-cli analyze demo --workers 1
+        // --max-instructions 40 --save-snapshots` writes it (either sim
+        // engine), by the SHA-256 of the file. One-worker states stay in
+        // the executor's pool and are flattened only by `take_frontier`;
+        // the hashes were recorded from a build that flattened every
+        // state at publish, so they pin that both write the same file.
+        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
+        for (delta, want) in [
+            (
+                false,
+                "0d99e0d3d30d2294763232b449cf58d4dbea20608ea44f7bcf1c24d7a7b05890",
+            ),
+            (
+                true,
+                "68eb3bb94bf0c61dfd0d473383cc922c51eb4c43a463856f8236a84ba724830a",
+            ),
+        ] {
+            let dir = tmp(&format!("pinned-{delta}"));
+            let mut engine = soc_engine(EngineConfig {
+                mode: ConsistencyMode::HardSnap,
+                searcher: Searcher::RoundRobin,
+                delta_snapshots: delta,
+                max_instructions: 40,
+                ..EngineConfig::default()
+            });
+            engine.load_firmware(&prog);
+            let partial = engine.run();
+            assert_eq!(partial.stop, StopReason::Instructions);
+            snapshot_campaign(&dir, &mut engine, &partial).unwrap();
+            let bytes = std::fs::read(dir.join(MANIFEST)).unwrap();
+            let hex: String = hardsnap_periph::golden::sha256(&bytes)
+                .iter()
+                .map(|w| format!("{w:08x}"))
+                .collect();
+            assert_eq!(hex, want, "delta {delta}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -856,6 +900,37 @@ mod tests {
             let got = parse(bad.to_vec()).and_then(|f| decode(&f, &SnapshotStore::new()));
             assert!(got.is_err(), "checkpoint, {what}: decoded a checkpoint");
         });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_ill_typed_term_is_a_corrupt_checkpoint() {
+        // A checkpoint whose container is intact but whose frontier state
+        // holds a term no executor builds (`x[0:5]` of a 32-bit `x`):
+        // resuming refuses it before any state reaches a term pool.
+        let dir = tmp("illtyped");
+        small_checkpoint(&dir);
+        let store = SnapshotStore::new();
+        let mut cp = load_campaign(&dir, &store).unwrap();
+        let state = &mut cp.frontier[0].0;
+        let x = state
+            .terms
+            .iter()
+            .position(|t| matches!(t, PortableTerm::Var { width: 32, .. }))
+            .expect("a symbolic input") as u32;
+        state
+            .terms
+            .push(PortableTerm::Extract { a: x, hi: 0, lo: 5 });
+        save_campaign(&dir, &store, &cp).unwrap();
+        let mut engine = soc_engine(EngineConfig {
+            mode: ConsistencyMode::HardSnap,
+            ..EngineConfig::default()
+        });
+        match resume_campaign(&dir, &mut engine) {
+            Err(CampaignError::Corrupt(m)) => assert!(m.contains("extract"), "{m}"),
+            Err(e) => panic!("expected a corrupt checkpoint, got {e}"),
+            Ok(()) => panic!("an ill-typed state resumed"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -23,7 +23,7 @@
 
 use crate::snapshots::{SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, RetryPolicy};
-use crate::worker::{run_worker, Carry, Queue, Shared, WorkItem, Worker, WorkerOutput};
+use crate::worker::{run_worker, Carry, ItemState, Queue, Shared, WorkItem, Worker, WorkerOutput};
 use hardsnap_bus::{HwSnapshot, HwTarget, TargetError};
 use hardsnap_symex::{BugReport, Concretization, Executor, PortableState, StateId, SymState};
 use hardsnap_telemetry::{Counter, MetricsSnapshot, TelemetryConfig};
@@ -429,8 +429,13 @@ pub struct HwAssertion {
 /// one shared snapshot store.
 pub struct Engine {
     /// The symbolic executor of worker 0, which runs on the calling
-    /// thread. Completed paths are imported into its pool, and its
-    /// solver statistics cover every worker after a run.
+    /// thread; its solver statistics cover every worker after a run.
+    /// With one worker every state (the root, the frontier between runs,
+    /// completed paths) stays live in its pool and is flattened only for
+    /// a checkpoint, since importing a state into the pool it came from
+    /// is a fixed point; past one worker states are flattened at every
+    /// publish. `run` imports carried-in and other workers' completed
+    /// paths into this pool.
     pub executor: Executor,
     /// The shared, lock-sharded snapshot store.
     pub store: SnapshotStore,
@@ -452,7 +457,7 @@ pub struct Engine {
     /// cannot rebuild itself ([`Engine::set_failover`]).
     failover: Option<Box<dyn HwTarget>>,
     /// Schedulable work between runs: roots, resumed states, and what a
-    /// budget stop left queued.
+    /// budget stop left queued. Live items belong to `executor`'s pool.
     frontier: VecDeque<WorkItem>,
     /// xorshift64* state of [`Searcher::Random`], kept across runs.
     rng: u64,
@@ -552,7 +557,7 @@ impl Engine {
         let s = self
             .executor
             .initial_state(program.image.clone(), program.entry);
-        let root = PortableState::export(&self.executor.pool, &s);
+        let root = ItemState::keep(s, &self.executor.pool, self.workers.len() == 1);
         self.frontier.push_back(WorkItem::new(root, None));
     }
 
@@ -673,7 +678,10 @@ impl Engine {
         // Deterministic merge: order by state id, never by arrival.
         // Carried-in results merge exactly like another worker's output.
         let mut bugs = std::mem::take(&mut carry.bugs);
-        let mut completed_port = std::mem::take(&mut carry.completed);
+        let mut completed_items: Vec<ItemState> = std::mem::take(&mut carry.completed)
+            .into_iter()
+            .map(ItemState::Portable)
+            .collect();
         let mut metrics = EngineMetrics {
             paths_completed: carry.paths,
             quanta: carry.quanta,
@@ -689,7 +697,7 @@ impl Engine {
         self.worker_vtimes_ns.clear();
         for o in &mut outputs {
             bugs.append(&mut o.bugs);
-            completed_port.append(&mut o.completed);
+            completed_items.append(&mut o.completed);
             self.covered.extend(o.covered.iter().copied());
             merge_metrics(&mut metrics, o.metrics);
             vtime += o.vtime_ns;
@@ -720,11 +728,11 @@ impl Engine {
                 &b.description,
             ))
         });
-        completed_port.sort_by_key(|s| s.id.0);
-        completed_port.truncate(self.config.max_paths);
-        let completed: Vec<SymState> = completed_port
-            .iter()
-            .map(|p| p.import(&mut self.executor.pool))
+        completed_items.sort_by_key(|s| s.id().0);
+        completed_items.truncate(self.config.max_paths);
+        let completed: Vec<SymState> = completed_items
+            .into_iter()
+            .map(|s| s.into_live(&mut self.executor.pool))
             .collect();
         // The store's always-on counters are folded into the telemetry
         // snapshot only here, in the export side-channel.
@@ -769,10 +777,12 @@ impl Engine {
     /// Drains the schedulable frontier for campaign checkpointing: every
     /// state a budget stop left queued (plus any never-run root) leaves
     /// as a portable state plus the id of its private snapshot in
-    /// [`Engine::store`] (`None` for a power-on root). Every queued
-    /// state's context was saved when its quantum ended, so nothing
-    /// lives only on a replica. Sorted by state id, so the checkpoint is
-    /// byte-stable at any worker count.
+    /// [`Engine::store`] (`None` for a power-on root). A one-worker
+    /// frontier is flattened here, out of [`Engine::executor`]'s pool;
+    /// past one worker it already was. Every queued state's context was
+    /// saved when its quantum ended, so nothing lives only on a replica.
+    /// Sorted by state id, so the checkpoint is byte-stable at any
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -785,10 +795,11 @@ impl Engine {
                 "campaign checkpointing requires HardSnap mode".into(),
             ));
         }
+        let pool = &self.executor.pool;
         let mut out: Vec<(PortableState, Option<SnapId>)> = self
             .frontier
             .drain(..)
-            .map(|it| (it.state, it.snap))
+            .map(|it| (it.state.into_portable(pool), it.snap))
             .collect();
         out.sort_by_key(|(s, _)| s.id.0);
         Ok(out)
@@ -804,7 +815,7 @@ impl Engine {
         self.frontier.extend(
             frontier
                 .into_iter()
-                .map(|(state, snap)| WorkItem::new(state, snap)),
+                .map(|(state, snap)| WorkItem::new(ItemState::Portable(state), snap)),
         );
     }
 

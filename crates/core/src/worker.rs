@@ -19,6 +19,17 @@
 //! continuation the searcher would pick next anyway keeps running in the
 //! same attempt — the context is still live either way.
 //!
+//! ## Where states live
+//!
+//! HardSnap context-switches only the hardware between quanta; the
+//! software state stays in the symbolic VM. With one worker every state
+//! stays interned in that worker's term pool (`Engine::executor`), which
+//! both produces and consumes it. A state is flattened into a
+//! [`PortableState`] only where it leaves that pool: at every publish
+//! when the run has more than one worker, because any worker's executor
+//! may pick it, and in `Engine::take_frontier` for a checkpoint. Skipping
+//! the flatten is exact (see [`ItemState`]).
+//!
 //! ## Determinism by merge order
 //!
 //! Scheduling is racy past one worker (work-sharing queue), but a
@@ -51,6 +62,7 @@ use crate::supervise::{FaultSummary, Supervisor};
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError};
 use hardsnap_symex::{
     BugReport, Executor, PortableState, SolverStats, StateId, StepOutcome, SymMmio, SymState,
+    TermPool,
 };
 use hardsnap_telemetry::{Counter, Metric, MetricsSnapshot, Recorder};
 use hardsnap_util::sync::Mutex;
@@ -58,17 +70,18 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
-/// A schedulable unit: one symbolic state detached from any term pool
-/// (any worker's executor may import it), plus its private hardware
-/// snapshot (`None` = power-on hardware).
+/// A schedulable unit: one symbolic state (see [`ItemState`]) plus its
+/// private hardware snapshot (`None` = power-on hardware).
 ///
 /// A work item is re-runnable: a quantum is a pure function of the item
 /// and publishes nothing until its last fallible target operation has
 /// succeeded, so an attempt that dies to a transport fault can simply be
 /// replayed and produces bit-identical successors (fork ids derive from
 /// the state's own fork nonce, never from executor instance or timing).
+/// An attempt steps a copy of a live state, so the item it replays from
+/// is untouched.
 pub(crate) struct WorkItem {
-    pub(crate) state: PortableState,
+    pub(crate) state: ItemState,
     pub(crate) snap: Option<SnapId>,
     /// Failed attempts carried across quarantine re-queues, so
     /// `max_item_attempts` bounds an item's *total* failures no matter
@@ -80,12 +93,61 @@ pub(crate) struct WorkItem {
 }
 
 impl WorkItem {
-    pub(crate) fn new(state: PortableState, snap: Option<SnapId>) -> WorkItem {
+    pub(crate) fn new(state: ItemState, snap: Option<SnapId>) -> WorkItem {
         WorkItem {
             state,
             snap,
             strikes: 0,
             history: History::default(),
+        }
+    }
+}
+
+/// A work item's or completed path's symbolic state: live in worker 0's
+/// term pool, or flattened where it leaves that pool (see the module
+/// docs). Skipping the flatten is exact: importing a state into the pool
+/// it was exported from maps every term to itself (the smart
+/// constructors' fixed point) and interns nothing, so every `TermId`,
+/// answer-cache key and digest is what a round trip gives.
+pub(crate) enum ItemState {
+    /// Interned in worker 0's pool.
+    Live(SymState),
+    /// Detached from any pool; any executor may import it.
+    Portable(PortableState),
+}
+
+impl ItemState {
+    /// `state`, interned in `pool`: kept live when `pool`'s executor is
+    /// the only one that reads it back, flattened otherwise.
+    pub(crate) fn keep(state: SymState, pool: &TermPool, one_worker: bool) -> ItemState {
+        if one_worker {
+            ItemState::Live(state)
+        } else {
+            ItemState::Portable(PortableState::export(pool, &state))
+        }
+    }
+
+    pub(crate) fn id(&self) -> StateId {
+        match self {
+            ItemState::Live(s) => s.id,
+            ItemState::Portable(p) => p.id,
+        }
+    }
+
+    /// The state interned in `pool`, whose executor must be the one a
+    /// live state belongs to.
+    pub(crate) fn into_live(self, pool: &mut TermPool) -> SymState {
+        match self {
+            ItemState::Live(s) => s,
+            ItemState::Portable(p) => p.import(pool),
+        }
+    }
+
+    /// The state detached from `pool`, the pool a live state belongs to.
+    pub(crate) fn into_portable(self, pool: &TermPool) -> PortableState {
+        match self {
+            ItemState::Live(s) => PortableState::export(pool, &s),
+            ItemState::Portable(p) => p,
         }
     }
 }
@@ -186,8 +248,10 @@ pub(crate) struct Shared<'a> {
     assertions: &'a [HwAssertion],
     /// With one worker the replica's live context is the continuation it
     /// just saved, so picking that continuation skips the context
-    /// switch. Past one worker, which worker picks an item is a race:
-    /// skipping there would make modeled time schedule-dependent.
+    /// switch, and every state stays live in the one executor's pool
+    /// ([`ItemState`]). Past one worker, which worker picks an item is a
+    /// race: skipping the switch there would make modeled time
+    /// schedule-dependent, and states travel flattened.
     one_worker: bool,
     pub(crate) executed: AtomicU64,
     paths: AtomicU64,
@@ -297,7 +361,7 @@ impl Worker {
 #[derive(Default)]
 pub(crate) struct WorkerOutput {
     pub(crate) bugs: Vec<BugReport>,
-    pub(crate) completed: Vec<PortableState>,
+    pub(crate) completed: Vec<ItemState>,
     pub(crate) covered: HashSet<u32>,
     pub(crate) metrics: EngineMetrics,
     pub(crate) vtime_ns: u64,
@@ -317,7 +381,7 @@ pub(crate) struct WorkerOutput {
 #[derive(Default)]
 struct Attempt {
     bugs: Vec<BugReport>,
-    completed: Vec<PortableState>,
+    completed: Vec<ItemState>,
     executed: u64,
     /// `executed` when the attempt's current quantum began.
     quantum_start: u64,
@@ -516,8 +580,8 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                     if shared.one_worker {
                         w.live = successors
                             .iter()
-                            .map(|s| s.state.id)
-                            .find(|&id| id == item.state.id);
+                            .map(|s| s.state.id())
+                            .find(|&id| id == item.state.id());
                     }
                     finish_item(shared, successors);
                     continue 'items;
@@ -530,7 +594,7 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                     if attempts >= config.retry.max_item_attempts {
                         out.fatal.push(format!(
                             "state {:?} killed after {attempts} attempts: {e}",
-                            item.state.id
+                            item.state.id()
                         ));
                         out.metrics.states_dropped += 1;
                         if let Some(sid) = item.snap {
@@ -595,7 +659,10 @@ fn run_quantum(
     out: &mut WorkerOutput,
 ) -> Result<Vec<WorkItem>, TargetError> {
     let config = shared.config;
-    let mut state = item.state.import(&mut ex.pool);
+    let mut state = match &item.state {
+        ItemState::Live(s) => s.clone(),
+        ItemState::Portable(p) => p.import(&mut ex.pool),
+    };
     let _qspan = w.rec.span("engine", "quantum");
     begin_quantum(shared, w, out);
     if w.live.take() != Some(state.id) {
@@ -674,7 +741,8 @@ fn run_quantum(
                 let mut items = Vec::with_capacity(succ.len());
                 for s in succ {
                     let existing = if s.id == state_id { item.snap } else { None };
-                    let mut it = WorkItem::new(PortableState::export(&ex.pool, &s), None);
+                    let mut it =
+                        WorkItem::new(ItemState::keep(s, &ex.pool, shared.one_worker), None);
                     if let Some(stored) = &stored {
                         it.snap = Some(install(&shared.store, stored.clone(), existing)?);
                     }
@@ -684,7 +752,9 @@ fn run_quantum(
                 return Ok(items);
             }
             StepOutcome::Halted(s) => {
-                scratch.completed.push(PortableState::export(&ex.pool, &s));
+                scratch
+                    .completed
+                    .push(ItemState::keep(s, &ex.pool, shared.one_worker));
                 return Ok(end_path(shared, w, item, state_id, out));
             }
             StepOutcome::Bug {
@@ -702,7 +772,10 @@ fn run_quantum(
         };
         // UpdateState: the continuation's context goes into its private
         // snapshot (HardSnap) or its replay history (baselines).
-        let mut it = WorkItem::new(PortableState::export(&ex.pool, &continuation), None);
+        let mut it = WorkItem::new(
+            ItemState::keep(continuation, &ex.pool, shared.one_worker),
+            None,
+        );
         if config.mode == ConsistencyMode::HardSnap {
             let stored = capture(shared, w, state_id, out)?;
             it.snap = Some(install(&shared.store, stored, item.snap)?);
@@ -756,7 +829,7 @@ fn context_switch(
                 // cannot break; a corrupted store fails with the precise
                 // broken link rather than a bare unwrap.
                 let snap = shared.store.try_get(sid).map_err(|e| {
-                    TargetError::CorruptSnapshot(format!("state {:?}: {e}", item.state.id))
+                    TargetError::CorruptSnapshot(format!("state {:?}: {e}", item.state.id()))
                 })?;
                 w.sup.restore_snapshot(w.target.as_mut(), &snap)?;
                 out.metrics.snapshots_restored += 1;

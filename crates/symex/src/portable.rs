@@ -126,8 +126,8 @@ pub struct PortableState {
     pub sym_count: u32,
     /// Last checkpoint hint.
     pub last_checkpoint: Option<u16>,
-    /// Memory map.
-    pub map: MemoryMap,
+    /// Memory map, shared with the state it was exported from.
+    pub map: Arc<MemoryMap>,
     /// Fork counter (see [`SymState::next_fork_id`]).
     pub fork_nonce: u64,
 }
@@ -527,7 +527,9 @@ impl PortableState {
     /// # Errors
     ///
     /// A description of the first structural problem found (truncation,
-    /// unknown discriminant, dangling term index, invalid memory map).
+    /// unknown discriminant, dangling term index, a term no smart
+    /// constructor builds, a register, memory byte or constraint of the
+    /// wrong width, invalid memory map).
     pub fn from_bytes(data: &[u8]) -> Result<PortableState, String> {
         let mut r = Reader { data, pos: 0 };
         let id = StateId(r.u64()?);
@@ -569,71 +571,103 @@ impl PortableState {
             return Err(format!("implausible term count {n_terms}"));
         }
         let mut terms = Vec::with_capacity(n_terms);
+        // Each term's width. A well-formed closure is topologically
+        // ordered (children strictly precede parents) and well-typed:
+        // every term is one the pool's smart constructors build, so
+        // `import` never trips their width checks.
+        let mut widths: Vec<u32> = Vec::with_capacity(n_terms);
         for i in 0..n_terms {
-            // A well-formed closure is topologically ordered: children
-            // strictly precede parents.
-            let child = |t: u32| -> Result<u32, String> {
-                if (t as usize) < i {
-                    Ok(t)
-                } else {
-                    Err(format!("term {i} references non-preceding term {t}"))
+            let child = |t: u32| -> Result<(u32, u32), String> {
+                match widths.get(t as usize) {
+                    Some(&w) => Ok((t, w)),
+                    None => Err(format!("term {i} references non-preceding term {t}")),
                 }
             };
-            let term = match r.u8()? {
-                0 => PortableTerm::Const {
-                    value: r.u64()?,
-                    width: r.u32()?,
-                },
-                1 => PortableTerm::Var {
-                    name: r.string()?,
-                    width: r.u32()?,
-                },
-                2 => PortableTerm::Unary {
-                    op: unop_from(r.u8()?)?,
-                    a: child(r.u32()?)?,
-                },
-                3 => PortableTerm::Binary {
-                    op: binop_from(r.u8()?)?,
-                    a: child(r.u32()?)?,
-                    b: child(r.u32()?)?,
-                },
-                4 => PortableTerm::Ite {
-                    c: child(r.u32()?)?,
-                    t: child(r.u32()?)?,
-                    e: child(r.u32()?)?,
-                },
-                5 => PortableTerm::Extract {
-                    a: child(r.u32()?)?,
-                    hi: r.u32()?,
-                    lo: r.u32()?,
-                },
-                6 => PortableTerm::Concat {
-                    hi: child(r.u32()?)?,
-                    lo: child(r.u32()?)?,
-                },
-                7 => PortableTerm::ZExt {
-                    a: child(r.u32()?)?,
-                    width: r.u32()?,
-                },
+            let ill = |what: String| Err(format!("term {i}: {what}"));
+            let (term, width) = match r.u8()? {
+                0 => {
+                    let value = r.u64()?;
+                    let width = term_width(i, r.u32()?)?;
+                    (PortableTerm::Const { value, width }, width)
+                }
+                1 => {
+                    let name = r.string()?;
+                    let width = term_width(i, r.u32()?)?;
+                    (PortableTerm::Var { name, width }, width)
+                }
+                2 => {
+                    let op = unop_from(r.u8()?)?;
+                    let (a, w) = child(r.u32()?)?;
+                    (PortableTerm::Unary { op, a }, w)
+                }
+                3 => {
+                    let op = binop_from(r.u8()?)?;
+                    let (a, wa) = child(r.u32()?)?;
+                    let (b, wb) = child(r.u32()?)?;
+                    if wa != wb {
+                        return ill(format!("{op:?} of {wa}- and {wb}-bit operands"));
+                    }
+                    let w = match op {
+                        BinOp::Eq | BinOp::Ult | BinOp::Slt => 1,
+                        _ => wa,
+                    };
+                    (PortableTerm::Binary { op, a, b }, w)
+                }
+                4 => {
+                    let (c, wc) = child(r.u32()?)?;
+                    let (t, wt) = child(r.u32()?)?;
+                    let (e, we) = child(r.u32()?)?;
+                    if wc != 1 || wt != we {
+                        return ill(format!(
+                            "ite of a {wc}-bit condition, {wt}- and {we}-bit arms"
+                        ));
+                    }
+                    (PortableTerm::Ite { c, t, e }, wt)
+                }
+                5 => {
+                    let (a, wa) = child(r.u32()?)?;
+                    let hi = r.u32()?;
+                    let lo = r.u32()?;
+                    if hi < lo || hi >= wa {
+                        return ill(format!("extract [{hi}:{lo}] of a {wa}-bit term"));
+                    }
+                    (PortableTerm::Extract { a, hi, lo }, hi - lo + 1)
+                }
+                6 => {
+                    let (hi, wh) = child(r.u32()?)?;
+                    let (lo, wl) = child(r.u32()?)?;
+                    if wh + wl > 64 {
+                        return ill(format!("concat of {wh} and {wl} bits"));
+                    }
+                    (PortableTerm::Concat { hi, lo }, wh + wl)
+                }
+                7 => {
+                    let (a, wa) = child(r.u32()?)?;
+                    let width = term_width(i, r.u32()?)?;
+                    if width < wa {
+                        return ill(format!("zero extension of {wa} to {width} bits"));
+                    }
+                    (PortableTerm::ZExt { a, width }, width)
+                }
                 c => return Err(format!("unknown term tag {c}")),
             };
             terms.push(term);
+            widths.push(width);
         }
-        let term_ok = |t: u32| -> Result<u32, String> {
-            if (t as usize) < terms.len() {
-                Ok(t)
-            } else {
-                Err(format!("dangling term index {t}"))
-            }
+        // Registers hold words, the overlay bytes, constraints conditions.
+        let typed = |t: u32, want: u32, what: &str| match widths.get(t as usize) {
+            Some(&w) if w == want => Ok(()),
+            Some(&w) => Err(format!("{what} term {t} is {w} bits wide, not {want}")),
+            None => Err(format!("dangling term index {t}")),
         };
-        for slot in &mut regs {
-            *slot = term_ok(*slot)?;
+        for &t in &regs {
+            typed(t, 32, "register")?;
         }
-        for (_, t) in &overlay {
-            term_ok(*t)?;
+        for &(_, t) in &overlay {
+            typed(t, 8, "memory byte")?;
         }
-        for c in &constraints {
-            term_ok(*c)?;
+        for &c in &constraints {
+            typed(c, 1, "constraint")?;
         }
         let hw_snapshot = match r.u8()? {
             0 => None,
@@ -695,9 +729,18 @@ impl PortableState {
             console,
             sym_count,
             last_checkpoint,
-            map,
+            map: Arc::new(map),
             fork_nonce,
         })
+    }
+}
+
+/// `width` if the executor builds terms of it (1 to 64 bits).
+fn term_width(i: usize, width: u32) -> Result<u32, String> {
+    if (1..=64).contains(&width) {
+        Ok(width)
+    } else {
+        Err(format!("term {i} is {width} bits wide"))
     }
 }
 
@@ -737,7 +780,7 @@ mod wire_tests {
         let mut s = sample_state(&mut ex);
         s.hw_snapshot = Some(17);
         s.console = b"boot\n".to_vec();
-        s.map = MemoryMap::default_soc();
+        s.map = Arc::new(MemoryMap::default_soc());
         let p = PortableState::export(&ex.pool, &s);
         let bytes = p.to_bytes();
         let p2 = PortableState::from_bytes(&bytes).unwrap();
@@ -761,23 +804,131 @@ mod wire_tests {
         assert_eq!(v, 42);
     }
 
+    /// `sample_state` with a register and a memory byte built from every
+    /// term kind, over a 16-byte memory image, so a test can afford to
+    /// corrupt every byte of its encoding.
+    fn every_term_kind(ex: &mut Executor) -> PortableState {
+        let mut s = sample_state(ex);
+        let pool = &mut ex.pool;
+        let x = s.reg(1);
+        let lo = pool.extract(x, 7, 0);
+        let hi = pool.extract(x, 15, 8);
+        let half = pool.concat(hi, lo);
+        let wide = pool.zext(half, 32);
+        let inv = pool.unary(UnOp::Not, wide);
+        let below = pool.binary(BinOp::Ult, inv, x);
+        let pick = pool.ite(below, inv, x);
+        s.set_reg(3, pick);
+        s.mem.store8(4, lo);
+        let mut p = PortableState::export(pool, &s);
+        p.mem_base = Arc::new(vec![0; 16]);
+        p
+    }
+
     #[test]
     fn wire_decoder_is_total_under_corruption() {
         let mut ex = Executor::new(Concretization::Minimal);
-        let s = sample_state(&mut ex);
-        let p = PortableState::export(&ex.pool, &s);
-        let bytes = p.to_bytes();
-        // Truncations never panic.
-        for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
-            let _ = PortableState::from_bytes(&bytes[..cut]);
+        let bytes = every_term_kind(&mut ex).to_bytes();
+        // Whatever decodes is well-typed, so importing it never trips a
+        // width check of the smart constructors (asserted in debug
+        // builds, which tests are).
+        let decodes_or_refuses = |data: &[u8]| {
+            if let Ok(p) = PortableState::from_bytes(data) {
+                p.import(&mut TermPool::new());
+            }
+        };
+        for cut in 0..bytes.len() {
+            decodes_or_refuses(&bytes[..cut]);
         }
-        // Arbitrary single-byte corruption never panics (it may decode
-        // to a different-but-structurally-valid state, which checksums
-        // at the container layer catch).
-        for i in (0..bytes.len()).step_by(3) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xff;
-            let _ = PortableState::from_bytes(&bad);
+        // Single-byte corruption never panics: it is refused or decodes
+        // to a different well-typed state, which checksums at the
+        // container layer catch.
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x10, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[i] ^= flip;
+                decodes_or_refuses(&bad);
+            }
+        }
+    }
+
+    #[test]
+    fn ill_typed_terms_are_refused() {
+        let mut ex = Executor::new(Concretization::Minimal);
+        let good = every_term_kind(&mut ex);
+        PortableState::from_bytes(&good.to_bytes()).unwrap();
+        let var32 = good
+            .terms
+            .iter()
+            .position(|t| matches!(t, PortableTerm::Var { width: 32, .. }))
+            .unwrap() as u32;
+        let byte = good.overlay[0].1;
+        let cond = good.constraints[0];
+        let konst = |width| PortableTerm::Const { value: 0, width };
+        let next = good.terms.len() as u32;
+        // Each extra term is one no smart constructor builds.
+        let terms = [
+            konst(0),
+            konst(65),
+            PortableTerm::Var {
+                name: "v".into(),
+                width: 0,
+            },
+            PortableTerm::Extract {
+                a: var32,
+                hi: 0,
+                lo: 5,
+            },
+            PortableTerm::Extract {
+                a: var32,
+                hi: 32,
+                lo: 0,
+            },
+            PortableTerm::ZExt { a: var32, width: 8 },
+            PortableTerm::ZExt {
+                a: var32,
+                width: 65,
+            },
+            PortableTerm::Binary {
+                op: BinOp::Add,
+                a: var32,
+                b: byte,
+            },
+            PortableTerm::Ite {
+                c: var32,
+                t: var32,
+                e: var32,
+            },
+            PortableTerm::Ite {
+                c: cond,
+                t: var32,
+                e: byte,
+            },
+        ];
+        for t in terms {
+            let mut bad = good.clone();
+            bad.terms.push(t.clone());
+            let got = PortableState::from_bytes(&bad.to_bytes());
+            assert!(got.is_err(), "{t:?} decoded");
+        }
+        let mut bad = good.clone();
+        bad.terms.push(konst(64));
+        bad.terms.push(PortableTerm::Concat { hi: next, lo: byte });
+        assert!(PortableState::from_bytes(&bad.to_bytes()).is_err());
+        // Roots of the wrong width: a byte in a register, a word in
+        // memory, a word as a constraint.
+        let roots: [fn(&mut PortableState, u32, u32); 3] = [
+            |p, _, byte| p.regs[2] = byte,
+            |p, word, _| p.overlay[0].1 = word,
+            |p, word, _| p.constraints[0] = word,
+        ];
+        for (k, set) in roots.into_iter().enumerate() {
+            let mut bad = good.clone();
+            set(&mut bad, var32, byte);
+            assert!(
+                PortableState::from_bytes(&bad.to_bytes()).is_err(),
+                "root {k}"
+            );
         }
     }
 }

@@ -118,8 +118,9 @@ pub struct SymState {
     pub sym_count: u32,
     /// Last checkpoint-hint id crossed, if any.
     pub last_checkpoint: Option<u16>,
-    /// Memory map (RAM/MMIO routing).
-    pub map: MemoryMap,
+    /// Memory map (RAM/MMIO routing), shared by every state of a run:
+    /// a fork or a copy clones the handle, not the region names.
+    pub map: Arc<MemoryMap>,
     /// Per-state fork counter feeding [`SymState::next_fork_id`]. It
     /// evolves only with this state's own execution history, so the ids
     /// it derives are independent of scheduling order or worker count.
@@ -146,7 +147,7 @@ impl SymState {
             console: Vec::new(),
             sym_count: 0,
             last_checkpoint: None,
-            map: MemoryMap::default_soc(),
+            map: Arc::new(MemoryMap::default_soc()),
             fork_nonce: 0,
         }
     }
