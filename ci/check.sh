@@ -112,6 +112,27 @@ for delta in off on; do
     fi
 done
 echo "    one-worker checkpoints byte-identical across sim engines (delta off, on)"
+# Spilling is transparent down to the checkpoint byte: a one-worker delta
+# save under a 1 KiB snapshot budget must spill (and page back in), and
+# still write exactly the unbudgeted one-worker checkpoint.
+for eng in interp bytecode; do
+    dir="target/campaign.spill.$eng"
+    rm -rf "$dir"
+    cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
+        analyze demo --workers 1 --sim-engine "$eng" --delta-snapshots on \
+        --max-instructions 40 --snapshot-mem-budget 1024 --save-snapshots "$dir" \
+        > "$dir.txt"
+    spills=$(awk '/^snapshot store/ {print $5}' "$dir.txt")
+    if [ -z "$spills" ] || [ "$spills" -eq 0 ]; then
+        echo "no spills under a 1024-byte snapshot budget (--sim-engine $eng): '$spills'"
+        exit 1
+    fi
+    if ! cmp -s "$dir/campaign.hscamp" "target/campaign.on.$eng.1/campaign.hscamp"; then
+        echo "budgeted one-worker checkpoint differs from the unbudgeted one (--sim-engine $eng)"
+        exit 1
+    fi
+done
+echo "    one-worker delta checkpoints byte-identical with and without spilling"
 
 echo "==> snapshot-persistence smoke run (lazy restore + RAM budget + campaign resume)"
 # exp_snapshot_persist asserts internally that a quiescent lazy resume

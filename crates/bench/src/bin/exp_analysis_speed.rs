@@ -5,7 +5,9 @@
 //! baseline, sweeping the number of symbolic branches (paths = 2^k) and
 //! the length of the device init sequence. A second part sweeps the
 //! engine's worker count over a fork-heavy workload and records
-//! the scaling curve in `BENCH_analysis_speed.json`.
+//! the scaling curve in `BENCH_analysis_speed.json`. Past one worker
+//! the campaign clock depends on the schedule, so every worker count
+//! runs [`REPS`] times and the record holds the median and range.
 //!
 //! Usage: `exp_analysis_speed [--workers 1,2,4,8] [--json PATH]`.
 //! With an explicit `--workers` list only the parallel sweep runs
@@ -47,22 +49,55 @@ fn run(mode: ConsistencyMode, src: &str, fpga: bool) -> (u64, u64, u64) {
     )
 }
 
-/// One row of the worker sweep.
+/// Runs per worker count in the sweep, and alternating off/on pairs in
+/// the telemetry check. Past one worker which replica takes which state
+/// is a race, so one run is one sample of a wide distribution of
+/// campaign clocks (a 1.5–5.9× speedup at 8 workers over 16 runs on a
+/// 2-vCPU host).
+const REPS: usize = 9;
+
+/// One run of the worker sweep.
 struct ScalePoint {
-    workers: usize,
     instructions: u64,
     paths: u64,
     campaign_vtime_ns: u64,
     sum_vtime_ns: u64,
     digest: u64,
-    host_ms: u64,
     host_secs: f64,
 }
 
-/// Instructions per modeled second: the campaign clock is the slowest
-/// replica (boards run concurrently in a real deployment).
-fn throughput_ips(p: &ScalePoint) -> f64 {
-    p.instructions as f64 / (p.campaign_vtime_ns as f64 / 1e9)
+/// Median (the upper one for an even count), minimum and maximum.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: xs[xs.len() / 2],
+            min: xs[0],
+            max: xs[xs.len() - 1],
+        }
+    }
+
+    fn map(&self, f: impl Fn(f64) -> f64) -> Spread {
+        let (a, b) = (f(self.min), f(self.max));
+        Spread {
+            median: f(self.median),
+            min: a.min(b),
+            max: a.max(b),
+        }
+    }
+
+    fn json(&self, decimals: usize) -> String {
+        format!(
+            "{{\"median\": {:.decimals$}, \"min\": {:.decimals$}, \"max\": {:.decimals$}}}",
+            self.median, self.min, self.max
+        )
+    }
 }
 
 /// Runs the fork-heavy workload on `workers` replicas.
@@ -85,13 +120,11 @@ fn scale_point_telemetry(asm: &str, workers: usize, telemetry: TelemetryConfig) 
     let r = engine.run();
     assert!(r.bugs.is_empty(), "workers={workers}: {:?}", r.bugs);
     ScalePoint {
-        workers,
         instructions: r.instructions,
         paths: r.metrics.paths_completed,
         campaign_vtime_ns: engine.worker_vtimes_ns.iter().copied().max().unwrap_or(0),
         sum_vtime_ns: r.hw_virtual_time_ns,
         digest: r.canonical_digest(),
-        host_ms: r.host_time.as_millis() as u64,
         host_secs: r.host_time.as_secs_f64(),
     }
 }
@@ -100,74 +133,91 @@ fn scale_point_telemetry(asm: &str, workers: usize, telemetry: TelemetryConfig) 
 fn parallel_sweep(worker_counts: &[usize], json_path: &str) {
     const FORK_K: u32 = 7; // 2^7 = 128 paths: fork-heavy.
     println!();
-    println!("--- parallel scaling: engine workers over branching firmware (k={FORK_K}) ---");
-    let widths = [8, 7, 13, 14, 14, 12, 9];
+    println!(
+        "--- parallel scaling: engine workers over branching firmware (k={FORK_K}), \
+         {REPS} runs each ---"
+    );
+    let widths = [8, 7, 13, 14, 22, 20, 9];
     row(
         &[
             "workers",
             "paths",
             "instructions",
             "campaign-time",
-            "throughput",
-            "speedup",
+            "campaign-time range",
+            "speedup (range)",
             "digest",
         ],
         &widths,
     );
     let asm = firmware::branching_firmware(FORK_K);
-    let points: Vec<ScalePoint> = worker_counts
-        .iter()
-        .map(|&w| scale_point(&asm, w))
-        .collect();
-    let base = &points[0];
-    for p in &points {
-        assert_eq!(
-            p.digest, base.digest,
-            "workers={}: result diverged from workers={}",
-            p.workers, base.workers
-        );
+    let mut base: Option<(u64, f64)> = None;
+    let mut entries = Vec::new();
+    for &workers in worker_counts {
+        let runs: Vec<ScalePoint> = (0..REPS).map(|_| scale_point(&asm, workers)).collect();
+        let p = &runs[0];
+        let (digest, base_vtime) = *base.get_or_insert_with(|| {
+            let one = Spread::of(runs.iter().map(|r| r.campaign_vtime_ns as f64).collect());
+            (p.digest, one.median)
+        });
+        for r in &runs {
+            assert_eq!(
+                (r.digest, r.instructions),
+                (digest, p.instructions),
+                "workers={workers}: result diverged from workers={}",
+                worker_counts[0]
+            );
+        }
+        let spread = |f: &dyn Fn(&ScalePoint) -> f64| Spread::of(runs.iter().map(f).collect());
+        let vtime = spread(&|r| r.campaign_vtime_ns as f64);
+        let sum_vtime = spread(&|r| r.sum_vtime_ns as f64);
+        let host_ms = spread(&|r| r.host_secs * 1e3);
+        // Every worker count runs the same instructions, so the speedup
+        // in instructions per modeled second is a ratio of clocks.
+        let speedup = vtime.map(|v| base_vtime / v);
+        let throughput = p.instructions as f64 / (vtime.median / 1e9);
         row(
             &[
-                &p.workers.to_string(),
+                &workers.to_string(),
                 &p.paths.to_string(),
                 &p.instructions.to_string(),
-                &fmt_ns(p.campaign_vtime_ns),
-                &format!("{:.0} instr/s", throughput_ips(p)),
-                &format!("{:.2}x", throughput_ips(p) / throughput_ips(base)),
-                &format!("{:08x}", p.digest as u32),
+                &fmt_ns(vtime.median as u64),
+                &format!(
+                    "{} – {}",
+                    fmt_ns(vtime.min as u64),
+                    fmt_ns(vtime.max as u64)
+                ),
+                &format!(
+                    "{:.2}x ({:.2}–{:.2})",
+                    speedup.median, speedup.min, speedup.max
+                ),
+                &format!("{:08x}", digest as u32),
             ],
             &widths,
         );
-    }
-    let mut entries = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"workers\": {}, \"paths\": {}, \"instructions\": {}, \
+        entries.push(format!(
+            "    {{\"workers\": {workers}, \"runs\": {REPS}, \"paths\": {}, \"instructions\": {}, \
              \"campaign_vtime_ns\": {}, \"sum_vtime_ns\": {}, \
-             \"throughput_instr_per_s\": {:.1}, \"speedup_vs_first\": {:.3}, \
-             \"host_ms\": {}, \"digest\": \"{:016x}\"}}",
-            p.workers,
+             \"throughput_instr_per_s_median\": {throughput:.1}, \"speedup_vs_first\": {}, \
+             \"host_ms\": {}, \"digest\": \"{digest:016x}\"}}",
             p.paths,
             p.instructions,
-            p.campaign_vtime_ns,
-            p.sum_vtime_ns,
-            throughput_ips(p),
-            throughput_ips(p) / throughput_ips(base),
-            p.host_ms,
-            p.digest,
+            vtime.json(0),
+            sum_vtime.json(0),
+            speedup.json(3),
+            host_ms.json(1),
         ));
     }
+    let telemetry = telemetry_check(&asm, *worker_counts.last().unwrap());
     let json = format!(
         "{{\n  \"experiment\": \"analysis_speed_parallel_scaling\",\n  \
          \"workload\": \"branching_firmware({FORK_K}), quantum 4, HardSnap, RoundRobin\",\n  \
-         \"metric\": \"instructions per modeled second; campaign time = max per-replica virtual time\",\n  \
-         \"points\": [\n{entries}\n  ]\n}}\n"
+         \"metric\": \"instructions per modeled second; campaign time = max per-replica virtual time; \
+         each worker count runs {REPS} times, reported as median, min and max\",\n  \
+         \"points\": [\n{}\n  ],\n  \"telemetry_check\": {telemetry}\n}}\n",
+        entries.join(",\n")
     );
     std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
-    telemetry_overhead(&asm, *worker_counts.last().unwrap());
     println!();
     println!("recorded {json_path}");
     println!("note: throughput is instructions per modeled second (replicated");
@@ -177,36 +227,37 @@ fn parallel_sweep(worker_counts: &[usize], json_path: &str) {
 }
 
 /// Telemetry observer-effect check: the same workload with the
-/// recorder disabled vs enabled must produce an identical canonical
-/// digest, and the disabled path must cost nothing measurable (the
-/// disabled recorder is one `None` branch per hook — the target is
-/// ≤ 1% wall-clock delta; best-of-3 damps scheduler noise).
-fn telemetry_overhead(asm: &str, workers: usize) {
-    const REPS: usize = 5;
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    let mut digest_off = 0u64;
-    let mut digest_on = 0u64;
+/// recorder disabled and enabled, in [`REPS`] alternating pairs, must
+/// produce one canonical digest. The host times of runs this short
+/// (tens of ms) spread more than any overhead they could show, so they
+/// are reported as a spread, not as an overhead figure. Returns the
+/// JSON record.
+fn telemetry_check(asm: &str, workers: usize) -> String {
+    let mut off = Vec::new();
+    let mut on = Vec::new();
     for _ in 0..REPS {
-        let p = scale_point_telemetry(asm, workers, TelemetryConfig::OFF);
-        best_off = best_off.min(p.host_secs);
-        digest_off = p.digest;
-        let p = scale_point_telemetry(asm, workers, TelemetryConfig::ON);
-        best_on = best_on.min(p.host_secs);
-        digest_on = p.digest;
+        off.push(scale_point_telemetry(asm, workers, TelemetryConfig::OFF));
+        on.push(scale_point_telemetry(asm, workers, TelemetryConfig::ON));
     }
-    assert_eq!(
-        digest_off, digest_on,
+    let digest = off[0].digest;
+    assert!(
+        off.iter().chain(&on).all(|p| p.digest == digest),
         "telemetry must not perturb the analysis result"
     );
-    let delta = (best_on / best_off - 1.0) * 100.0;
+    let ms = |runs: &[ScalePoint]| Spread::of(runs.iter().map(|p| p.host_secs * 1e3).collect());
+    let (off_ms, on_ms) = (ms(&off), ms(&on));
     println!();
     println!(
-        "telemetry overhead (workers={workers}, best of {REPS}): disabled {:.1} ms, \
-         enabled {:.1} ms ({delta:+.1}%); digests identical",
-        best_off * 1e3,
-        best_on * 1e3,
+        "telemetry check (workers={workers}, {REPS} alternating pairs): digests identical; \
+         host ms disabled {:.1} ({:.1}–{:.1}), enabled {:.1} ({:.1}–{:.1})",
+        off_ms.median, off_ms.min, off_ms.max, on_ms.median, on_ms.min, on_ms.max,
     );
+    format!(
+        "{{\"workers\": {workers}, \"pairs\": {REPS}, \"digests_identical\": true, \
+         \"host_ms_disabled\": {}, \"host_ms_enabled\": {}}}",
+        off_ms.json(1),
+        on_ms.json(1)
+    )
 }
 
 fn main() {

@@ -433,6 +433,15 @@ pub struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// A cursor over `data`, naming `section` in its errors.
+    pub fn new(data: &'a [u8], section: &'static str) -> Cursor<'a> {
+        Cursor {
+            data,
+            pos: 0,
+            section,
+        }
+    }
+
     fn malformed(&self, what: impl fmt::Display) -> PersistError {
         PersistError::Malformed(format!("{} at offset {}: {what}", self.section, self.pos))
     }
@@ -450,6 +459,13 @@ impl<'a> Cursor<'a> {
     /// A byte.
     pub fn get_u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn get_u16(&mut self) -> Result<u16, PersistError> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// A little-endian `u32`.
@@ -542,11 +558,11 @@ pub fn write_full(snap: &HwSnapshot) -> Vec<u8> {
     b.finish()
 }
 
-/// Serializes a delta capture. `base_ref` is the opaque name under which
-/// the base can be found again (an image-section index in a checkpoint,
-/// a snapshot id for the spill tier); the base's shape and content
-/// hashes are pinned in META so a later apply against the wrong base is
-/// rejected.
+/// Serializes a delta capture. `base_ref` is the opaque, non-empty name
+/// under which the base can be found again (an image-section index in a
+/// checkpoint; the spill tier's entry holds its base and only checks
+/// the pin); the base's shape and content hashes are pinned in META so
+/// a later apply against the wrong base is rejected.
 pub fn write_delta(base: &HwSnapshot, delta: &SnapshotDelta, base_ref: &str) -> Vec<u8> {
     let mut b = SectionWriter::new(
         ImageKind::Delta,
@@ -803,11 +819,10 @@ impl SnapshotFile {
     ///
     /// A missing or corrupt section.
     pub fn cursor(&self, tag: SectionTag, index: u32) -> Result<Cursor<'_>, PersistError> {
-        Ok(Cursor {
-            data: self.section_payload(self.find(tag, index)?)?,
-            pos: 0,
-            section: tag.name(),
-        })
+        Ok(Cursor::new(
+            self.section_payload(self.find(tag, index)?)?,
+            tag.name(),
+        ))
     }
 
     /// Parses the META section.

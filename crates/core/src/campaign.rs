@@ -30,7 +30,7 @@
 //! schedule and the digest only folds schedule-invariant facts.
 
 use crate::engine::{kind_rank, Engine, RunResult};
-use crate::snapshots::{PersistEntry, SnapId, SnapshotStore};
+use crate::snapshots::{Base, PersistEntry, SnapId, SnapshotStore};
 use hardsnap_bus::persist::{
     put_bytes, put_str, write_atomic, write_delta, write_full, Cursor, ImageKind, PersistMeta,
     PersistedImage, SectionTag, SectionWriter, SnapshotFile,
@@ -176,28 +176,23 @@ fn put_bug(out: &mut Vec<u8>, b: &BugReport) {
 /// so image 0 is always a full image.
 struct ImageWriter<'a> {
     store: &'a SnapshotStore,
+    /// Image of each snapshot id written so far.
     index: HashMap<SnapId, u32>,
-    bases: HashMap<SnapId, Arc<HwSnapshot>>,
+    /// Image of each delta base written so far, by the base's address;
+    /// the `Arc` beside it keeps that address from being reused.
+    bases: HashMap<*const HwSnapshot, (u32, Arc<HwSnapshot>)>,
     images: Vec<Vec<u8>>,
     /// The checkpoint's META: the design of image 0.
     meta: PersistMeta,
 }
 
 impl ImageWriter<'_> {
-    fn export(&self, sid: SnapId) -> Result<PersistEntry, CampaignError> {
-        self.store
-            .export_entry(sid)
-            .map_err(|e| CampaignError::Corrupt(format!("snapshot {sid}: {e}")))
-    }
-
-    fn push(&mut self, sid: SnapId, image: Vec<u8>) -> u32 {
-        let k = self.images.len() as u32;
+    fn push(&mut self, image: Vec<u8>) -> u32 {
         self.images.push(image);
-        self.index.insert(sid, k);
-        k
+        self.images.len() as u32 - 1
     }
 
-    fn push_full(&mut self, sid: SnapId, snap: &HwSnapshot) -> u32 {
+    fn push_full(&mut self, snap: &HwSnapshot) -> u32 {
         if self.images.is_empty() {
             self.meta = PersistMeta {
                 design: snap.design().to_string(),
@@ -207,7 +202,7 @@ impl ImageWriter<'_> {
                 ..PersistMeta::default()
             };
         }
-        self.push(sid, write_full(snap))
+        self.push(write_full(snap))
     }
 
     /// The image index of snapshot `sid`, writing it (and its base) on
@@ -217,24 +212,26 @@ impl ImageWriter<'_> {
         if let Some(&k) = self.index.get(&sid) {
             return Ok(k);
         }
-        match self.export(sid)? {
-            PersistEntry::Full(snap) => Ok(self.push_full(sid, &snap)),
+        let entry = self
+            .store
+            .export_entry(sid)
+            .map_err(|e| CampaignError::Corrupt(format!("snapshot {sid}: {e}")))?;
+        let k = match entry {
+            PersistEntry::Full(snap) => self.push_full(&snap),
             PersistEntry::Delta { base, delta } => {
-                if !self.bases.contains_key(&base) {
-                    let PersistEntry::Full(snap) = self.export(base)? else {
-                        return Err(CampaignError::Corrupt(format!(
-                            "snapshot {sid}'s base {base} is itself a delta"
-                        )));
-                    };
-                    if !self.index.contains_key(&base) {
-                        self.push_full(base, &snap);
+                let b = match self.bases.get(&Arc::as_ptr(&base)) {
+                    Some(&(b, _)) => b,
+                    None => {
+                        let b = self.push_full(&base);
+                        self.bases.insert(Arc::as_ptr(&base), (b, base.clone()));
+                        b
                     }
-                    self.bases.insert(base, snap);
-                }
-                let image = write_delta(&self.bases[&base], &delta, &self.index[&base].to_string());
-                Ok(self.push(sid, image))
+                };
+                self.push(write_delta(&base, &delta, &b.to_string()))
             }
-        }
+        };
+        self.index.insert(sid, k);
+        Ok(k)
     }
 }
 
@@ -346,13 +343,14 @@ fn get_state(c: &mut Cursor<'_>, what: &str) -> Result<PortableState, CampaignEr
 
 /// Puts a checkpoint's images into a store as its frontier references
 /// them: a full image becomes a fresh entry per reference, a delta base
-/// one shared base entry, and a delta a native delta entry against it.
+/// one shared [`Base`], and a delta a native delta entry against it.
 struct ImageLoader<'a> {
     file: &'a SnapshotFile,
     store: &'a SnapshotStore,
     shape_hash: u64,
-    /// Base images already in the store: id, snapshot, content hash.
-    bases: HashMap<u32, (SnapId, Arc<HwSnapshot>, u64)>,
+    /// Base images already registered with the store, with their
+    /// content hashes.
+    bases: HashMap<u32, (Arc<Base>, u64)>,
 }
 
 impl ImageLoader<'_> {
@@ -371,7 +369,7 @@ impl ImageLoader<'_> {
         Ok(image.materialize()?)
     }
 
-    fn base(&mut self, k: u32) -> Result<&(SnapId, Arc<HwSnapshot>, u64), CampaignError> {
+    fn base(&mut self, k: u32) -> Result<&(Arc<Base>, u64), CampaignError> {
         if !self.bases.contains_key(&k) {
             let PersistedImage::Full(snap) = self.read(k)? else {
                 return Err(CampaignError::Corrupt(format!(
@@ -379,9 +377,8 @@ impl ImageLoader<'_> {
                 )));
             };
             let content = snap.content_hash();
-            let snap = Arc::new(snap);
-            let id = self.store.insert_base(snap.clone());
-            self.bases.insert(k, (id, snap, content));
+            let base = Base::new(self.store, Arc::new(snap));
+            self.bases.insert(k, (base, content));
         }
         Ok(&self.bases[&k])
     }
@@ -406,7 +403,7 @@ impl ImageLoader<'_> {
                             base_ref.escape_default()
                         ))
                     })?;
-                let &(base_id, ref base, content) = self.base(b)?;
+                let &(ref base, content) = self.base(b)?;
                 if base_content_hash != content {
                     return Err(CampaignError::Corrupt(format!(
                         "image {k} pins base content {base_content_hash:#018x}, \
@@ -414,11 +411,9 @@ impl ImageLoader<'_> {
                     )));
                 }
                 delta
-                    .validate_against(base)
+                    .validate_against(base.snap())
                     .map_err(|e| CampaignError::Corrupt(format!("image {k}: {e}")))?;
-                store.insert_delta_native(base_id, delta).ok_or_else(|| {
-                    CampaignError::Corrupt(format!("image {k} rejected by the store"))
-                })
+                Ok(store.insert_delta(base.clone(), delta))
             }
         }
     }

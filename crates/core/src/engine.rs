@@ -741,7 +741,6 @@ impl Engine {
             t.add_counter("store_hits", st.hits);
             t.add_counter("store_misses", st.misses);
             t.add_counter("store_evictions", st.evictions);
-            t.add_counter("store_deferred", st.deferred);
             t.add_counter("store_spills", st.spills);
             t.add_counter("store_page_ins", st.page_ins);
             t.add_counter("store_resident_bytes_hwm", self.store.peak_bytes() as u64);

@@ -10,11 +10,21 @@
 //! * **full** images — one complete [`HwSnapshot`] per id, held as an
 //!   `Arc` so a lookup, a fork's children and the engine's own copy
 //!   share one image instead of cloning it;
-//! * **delta** images — a [`SnapshotDelta`] against an immutable base
-//!   image. Fork-heavy analyses produce many snapshots that differ from
-//!   their fork point by a handful of registers, so delta storage cuts
-//!   the controller's memory footprint dramatically (measured by the
+//! * **delta** images — a [`SnapshotDelta`] the target emitted against
+//!   a `Base`, an immutable full image the entry holds by handle.
+//!   Fork-heavy analyses produce many snapshots that differ from their
+//!   fork point by a handful of registers, so delta storage cuts the
+//!   controller's memory footprint dramatically (measured by the
 //!   `exp_ablation` harness).
+//!
+//! ## Bases
+//!
+//! A delta entry owns its base: it holds an `Arc<Base>`, and a base
+//! lives exactly as long as some entry (or a capture on its way into
+//! the store) holds it. Creating a `Base` reserves its bytes through
+//! the store's budget; dropping the last handle returns them. So no
+//! removal can break a delta, and every delta is one hop against a
+//! full image.
 //!
 //! ## Tiering
 //!
@@ -26,34 +36,25 @@
 //! the checksummed TLV container of `hardsnap_bus::persist` — until the
 //! newcomer fits. Spilled entries are paged back in transparently on
 //! lookup (`get`/`try_get`), so the budget bounds the *resident* high
-//! water mark while the id space and delta-chain semantics stay exactly
-//! as if everything were in RAM. Entries that are refcounted as delta
-//! bases (or hidden bases) are never spill candidates, so a base can
-//! never leave RAM out from under a delta mid-operation; spill/page I/O
-//! failures are typed [`SnapshotError`]s (or soft-fail the spill,
-//! leaving the entry resident), never panics.
+//! water mark while the id space stays exactly as if everything were in
+//! RAM. Bases are not entries and never spill: a spilled delta keeps
+//! its base handle, and page-in checks the spool file's pinned base
+//! content hash against it. Spill/page I/O failures are typed
+//! [`SnapshotError`]s (or soft-fail the spill, leaving the entry
+//! resident), never panics.
 //!
 //! ## Concurrency
 //!
 //! The store is **lock-sharded**: ids map to `id % N` shards, each
 //! behind its own `RwLock`, so the N workers of the engine do
 //! not serialize on one store-wide lock. No operation ever holds two
-//! shard guards at once — delta chains are walked one locked hop at a
-//! time, and spilling serializes the victim *outside* any lock and
-//! re-checks (via a per-entry generation counter) before swapping —
-//! which keeps the sharding deadlock-free by construction. Id
-//! allocation and byte accounting are lock-free atomics; budget
-//! admission serializes on one small gate mutex that is never held
-//! across I/O or another lock.
-//!
-//! ## Pinning
-//!
-//! Delta bases are refcounted. [`SnapshotStore::remove`] on a base that
-//! live deltas still reference is *deferred*: the entry is marked
-//! hidden and reclaimed when the last dependent goes away, so normal
-//! operation can never break a delta chain. The unconditional
-//! [`SnapshotStore::purge`] models external corruption/eviction and is
-//! what makes the [`SnapshotError::MissingBase`] path testable.
+//! shard guards at once — a lookup locks the one shard of its id, since
+//! a delta carries its base, and spilling serializes the victim
+//! *outside* any lock and re-checks (via a per-entry generation
+//! counter) before swapping — which keeps the sharding deadlock-free by
+//! construction. Id allocation and byte accounting are lock-free
+//! atomics; budget admission serializes on one small gate mutex that is
+//! never held across I/O or another lock.
 
 use hardsnap_bus::persist::{write_delta, write_full, PersistedImage};
 use hardsnap_bus::{HwSnapshot, SnapshotDelta};
@@ -69,27 +70,13 @@ pub type SnapId = u64;
 /// Number of independently locked shards.
 const SHARDS: usize = 16;
 
-/// Errors from snapshot lookup/reconstruction.
-///
-/// A delta entry is only usable while its base image is alive; pinning
-/// prevents the store itself from evicting a referenced base, but a
-/// [`SnapshotStore::purge`] (the external-corruption model) can still
-/// break a chain, and lookups then report exactly which link is broken
-/// instead of panicking. Spilled entries add an I/O failure mode: a
-/// spool file that cannot be read back (or fails its checksums) is
-/// reported as [`SnapshotError::Spill`].
+/// Errors from snapshot lookup/reconstruction: a missing id, a delta
+/// that no longer applies, or a spool file that cannot be read back
+/// (or fails its checksums).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// No entry under this id.
     Missing(SnapId),
-    /// A delta entry (somewhere along `id`'s chain) references a base
-    /// that no longer exists.
-    MissingBase {
-        /// The id whose reconstruction failed.
-        id: SnapId,
-        /// The missing base id the chain references.
-        base: SnapId,
-    },
     /// The delta no longer applies to its base image (shape mismatch —
     /// indicates store corruption).
     Corrupt {
@@ -110,9 +97,6 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Missing(id) => write!(f, "snapshot {id} does not exist"),
-            SnapshotError::MissingBase { id, base } => {
-                write!(f, "snapshot {id} is a delta against missing base {base}")
-            }
             SnapshotError::Corrupt { id } => {
                 write!(f, "snapshot {id}: delta does not apply to its base")
             }
@@ -125,11 +109,46 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// A full image that delta entries are stored against. Its bytes count
+/// toward the store's resident total from [`Base::new`] until the last
+/// handle drops.
+#[derive(Debug)]
+pub(crate) struct Base {
+    snap: Arc<HwSnapshot>,
+    /// The owning store's byte counter, shared so a base can outlive
+    /// (and never keeps alive) the store.
+    bytes: Arc<WatermarkCounter>,
+}
+
+impl Base {
+    /// Registers `snap` as a delta base of `store`, reserving its bytes
+    /// through the store's budget (cold entries spill first when over
+    /// it).
+    pub(crate) fn new(store: &SnapshotStore, snap: Arc<HwSnapshot>) -> Arc<Base> {
+        store.reserve(snap.byte_size());
+        Arc::new(Base {
+            snap,
+            bytes: store.inner.bytes.clone(),
+        })
+    }
+
+    /// The base image.
+    pub(crate) fn snap(&self) -> &Arc<HwSnapshot> {
+        &self.snap
+    }
+}
+
+impl Drop for Base {
+    fn drop(&mut self) {
+        self.bytes.sub(self.snap.byte_size());
+    }
+}
+
 #[derive(Debug)]
 enum Entry {
     Full(Arc<HwSnapshot>),
     Delta {
-        base: SnapId,
+        base: Arc<Base>,
         delta: SnapshotDelta,
     },
     /// A full image spilled to the spool directory; `ram_bytes` is the
@@ -138,10 +157,9 @@ enum Entry {
         path: PathBuf,
         ram_bytes: usize,
     },
-    /// A delta spilled to the spool directory; keeps its base pinned
-    /// (the pin taken at install time is not released by spilling).
+    /// A delta spilled to the spool directory, still holding its base.
     SpilledDelta {
-        base: SnapId,
+        base: Arc<Base>,
         path: PathBuf,
         ram_bytes: usize,
     },
@@ -157,40 +175,29 @@ impl Entry {
         }
     }
 
-    fn pinned_base(&self) -> Option<SnapId> {
-        match self {
-            Entry::Delta { base, .. } | Entry::SpilledDelta { base, .. } => Some(*base),
-            _ => None,
-        }
-    }
-
     fn spill_path(&self) -> Option<&PathBuf> {
         match self {
             Entry::SpilledFull { path, .. } | Entry::SpilledDelta { path, .. } => Some(path),
             _ => None,
         }
     }
-}
 
-/// Resident payload handed back by [`SnapshotStore::page_in`]. Callers
-/// consume this copy directly instead of re-reading the shard map:
-/// under a tight memory budget a concurrent `reserve` can spill the
-/// entry again the instant it lands, and a read-back retry loop then
-/// livelocks with two threads ping-ponging each other's page-ins.
-enum Paged {
-    Full(Arc<HwSnapshot>),
-    Delta { base: SnapId, delta: SnapshotDelta },
+    /// A copy of the resident payload; `None` while spilled.
+    fn resident(&self) -> Option<PersistEntry> {
+        match self {
+            Entry::Full(s) => Some(PersistEntry::Full(s.clone())),
+            Entry::Delta { base, delta } => Some(PersistEntry::Delta {
+                base: base.snap.clone(),
+                delta: delta.clone(),
+            }),
+            Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => None,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Stored {
     entry: Entry,
-    /// Live delta entries referencing this id as their base (pin count).
-    refs: usize,
-    /// Kept alive only by `refs` (no direct owner): either registered
-    /// via [`SnapshotStore::insert_base`], or a deferred
-    /// [`SnapshotStore::remove`].
-    hidden: bool,
     /// Logical LRU timestamp (global clock tick of the last use).
     touch: AtomicU64,
     /// Bumped on every content mutation; a spill aborts if the entry
@@ -211,25 +218,25 @@ struct StoreCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    deferred: AtomicU64,
     spills: AtomicU64,
     page_ins: AtomicU64,
     spill_fails: AtomicU64,
 }
 
 /// The stored representation of one snapshot, as handed to a
-/// serializer: either a self-contained full image or a delta plus the id
-/// of the base it applies to. Campaign checkpointing uses this to write
-/// delta chains to disk *as chains* instead of flattening every entry
-/// to a full image.
+/// serializer: either a self-contained full image or a delta plus the
+/// base image it applies to. Campaign checkpointing uses this to write
+/// deltas to disk *as deltas* against one shared base image instead of
+/// flattening every entry to a full image.
 #[derive(Clone, Debug)]
 pub enum PersistEntry {
     /// Self-contained image.
     Full(Arc<HwSnapshot>),
-    /// Delta against the store entry `base`.
+    /// Delta against `base`.
     Delta {
-        /// Store id of the base image the delta applies to.
-        base: SnapId,
+        /// The base image the delta applies to, shared by every delta
+        /// against it.
+        base: Arc<HwSnapshot>,
         /// The delta itself.
         delta: SnapshotDelta,
     },
@@ -240,12 +247,11 @@ pub enum PersistEntry {
 pub struct StoreStats {
     /// Lookups that produced a snapshot.
     pub hits: u64,
-    /// Lookups that failed (missing id or broken delta chain).
+    /// Lookups that failed (missing id, delta that does not apply,
+    /// failed page-in).
     pub misses: u64,
-    /// Entries actually reclaimed by `remove`/`purge`.
+    /// Entries reclaimed by `remove`.
     pub evictions: u64,
-    /// `remove` calls deferred because live deltas pin the entry.
-    pub deferred: u64,
     /// Entries written out to the spool directory under budget pressure.
     pub spills: u64,
     /// Spilled entries paged back into RAM on lookup.
@@ -266,7 +272,8 @@ struct Spool {
 struct StoreInner {
     shards: ShardedRwLock<Shard>,
     next: AtomicU64,
-    bytes: WatermarkCounter,
+    /// Resident bytes of entries and of live bases.
+    bytes: Arc<WatermarkCounter>,
     counters: StoreCounters,
     /// Resident-byte budget; `usize::MAX` means unbudgeted.
     budget: AtomicUsize,
@@ -304,7 +311,7 @@ impl Default for SnapshotStore {
             inner: Arc::new(StoreInner {
                 shards: ShardedRwLock::new(SHARDS),
                 next: AtomicU64::new(0),
-                bytes: WatermarkCounter::new(),
+                bytes: Arc::new(WatermarkCounter::new()),
                 counters: StoreCounters::default(),
                 budget: AtomicUsize::new(usize::MAX),
                 gate: Mutex::new(()),
@@ -327,7 +334,7 @@ impl SnapshotStore {
     /// Sets (or clears, with `None`) the resident-byte budget. While a
     /// budget is set, admitting new bytes spills LRU cold entries first,
     /// so [`SnapshotStore::peak_bytes`] stays at or under the budget as
-    /// long as enough unpinned entries exist to spill.
+    /// long as enough resident entries exist to spill.
     pub fn set_mem_budget(&self, budget: Option<usize>) {
         self.inner
             .budget
@@ -403,15 +410,15 @@ impl SnapshotStore {
         }
     }
 
-    /// Picks and spills the least-recently-used cold entry. Returns
-    /// false when no eligible victim exists (everything resident is
-    /// pinned, hidden, or already spilled).
+    /// Picks and spills the least-recently-used resident entry. Returns
+    /// false when no eligible victim exists (everything is already
+    /// spilled).
     fn spill_one(&self) -> bool {
         let mut best: Option<(u64, SnapId)> = None;
         for shard in self.inner.shards.iter() {
             let g = shard.read();
             for (&id, s) in &g.entries {
-                if s.refs == 0 && !s.hidden && s.entry.byte_size() > 0 {
+                if s.entry.byte_size() > 0 {
                     let t = s.touch.load(Ordering::Relaxed);
                     if best.is_none_or(|(bt, _)| t < bt) {
                         best = Some((t, id));
@@ -432,33 +439,23 @@ impl SnapshotStore {
     /// entry stays resident (soft failure — the store must keep working
     /// without a disk).
     fn spill(&self, id: SnapId) -> bool {
-        enum Payload {
-            Full(Arc<HwSnapshot>),
-            Delta(SnapId, SnapshotDelta),
-        }
         let (generation, payload) = {
             let shard = self.inner.shards.shard_for(id);
             let g = shard.read();
             let Some(s) = g.entries.get(&id) else {
                 return false;
             };
-            if s.refs != 0 || s.hidden {
-                return false;
-            }
-            match &s.entry {
-                Entry::Full(snap) => (s.generation, Payload::Full(snap.clone())),
-                Entry::Delta { base, delta } => {
-                    (s.generation, Payload::Delta(*base, delta.clone()))
-                }
-                _ => return false,
+            match s.entry.resident() {
+                Some(payload) => (s.generation, payload),
+                None => return false,
             }
         };
         let image = match &payload {
-            Payload::Full(snap) => write_full(snap),
-            Payload::Delta(base, delta) => match self.try_resolve(*base) {
-                Ok(base_snap) => write_delta(&base_snap, delta, &format!("snap:{base}")),
-                Err(_) => return false,
-            },
+            PersistEntry::Full(snap) => write_full(snap),
+            // The entry holds its base, so the file's base reference
+            // only has to be non-empty; page-in checks the pinned
+            // content hash instead.
+            PersistEntry::Delta { base, delta } => write_delta(base, delta, "entry"),
         };
         // Every spill writes a file of its own. Page-in and update
         // unlink the file they detached only after dropping the shard
@@ -495,24 +492,27 @@ impl SnapshotStore {
                 return false;
             };
             let sz = s.entry.byte_size();
-            if s.generation != generation || s.refs != 0 || s.hidden || sz == 0 {
+            let spilled = match &s.entry {
+                _ if s.generation != generation => None,
+                Entry::Full(_) => Some(Entry::SpilledFull {
+                    path: path.clone(),
+                    ram_bytes: sz,
+                }),
+                Entry::Delta { base, .. } => Some(Entry::SpilledDelta {
+                    base: base.clone(),
+                    path: path.clone(),
+                    ram_bytes: sz,
+                }),
+                Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => None,
+            };
+            let Some(spilled) = spilled else {
                 // Lost a race (update, page-in, or a concurrent spill of
                 // the same id): the file is ours alone, so drop it.
                 drop(g);
                 let _ = std::fs::remove_file(&path);
                 return false;
-            }
-            s.entry = match payload {
-                Payload::Full(_) => Entry::SpilledFull {
-                    path,
-                    ram_bytes: sz,
-                },
-                Payload::Delta(base, _) => Entry::SpilledDelta {
-                    base,
-                    path,
-                    ram_bytes: sz,
-                },
             };
+            s.entry = spilled;
             sz
         };
         self.inner.bytes.sub(freed);
@@ -521,35 +521,34 @@ impl SnapshotStore {
     }
 
     /// Pages a spilled entry back into RAM, verifying the spool file's
-    /// checksums along the way, and returns the resident payload. The
-    /// returned copy stays valid even if budget pressure immediately
-    /// spills the entry again — callers must use it rather than
-    /// re-reading the map (see [`Paged`]).
+    /// checksums (and a delta's pinned base) along the way, and returns
+    /// the resident payload. The returned copy stays valid even if
+    /// budget pressure immediately spills the entry again — callers
+    /// must use it rather than re-reading the map: under a tight budget
+    /// a concurrent `reserve` can spill the entry again the instant it
+    /// lands, and a read-back retry loop then livelocks with two
+    /// threads ping-ponging each other's page-ins.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Spill`] on I/O or integrity failure (the entry
     /// stays spilled), [`SnapshotError::Missing`] if it raced removal.
-    fn page_in(&self, id: SnapId) -> Result<Paged, SnapshotError> {
-        let (path, ram_bytes) = {
+    fn page_in(&self, id: SnapId) -> Result<PersistEntry, SnapshotError> {
+        let (path, ram_bytes, base) = {
             let shard = self.inner.shards.shard_for(id);
             let g = shard.read();
-            match g.entries.get(&id) {
-                None => return Err(SnapshotError::Missing(id)),
-                Some(s) => match &s.entry {
-                    Entry::SpilledFull { path, ram_bytes }
-                    | Entry::SpilledDelta {
-                        path, ram_bytes, ..
-                    } => (path.clone(), *ram_bytes),
-                    // Raced: another thread already paged it in.
-                    Entry::Full(snap) => return Ok(Paged::Full(snap.clone())),
-                    Entry::Delta { base, delta } => {
-                        return Ok(Paged::Delta {
-                            base: *base,
-                            delta: delta.clone(),
-                        })
-                    }
-                },
+            let Some(s) = g.entries.get(&id) else {
+                return Err(SnapshotError::Missing(id));
+            };
+            match &s.entry {
+                Entry::SpilledFull { path, ram_bytes } => (path.clone(), *ram_bytes, None),
+                Entry::SpilledDelta {
+                    base,
+                    path,
+                    ram_bytes,
+                } => (path.clone(), *ram_bytes, Some(base.clone())),
+                // Raced: another thread already paged it in.
+                resident => return Ok(resident.resident().expect("resident entry")),
             }
         };
         self.reserve(ram_bytes);
@@ -559,15 +558,21 @@ impl SnapshotStore {
             .and_then(|data| {
                 PersistedImage::from_bytes(&data).map_err(|e| spill_err(e.to_string()))
             })
-            .and_then(|img| match img {
-                PersistedImage::Full(snap) => Ok(Entry::Full(Arc::new(snap))),
-                PersistedImage::Delta {
-                    base_ref, delta, ..
-                } => base_ref
-                    .strip_prefix("snap:")
-                    .and_then(|s| s.parse::<SnapId>().ok())
-                    .map(|base| Entry::Delta { base, delta })
-                    .ok_or_else(|| spill_err(format!("bad base reference '{base_ref}'"))),
+            .and_then(|img| match (img, base) {
+                (PersistedImage::Full(snap), None) => Ok(Entry::Full(Arc::new(snap))),
+                (
+                    PersistedImage::Delta {
+                        base_content_hash,
+                        delta,
+                        ..
+                    },
+                    Some(base),
+                ) if base_content_hash == base.snap.content_hash() => {
+                    Ok(Entry::Delta { base, delta })
+                }
+                _ => Err(spill_err(
+                    "spool file does not match the entry's base".into(),
+                )),
             });
         let entry = match loaded {
             Ok(e) => e,
@@ -580,44 +585,31 @@ impl SnapshotStore {
                 // again if it has since been re-spilled to a new file.
                 let shard = self.inner.shards.shard_for(id);
                 let g = shard.read();
-                match g.entries.get(&id).map(|s| &s.entry) {
-                    Some(Entry::Full(snap)) => return Ok(Paged::Full(snap.clone())),
-                    Some(Entry::Delta { base, delta }) => {
-                        return Ok(Paged::Delta {
-                            base: *base,
-                            delta: delta.clone(),
-                        })
-                    }
-                    Some(entry) if entry.spill_path().is_some_and(|p| *p != path) => {
-                        drop(g);
-                        return self.page_in(id);
-                    }
-                    _ => return Err(e),
+                let Some(s) = g.entries.get(&id) else {
+                    return Err(e);
+                };
+                if let Some(payload) = s.entry.resident() {
+                    return Ok(payload);
                 }
+                if s.entry.spill_path().is_some_and(|p| *p != path) {
+                    drop(g);
+                    return self.page_in(id);
+                }
+                return Err(e);
             }
         };
-        let paged = match &entry {
-            Entry::Full(snap) => Paged::Full(snap.clone()),
-            Entry::Delta { base, delta } => Paged::Delta {
-                base: *base,
-                delta: delta.clone(),
-            },
-            _ => unreachable!("spool files only persist full or delta images"),
-        };
+        let paged = entry.resident().expect("loaded entries are resident");
         let actual = entry.byte_size();
         let swapped = {
             let shard = self.inner.shards.shard_for(id);
             let mut g = shard.write();
             match g.entries.get_mut(&id) {
-                None => false,
-                Some(s) => match &s.entry {
-                    Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => {
-                        s.entry = entry;
-                        s.touch.store(self.tick(), Ordering::Relaxed);
-                        true
-                    }
-                    _ => false,
-                },
+                Some(s) if s.entry.spill_path() == Some(&path) => {
+                    s.entry = entry;
+                    s.touch.store(self.tick(), Ordering::Relaxed);
+                    true
+                }
+                _ => false,
             }
         };
         if !swapped {
@@ -637,119 +629,42 @@ impl SnapshotStore {
         Ok(paged)
     }
 
-    fn install(&self, id: SnapId, entry: Entry, hidden: bool) {
-        let sz = entry.byte_size();
-        self.reserve(sz);
-        self.inner.shards.shard_for(id).write().entries.insert(
-            id,
-            Stored {
-                entry,
-                refs: 0,
-                hidden,
-                touch: AtomicU64::new(self.tick()),
-                generation: 0,
-            },
-        );
-    }
-
-    /// Resolves `id` by walking its delta chain, locking one shard at a
-    /// time (never two at once); spilled links page back in on the way.
-    /// A full entry comes back as its shared image, uncloned.
-    fn try_resolve(&self, id: SnapId) -> Result<Arc<HwSnapshot>, SnapshotError> {
-        let mut chain: Vec<(SnapId, SnapshotDelta)> = Vec::new();
-        let mut cur = id;
-        let base_snap = loop {
-            let shard = self.inner.shards.shard_for(cur);
-            let g = shard.read();
-            match g.entries.get(&cur) {
-                None => {
-                    return Err(match chain.last() {
-                        None => SnapshotError::Missing(id),
-                        Some(&(broken, _)) => SnapshotError::MissingBase {
-                            id: broken,
-                            base: cur,
-                        },
-                    });
-                }
+    /// Puts `entry` under `id`, replacing (and discarding) whatever was
+    /// there: the one swap behind every insert and update.
+    fn put(&self, id: SnapId, entry: Entry) {
+        self.reserve(entry.byte_size());
+        let old = {
+            let mut g = self.inner.shards.shard_for(id).write();
+            match g.entries.get_mut(&id) {
                 Some(stored) => {
+                    stored.generation += 1;
                     stored.touch.store(self.tick(), Ordering::Relaxed);
-                    match &stored.entry {
-                        Entry::Full(s) => break s.clone(),
-                        Entry::Delta { base, delta } => {
-                            let b = *base;
-                            chain.push((cur, delta.clone()));
-                            drop(g);
-                            cur = b;
-                        }
-                        Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => {
-                            drop(g);
-                            // Use the paged-in payload directly: budget
-                            // pressure may spill `cur` again before a
-                            // re-read, and retrying would livelock.
-                            match self.page_in(cur)? {
-                                Paged::Full(s) => break s,
-                                Paged::Delta { base, delta } => {
-                                    chain.push((cur, delta));
-                                    cur = base;
-                                }
-                            }
-                        }
-                    }
+                    Some(std::mem::replace(&mut stored.entry, entry))
+                }
+                None => {
+                    let touch = AtomicU64::new(self.tick());
+                    g.entries.insert(
+                        id,
+                        Stored {
+                            entry,
+                            touch,
+                            generation: 0,
+                        },
+                    );
+                    None
                 }
             }
         };
-        let mut snap = base_snap;
-        for (eid, delta) in chain.iter().rev() {
-            snap = Arc::new(
-                delta
-                    .apply(&snap)
-                    .map_err(|_| SnapshotError::Corrupt { id: *eid })?,
-            );
-        }
-        Ok(snap)
-    }
-
-    /// Increments the pin count of `base`; false if `base` is gone.
-    fn pin_base(&self, base: SnapId) -> bool {
-        let shard = self.inner.shards.shard_for(base);
-        let mut g = shard.write();
-        match g.entries.get_mut(&base) {
-            Some(stored) => {
-                stored.refs += 1;
-                true
-            }
-            None => false,
+        if let Some(old) = old {
+            self.discard(old);
         }
     }
 
-    /// Decrements the pin count of `base`, reclaiming hidden entries
-    /// whose last dependent went away (iterating down chains).
-    fn release_base(&self, mut base: SnapId) {
-        loop {
-            let shard = self.inner.shards.shard_for(base);
-            let mut g = shard.write();
-            let Some(stored) = g.entries.get_mut(&base) else {
-                return;
-            };
-            stored.refs = stored.refs.saturating_sub(1);
-            if stored.refs == 0 && stored.hidden {
-                if let Some(stored) = g.entries.remove(&base) {
-                    drop(g);
-                    self.discard(&stored);
-                    if let Some(next) = stored.entry.pinned_base() {
-                        base = next;
-                        continue;
-                    }
-                }
-            }
-            return;
-        }
-    }
-
-    /// Accounting + spool cleanup for an entry detached from the map.
-    fn discard(&self, stored: &Stored) {
-        self.inner.bytes.sub(stored.entry.byte_size());
-        if let Some(path) = stored.entry.spill_path() {
+    /// Accounting + spool cleanup for an entry detached from the map;
+    /// dropping it releases its base handle.
+    fn discard(&self, entry: Entry) {
+        self.inner.bytes.sub(entry.byte_size());
+        if let Some(path) = entry.spill_path() {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -757,171 +672,29 @@ impl SnapshotStore {
     /// Stores a full snapshot under a fresh id.
     pub fn insert(&self, snap: impl Into<Arc<HwSnapshot>>) -> SnapId {
         let id = self.alloc_id();
-        self.install(id, Entry::Full(snap.into()), false);
+        self.put(id, Entry::Full(snap.into()));
         id
     }
 
-    /// Stores `snap` as a delta against the (immutable) snapshot under
-    /// `base`; falls back to full storage if the delta would not save
-    /// space or the shapes differ. Pins `base` so it outlives its
-    /// dependents.
-    pub fn insert_delta(&self, base: SnapId, snap: impl Into<Arc<HwSnapshot>>) -> SnapId {
-        let snap = snap.into();
+    /// Stores a delta the target emitted against `base` under a fresh
+    /// id — no O(design) re-diff, the store cost is O(delta).
+    pub(crate) fn insert_delta(&self, base: Arc<Base>, delta: SnapshotDelta) -> SnapId {
         let id = self.alloc_id();
-        let delta = self
-            .try_resolve(base)
-            .ok()
-            .and_then(|b| SnapshotDelta::between(&b, &snap).ok())
-            .filter(|d| d.byte_size() < snap.byte_size());
-        let entry = match delta {
-            // Pin before installing the dependent: a concurrent remove
-            // of `base` then defers instead of breaking the chain.
-            Some(delta) if self.pin_base(base) => Entry::Delta { base, delta },
-            _ => Entry::Full(snap),
-        };
-        self.install(id, entry, false);
+        self.put(id, Entry::Delta { base, delta });
         id
     }
 
-    /// Stores a delta the target emitted natively (already expressed
-    /// against the snapshot under `base`) — no O(design) re-diff, the
-    /// store cost is O(delta). Pins `base`; `None` if `base` is gone
-    /// (the caller must fall back to materializing a full image).
-    pub fn insert_delta_native(&self, base: SnapId, delta: SnapshotDelta) -> Option<SnapId> {
-        if !self.pin_base(base) {
-            return None;
-        }
-        let id = self.alloc_id();
-        self.install(id, Entry::Delta { base, delta }, false);
-        Some(id)
-    }
-
-    /// Overwrites the snapshot under `id` with a natively-emitted delta
-    /// against `base` — the O(delta) counterpart of
-    /// [`SnapshotStore::update`]. Pins the new base and releases the
-    /// entry's previous base (if its old representation was a delta);
-    /// false if `base` is gone and the caller must fall back.
-    pub fn update_delta_native(&self, id: SnapId, base: SnapId, delta: SnapshotDelta) -> bool {
-        if !self.pin_base(base) {
-            return false;
-        }
-        let new_entry = Entry::Delta { base, delta };
-        let new_sz = new_entry.byte_size();
-        self.reserve(new_sz);
-        let (old_sz, released, stale_file) = {
-            let mut g = self.inner.shards.shard_for(id).write();
-            match g.entries.get_mut(&id) {
-                Some(stored) => {
-                    let old = stored.entry.byte_size();
-                    // The old representation's pin is dropped after the
-                    // new pin is in place, so a same-base update nets
-                    // out to one held pin.
-                    let released = stored.entry.pinned_base();
-                    let stale = stored.entry.spill_path().cloned();
-                    stored.entry = new_entry;
-                    stored.generation += 1;
-                    stored.touch.store(self.tick(), Ordering::Relaxed);
-                    (old, released, stale)
-                }
-                None => {
-                    g.entries.insert(
-                        id,
-                        Stored {
-                            entry: new_entry,
-                            refs: 0,
-                            hidden: false,
-                            touch: AtomicU64::new(self.tick()),
-                            generation: 0,
-                        },
-                    );
-                    (0, None, None)
-                }
-            }
-        };
-        self.inner.bytes.sub(old_sz);
-        if let Some(path) = stale_file {
-            let _ = std::fs::remove_file(path);
-        }
-        if let Some(b) = released {
-            self.release_base(b);
-        }
-        true
-    }
-
-    /// Registers a snapshot that exists only to serve as a delta base
-    /// (freed automatically when the last dependent goes away).
-    pub fn insert_base(&self, snap: impl Into<Arc<HwSnapshot>>) -> SnapId {
-        let id = self.alloc_id();
-        self.install(id, Entry::Full(snap.into()), true);
-        id
-    }
-
-    /// Size a delta of `snap` against the snapshot under `base` would
-    /// take, or `None` when the shapes are incompatible. Lets callers
-    /// decide whether an existing base is still a good anchor.
-    pub fn delta_size_vs(&self, base: SnapId, snap: &HwSnapshot) -> Option<usize> {
-        let b = self.try_resolve(base).ok()?;
-        SnapshotDelta::between(&b, snap).ok().map(|d| d.byte_size())
-    }
-
-    /// Overwrites the snapshot under `id` (the paper's `UpdateState`),
-    /// preserving the entry's representation (delta entries stay deltas
-    /// against their base) and keeping the pin count intact.
+    /// Overwrites the snapshot under `id` with a full image (the
+    /// paper's `UpdateState`).
     pub fn update(&self, id: SnapId, snap: impl Into<Arc<HwSnapshot>>) {
-        let snap = snap.into();
-        let repr_base = {
-            let g = self.inner.shards.shard_for(id).read();
-            g.entries.get(&id).and_then(|s| s.entry.pinned_base())
-        };
-        let (new_entry, released_base) = match repr_base {
-            Some(base) => {
-                let delta = self
-                    .try_resolve(base)
-                    .ok()
-                    .and_then(|b| SnapshotDelta::between(&b, &snap).ok())
-                    .filter(|d| d.byte_size() < snap.byte_size());
-                match delta {
-                    Some(delta) => (Entry::Delta { base, delta }, None),
-                    None => (Entry::Full(snap), Some(base)),
-                }
-            }
-            None => (Entry::Full(snap), None),
-        };
-        let new_sz = new_entry.byte_size();
-        self.reserve(new_sz);
-        let (old_sz, stale_file) = {
-            let mut g = self.inner.shards.shard_for(id).write();
-            match g.entries.get_mut(&id) {
-                Some(stored) => {
-                    let old = stored.entry.byte_size();
-                    let stale = stored.entry.spill_path().cloned();
-                    stored.entry = new_entry;
-                    stored.generation += 1;
-                    stored.touch.store(self.tick(), Ordering::Relaxed);
-                    (old, stale)
-                }
-                None => {
-                    g.entries.insert(
-                        id,
-                        Stored {
-                            entry: new_entry,
-                            refs: 0,
-                            hidden: false,
-                            touch: AtomicU64::new(self.tick()),
-                            generation: 0,
-                        },
-                    );
-                    (0, None)
-                }
-            }
-        };
-        self.inner.bytes.sub(old_sz);
-        if let Some(path) = stale_file {
-            let _ = std::fs::remove_file(path);
-        }
-        if let Some(base) = released_base {
-            self.release_base(base);
-        }
+        self.put(id, Entry::Full(snap.into()));
+    }
+
+    /// Overwrites the snapshot under `id` with a delta against `base` —
+    /// the O(delta) counterpart of [`SnapshotStore::update`]. The
+    /// entry's previous base is released.
+    pub(crate) fn update_delta(&self, id: SnapId, base: Arc<Base>, delta: SnapshotDelta) {
+        self.put(id, Entry::Delta { base, delta });
     }
 
     /// Records a lookup outcome in the activity counters.
@@ -934,94 +707,56 @@ impl SnapshotStore {
         }
     }
 
+    /// Resolves `id` to its image, applying a delta to its base; a
+    /// spilled entry pages back in on the way. A full entry comes back
+    /// as its shared image, uncloned.
+    fn try_resolve(&self, id: SnapId) -> Result<Arc<HwSnapshot>, SnapshotError> {
+        match self.export_entry(id)? {
+            PersistEntry::Full(snap) => Ok(snap),
+            PersistEntry::Delta { base, delta } => delta
+                .apply(&base)
+                .map(Arc::new)
+                .map_err(|_| SnapshotError::Corrupt { id }),
+        }
+    }
+
     /// Fetches a snapshot by id (reconstructing deltas and paging in
     /// spilled entries transparently). A full entry is returned as the
     /// stored image itself, shared.
     pub fn get(&self, id: SnapId) -> Option<Arc<HwSnapshot>> {
-        let got = self.try_resolve(id).ok();
-        self.note_lookup(got.is_some());
-        got
+        self.try_get(id).ok()
     }
 
     /// Like [`SnapshotStore::get`], but reports *why* a snapshot cannot
-    /// be produced: missing id, delta chain with an evicted base, a
-    /// delta that no longer applies, or a spool page-in failure.
+    /// be produced: missing id, a delta that no longer applies, or a
+    /// spool page-in failure.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] naming the broken link of the chain.
+    /// [`SnapshotError`] naming the failure.
     pub fn try_get(&self, id: SnapId) -> Result<Arc<HwSnapshot>, SnapshotError> {
         let got = self.try_resolve(id);
         self.note_lookup(got.is_ok());
         got
     }
 
-    /// Drops a snapshot (state terminated); frees its delta base when it
-    /// was the last dependent. Removal of an id that is itself a pinned
-    /// delta base is **deferred**: the entry is hidden and reclaimed
-    /// once its last dependent goes away, so the chain never breaks.
-    /// Nothing is resolved or paged in: a spilled entry just loses its
-    /// spool file. False when no entry exists under `id`.
+    /// Drops a snapshot (state terminated); its base is freed with the
+    /// last delta holding it. Nothing is resolved or paged in: a spilled
+    /// entry just loses its spool file. False when no entry exists
+    /// under `id`.
     pub fn remove(&self, id: SnapId) -> bool {
-        let freed_base = {
-            let mut g = self.inner.shards.shard_for(id).write();
-            let defer = match g.entries.get_mut(&id) {
-                None => return false,
-                Some(stored) if stored.refs > 0 => {
-                    // Deferred: live deltas still need this image.
-                    stored.hidden = true;
-                    true
-                }
-                Some(_) => false,
-            };
-            if defer {
-                drop(g);
-                self.inner.counters.deferred.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            let Some(stored) = g.entries.remove(&id) else {
-                return false;
-            };
-            drop(g);
-            self.discard(&stored);
-            self.inner
-                .counters
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
-            stored.entry.pinned_base()
+        let Some(stored) = self.inner.shards.shard_for(id).write().entries.remove(&id) else {
+            return false;
         };
-        if let Some(base) = freed_base {
-            self.release_base(base);
-        }
+        self.discard(stored.entry);
+        self.inner
+            .counters
+            .evictions
+            .fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Unconditionally deletes `id`, **ignoring pins** — dependents are
-    /// left with a broken chain (subsequent lookups report
-    /// [`SnapshotError::MissingBase`]). This models external eviction
-    /// or corruption of the backing storage; analyses never call it.
-    /// False when no entry exists under `id`.
-    pub fn purge(&self, id: SnapId) -> bool {
-        let freed_base = {
-            let mut g = self.inner.shards.shard_for(id).write();
-            let Some(stored) = g.entries.remove(&id) else {
-                return false;
-            };
-            drop(g);
-            self.discard(&stored);
-            self.inner
-                .counters
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
-            stored.entry.pinned_base()
-        };
-        if let Some(base) = freed_base {
-            self.release_base(base);
-        }
-        true
-    }
-
-    /// Number of live entries (including hidden bases and spilled
+    /// Number of live entries (spilled ones included; bases are not
     /// entries).
     pub fn len(&self) -> usize {
         self.inner
@@ -1036,8 +771,8 @@ impl SnapshotStore {
         self.len() == 0
     }
 
-    /// Current *resident* bytes of stored images (full + delta
-    /// representations; spilled entries cost nothing here).
+    /// Current *resident* bytes: full and delta entries plus the live
+    /// bases they hold (spilled entries cost nothing here).
     pub fn total_bytes(&self) -> usize {
         self.inner.bytes.current()
     }
@@ -1050,7 +785,7 @@ impl SnapshotStore {
 
     /// Returns the entry's *stored representation* for serialization —
     /// a delta entry comes back as `(base, delta)` rather than a
-    /// flattened image, so an on-disk campaign preserves the chain.
+    /// flattened image, so an on-disk campaign stores it as a delta.
     /// Spilled entries are paged back in first.
     ///
     /// # Errors
@@ -1058,32 +793,20 @@ impl SnapshotStore {
     /// [`SnapshotError::Missing`] for an unknown id,
     /// [`SnapshotError::Spill`] if a spilled entry cannot be paged in.
     pub fn export_entry(&self, id: SnapId) -> Result<PersistEntry, SnapshotError> {
-        {
+        let found = {
             let shard = self.inner.shards.shard_for(id);
             let g = shard.read();
-            match g.entries.get(&id) {
-                None => return Err(SnapshotError::Missing(id)),
-                Some(stored) => {
-                    stored.touch.store(self.tick(), Ordering::Relaxed);
-                    match &stored.entry {
-                        Entry::Full(s) => return Ok(PersistEntry::Full(s.clone())),
-                        Entry::Delta { base, delta } => {
-                            return Ok(PersistEntry::Delta {
-                                base: *base,
-                                delta: delta.clone(),
-                            })
-                        }
-                        Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => {}
-                    }
-                }
-            }
-        }
-        // Spilled: page it back in and export the returned payload
-        // directly — a map re-read could livelock under a tight budget
-        // if a concurrent reserve spills the entry straight back out.
-        match self.page_in(id)? {
-            Paged::Full(s) => Ok(PersistEntry::Full(s)),
-            Paged::Delta { base, delta } => Ok(PersistEntry::Delta { base, delta }),
+            let Some(stored) = g.entries.get(&id) else {
+                return Err(SnapshotError::Missing(id));
+            };
+            stored.touch.store(self.tick(), Ordering::Relaxed);
+            stored.entry.resident()
+        };
+        // Spilled: page it back in and use the returned payload directly
+        // (see `page_in`).
+        match found {
+            Some(payload) => Ok(payload),
+            None => self.page_in(id),
         }
     }
 
@@ -1094,7 +817,6 @@ impl SnapshotStore {
             hits: c.hits.load(Ordering::Relaxed),
             misses: c.misses.load(Ordering::Relaxed),
             evictions: c.evictions.load(Ordering::Relaxed),
-            deferred: c.deferred.load(Ordering::Relaxed),
             spills: c.spills.load(Ordering::Relaxed),
             page_ins: c.page_ins.load(Ordering::Relaxed),
             spill_fails: c.spill_fails.load(Ordering::Relaxed),
@@ -1106,6 +828,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use hardsnap_bus::{RegSlot, SnapshotLayout};
+    use std::sync::Weak;
 
     fn snap(v: u64) -> HwSnapshot {
         let layout = SnapshotLayout::new(
@@ -1126,6 +849,18 @@ mod tests {
         )
     }
 
+    /// `base` with register `reg` set to `value`.
+    fn moved(base: &HwSnapshot, reg: usize, value: u64) -> HwSnapshot {
+        let mut s = base.clone();
+        s.regs[reg] = value;
+        s
+    }
+
+    /// The delta a target would emit for `snap` against `base`.
+    fn diff(base: &Base, snap: &HwSnapshot) -> SnapshotDelta {
+        SnapshotDelta::between(base.snap(), snap).unwrap()
+    }
+
     #[test]
     fn insert_get_update_remove() {
         let store = SnapshotStore::new();
@@ -1140,18 +875,22 @@ mod tests {
         assert!(!store.remove(b), "already gone");
         assert_eq!(store.len(), 1);
         assert!(store.get(b).is_none());
+        assert_eq!(store.try_get(999), Err(SnapshotError::Missing(999)));
     }
 
     #[test]
     fn delta_entries_resolve_and_save_space() {
         let store = SnapshotStore::new();
         let base_snap = snap(5);
-        let base = store.insert_base(base_snap.clone());
+        let base = Base::new(&store, Arc::new(base_snap.clone()));
         let bytes_after_base = store.total_bytes();
-        // A snapshot differing in one register.
-        let mut child_snap = base_snap.clone();
-        child_snap.regs[7] = 0xfeed;
-        let child = store.insert_delta(base, child_snap.clone());
+        assert_eq!(
+            bytes_after_base,
+            base_snap.byte_size(),
+            "a base is resident"
+        );
+        let child_snap = moved(&base_snap, 7, 0xfeed);
+        let child = store.insert_delta(base.clone(), diff(&base, &child_snap));
         assert_eq!(*store.get(child).unwrap(), child_snap);
         assert!(
             store.total_bytes() - bytes_after_base < base_snap.byte_size() / 4,
@@ -1160,44 +899,23 @@ mod tests {
     }
 
     #[test]
-    fn hidden_base_freed_with_last_dependent() {
+    fn base_freed_with_last_dependent() {
         let store = SnapshotStore::new();
         let base_snap = snap(5);
-        let base = store.insert_base(base_snap.clone());
-        let c1 = store.insert_delta(base, base_snap.clone());
-        let c2 = store.insert_delta(base, base_snap.clone());
-        assert_eq!(store.len(), 3);
+        let base = Base::new(&store, Arc::new(base_snap.clone()));
+        let c1 = store.insert_delta(base.clone(), diff(&base, &base_snap));
+        let c2 = store.insert_delta(base.clone(), diff(&base, &base_snap));
+        drop(base);
+        assert_eq!(store.len(), 2, "a base is not an entry");
         store.remove(c1);
-        assert_eq!(store.len(), 2, "base still referenced by c2");
+        assert!(
+            store.total_bytes() > base_snap.byte_size(),
+            "base still held by c2"
+        );
+        assert_eq!(*store.get(c2).unwrap(), base_snap);
         store.remove(c2);
-        assert_eq!(store.len(), 0, "hidden base freed with last dependent");
-        assert_eq!(store.total_bytes(), 0);
-    }
-
-    #[test]
-    fn update_of_delta_entry_stays_compact() {
-        let store = SnapshotStore::new();
-        let base_snap = snap(5);
-        let base = store.insert_base(base_snap.clone());
-        let mut v1 = base_snap.clone();
-        v1.regs[0] = 1;
-        let id = store.insert_delta(base, v1);
-        let mut v2 = base_snap.clone();
-        v2.regs[1] = 2;
-        v2.regs[2] = 3;
-        store.update(id, v2.clone());
-        assert_eq!(*store.get(id).unwrap(), v2);
-        assert!(store.total_bytes() < 2 * base_snap.byte_size());
-    }
-
-    #[test]
-    fn incompatible_delta_falls_back_to_full() {
-        let store = SnapshotStore::new();
-        let base = store.insert_base(snap(1));
-        let mut other = snap(2);
-        other.relabel("different");
-        let id = store.insert_delta(base, other.clone());
-        assert_eq!(*store.get(id).unwrap(), other);
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.total_bytes(), 0, "base freed with last dependent");
     }
 
     #[test]
@@ -1218,87 +936,14 @@ mod tests {
         let a = store.insert(snap(1));
         assert!(store.get(a).is_some());
         assert!(store.get(999).is_none());
-        let b = store.insert(snap(2));
-        let mut child = snap(2);
-        child.regs[0] = 77;
-        let c = store.insert_delta(b, child);
-        store.remove(b); // deferred: c pins it
-        store.remove(c); // evicts c, then reclaims hidden b
+        let base = Base::new(&store, Arc::new(snap(2)));
+        let c = store.insert_delta(base.clone(), diff(&base, &moved(&snap(2), 0, 77)));
+        store.remove(c);
         store.remove(a);
         let s = store.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
-        assert_eq!(s.deferred, 1);
         assert_eq!(s.evictions, 2, "c and a evicted via remove()");
-    }
-
-    #[test]
-    fn remove_of_referenced_base_is_deferred_not_destructive() {
-        // The pinning regression: a base with live dependents survives
-        // "eviction pressure" (remove calls) until the last dependent
-        // goes away — delta chains can never break via remove().
-        let store = SnapshotStore::new();
-        let base_snap = snap(5);
-        let base = store.insert(base_snap.clone());
-        let mut child_snap = base_snap.clone();
-        child_snap.regs[3] = 0xBAD;
-        let child = store.insert_delta(base, child_snap.clone());
-        // Eviction pressure: repeated removes of the referenced base.
-        for _ in 0..3 {
-            store.remove(base);
-        }
-        assert_eq!(
-            *store.try_get(child).unwrap(),
-            child_snap,
-            "pinned base survives, chain intact"
-        );
-        assert!(
-            store.get(base).is_some(),
-            "base image still resolvable while pinned"
-        );
-        // The base is reclaimed with its last dependent.
-        store.remove(child);
-        assert_eq!(store.len(), 0);
-        assert_eq!(store.total_bytes(), 0);
-    }
-
-    #[test]
-    fn delta_with_purged_base_is_an_error_not_a_panic() {
-        let store = SnapshotStore::new();
-        let base_snap = snap(5);
-        let base = store.insert(base_snap.clone());
-        let mut child_snap = base_snap.clone();
-        child_snap.regs[3] = 0xBAD;
-        let child = store.insert_delta(base, child_snap.clone());
-        assert_eq!(*store.try_get(child).unwrap(), child_snap);
-        // purge() bypasses pinning — the external-corruption model.
-        store.purge(base);
-        assert_eq!(store.get(child), None, "unrecoverable, but no panic");
-        assert_eq!(
-            store.try_get(child),
-            Err(SnapshotError::MissingBase { id: child, base }),
-        );
-    }
-
-    #[test]
-    fn delta_chain_reports_first_broken_link() {
-        let store = SnapshotStore::new();
-        let s0 = snap(1);
-        let a = store.insert(s0.clone());
-        let mut s1 = s0.clone();
-        s1.regs[0] = 11;
-        let b = store.insert_delta(a, s1.clone());
-        let mut s2 = s1.clone();
-        s2.regs[1] = 22;
-        let c = store.insert_delta(b, s2.clone());
-        assert_eq!(*store.try_get(c).unwrap(), s2);
-        store.purge(a);
-        // c -> b (alive delta) -> a (gone): the broken link is b's base.
-        assert_eq!(
-            store.try_get(c),
-            Err(SnapshotError::MissingBase { id: b, base: a }),
-        );
-        assert_eq!(store.try_get(999), Err(SnapshotError::Missing(999)));
     }
 
     #[test]
@@ -1313,15 +958,14 @@ mod tests {
     fn concurrent_workers_hammering_the_store_stay_consistent() {
         use hardsnap_util::sync::scope;
         let store = SnapshotStore::new();
-        let base = store.insert_base(snap(0));
+        let base = Base::new(&store, Arc::new(snap(0)));
         scope(|s| {
             for w in 0..4u64 {
-                let store = store.clone();
+                let (store, base) = (store.clone(), base.clone());
                 s.spawn(move || {
                     for i in 0..50u64 {
-                        let mut img = snap(0);
-                        img.regs[(w as usize) % 32] = i;
-                        let id = store.insert_delta(base, img.clone());
+                        let img = moved(&snap(0), (w as usize) % 32, i);
+                        let id = store.insert_delta(base.clone(), diff(&base, &img));
                         assert_eq!(*store.get(id).unwrap(), img);
                         store.update(id, snap(w * 100 + i));
                         assert_eq!(store.get(id).unwrap().cycle, w * 100 + i);
@@ -1330,9 +974,9 @@ mod tests {
                 });
             }
         });
-        // All workers' entries cleaned up; only the hidden base remains
-        // (it had no dependents left), or was already reclaimed.
-        assert!(store.len() <= 1);
+        drop(base);
+        assert!(store.is_empty());
+        assert_eq!(store.total_bytes(), 0, "the base went with its last handle");
     }
 
     /// The spool file holding spilled entry `id`.
@@ -1380,44 +1024,71 @@ mod tests {
     }
 
     #[test]
-    fn pinned_bases_never_spill_under_pressure() {
+    fn bases_never_spill_under_pressure() {
         let spool = test_spool("spill-pinned");
         let store = SnapshotStore::new();
         store.set_spool_dir(&spool);
         let base_snap = snap(1);
-        let base = store.insert_base(base_snap.clone());
-        let mut child_snap = base_snap.clone();
-        child_snap.regs[0] = 0xAA;
-        let child = store.insert_delta(base, child_snap.clone());
-        // Budget far below one image: everything eligible spills, but
-        // the pinned base must stay resident and the chain intact.
+        let base = Base::new(&store, Arc::new(base_snap.clone()));
+        let child_snap = moved(&base_snap, 0, 0xAA);
+        let child = store.insert_delta(base.clone(), diff(&base, &child_snap));
+        drop(base);
+        // Budget far below one image: every entry spills, but the base
+        // the spilled delta holds stays resident.
         store.set_mem_budget(Some(64));
         for v in 10..16 {
             store.insert(snap(v));
         }
+        assert!(store.stats().spills >= 6);
+        assert!(
+            store.total_bytes() >= base_snap.byte_size(),
+            "base resident"
+        );
         assert_eq!(*store.try_get(child).unwrap(), child_snap);
-        assert_eq!(*store.try_get(base).unwrap(), base_snap);
         let _ = std::fs::remove_dir_all(&spool);
     }
 
     #[test]
-    fn delta_entries_spill_and_chain_survives_serialization() {
+    fn delta_entries_spill_and_page_in_against_their_base() {
         let spool = test_spool("spill-delta");
         let store = SnapshotStore::new();
         store.set_spool_dir(&spool);
         let base_snap = snap(1);
-        let base = store.insert_base(base_snap.clone());
-        let mut child_snap = base_snap.clone();
-        child_snap.regs[3] = 0x77;
-        let child = store.insert_delta(base, child_snap.clone());
+        let base = Base::new(&store, Arc::new(base_snap.clone()));
+        let child_snap = moved(&base_snap, 3, 0x77);
+        let child = store.insert_delta(base.clone(), diff(&base, &child_snap));
         // Make the delta cold, then pressure the budget so it spills.
         store.set_mem_budget(Some(base_snap.byte_size() + 64));
         let hot = store.insert(snap(9));
         assert_eq!(*store.get(hot).unwrap(), snap(9));
         let s = store.stats();
         assert!(s.spills >= 1, "delta should have spilled: {s:?}");
-        // Paged back in, the delta still applies to its pinned base.
+        // Paged back in, the delta still applies to its base.
         assert_eq!(*store.try_get(child).unwrap(), child_snap);
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    #[test]
+    fn a_spool_file_against_another_base_is_a_typed_error() {
+        let spool = test_spool("spill-rebased");
+        let store = SnapshotStore::new();
+        store.set_spool_dir(&spool);
+        let base = Base::new(&store, Arc::new(snap(1)));
+        let child_snap = moved(&snap(1), 3, 0x77);
+        let delta = diff(&base, &child_snap);
+        let child = store.insert_delta(base.clone(), delta.clone());
+        store.set_mem_budget(Some(snap(1).byte_size()));
+        store.insert(snap(9));
+        // A well-formed file of the same delta, pinned to another base.
+        std::fs::write(
+            spool_file(&spool, child),
+            write_delta(&snap(2), &delta, "entry"),
+        )
+        .unwrap();
+        match store.try_get(child) {
+            Err(SnapshotError::Spill { id, .. }) => assert_eq!(id, child),
+            other => panic!("expected Spill error, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&spool);
     }
 
@@ -1508,5 +1179,101 @@ mod tests {
         assert!(!path.exists(), "spool file cleaned up");
         assert!(store.get(cold).is_none());
         let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// Resident bytes recomputed from the entries: resident entries plus
+    /// each distinct base an entry holds.
+    fn recount(store: &SnapshotStore) -> usize {
+        let mut bases: HashMap<*const Base, usize> = HashMap::new();
+        let mut bytes = 0;
+        for shard in store.inner.shards.iter() {
+            for s in shard.read().entries.values() {
+                bytes += s.entry.byte_size();
+                if let Entry::Delta { base, .. } | Entry::SpilledDelta { base, .. } = &s.entry {
+                    bases.insert(Arc::as_ptr(base), base.snap.byte_size());
+                }
+            }
+        }
+        bytes + bases.values().sum::<usize>()
+    }
+
+    /// Random interleavings of every entry point under a budget that
+    /// holds about one full image, against a map model: lookups always
+    /// match the model, the byte count always matches the entries and
+    /// the bases they hold, and removing everything leaves no byte and
+    /// no spool file behind.
+    #[test]
+    fn store_matches_a_map_model_under_a_tiny_budget() {
+        use hardsnap_util::prop::vec_of;
+        use hardsnap_util::prop_check;
+        prop_check!(cases = 24, seed = 0x5709_E0DE_1B0A, (ops in vec_of((0u8..5, 0usize..32, 0u64..3), 1..40)) => {
+            let spool = test_spool("model");
+            let store = SnapshotStore::new();
+            store.set_spool_dir(&spool);
+            let one = snap(0).byte_size();
+            store.set_mem_budget(Some(one + one / 2));
+            let mut model: HashMap<SnapId, HwSnapshot> = HashMap::new();
+            let mut ids: Vec<SnapId> = Vec::new();
+            // Base handles are held only by entries, as the engine's
+            // anchors hold them; a dead one is registered afresh.
+            let mut anchors: [Weak<Base>; 3] = Default::default();
+            for (k, &(op, reg, which)) in ops.iter().enumerate() {
+                let value = k as u64 * 7 + 1;
+                let target = (!ids.is_empty()).then(|| ids[reg % ids.len()]);
+                let mut delta_of = |which: u64| {
+                    let slot = which as usize;
+                    let base = anchors[slot].upgrade().unwrap_or_else(|| {
+                        let b = Base::new(&store, Arc::new(snap(100 * (which + 1))));
+                        anchors[slot] = Arc::downgrade(&b);
+                        b
+                    });
+                    let img = moved(base.snap(), reg, value);
+                    let delta = diff(&base, &img);
+                    (base, delta, img)
+                };
+                match (op, target) {
+                    (0, _) | (2, None) => {
+                        let id = store.insert(snap(value));
+                        model.insert(id, snap(value));
+                        ids.push(id);
+                    }
+                    (1, _) | (3, None) => {
+                        let (base, delta, img) = delta_of(which);
+                        let id = store.insert_delta(base, delta);
+                        model.insert(id, img);
+                        ids.push(id);
+                    }
+                    (2, Some(id)) => {
+                        store.update(id, snap(value));
+                        model.insert(id, snap(value));
+                    }
+                    (3, Some(id)) => {
+                        let (base, delta, img) = delta_of(which);
+                        store.update_delta(id, base, delta);
+                        model.insert(id, img);
+                    }
+                    (_, Some(id)) => {
+                        assert!(store.remove(id));
+                        model.remove(&id);
+                        ids.retain(|&i| i != id);
+                        assert!(!store.remove(id), "removed twice");
+                    }
+                    (_, None) => assert!(!store.remove(0)),
+                }
+                assert_eq!(store.len(), model.len());
+                for (&id, want) in &model {
+                    assert_eq!(*store.try_get(id).unwrap(), *want, "snapshot {id} after op {k}");
+                }
+                assert_eq!(store.total_bytes(), recount(&store), "after op {k}");
+            }
+            for id in ids {
+                assert!(store.remove(id));
+            }
+            assert!(store.is_empty());
+            assert_eq!(store.total_bytes(), 0);
+            let left = std::fs::read_dir(&spool).map_or(0, |d| d.count());
+            assert_eq!(left, 0, "spool files left behind");
+            let _ = std::fs::remove_dir_all(&spool);
+        });
     }
 }

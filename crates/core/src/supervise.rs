@@ -113,6 +113,47 @@ pub struct Supervisor {
     pub recorder: Recorder,
 }
 
+/// What a supervised capture checks before accepting it, for full
+/// images and delta-aware captures alike.
+trait Capture {
+    /// Structural validation ([`HwSnapshot::validate`] or, for a delta,
+    /// O(delta) validation against its own base).
+    fn check(&self) -> Result<(), String>;
+    /// The design shape hash (a delta shares its base's).
+    fn shape(&self) -> u64;
+    /// The image when it travelled the full-chain scan path and so
+    /// carries the controller's checksum trailer. A delta travels the
+    /// differential protocol and is covered by [`Capture::check`].
+    fn full_image(&self) -> Option<&HwSnapshot>;
+}
+
+impl Capture for HwSnapshot {
+    fn check(&self) -> Result<(), String> {
+        self.validate()
+    }
+    fn shape(&self) -> u64 {
+        self.shape_hash()
+    }
+    fn full_image(&self) -> Option<&HwSnapshot> {
+        Some(self)
+    }
+}
+
+impl Capture for SnapshotCapture {
+    fn check(&self) -> Result<(), String> {
+        self.validate()
+    }
+    fn shape(&self) -> u64 {
+        self.shape_hash()
+    }
+    fn full_image(&self) -> Option<&HwSnapshot> {
+        match self {
+            SnapshotCapture::Full(img) => Some(img),
+            SnapshotCapture::Delta { .. } => None,
+        }
+    }
+}
+
 /// Whether a bus failure is transient (link-level, worth retrying) as
 /// opposed to a deterministic property of the design.
 fn transient_bus(e: &BusError) -> bool {
@@ -238,23 +279,23 @@ impl Supervisor {
         self.with_retries(|| target.bus_write(addr, data), transient_bus, classify_bus)
     }
 
-    /// Supervised snapshot capture: the image is accepted only when it
-    /// passes structural validation and (when the target predicts its
-    /// shape) matches the design's shape hash; otherwise it is
-    /// re-captured. Capture does not disturb design state, so the retry
-    /// observes the same honest bits.
-    ///
-    /// # Errors
-    ///
-    /// [`TargetError::CorruptSnapshot`] (or the transport's own error)
-    /// once retries exhaust.
-    pub fn save_snapshot(&mut self, target: &mut dyn HwTarget) -> Result<HwSnapshot, TargetError> {
+    /// The supervised capture behind [`Supervisor::save_snapshot`] and
+    /// [`Supervisor::save_capture`]: `take` captures, and the image is
+    /// accepted only when it passes structural validation, matches the
+    /// design's shape hash (when the target predicts one) and, if it
+    /// travelled the full-chain scan path, the scan controller's
+    /// checksum trailer; otherwise it is re-captured.
+    fn capture<C: Capture>(
+        &mut self,
+        target: &mut dyn HwTarget,
+        take: impl Fn(&mut dyn HwTarget) -> Result<C, TargetError>,
+    ) -> Result<C, TargetError> {
         let shape = target.snapshot_shape();
         self.with_retries(
             || {
-                let snap = target.save_snapshot()?;
-                snap.validate().map_err(TargetError::CorruptSnapshot)?;
-                if shape != 0 && snap.shape_hash() != shape {
+                let cap = take(&mut *target)?;
+                cap.check().map_err(TargetError::CorruptSnapshot)?;
+                if shape != 0 && cap.shape() != shape {
                     return Err(TargetError::CorruptSnapshot(
                         "captured image does not match the design's snapshot shape".into(),
                     ));
@@ -263,58 +304,7 @@ impl Supervisor {
                 // the missing tail with zeros) — only the checksum
                 // trailer the scan controller computed over the full
                 // chain exposes it.
-                let trailer = target.capture_checksum();
-                if trailer != 0 && snap.content_hash() != trailer {
-                    return Err(TargetError::CorruptSnapshot(
-                        "captured image does not match the scan controller's checksum trailer \
-                         (partial readback)"
-                            .into(),
-                    ));
-                }
-                Ok(snap)
-            },
-            |e| match e {
-                TargetError::CorruptSnapshot(_) => true,
-                TargetError::Bus(b) => transient_bus(b),
-                _ => false,
-            },
-            |e| match e {
-                TargetError::CorruptSnapshot(_) => FaultClass::CorruptCapture,
-                TargetError::Bus(b) => classify_bus(b),
-                _ => FaultClass::CorruptCapture,
-            },
-        )
-    }
-
-    /// Supervised delta-aware snapshot capture: the activity-
-    /// proportional sibling of [`Supervisor::save_snapshot`]. A full
-    /// capture is validated exactly as there; a delta capture is
-    /// validated in O(delta) against its own base (index ranges, width
-    /// fits) plus the base's shape hash — no materialization on the hot
-    /// path. Corrupt images are re-captured.
-    ///
-    /// # Errors
-    ///
-    /// As [`Supervisor::save_snapshot`].
-    pub fn save_capture(
-        &mut self,
-        target: &mut dyn HwTarget,
-    ) -> Result<SnapshotCapture, TargetError> {
-        let shape = target.snapshot_shape();
-        self.with_retries(
-            || {
-                let cap = target.save_snapshot_delta()?;
-                cap.validate().map_err(TargetError::CorruptSnapshot)?;
-                if shape != 0 && cap.shape_hash() != shape {
-                    return Err(TargetError::CorruptSnapshot(
-                        "captured image does not match the design's snapshot shape".into(),
-                    ));
-                }
-                // Full captures travel the full-chain scan path and so
-                // carry the controller's checksum trailer; a delta
-                // travels the differential protocol and is covered by
-                // its own O(delta) validation above.
-                if let SnapshotCapture::Full(img) = &cap {
+                if let Some(img) = cap.full_image() {
                     let trailer = target.capture_checksum();
                     if trailer != 0 && img.content_hash() != trailer {
                         return Err(TargetError::CorruptSnapshot(
@@ -337,6 +327,37 @@ impl Supervisor {
                 _ => FaultClass::CorruptCapture,
             },
         )
+    }
+
+    /// Supervised snapshot capture: the image is accepted only when it
+    /// passes structural validation and (when the target predicts its
+    /// shape) matches the design's shape hash; otherwise it is
+    /// re-captured. Capture does not disturb design state, so the retry
+    /// observes the same honest bits.
+    ///
+    /// # Errors
+    ///
+    /// [`TargetError::CorruptSnapshot`] (or the transport's own error)
+    /// once retries exhaust.
+    pub fn save_snapshot(&mut self, target: &mut dyn HwTarget) -> Result<HwSnapshot, TargetError> {
+        self.capture(target, |t| t.save_snapshot())
+    }
+
+    /// Supervised delta-aware snapshot capture: the activity-
+    /// proportional sibling of [`Supervisor::save_snapshot`]. A full
+    /// capture is validated exactly as there; a delta capture is
+    /// validated in O(delta) against its own base (index ranges, width
+    /// fits) plus the base's shape hash — no materialization on the hot
+    /// path. Corrupt images are re-captured.
+    ///
+    /// # Errors
+    ///
+    /// As [`Supervisor::save_snapshot`].
+    pub fn save_capture(
+        &mut self,
+        target: &mut dyn HwTarget,
+    ) -> Result<SnapshotCapture, TargetError> {
+        self.capture(target, |t| t.save_snapshot_delta())
     }
 
     /// Supervised snapshot restore. Restores overwrite the complete

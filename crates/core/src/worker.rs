@@ -57,7 +57,7 @@ use crate::engine::{
     budget_stop, trace_io, ConsistencyMode, EngineConfig, EngineMetrics, HwAssertion, IoOp,
     Searcher, StopReason,
 };
-use crate::snapshots::{SnapId, SnapshotStore};
+use crate::snapshots::{Base, SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, Supervisor};
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError};
 use hardsnap_symex::{
@@ -68,7 +68,7 @@ use hardsnap_telemetry::{Counter, Metric, MetricsSnapshot, Recorder};
 use hardsnap_util::sync::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Weak};
 
 /// A schedulable unit: one symbolic state (see [`ItemState`]) plus its
 /// private hardware snapshot (`None` = power-on hardware).
@@ -309,10 +309,11 @@ pub(crate) struct Worker {
     pub(crate) target: Box<dyn HwTarget>,
     pub(crate) sup: Supervisor,
     pub(crate) rec: Recorder,
-    /// The replica's live delta base mapped to its store id, so native
-    /// deltas install in O(delta). Only the storage representation
-    /// depends on it, never snapshot content.
-    anchor: Option<(SnapId, Arc<HwSnapshot>)>,
+    /// The store's handle on the replica's live delta base, so native
+    /// deltas install in O(delta); dead once every entry holding it is
+    /// gone. Only the storage representation depends on it, never
+    /// snapshot content.
+    anchor: Weak<Base>,
     /// The state whose context is live on the replica and saved in its
     /// item (`None` after a reset, a failure or a path end).
     pub(crate) live: Option<StateId>,
@@ -329,7 +330,7 @@ impl Worker {
             target,
             sup,
             rec,
-            anchor: None,
+            anchor: Weak::new(),
             live: None,
             reboot_ns: 0,
         };
@@ -348,7 +349,7 @@ impl Worker {
         target.attach_recorder(&self.rec);
         target.set_delta_snapshots(config.delta_snapshots);
         // The replacement has no live base; its first capture re-anchors.
-        self.anchor = None;
+        self.anchor = Weak::new();
         std::mem::replace(&mut self.target, target)
     }
 
@@ -744,7 +745,7 @@ fn run_quantum(
                     let mut it =
                         WorkItem::new(ItemState::keep(s, &ex.pool, shared.one_worker), None);
                     if let Some(stored) = &stored {
-                        it.snap = Some(install(&shared.store, stored.clone(), existing)?);
+                        it.snap = Some(install(&shared.store, stored.clone(), existing));
                     }
                     it.history = history.clone();
                     items.push(it);
@@ -778,7 +779,7 @@ fn run_quantum(
         );
         if config.mode == ConsistencyMode::HardSnap {
             let stored = capture(shared, w, state_id, out)?;
-            it.snap = Some(install(&shared.store, stored, item.snap)?);
+            it.snap = Some(install(&shared.store, stored, item.snap));
         }
         it.history = history(log, w);
         return Ok(vec![it]);
@@ -909,11 +910,10 @@ fn check_assertions(
 }
 
 /// A capture resolved into its store-ready form: a native delta against
-/// a base already registered in the shared store, or a full image that
-/// a fork's children share.
+/// a base the store holds, or a full image that a fork's children share.
 #[derive(Clone)]
 enum Stored {
-    Native(SnapId, SnapshotDelta, Arc<HwSnapshot>),
+    Native(Arc<Base>, SnapshotDelta),
     Full(Arc<HwSnapshot>),
 }
 
@@ -935,7 +935,7 @@ fn capture(
                 check_assertions(shared.assertions, &full, owner, &mut out.violations);
             }
         }
-        resolve_capture(&shared.store, &mut w.anchor, cap)?
+        resolve_capture(&shared.store, &mut w.anchor, cap)
     } else {
         let snap = w.sup.save_snapshot(w.target.as_mut())?;
         check_assertions(shared.assertions, &snap, owner, &mut out.violations);
@@ -945,79 +945,48 @@ fn capture(
     Ok(stored)
 }
 
-/// Resolves a target capture against the worker's base anchor,
-/// registering fresh full captures as shared bases. A delta whose base
-/// `Arc` is not the anchored one (target rebased unseen) is
-/// materialized once and stored full.
-fn resolve_capture(
-    store: &SnapshotStore,
-    anchor: &mut Option<(SnapId, Arc<HwSnapshot>)>,
-    cap: SnapshotCapture,
-) -> Result<Stored, TargetError> {
-    match cap {
+/// Resolves a target capture against the worker's base anchor. A full
+/// capture becomes a fresh base (stored as an empty delta against
+/// itself); so does the base of a delta when it is not the anchored one
+/// (the target rebased unseen) or the anchor is dead (every entry
+/// holding it is gone).
+fn resolve_capture(store: &SnapshotStore, anchor: &mut Weak<Base>, cap: SnapshotCapture) -> Stored {
+    let (image, delta) = match cap {
         SnapshotCapture::Full(arc) => {
-            let bid = store.insert_base(arc.clone());
-            *anchor = Some((bid, arc.clone()));
             let empty = SnapshotDelta {
                 regs: Vec::new(),
                 mem_words: Vec::new(),
                 cycle: arc.cycle,
             };
-            Ok(Stored::Native(bid, empty, arc))
+            (arc, empty)
         }
-        SnapshotCapture::Delta { base, delta } => match anchor {
-            Some((bid, tracked)) if Arc::ptr_eq(tracked, &base) => {
-                Ok(Stored::Native(*bid, delta, base))
-            }
-            _ => match delta.apply(&base) {
-                Ok(full) => Ok(Stored::Full(Arc::new(full))),
-                Err(e) => Err(TargetError::CorruptSnapshot(format!(
-                    "native delta unusable: {e}"
-                ))),
-            },
-        },
-    }
+        SnapshotCapture::Delta { base, delta } => (base, delta),
+    };
+    let base = match anchor.upgrade() {
+        Some(base) if Arc::ptr_eq(base.snap(), &image) => base,
+        _ => {
+            let base = Base::new(store, image);
+            *anchor = Arc::downgrade(&base);
+            base
+        }
+    };
+    Stored::Native(base, delta)
 }
 
 /// Installs a resolved capture into the shared store, updating
 /// `existing` in place when the state already owns a snapshot id.
-/// Native installs are O(delta); if the anchored base vanished from the
-/// store (all dependents retired), falls back to a one-time full
-/// materialization rather than losing the snapshot.
-///
-/// # Errors
-///
-/// [`TargetError::CorruptSnapshot`] when that materialization fails —
-/// the snapshot content is gone and the attempt must be replayed.
-fn install(
-    store: &SnapshotStore,
-    stored: Stored,
-    existing: Option<SnapId>,
-) -> Result<SnapId, TargetError> {
-    let materialize = |delta: &SnapshotDelta, base: &Arc<HwSnapshot>| {
-        delta.apply(base).map_err(|e| {
-            TargetError::CorruptSnapshot(format!(
-                "capture delta no longer applies to its base: {e}"
-            ))
-        })
-    };
-    Ok(match (stored, existing) {
-        (Stored::Native(bid, delta, base), Some(sid)) => {
-            if !store.update_delta_native(sid, bid, delta.clone()) {
-                store.update(sid, materialize(&delta, &base)?);
-            }
+/// Native installs are O(delta).
+fn install(store: &SnapshotStore, stored: Stored, existing: Option<SnapId>) -> SnapId {
+    match (stored, existing) {
+        (Stored::Native(base, delta), Some(sid)) => {
+            store.update_delta(sid, base, delta);
             sid
         }
-        (Stored::Native(bid, delta, base), None) => {
-            match store.insert_delta_native(bid, delta.clone()) {
-                Some(sid) => sid,
-                None => store.insert(materialize(&delta, &base)?),
-            }
-        }
+        (Stored::Native(base, delta), None) => store.insert_delta(base, delta),
         (Stored::Full(full), Some(sid)) => {
             store.update(sid, full);
             sid
         }
         (Stored::Full(full), None) => store.insert(full),
-    })
+    }
 }

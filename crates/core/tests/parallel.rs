@@ -37,8 +37,9 @@ fn parallel_run(asm: &str, config: &EngineConfig, workers: usize) -> (RunResult,
     engine.load_firmware(&prog);
     let result = engine.run();
     assert!(
-        engine.store.is_empty(),
-        "all private snapshots retired with their states ({} left, {} bytes)",
+        engine.store.is_empty() && engine.store.total_bytes() == 0,
+        "all private snapshots and their delta bases retired with their states \
+         ({} left, {} bytes)",
         engine.store.len(),
         engine.store.total_bytes()
     );

@@ -17,7 +17,9 @@
 
 use crate::expr::{BinOp, Term, TermId, TermPool, UnOp};
 use crate::state::{StateId, SymMemory, SymState};
+use hardsnap_bus::persist::{put_bytes, put_str, Cursor};
 use hardsnap_bus::MemoryMap;
+use hardsnap_bus::PersistError::{self, Malformed};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -307,63 +309,6 @@ impl PortableState {
 // sequence yields Ok or a typed error, never a panic).
 // ---------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.data.len() {
-            return Err(format!("truncated state at offset {}", self.pos));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?
-                .try_into()
-                .map_err(|_| "bad u16".to_string())?,
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?
-                .try_into()
-                .map_err(|_| "bad u32".to_string())?,
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?
-                .try_into()
-                .map_err(|_| "bad u64".to_string())?,
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        if len > 1 << 20 {
-            return Err(format!("implausible string length {len}"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-}
-
 fn unop_code(op: UnOp) -> u8 {
     match op {
         UnOp::Not => 0,
@@ -371,11 +316,11 @@ fn unop_code(op: UnOp) -> u8 {
     }
 }
 
-fn unop_from(code: u8) -> Result<UnOp, String> {
+fn unop_from(code: u8) -> Result<UnOp, PersistError> {
     match code {
         0 => Ok(UnOp::Not),
         1 => Ok(UnOp::Neg),
-        c => Err(format!("unknown unary op code {c}")),
+        c => Err(Malformed(format!("unknown unary op code {c}"))),
     }
 }
 
@@ -396,7 +341,7 @@ fn binop_code(op: BinOp) -> u8 {
     }
 }
 
-fn binop_from(code: u8) -> Result<BinOp, String> {
+fn binop_from(code: u8) -> Result<BinOp, PersistError> {
     Ok(match code {
         0 => BinOp::Add,
         1 => BinOp::Sub,
@@ -410,7 +355,7 @@ fn binop_from(code: u8) -> Result<BinOp, String> {
         9 => BinOp::Eq,
         10 => BinOp::Ult,
         11 => BinOp::Slt,
-        c => return Err(format!("unknown binary op code {c}")),
+        c => return Err(Malformed(format!("unknown binary op code {c}"))),
     })
 }
 
@@ -429,8 +374,7 @@ impl PortableState {
             | (u8::from(self.in_isr) << 1)
             | (u8::from(self.halted) << 2);
         out.push(flags);
-        out.extend_from_slice(&(self.mem_base.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.mem_base);
+        put_bytes(&mut out, &self.mem_base);
         out.extend_from_slice(&(self.overlay.len() as u32).to_le_bytes());
         for &(a, t) in &self.overlay {
             out.extend_from_slice(&a.to_le_bytes());
@@ -496,8 +440,7 @@ impl PortableState {
             None => out.push(0),
         }
         out.extend_from_slice(&self.instret.to_le_bytes());
-        out.extend_from_slice(&(self.console.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.console);
+        put_bytes(&mut out, &self.console);
         out.extend_from_slice(&self.sym_count.to_le_bytes());
         match self.last_checkpoint {
             Some(cp) => {
@@ -526,50 +469,39 @@ impl PortableState {
     ///
     /// # Errors
     ///
-    /// A description of the first structural problem found (truncation,
-    /// unknown discriminant, dangling term index, a term no smart
-    /// constructor builds, a register, memory byte or constraint of the
-    /// wrong width, invalid memory map).
-    pub fn from_bytes(data: &[u8]) -> Result<PortableState, String> {
-        let mut r = Reader { data, pos: 0 };
-        let id = StateId(r.u64()?);
+    /// [`PersistError::Malformed`] naming the first structural problem
+    /// found (truncation, a count the bytes left cannot hold, a string
+    /// over 64 KiB, unknown discriminant, dangling term index, a term no
+    /// smart constructor builds, a register, memory byte or constraint
+    /// of the wrong width, invalid memory map, trailing bytes).
+    pub fn from_bytes(data: &[u8]) -> Result<PortableState, PersistError> {
+        let mut r = Cursor::new(data, "state");
+        let id = StateId(r.get_u64()?);
         let mut regs = [0u32; 16];
         for slot in &mut regs {
-            *slot = r.u32()?;
+            *slot = r.get_u32()?;
         }
-        let pc = r.u32()?;
-        let epc = r.u32()?;
-        let flags = r.u8()?;
+        let pc = r.get_u32()?;
+        let epc = r.get_u32()?;
+        let flags = r.get_u8()?;
         if flags & !0x7 != 0 {
-            return Err(format!("unknown state flags {flags:#x}"));
+            return Err(Malformed(format!("unknown state flags {flags:#x}")));
         }
-        let mem_len = r.u32()? as usize;
-        if mem_len > 1 << 28 {
-            return Err(format!("implausible memory size {mem_len}"));
-        }
-        let mem_base = Arc::new(r.take(mem_len)?.to_vec());
-        let n_overlay = r.u32()? as usize;
-        if n_overlay > 1 << 24 {
-            return Err(format!("implausible overlay count {n_overlay}"));
-        }
+        let mem_base = Arc::new(r.get_bytes()?.to_vec());
+        let n_overlay = r.count(8)?;
         let mut overlay = Vec::with_capacity(n_overlay);
         for _ in 0..n_overlay {
-            let a = r.u32()?;
-            let t = r.u32()?;
+            let a = r.get_u32()?;
+            let t = r.get_u32()?;
             overlay.push((a, t));
         }
-        let n_constraints = r.u32()? as usize;
-        if n_constraints > 1 << 24 {
-            return Err(format!("implausible constraint count {n_constraints}"));
-        }
+        let n_constraints = r.count(4)?;
         let mut constraints = Vec::with_capacity(n_constraints);
         for _ in 0..n_constraints {
-            constraints.push(r.u32()?);
+            constraints.push(r.get_u32()?);
         }
-        let n_terms = r.u32()? as usize;
-        if n_terms > 1 << 26 {
-            return Err(format!("implausible term count {n_terms}"));
-        }
+        // The smallest term record is a unary one: tag, op, operand.
+        let n_terms = r.count(6)?;
         let mut terms = Vec::with_capacity(n_terms);
         // Each term's width. A well-formed closure is topologically
         // ordered (children strictly precede parents) and well-typed:
@@ -577,33 +509,35 @@ impl PortableState {
         // `import` never trips their width checks.
         let mut widths: Vec<u32> = Vec::with_capacity(n_terms);
         for i in 0..n_terms {
-            let child = |t: u32| -> Result<(u32, u32), String> {
+            let child = |t: u32| -> Result<(u32, u32), PersistError> {
                 match widths.get(t as usize) {
                     Some(&w) => Ok((t, w)),
-                    None => Err(format!("term {i} references non-preceding term {t}")),
+                    None => Err(Malformed(format!(
+                        "term {i} references non-preceding term {t}"
+                    ))),
                 }
             };
-            let ill = |what: String| Err(format!("term {i}: {what}"));
-            let (term, width) = match r.u8()? {
+            let ill = |what: String| Err(Malformed(format!("term {i}: {what}")));
+            let (term, width) = match r.get_u8()? {
                 0 => {
-                    let value = r.u64()?;
-                    let width = term_width(i, r.u32()?)?;
+                    let value = r.get_u64()?;
+                    let width = term_width(i, r.get_u32()?)?;
                     (PortableTerm::Const { value, width }, width)
                 }
                 1 => {
-                    let name = r.string()?;
-                    let width = term_width(i, r.u32()?)?;
+                    let name = r.get_str()?;
+                    let width = term_width(i, r.get_u32()?)?;
                     (PortableTerm::Var { name, width }, width)
                 }
                 2 => {
-                    let op = unop_from(r.u8()?)?;
-                    let (a, w) = child(r.u32()?)?;
+                    let op = unop_from(r.get_u8()?)?;
+                    let (a, w) = child(r.get_u32()?)?;
                     (PortableTerm::Unary { op, a }, w)
                 }
                 3 => {
-                    let op = binop_from(r.u8()?)?;
-                    let (a, wa) = child(r.u32()?)?;
-                    let (b, wb) = child(r.u32()?)?;
+                    let op = binop_from(r.get_u8()?)?;
+                    let (a, wa) = child(r.get_u32()?)?;
+                    let (b, wb) = child(r.get_u32()?)?;
                     if wa != wb {
                         return ill(format!("{op:?} of {wa}- and {wb}-bit operands"));
                     }
@@ -614,9 +548,9 @@ impl PortableState {
                     (PortableTerm::Binary { op, a, b }, w)
                 }
                 4 => {
-                    let (c, wc) = child(r.u32()?)?;
-                    let (t, wt) = child(r.u32()?)?;
-                    let (e, we) = child(r.u32()?)?;
+                    let (c, wc) = child(r.get_u32()?)?;
+                    let (t, wt) = child(r.get_u32()?)?;
+                    let (e, we) = child(r.get_u32()?)?;
                     if wc != 1 || wt != we {
                         return ill(format!(
                             "ite of a {wc}-bit condition, {wt}- and {we}-bit arms"
@@ -625,31 +559,31 @@ impl PortableState {
                     (PortableTerm::Ite { c, t, e }, wt)
                 }
                 5 => {
-                    let (a, wa) = child(r.u32()?)?;
-                    let hi = r.u32()?;
-                    let lo = r.u32()?;
+                    let (a, wa) = child(r.get_u32()?)?;
+                    let hi = r.get_u32()?;
+                    let lo = r.get_u32()?;
                     if hi < lo || hi >= wa {
                         return ill(format!("extract [{hi}:{lo}] of a {wa}-bit term"));
                     }
                     (PortableTerm::Extract { a, hi, lo }, hi - lo + 1)
                 }
                 6 => {
-                    let (hi, wh) = child(r.u32()?)?;
-                    let (lo, wl) = child(r.u32()?)?;
+                    let (hi, wh) = child(r.get_u32()?)?;
+                    let (lo, wl) = child(r.get_u32()?)?;
                     if wh + wl > 64 {
                         return ill(format!("concat of {wh} and {wl} bits"));
                     }
                     (PortableTerm::Concat { hi, lo }, wh + wl)
                 }
                 7 => {
-                    let (a, wa) = child(r.u32()?)?;
-                    let width = term_width(i, r.u32()?)?;
+                    let (a, wa) = child(r.get_u32()?)?;
+                    let width = term_width(i, r.get_u32()?)?;
                     if width < wa {
                         return ill(format!("zero extension of {wa} to {width} bits"));
                     }
                     (PortableTerm::ZExt { a, width }, width)
                 }
-                c => return Err(format!("unknown term tag {c}")),
+                c => return Err(Malformed(format!("unknown term tag {c}"))),
             };
             terms.push(term);
             widths.push(width);
@@ -657,8 +591,10 @@ impl PortableState {
         // Registers hold words, the overlay bytes, constraints conditions.
         let typed = |t: u32, want: u32, what: &str| match widths.get(t as usize) {
             Some(&w) if w == want => Ok(()),
-            Some(&w) => Err(format!("{what} term {t} is {w} bits wide, not {want}")),
-            None => Err(format!("dangling term index {t}")),
+            Some(&w) => Err(Malformed(format!(
+                "{what} term {t} is {w} bits wide, not {want}"
+            ))),
+            None => Err(Malformed(format!("dangling term index {t}"))),
         };
         for &t in &regs {
             typed(t, 32, "register")?;
@@ -669,49 +605,42 @@ impl PortableState {
         for &c in &constraints {
             typed(c, 1, "constraint")?;
         }
-        let hw_snapshot = match r.u8()? {
+        let hw_snapshot = match r.get_u8()? {
             0 => None,
-            1 => Some(r.u64()?),
-            c => return Err(format!("bad option tag {c}")),
+            1 => Some(r.get_u64()?),
+            c => return Err(Malformed(format!("bad option tag {c}"))),
         };
-        let instret = r.u64()?;
-        let console_len = r.u32()? as usize;
-        if console_len > 1 << 24 {
-            return Err(format!("implausible console length {console_len}"));
-        }
-        let console = r.take(console_len)?.to_vec();
-        let sym_count = r.u32()?;
-        let last_checkpoint = match r.u8()? {
+        let instret = r.get_u64()?;
+        let console = r.get_bytes()?.to_vec();
+        let sym_count = r.get_u32()?;
+        let last_checkpoint = match r.get_u8()? {
             0 => None,
-            1 => Some(r.u16()?),
-            c => return Err(format!("bad option tag {c}")),
+            1 => Some(r.get_u16()?),
+            c => return Err(Malformed(format!("bad option tag {c}"))),
         };
-        let n_regions = r.u32()? as usize;
-        if n_regions > 1 << 16 {
-            return Err(format!("implausible region count {n_regions}"));
-        }
+        // A region is at least a name length, base, size and kind.
+        let n_regions = r.count(13)?;
         let mut map = MemoryMap::new();
         for _ in 0..n_regions {
-            let name = r.string()?;
-            let base = r.u32()?;
-            let size = r.u32()?;
-            let kind = match r.u8()? {
+            let name = r.get_str()?;
+            let base = r.get_u32()?;
+            let size = r.get_u32()?;
+            let kind = match r.get_u8()? {
                 0 => hardsnap_bus::RegionKind::Ram,
                 1 => hardsnap_bus::RegionKind::Rom,
                 2 => hardsnap_bus::RegionKind::Mmio,
-                c => return Err(format!("unknown region kind {c}")),
+                c => return Err(Malformed(format!("unknown region kind {c}"))),
             };
             map.add(hardsnap_bus::Region {
                 name,
                 base,
                 size,
                 kind,
-            })?;
+            })
+            .map_err(Malformed)?;
         }
-        let fork_nonce = r.u64()?;
-        if r.pos != data.len() {
-            return Err(format!("trailing bytes after state (offset {})", r.pos));
-        }
+        let fork_nonce = r.get_u64()?;
+        r.finish()?;
         Ok(PortableState {
             id,
             regs,
@@ -736,11 +665,11 @@ impl PortableState {
 }
 
 /// `width` if the executor builds terms of it (1 to 64 bits).
-fn term_width(i: usize, width: u32) -> Result<u32, String> {
+fn term_width(i: usize, width: u32) -> Result<u32, PersistError> {
     if (1..=64).contains(&width) {
         Ok(width)
     } else {
-        Err(format!("term {i} is {width} bits wide"))
+        Err(Malformed(format!("term {i} is {width} bits wide")))
     }
 }
 
@@ -849,6 +778,24 @@ mod wire_tests {
                 bad[i] ^= flip;
                 decodes_or_refuses(&bad);
             }
+        }
+    }
+
+    #[test]
+    fn strings_over_64_kib_are_refused() {
+        let mut ex = Executor::new(Concretization::Minimal);
+        let good = every_term_kind(&mut ex);
+        for (len, ok) in [(1 << 16, true), ((1 << 16) + 1, false)] {
+            let mut p = good.clone();
+            p.terms.push(PortableTerm::Var {
+                name: "v".repeat(len),
+                width: 8,
+            });
+            assert_eq!(
+                PortableState::from_bytes(&p.to_bytes()).is_ok(),
+                ok,
+                "{len}"
+            );
         }
     }
 
