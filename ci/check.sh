@@ -143,6 +143,13 @@ echo "==> snapshot-persistence smoke run (lazy restore + RAM budget + campaign r
 cargo run -q --release --offline -p hardsnap-bench --bin exp_snapshot_persist -- \
     --smoke --json target/BENCH_snapshot_persist.smoke.json
 
+echo "==> cross-target restore: FPGA -> simulator -> FPGA mid-AES, bit-exact ciphertext"
+# exp_multi_target moves live state between the two targets in the
+# middle of an AES-128 encryption, both ways, and asserts that the
+# target finishing the run reads back the golden model's ciphertext:
+# the only end-to-end cross-target restore in the repository.
+cargo run -q --release --offline -p hardsnap-bench --bin exp_multi_target
+
 echo "==> 2-worker analysis-speed smoke run"
 cargo run -q --release --offline -p hardsnap-bench --bin exp_analysis_speed -- \
     --workers 1,2 --json target/BENCH_analysis_speed.smoke.json

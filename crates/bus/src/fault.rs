@@ -345,6 +345,24 @@ impl<T: HwTarget> FaultyTarget<T> {
         &self.inner
     }
 
+    /// Draws the three capture corruptions up front — scan bit flip,
+    /// truncation, partial readback, in that order — so the schedule is
+    /// a fixed function of the draw sequence whatever the capture
+    /// returns. A wedged link refuses the capture.
+    fn draw_capture_faults(&mut self) -> Result<(bool, bool, bool), TargetError> {
+        let plan = self.plan;
+        let mut hit = |rate| match self.draw(rate) {
+            Drawn::Hung => Err(TargetError::Bus(BusError::NotReady)),
+            Drawn::Fault => Ok(true),
+            Drawn::Clean => Ok(false),
+        };
+        Ok((
+            hit(plan.scan_fault_rate)?,
+            hit(plan.snapshot_fault_rate)?,
+            hit(plan.readback_fault_rate)?,
+        ))
+    }
+
     /// Draws the fate of the next fallible operation of a class with
     /// probability `rate`. Order matters and is fixed: wedged targets
     /// fail unconditionally, then burst continuations, then a fresh
@@ -529,25 +547,10 @@ impl<T: HwTarget> HwTarget for FaultyTarget<T> {
     }
 
     fn save_snapshot(&mut self) -> Result<HwSnapshot, TargetError> {
-        // Draw both capture corruptions up front so the schedule is a
-        // fixed function of the draw sequence, then capture honestly
-        // and damage only the returned image: the design state is
-        // untouched and a re-capture observes the honest bits.
-        let flip = match self.draw(self.plan.scan_fault_rate) {
-            Drawn::Hung => return Err(TargetError::Bus(BusError::NotReady)),
-            Drawn::Fault => true,
-            Drawn::Clean => false,
-        };
-        let truncate = match self.draw(self.plan.snapshot_fault_rate) {
-            Drawn::Hung => return Err(TargetError::Bus(BusError::NotReady)),
-            Drawn::Fault => true,
-            Drawn::Clean => false,
-        };
-        let readback = match self.draw(self.plan.readback_fault_rate) {
-            Drawn::Hung => return Err(TargetError::Bus(BusError::NotReady)),
-            Drawn::Fault => true,
-            Drawn::Clean => false,
-        };
+        // Capture honestly and damage only the returned image: the
+        // design state is untouched and a re-capture observes the
+        // honest bits.
+        let (flip, truncate, readback) = self.draw_capture_faults()?;
         let mut snap = self.inner.save_snapshot()?;
         if flip {
             self.record(FaultKind::ScanBitFlip, |s| s.scan_flips += 1);
@@ -630,24 +633,10 @@ impl<T: HwTarget> HwTarget for FaultyTarget<T> {
     }
 
     fn save_snapshot_delta(&mut self) -> Result<crate::SnapshotCapture, TargetError> {
-        // Same two-draw discipline as `save_snapshot`: corruption damages
-        // only the returned capture, never the design state, so a
-        // re-capture observes honest bits.
-        let flip = match self.draw(self.plan.scan_fault_rate) {
-            Drawn::Hung => return Err(TargetError::Bus(BusError::NotReady)),
-            Drawn::Fault => true,
-            Drawn::Clean => false,
-        };
-        let truncate = match self.draw(self.plan.snapshot_fault_rate) {
-            Drawn::Hung => return Err(TargetError::Bus(BusError::NotReady)),
-            Drawn::Fault => true,
-            Drawn::Clean => false,
-        };
-        let readback = match self.draw(self.plan.readback_fault_rate) {
-            Drawn::Hung => return Err(TargetError::Bus(BusError::NotReady)),
-            Drawn::Fault => true,
-            Drawn::Clean => false,
-        };
+        // As `save_snapshot`: corruption damages only the returned
+        // capture, never the design state, so a re-capture observes
+        // honest bits.
+        let (flip, truncate, readback) = self.draw_capture_faults()?;
         let mut cap = self.inner.save_snapshot_delta()?;
         if flip {
             self.record(FaultKind::ScanBitFlip, |s| s.scan_flips += 1);

@@ -35,6 +35,13 @@ pub use target::{transfer_state, HwTarget, LazyRestore, TargetCaps, TargetKind};
 use std::error::Error;
 use std::fmt;
 
+/// Modeled cost of a full device reboot, in virtual nanoseconds: what
+/// the naive-consistent baseline pays per context switch and the
+/// fuzzer's reboot reset per input. Embedded-device restarts are
+/// "extremely slow" (paper §II, citing Muench et al.); 100 ms models a
+/// fast MCU power cycle plus boot ROM.
+pub const REBOOT_COST_NS: u64 = 100_000_000;
+
 /// Errors returned by bus transactions against a hardware target.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BusError {

@@ -45,7 +45,9 @@
 //! malformed input.
 
 use crate::snapshot::{fnv1a, FNV_OFFSET};
-use crate::{HwSnapshot, MemSlot, RegSlot, SnapshotDelta, SnapshotLayout};
+use crate::{
+    HwSnapshot, LazyRestore, MemSlot, RegSlot, SnapshotDelta, SnapshotLayout, TargetError,
+};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -983,6 +985,89 @@ impl SnapshotFile {
                 "a campaign checkpoint is not a snapshot image".into(),
             )),
         }
+    }
+
+    /// Pages this full image onto a live one: the demand-paged half of
+    /// [`crate::HwTarget::restore_snapshot_lazy`], shared by every
+    /// target. The file must be a full image of `layout`'s design and
+    /// shape; only then is `live` called for the target's current image
+    /// (so a refused file costs the target no observation). A register
+    /// or memory section whose content hash equals the live values' is
+    /// skipped unread; any other is loaded, its slot names checked
+    /// against `layout`, and its values replace the live ones.
+    ///
+    /// Returns the merged image, still on the live image's layout (the
+    /// target restores it through [`SnapshotLayout::admit`]), and what
+    /// was paged in.
+    ///
+    /// # Errors
+    ///
+    /// [`TargetError::Unsupported`] for a delta or checkpoint file,
+    /// [`TargetError::DesignMismatch`] for another design, and
+    /// [`TargetError::CorruptSnapshot`] for another shape or a damaged
+    /// or misnamed section.
+    pub fn page_onto(
+        &self,
+        layout: &SnapshotLayout,
+        live: impl FnOnce() -> HwSnapshot,
+    ) -> Result<(HwSnapshot, LazyRestore), TargetError> {
+        if self.kind != ImageKind::Full {
+            return Err(TargetError::Unsupported(
+                "lazy restore needs a full snapshot file; resolve the delta chain first".into(),
+            ));
+        }
+        let corrupt = |e: PersistError| TargetError::CorruptSnapshot(e.to_string());
+        let meta = self.meta().map_err(corrupt)?;
+        if meta.design != layout.design() {
+            return Err(TargetError::DesignMismatch {
+                expected: meta.design,
+                found: layout.design().to_string(),
+            });
+        }
+        let misfit = |what: String| {
+            TargetError::CorruptSnapshot(format!("{what} does not match the running design"))
+        };
+        if meta.shape_hash != layout.shape_hash() {
+            return Err(misfit("snapshot file shape".into()));
+        }
+        let mut want = live();
+        let mut paged = LazyRestore::default();
+        for entry in &self.sections {
+            match entry.tag {
+                SectionTag::Regs => {
+                    paged.sections_total += 1;
+                    if entry.content_hash == regs_values_hash(want.regs.iter().copied()) {
+                        continue;
+                    }
+                    let (slots, values) = self.load_regs().map_err(corrupt)?;
+                    if slots != layout.regs() {
+                        return Err(misfit("register section".into()));
+                    }
+                    want.regs = values;
+                }
+                SectionTag::Mem => {
+                    paged.sections_total += 1;
+                    let idx = entry.index as usize;
+                    let live_words = want.mems.get(idx).ok_or_else(|| {
+                        TargetError::CorruptSnapshot(format!(
+                            "memory section index {idx} out of range"
+                        ))
+                    })?;
+                    if entry.content_hash == mem_words_hash(live_words) {
+                        continue;
+                    }
+                    let (slot, words) = self.load_mem(entry.index).map_err(corrupt)?;
+                    if layout.mems().get(idx) != Some(&slot) {
+                        return Err(misfit(format!("memory section {idx}")));
+                    }
+                    want.mems[idx] = words;
+                }
+                _ => continue,
+            }
+            paged.sections_loaded += 1;
+            paged.bytes_loaded += entry.len;
+        }
+        Ok((want, paged))
     }
 
     /// Validates the file. Shallow (`deep == false`) re-checks the

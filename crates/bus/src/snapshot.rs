@@ -31,6 +31,7 @@
 //! persistent storage — and [`HwSnapshot::byte_size`] is the size the
 //! save/restore cost models charge for.
 
+use crate::TargetError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -113,6 +114,88 @@ impl SnapshotLayout {
     pub fn shape_hash(&self) -> u64 {
         self.shape_hash
     }
+
+    /// Restore admission, decided without touching the target: whether
+    /// `snap` may be loaded onto a target whose images carry this
+    /// layout. The image must name this design and hold exactly this
+    /// layout's registers and memories, in its order, with equal names,
+    /// widths and depths; the names are compared only when the image's
+    /// layout is not this one (an image decoded from a file, or captured
+    /// on another target). Every value must fit its width. An image that
+    /// passes cannot fail mid-restore, which is what keeps both targets'
+    /// restores all-or-nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`TargetError::DesignMismatch`] for an image of another design,
+    /// [`TargetError::CorruptSnapshot`] naming the first other mismatch.
+    pub fn admit(&self, snap: &HwSnapshot) -> Result<(), TargetError> {
+        let corrupt = |m: String| Err(TargetError::CorruptSnapshot(m));
+        if !std::ptr::eq(Arc::as_ptr(&snap.layout), self) {
+            if snap.design() != self.design {
+                return Err(TargetError::DesignMismatch {
+                    expected: snap.design().to_string(),
+                    found: self.design.clone(),
+                });
+            }
+            first_difference("register", snap.layout.regs(), &self.regs)?;
+            first_difference("memory", snap.layout.mems(), &self.mems)?;
+        }
+        if snap.regs.len() != self.regs.len() || snap.mems.len() != self.mems.len() {
+            return corrupt(format!(
+                "image holds {} registers and {} memories, design has {} and {}",
+                snap.regs.len(),
+                snap.mems.len(),
+                self.regs.len(),
+                self.mems.len()
+            ));
+        }
+        for (&bits, slot) in snap.regs.iter().zip(&self.regs) {
+            if slot.width < 64 && bits >> slot.width != 0 {
+                return corrupt(format!(
+                    "register '{}' value {bits:#x} exceeds its {} bits",
+                    slot.name, slot.width
+                ));
+            }
+        }
+        for (words, slot) in snap.mems.iter().zip(&self.mems) {
+            if words.len() != slot.depth {
+                return corrupt(format!(
+                    "memory '{}' has {} words, design has {}",
+                    slot.name,
+                    words.len(),
+                    slot.depth
+                ));
+            }
+            if slot.width < 64 {
+                if let Some(wi) = words.iter().position(|&w| w >> slot.width != 0) {
+                    return corrupt(format!(
+                        "memory '{}'[{wi}] value exceeds its {} bits",
+                        slot.name, slot.width
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Refuses an image whose `what` list differs from the design's, naming
+/// the first entry that differs (a missing entry reads `None`).
+fn first_difference<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    image: &[T],
+    design: &[T],
+) -> Result<(), TargetError> {
+    if image == design {
+        return Ok(());
+    }
+    let i = image.iter().zip(design).take_while(|(a, b)| a == b).count();
+    Err(TargetError::CorruptSnapshot(format!(
+        "{what} {i} of the image is {:?}, design has {:?}",
+        image.get(i),
+        design.get(i)
+    )))
 }
 
 impl PartialEq for SnapshotLayout {
@@ -663,6 +746,14 @@ impl SnapshotDelta {
     /// register, 16 per changed memory word, plus 8.
     pub fn byte_size(&self) -> usize {
         8 + self.regs.len() * 12 + self.mem_words.len() * 16
+    }
+
+    /// Whether a target should promote its current state to a new full
+    /// base instead of shipping this delta against `base`: at a quarter
+    /// of the base's bytes the delta is no longer meaningfully cheaper,
+    /// and every later delta would only grow from there.
+    pub fn needs_rebase(&self, base: &HwSnapshot) -> bool {
+        self.byte_size() * 4 >= base.byte_size()
     }
 
     /// Validates this delta against the base it claims to patch, in

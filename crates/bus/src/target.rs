@@ -118,6 +118,8 @@ pub trait HwTarget: Send {
     fn save_snapshot(&mut self) -> Result<HwSnapshot, TargetError>;
 
     /// Suspends execution and overwrites the complete hardware state.
+    /// Both hardware targets admit an image by one rule set,
+    /// [`crate::SnapshotLayout::admit`], before writing anything.
     ///
     /// # Errors
     ///
@@ -224,9 +226,14 @@ pub trait HwTarget: Send {
     ///
     /// The default implementation is the eager fallback: materialize
     /// the whole file and restore it, reporting every section as
-    /// loaded. `SimTarget` and `FpgaTarget` override it with sectioned
-    /// paths (per-section content-hash comparison; the FPGA charges a
-    /// partial-chain shift per dirty scan segment).
+    /// loaded. `SimTarget` and `FpgaTarget` override it with the one
+    /// shared walk, [`SnapshotFile::page_onto`] (kind, design and shape
+    /// checks, then a per-section content-hash comparison against the
+    /// live image), restore the merged image through
+    /// [`crate::SnapshotLayout::admit`], and charge their own costs: the
+    /// simulator a soft-dirty walk plus the bytes paged in, the FPGA a
+    /// partial-chain shift over the dirty scan segments. Both page the
+    /// same sections of one file from the same state.
     ///
     /// # Errors
     ///

@@ -148,6 +148,10 @@ pub enum Searcher {
     Random(u64),
 }
 
+/// Cycles the hardware advances per executed instruction (models the
+/// firmware clock; interrupts fire based on this).
+pub const CYCLES_PER_INSTRUCTION: u64 = 4;
+
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -163,17 +167,10 @@ pub struct EngineConfig {
     pub max_paths: usize,
     /// Cap on simultaneously active states (fork bomb guard).
     pub max_states: usize,
-    /// Cycles the hardware advances per executed instruction (models the
-    /// firmware clock; interrupts fire based on this).
-    pub cycles_per_instruction: u64,
     /// Scheduling quantum: instructions a selected state runs before the
     /// scheduler re-selects (KLEE-style batching; bounds context-switch
     /// frequency).
     pub quantum: u64,
-    /// Modeled cost of a full device reboot (naive-consistent baseline).
-    /// Embedded-device restarts are "extremely slow" (paper §II, citing
-    /// Muench et al.); 100 ms models a fast MCU power cycle + boot ROM.
-    pub reboot_cost_ns: u64,
     /// Store fork snapshots as deltas against the fork-point image
     /// (storage ablation; see `SnapshotStore`).
     pub delta_snapshots: bool,
@@ -217,9 +214,7 @@ impl Default for EngineConfig {
             max_instructions: 1_000_000,
             max_paths: 10_000,
             max_states: 10_000,
-            cycles_per_instruction: 4,
             quantum: 32,
-            reboot_cost_ns: 100_000_000,
             delta_snapshots: false,
             snapshot_mem_budget: None,
             max_vtime_ns: u64::MAX,

@@ -55,11 +55,13 @@
 
 use crate::engine::{
     budget_stop, trace_io, ConsistencyMode, EngineConfig, EngineMetrics, HwAssertion, IoOp,
-    Searcher, StopReason,
+    Searcher, StopReason, CYCLES_PER_INSTRUCTION,
 };
 use crate::snapshots::{Base, SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, Supervisor};
-use hardsnap_bus::{BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError};
+use hardsnap_bus::{
+    BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError, REBOOT_COST_NS,
+};
 use hardsnap_symex::{
     BugReport, Executor, PortableState, SolverStats, StateId, StepOutcome, SymMmio, SymState,
     TermPool,
@@ -706,7 +708,7 @@ fn run_quantum(
         scratch.executed += 1;
         let now = shared.executed.fetch_add(1, Ordering::Relaxed) + 1;
         remaining -= 1;
-        w.target.step(config.cycles_per_instruction);
+        w.target.step(CYCLES_PER_INSTRUCTION);
         let history = |log: Vec<IoOp>, w: &Worker| History {
             log,
             age: window_age + (w.target.cycle() - window_cycle),
@@ -846,7 +848,7 @@ fn context_switch(
             w.target.reset();
             out.metrics.reboots += 1;
             w.rec.count(Counter::Reboots);
-            w.reboot_ns += config.reboot_cost_ns;
+            w.reboot_ns += REBOOT_COST_NS;
             let base = w.target.cycle();
             for op in &item.history.log {
                 let age_now = w.target.cycle() - base;

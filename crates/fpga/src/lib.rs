@@ -30,9 +30,8 @@
 #![warn(missing_docs)]
 
 use hardsnap_bus::{
-    axi_ports, mem_words_hash, regs_values_hash, BusError, HwSnapshot, HwTarget, ImageKind,
-    LazyRestore, MemSlot, RegSlot, SectionTag, SnapshotCapture, SnapshotDelta, SnapshotFile,
-    SnapshotLayout, TargetCaps, TargetError, TargetKind,
+    axi_ports, BusError, HwSnapshot, HwTarget, LazyRestore, MemSlot, RegSlot, SnapshotCapture,
+    SnapshotDelta, SnapshotFile, SnapshotLayout, TargetCaps, TargetError, TargetKind,
 };
 use hardsnap_rtl::{Module, NetId};
 use hardsnap_scan::{instrument, ports as scan_ports, ChainMap, ScanOptions};
@@ -342,9 +341,9 @@ impl FpgaTarget {
     }
 
     /// Writes all collared memories through the collar ports: `mems`
-    /// holds each collar's words in collar order, as checked by
-    /// [`FpgaTarget::restore_values`].
-    fn collar_write_all(&mut self, mems: &[&[u64]]) {
+    /// holds each collar's words in collar order (an admitted image's
+    /// memories).
+    fn collar_write_all(&mut self, mems: &[Vec<u64>]) {
         if self.chain.mems.is_empty() {
             return;
         }
@@ -411,84 +410,38 @@ impl FpgaTarget {
         HwSnapshot::new(self.layout.clone(), self.sim.cycle(), regs, mems)
     }
 
-    /// Checks a restore image against the chain layout — registers
-    /// present with in-range values, memories present with the right
-    /// depth and normalized words — without touching the fabric, and
-    /// returns the register values in segment order and the words in
-    /// collar order. An image that passes cannot fail mid-shift.
-    ///
-    /// An image with this fabric's layout (its own captures and its
-    /// replicas', or an equal layout decoded from a file) is read by
-    /// index; any other is looked up by name, which is how a simulator
-    /// image arrives through `transfer_state`.
-    fn restore_values<'a>(
-        &self,
-        snap: &'a HwSnapshot,
-    ) -> Result<(Vec<u64>, Vec<&'a [u64]>), TargetError> {
-        let by_index = snap.layout == self.layout;
-        let mut values = Vec::with_capacity(self.chain.segments.len());
-        for (i, seg) in self.chain.segments.iter().enumerate() {
-            let bits = if by_index {
-                snap.regs.get(i).copied()
-            } else {
-                snap.reg(&seg.name)
-            };
-            let bits = bits.ok_or_else(|| {
-                TargetError::CorruptSnapshot(format!("missing register '{}'", seg.name))
-            })?;
-            if seg.width < 64 && bits >> seg.width != 0 {
-                return Err(TargetError::CorruptSnapshot(format!(
-                    "register '{}' value {bits:#x} exceeds its {} bits",
-                    seg.name, seg.width
-                )));
-            }
-            values.push(bits);
+    /// Loads an admitted image: its register values shift in as one
+    /// chain stream and its memories go in through the collar. Given
+    /// `cur`, the state the fabric held before, the transfer is still
+    /// exact (modeled silently), but the charge is a partial-chain pass
+    /// over the segments and collar words that differ from it.
+    fn load(&mut self, want: &HwSnapshot, cur: Option<&HwSnapshot>) -> Result<(), TargetError> {
+        let stream = self
+            .chain
+            .encode_words(&want.regs)
+            .map_err(|e| TargetError::CorruptSnapshot(e.to_string()))?;
+        let saved_vtime = self.vtime_ns;
+        self.scan_shift_in(&stream);
+        self.collar_write_all(&want.mems);
+        if let Some(cur) = cur {
+            self.vtime_ns = saved_vtime;
+            let diff = SnapshotDelta::between(cur, want).expect("admitted images fit the chain");
+            self.charge_partial(&diff);
         }
-        let mut mems = Vec::with_capacity(self.chain.mems.len());
-        for (mi, collar) in self.chain.mems.iter().enumerate() {
-            let words = if by_index {
-                snap.mems.get(mi).map(Vec::as_slice)
-            } else {
-                snap.mem(&collar.name)
-            };
-            let words = words.ok_or_else(|| {
-                TargetError::CorruptSnapshot(format!("missing memory '{}'", collar.name))
-            })?;
-            if words.len() != collar.depth as usize {
-                return Err(TargetError::CorruptSnapshot(format!(
-                    "memory '{}' has {} words, design expects {}",
-                    collar.name,
-                    words.len(),
-                    collar.depth
-                )));
-            }
-            if collar.width < 64 {
-                let msk = (1u64 << collar.width) - 1;
-                if let Some(wi) = words.iter().position(|&w| w & !msk != 0) {
-                    return Err(TargetError::CorruptSnapshot(format!(
-                        "memory '{}'[{wi}] value exceeds its {} bits",
-                        collar.name, collar.width
-                    )));
-                }
-            }
-            mems.push(words);
-        }
-        Ok((values, mems))
+        Ok(())
     }
-}
 
-/// Which chain segments and how many collar words differ between the
-/// currently-loaded state and the values a restore will load (both in
-/// chain order) — the activity a partial scan pass has to move.
-fn diff_activity(cur: &HwSnapshot, regs: &[u64], mems: &[&[u64]]) -> (Vec<bool>, u64) {
-    let dirty_segs: Vec<bool> = cur.regs.iter().zip(regs).map(|(a, b)| a != b).collect();
-    let dirty_words = cur
-        .mems
-        .iter()
-        .zip(mems)
-        .map(|(a, b)| a.iter().zip(b.iter()).filter(|(x, y)| x != y).count() as u64)
-        .sum();
-    (dirty_segs, dirty_words)
+    /// Charges a partial-chain pass over `delta`'s activity: only the
+    /// scan segments it changes are clocked, plus one collar cycle per
+    /// changed memory word.
+    fn charge_partial(&mut self, delta: &SnapshotDelta) {
+        let mut dirty_segs = vec![false; self.chain.segments.len()];
+        for &(i, _) in &delta.regs {
+            dirty_segs[i as usize] = true;
+        }
+        let cycles = self.chain.partial_shift_cycles(&dirty_segs);
+        self.charge_cycles(cycles + delta.mem_words.len() as u64);
+    }
 }
 
 impl HwTarget for FpgaTarget {
@@ -610,26 +563,8 @@ impl HwTarget for FpgaTarget {
         // ships only dirty segments / collar words; the modeled cost is
         // a partial-chain pass over exactly that activity.
         let cur = self.capture_via_scan_paths_silently();
-        let mut dirty_segs = vec![false; self.chain.segments.len()];
-        let mut delta = SnapshotDelta {
-            regs: Vec::new(),
-            mem_words: Vec::new(),
-            cycle: cur.cycle,
-        };
-        for (i, (&c, &b)) in cur.regs.iter().zip(&base.regs).enumerate() {
-            if c != b {
-                dirty_segs[i] = true;
-                delta.regs.push((i as u32, c));
-            }
-        }
-        for (mi, (cm, bm)) in cur.mems.iter().zip(&base.mems).enumerate() {
-            for (wi, (&cw, &bw)) in cm.iter().zip(bm).enumerate() {
-                if cw != bw {
-                    delta.mem_words.push((mi as u32, wi as u32, cw));
-                }
-            }
-        }
-        if delta.byte_size() * 4 >= base.byte_size() {
+        let delta = SnapshotDelta::between(&base, &cur).expect("captures share the chain layout");
+        if delta.needs_rebase(&base) {
             // The delta stopped paying for itself: promote the current
             // image to a new golden base, charged as a full pass.
             self.charge_cycles(self.chain.shift_cycles() + self.chain.mem_words());
@@ -643,8 +578,7 @@ impl HwTarget for FpgaTarget {
             drop(span);
             return Ok(SnapshotCapture::Full(snap));
         }
-        let dirty_words = delta.mem_words.len() as u64;
-        self.charge_cycles(self.chain.partial_shift_cycles(&dirty_segs) + dirty_words);
+        self.charge_partial(&delta);
         self.vtime_ns += self.model.scan_overhead_ns;
         self.rec.count(Counter::SnapshotsSaved);
         self.rec.count(Counter::DeltaSnapshotsSaved);
@@ -662,37 +596,16 @@ impl HwTarget for FpgaTarget {
     fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
         let span = self.rec.span("snapshot", "restore");
         let vtime_before = self.vtime_ns;
-        if snap.design() != self.layout.design() {
-            return Err(TargetError::DesignMismatch {
-                expected: snap.design().to_string(),
-                found: self.layout.design().to_string(),
-            });
-        }
-        // Validate everything up front — registers AND memories — so the
-        // restore is all-or-nothing: once shifting starts nothing below
-        // can fail and leave the fabric half-loaded.
-        let (values, mems) = self.restore_values(snap)?;
-        let stream = self
-            .chain
-            .encode_words(&values)
-            .map_err(|e| TargetError::CorruptSnapshot(e.to_string()))?;
-        if self.delta_mode {
-            // Partial-chain restore: diff the loaded state against the
-            // requested image, shift only dirty segments through their
-            // bypass muxes and rewrite only dirty collar words. The
-            // state transfer itself is exact (full image in, modeled
-            // silently); only the charged time is partial.
-            let cur = self.capture_via_scan_paths_silently();
-            let (dirty_segs, dirty_words) = diff_activity(&cur, &values, &mems);
-            let saved_vtime = self.vtime_ns;
-            self.scan_shift_in(&stream);
-            self.collar_write_all(&mems);
-            self.vtime_ns = saved_vtime;
-            self.charge_cycles(self.chain.partial_shift_cycles(&dirty_segs) + dirty_words);
-        } else {
-            self.scan_shift_in(&stream);
-            self.collar_write_all(&mems);
-        }
+        // Admission first — registers AND memories — so the restore is
+        // all-or-nothing: once shifting starts nothing below can fail and
+        // leave the fabric half-loaded. In delta mode the loaded state is
+        // observed first, so only dirty segments and collar words are
+        // charged.
+        self.layout.admit(snap)?;
+        let cur = self
+            .delta_mode
+            .then(|| self.capture_via_scan_paths_silently());
+        self.load(snap, cur.as_ref())?;
         self.vtime_ns += self.model.scan_overhead_ns;
         self.rec.count(Counter::SnapshotsRestored);
         self.rec
@@ -704,97 +617,24 @@ impl HwTarget for FpgaTarget {
     fn restore_snapshot_lazy(&mut self, file: &SnapshotFile) -> Result<LazyRestore, TargetError> {
         let span = self.rec.span("snapshot", "restore_lazy");
         let vtime_before = self.vtime_ns;
-        if file.kind() != ImageKind::Full {
-            return Err(TargetError::Unsupported(
-                "lazy restore needs a full snapshot file; resolve the delta chain first".into(),
-            ));
-        }
-        let corrupt = |e: hardsnap_bus::PersistError| TargetError::CorruptSnapshot(e.to_string());
-        let meta = file.meta().map_err(corrupt)?;
-        if meta.design != self.layout.design() {
-            return Err(TargetError::DesignMismatch {
-                expected: meta.design,
-                found: self.layout.design().to_string(),
-            });
-        }
-        if meta.shape_hash != self.snapshot_shape() {
-            return Err(TargetError::CorruptSnapshot(
-                "snapshot file shape does not match the instrumented design".into(),
-            ));
-        }
-        // Observe the loaded state through the scan paths (modeled
-        // silently — the partial cost is charged below), then page in
-        // only the file sections whose content hash differs from it. A
-        // loaded section must name what the chain layout names there.
-        let cur = self.capture_via_scan_paths_silently();
-        let mut want = cur.clone();
-        let mut total = 0usize;
-        let mut loaded = 0usize;
-        let mut bytes = 0u64;
-        for entry in file.sections() {
-            match entry.tag {
-                SectionTag::Regs => {
-                    total += 1;
-                    if entry.content_hash != regs_values_hash(want.regs.iter().copied()) {
-                        let (slots, values) = file.load_regs().map_err(corrupt)?;
-                        if slots != self.layout.regs() {
-                            return Err(TargetError::CorruptSnapshot(
-                                "register section does not match the scan chain".into(),
-                            ));
-                        }
-                        want.regs = values;
-                        loaded += 1;
-                        bytes += entry.len;
-                    }
-                }
-                SectionTag::Mem => {
-                    total += 1;
-                    let idx = entry.index as usize;
-                    let live = want.mems.get(idx).ok_or_else(|| {
-                        TargetError::CorruptSnapshot(format!(
-                            "memory section index {idx} out of range"
-                        ))
-                    })?;
-                    if entry.content_hash != mem_words_hash(live) {
-                        let (slot, words) = file.load_mem(entry.index).map_err(corrupt)?;
-                        if slot != self.layout.mems()[idx] {
-                            return Err(TargetError::CorruptSnapshot(format!(
-                                "memory section {idx} does not match the scan chain"
-                            )));
-                        }
-                        want.mems[idx] = words;
-                        loaded += 1;
-                        bytes += entry.len;
-                    }
-                }
-                _ => {}
-            }
-        }
+        // Once the file's header checks pass, observe the loaded state
+        // through the scan paths (modeled silently: the partial cost is
+        // charged by `load`) and page in only the sections that differ.
+        let layout = Arc::clone(&self.layout);
+        let mut cur = HwSnapshot::default();
+        let (want, paged) = file.page_onto(&layout, || {
+            cur = self.capture_via_scan_paths_silently();
+            cur.clone()
+        })?;
         // All-or-nothing from here on, exactly like the eager restore.
-        let (values, mems) = self.restore_values(&want)?;
-        let stream = self
-            .chain
-            .encode_words(&values)
-            .map_err(|e| TargetError::CorruptSnapshot(e.to_string()))?;
-        // The state transfer is exact (full image in, modeled silently);
-        // the charged time is a partial-chain pass over the segments the
-        // paged-in sections actually dirtied plus the dirty collar words.
-        let (dirty_segs, dirty_words) = diff_activity(&cur, &values, &mems);
-        let saved_vtime = self.vtime_ns;
-        self.scan_shift_in(&stream);
-        self.collar_write_all(&mems);
-        self.vtime_ns = saved_vtime;
-        self.charge_cycles(self.chain.partial_shift_cycles(&dirty_segs) + dirty_words);
+        layout.admit(&want)?;
+        self.load(&want, Some(&cur))?;
         self.vtime_ns += self.model.scan_overhead_ns;
         self.rec.count(Counter::SnapshotsRestored);
         self.rec
             .observe(Metric::RestoreVtimeNs, self.vtime_ns - vtime_before);
         drop(span);
-        Ok(LazyRestore {
-            sections_total: total,
-            sections_loaded: loaded,
-            bytes_loaded: bytes,
-        })
+        Ok(paged)
     }
 
     fn virtual_time_ns(&self) -> u64 {
@@ -1217,14 +1057,14 @@ mod tests {
     }
 
     #[test]
-    fn a_foreign_layout_is_restored_by_name() {
+    fn a_foreign_layout_restores_only_in_chain_order() {
         use hardsnap_bus::map::soc as m;
         let mut t = fpga();
         t.bus_write(m::TIMER_BASE + regs::timer::LOAD, 4242)
             .unwrap();
         let snap = t.save_snapshot().unwrap();
         // The same state under a layout listing the registers and the
-        // memories in reverse: only a by-name match restores it.
+        // memories in reverse is refused, and the fabric is untouched.
         let l = &snap.layout;
         let reversed = SnapshotLayout::new(
             l.design(),
@@ -1238,23 +1078,24 @@ mod tests {
             snap.mems.iter().rev().cloned().collect(),
         );
         let mut r = fpga();
-        r.restore_snapshot(&foreign).unwrap();
-        let back = r.save_snapshot().unwrap();
-        assert_eq!(back.regs, snap.regs);
-        assert_eq!(back.mems, snap.mems);
-        // By name, a register the chain does not know is missing.
-        let mut renamed = foreign.layout.regs().to_vec();
-        renamed[0].name = "nonexistent_register".into();
-        let mut bad = foreign.clone();
-        bad.layout = Arc::new(SnapshotLayout::new(
-            l.design(),
-            renamed,
-            foreign.layout.mems().to_vec(),
-        ));
+        let before = r.save_snapshot().unwrap();
         assert!(matches!(
-            r.restore_snapshot(&bad),
-            Err(TargetError::CorruptSnapshot(m)) if m.contains("missing register")
+            r.restore_snapshot(&foreign),
+            Err(TargetError::CorruptSnapshot(_))
         ));
+        let after = r.save_snapshot().unwrap();
+        assert_eq!((&after.regs, &after.mems), (&before.regs, &before.mems));
+        // An equal layout of its own (a decoded copy) still restores.
+        let hardsnap_bus::PersistedImage::Full(decoded) =
+            hardsnap_bus::PersistedImage::from_bytes(&hardsnap_bus::persist::write_full(&snap))
+                .unwrap()
+        else {
+            panic!("a full image decodes as one");
+        };
+        assert!(!Arc::ptr_eq(&decoded.layout, &snap.layout));
+        r.restore_snapshot(&decoded).unwrap();
+        let back = r.save_snapshot().unwrap();
+        assert_eq!((&back.regs, &back.mems), (&snap.regs, &snap.mems));
     }
 
     #[test]

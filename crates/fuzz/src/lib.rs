@@ -70,8 +70,9 @@ impl MmioBus for TargetBus<'_> {
 pub enum ResetStrategy {
     /// Restore the post-startup hardware snapshot + CPU clone (HardSnap).
     Snapshot,
-    /// Full device reboot with modeled cost, then concrete re-execution
-    /// of the firmware from the entry point (the naive baseline).
+    /// Full device reboot with modeled cost
+    /// ([`hardsnap_bus::REBOOT_COST_NS`]), then concrete re-execution of
+    /// the firmware from the entry point (the naive baseline).
     Reboot,
 }
 
@@ -84,9 +85,6 @@ pub struct FuzzConfig {
     pub max_instrs_per_input: u64,
     /// Reset strategy between inputs.
     pub reset: ResetStrategy,
-    /// Modeled device reboot cost (ns of virtual time) for
-    /// [`ResetStrategy::Reboot`].
-    pub reboot_cost_ns: u64,
     /// Words per input tape.
     pub tape_len: usize,
     /// RNG seed (runs are deterministic).
@@ -104,7 +102,6 @@ impl Default for FuzzConfig {
             max_inputs: 1000,
             max_instrs_per_input: 2000,
             reset: ResetStrategy::Snapshot,
-            reboot_cost_ns: 100_000_000,
             tape_len: 4,
             seed: 0xF0CC_5EED,
             delta_snapshots: false,
@@ -238,7 +235,7 @@ impl Fuzzer {
             ResetStrategy::Snapshot => self.target.restore_snapshot(&self.baseline_hw)?,
             ResetStrategy::Reboot => {
                 self.target.reset();
-                self.extra_time_ns += self.config.reboot_cost_ns;
+                self.extra_time_ns += hardsnap_bus::REBOOT_COST_NS;
             }
         }
         self.cpu.reset_to(&self.baseline_cpu);

@@ -7,8 +7,12 @@
 //! dirty-since-base sets. A delta capture then touches only journalled
 //! locations, and a restore pokes only the locations whose value differs
 //! from the requested image. On the interpreter backend (no journal) the
-//! tracker falls back to a full index-aligned scan, producing the exact
-//! same delta bit-for-bit — only the host cost differs, never the image.
+//! tracker diffs a full capture against the base
+//! ([`SnapshotDelta::between`]), producing the exact same delta
+//! bit-for-bit — only the host cost differs, never the image. Which
+//! images a restore admits and when a delta rebases are the
+//! `hardsnap-bus` rules ([`SnapshotLayout::admit`],
+//! [`SnapshotDelta::needs_rebase`]) the FPGA target follows too.
 //!
 //! Every image the tracker builds shares one [`SnapshotLayout`], built
 //! from the design once at construction and handed on to the trackers
@@ -21,14 +25,11 @@
 //! directly.
 
 use crate::Simulator;
-use hardsnap_bus::{HwSnapshot, MemSlot, RegSlot, SnapshotCapture, SnapshotDelta, SnapshotLayout};
+use hardsnap_bus::{
+    HwSnapshot, MemSlot, RegSlot, SnapshotCapture, SnapshotDelta, SnapshotLayout, TargetError,
+};
 use hardsnap_rtl::{MemId, NetId};
 use std::sync::Arc;
-
-/// Rebase when a delta grows to at least this fraction (1/N) of the full
-/// image: shipping the delta would no longer be meaningfully cheaper and
-/// every later delta would only grow from there.
-const REBASE_DIVISOR: usize = 4;
 
 /// Tracks dirty state between captures and emits copy-on-write delta
 /// images against a shared immutable base.
@@ -210,12 +211,12 @@ impl SnapshotTracker {
             }
         };
 
-        let mut delta = SnapshotDelta {
-            regs: Vec::new(),
-            mem_words: Vec::new(),
-            cycle: sim.cycle(),
-        };
-        if sim.drain_snapshot_changes(&mut self.nets_scratch, &mut self.mems_scratch) {
+        let delta = if sim.drain_snapshot_changes(&mut self.nets_scratch, &mut self.mems_scratch) {
+            let mut delta = SnapshotDelta {
+                regs: Vec::new(),
+                mem_words: Vec::new(),
+                cycle: sim.cycle(),
+            };
             // Bytecode path: fold the journal into the cumulative
             // dirty-since-base sets, then emit only locations that still
             // differ from the base. Locations that changed back are
@@ -260,28 +261,16 @@ impl SnapshotTracker {
             self.mem_dirty_list = mlist;
             delta.regs.sort_unstable_by_key(|&(i, _)| i);
             delta.mem_words.sort_unstable_by_key(|&(m, w, _)| (m, w));
+            delta
         } else {
-            // Interpreter fallback: full index-aligned scan against the
-            // base. Host cost is O(design), but the emitted image is the
-            // same delta the journal path would produce.
-            for (ri, &id) in self.reg_ids.iter().enumerate() {
-                let cur = sim.peek_id(id).bits();
-                if cur != base.regs[ri] {
-                    delta.regs.push((ri as u32, cur));
-                }
-            }
-            for (mi, &id) in self.mem_ids.iter().enumerate() {
-                let words = sim.mem_words(id);
-                let base_words = &base.mems[mi];
-                for (wi, (&cur, &b)) in words.iter().zip(base_words).enumerate() {
-                    if cur != b {
-                        delta.mem_words.push((mi as u32, wi as u32, cur));
-                    }
-                }
-            }
-        }
+            // Interpreter fallback: diff a full image against the base.
+            // Host cost is O(design), but the delta is the one the
+            // journal path would produce.
+            SnapshotDelta::between(&base, &self.capture_full(sim))
+                .expect("a capture has its base's layout")
+        };
 
-        if delta.byte_size() * REBASE_DIVISOR >= base.byte_size() {
+        if delta.needs_rebase(&base) {
             // The delta stopped paying for itself: promote the current
             // state to a new shared base (journal already drained above).
             let snap = Arc::new(self.capture_full(sim));
@@ -292,92 +281,11 @@ impl SnapshotTracker {
         SnapshotCapture::Delta { base, delta }
     }
 
-    /// Validates that `snap` matches the design's shape exactly — same
-    /// registers (name, width, order), same memories (name, width,
-    /// depth), all values normalized to their width — WITHOUT touching
-    /// simulator state. A snapshot that passes cannot fail mid-restore,
-    /// which is what makes [`SnapshotTracker::restore_diff`]
-    /// all-or-nothing.
-    ///
-    /// An image carrying this tracker's own layout (every capture of it
-    /// or of a replica's tracker) has the design's names by
-    /// construction, so only counts and values are checked; the names
-    /// are compared for a foreign layout only (an image decoded from a
-    /// file, or captured on another target).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first mismatch.
-    pub fn validate_shape(&self, snap: &HwSnapshot) -> Result<(), String> {
-        let design = &*self.layout;
-        if snap.regs.len() != design.regs().len() {
-            return Err(format!(
-                "register count mismatch: snapshot has {}, design has {}",
-                snap.regs.len(),
-                design.regs().len()
-            ));
-        }
-        if snap.mems.len() != design.mems().len() {
-            return Err(format!(
-                "memory count mismatch: snapshot has {}, design has {}",
-                snap.mems.len(),
-                design.mems().len()
-            ));
-        }
-        if !Arc::ptr_eq(&snap.layout, &self.layout) {
-            for ((name, width, _), net) in snap.named_regs().zip(design.regs()) {
-                if name != net.name || width != net.width {
-                    return Err(format!(
-                        "register mismatch: snapshot has '{name}' ({width} bits), design has '{}' ({} bits)",
-                        net.name, net.width
-                    ));
-                }
-            }
-            for ((name, width, _), mem) in snap.named_mems().zip(design.mems()) {
-                if name != mem.name || width != mem.width {
-                    return Err(format!(
-                        "memory mismatch: snapshot has '{name}' ({width} bits), design has '{}' ({} bits)",
-                        mem.name, mem.width
-                    ));
-                }
-            }
-        }
-        // The names match the design's, so its widths and depths apply.
-        for (&bits, net) in snap.regs.iter().zip(design.regs()) {
-            if net.width < 64 && bits >> net.width != 0 {
-                return Err(format!(
-                    "register '{}' value {bits:#x} exceeds its {} bits",
-                    net.name, net.width
-                ));
-            }
-        }
-        for (words, mem) in snap.mems.iter().zip(design.mems()) {
-            if words.len() != mem.depth {
-                return Err(format!(
-                    "memory '{}' depth mismatch: snapshot has {} words, design has {}",
-                    mem.name,
-                    words.len(),
-                    mem.depth
-                ));
-            }
-            if mem.width < 64 {
-                let msk = hardsnap_rtl::mask(mem.width);
-                if let Some(wi) = words.iter().position(|&w| w & !msk != 0) {
-                    return Err(format!(
-                        "memory '{}'[{wi}] value exceeds its {} bits",
-                        mem.name, mem.width
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Restores `snap` by poking only the registers and memory words
     /// whose current value differs — O(changed) between the loaded state
-    /// and the requested snapshot. The shape is validated up front (see
-    /// [`SnapshotTracker::validate_shape`]), so the restore either
-    /// happens completely or leaves the simulator untouched.
+    /// and the requested snapshot. The image passes the layout's
+    /// admission check ([`SnapshotLayout::admit`]) first, so the restore
+    /// either happens completely or leaves the simulator untouched.
     ///
     /// Pokes flow through the engine's normal write paths, so on the
     /// bytecode backend they land in the snapshot journal and the
@@ -385,13 +293,13 @@ impl SnapshotTracker {
     ///
     /// # Errors
     ///
-    /// Returns the shape-validation error; on `Err` no state was written.
+    /// The admission error; on `Err` no state was written.
     pub fn restore_diff(
         &mut self,
         sim: &mut Simulator,
         snap: &HwSnapshot,
-    ) -> Result<RestoreStats, String> {
-        self.validate_shape(snap)?;
+    ) -> Result<RestoreStats, TargetError> {
+        self.layout.admit(snap)?;
         let mut stats = RestoreStats::default();
         for (&id, &bits) in self.reg_ids.iter().zip(&snap.regs) {
             if sim.peek_id(id).bits() != bits {
@@ -526,7 +434,7 @@ mod tests {
                 ref delta,
             } => {
                 // If it stayed a delta it must still be cheap.
-                assert!(delta.byte_size() * REBASE_DIVISOR < base.byte_size());
+                assert!(!delta.needs_rebase(base));
             }
         }
     }

@@ -10,8 +10,8 @@
 
 use crate::{AxiLite, SimEngine, SimError, Simulator, SnapshotTracker, VcdTrace};
 use hardsnap_bus::{
-    axi_ports, mem_words_hash, regs_values_hash, BusError, HwSnapshot, HwTarget, ImageKind,
-    LazyRestore, SectionTag, SnapshotCapture, SnapshotFile, TargetCaps, TargetError, TargetKind,
+    axi_ports, BusError, HwSnapshot, HwTarget, LazyRestore, SnapshotCapture, SnapshotFile,
+    TargetCaps, TargetError, TargetKind,
 };
 use hardsnap_rtl::NetId;
 use hardsnap_telemetry::{Counter, Metric, Recorder};
@@ -330,19 +330,10 @@ impl HwTarget for SimTarget {
     fn restore_snapshot(&mut self, snap: &HwSnapshot) -> Result<(), TargetError> {
         let mut span = self.rec.span("snapshot", "restore");
         span.set_arg(snap.byte_size() as u64);
-        if snap.design() != self.sim.module().name {
-            return Err(TargetError::DesignMismatch {
-                expected: snap.design().to_string(),
-                found: self.sim.module().name.clone(),
-            });
-        }
-        // Shape is validated up front (all-or-nothing: a corrupt image
-        // leaves the target untouched), then only the registers and
-        // memory words that differ from the loaded state are written.
-        let stats = self
-            .tracker
-            .restore_diff(&mut self.sim, snap)
-            .map_err(TargetError::CorruptSnapshot)?;
+        // Admission first (all-or-nothing: a refused image leaves the
+        // target untouched), then only the registers and memory words
+        // that differ from the loaded state are written.
+        let stats = self.tracker.restore_diff(&mut self.sim, snap)?;
         let charged = if self.delta_mode {
             // Dirty-page restore: fixed soft-dirty walk plus only the
             // bytes that actually differed.
@@ -360,93 +351,26 @@ impl HwTarget for SimTarget {
 
     fn restore_snapshot_lazy(&mut self, file: &SnapshotFile) -> Result<LazyRestore, TargetError> {
         let mut span = self.rec.span("snapshot", "restore_lazy");
-        if file.kind() != ImageKind::Full {
-            return Err(TargetError::Unsupported(
-                "lazy restore needs a full snapshot file; resolve the delta chain first".into(),
-            ));
-        }
-        let corrupt = |e: hardsnap_bus::PersistError| TargetError::CorruptSnapshot(e.to_string());
-        let meta = file.meta().map_err(corrupt)?;
-        if meta.design != self.sim.module().name {
-            return Err(TargetError::DesignMismatch {
-                expected: meta.design,
-                found: self.sim.module().name.clone(),
-            });
-        }
-        if meta.shape_hash != self.snapshot_shape() {
-            return Err(TargetError::CorruptSnapshot(
-                "snapshot file shape does not match the running design".into(),
-            ));
-        }
-        // Host-side live image (no virtual-time charge): the section
-        // table's content hashes decide which payloads are read at all.
-        // Sections that already match the live state are never loaded —
-        // the demand-paged part of "demand-paged lazy restore". A loaded
-        // section must name what the design's layout names there.
-        let mut want = self.capture();
-        let layout = want.layout.clone();
-        let mut total = 0usize;
-        let mut loaded = 0usize;
-        let mut bytes = 0u64;
-        for entry in file.sections() {
-            match entry.tag {
-                SectionTag::Regs => {
-                    total += 1;
-                    if entry.content_hash != regs_values_hash(want.regs.iter().copied()) {
-                        let (slots, values) = file.load_regs().map_err(corrupt)?;
-                        if slots != layout.regs() {
-                            return Err(TargetError::CorruptSnapshot(
-                                "register section does not match the running design".into(),
-                            ));
-                        }
-                        want.regs = values;
-                        loaded += 1;
-                        bytes += entry.len;
-                    }
-                }
-                SectionTag::Mem => {
-                    total += 1;
-                    let idx = entry.index as usize;
-                    let live = want.mems.get(idx).ok_or_else(|| {
-                        TargetError::CorruptSnapshot(format!(
-                            "memory section index {idx} out of range"
-                        ))
-                    })?;
-                    if entry.content_hash != mem_words_hash(live) {
-                        let (slot, words) = file.load_mem(entry.index).map_err(corrupt)?;
-                        if slot != layout.mems()[idx] {
-                            return Err(TargetError::CorruptSnapshot(format!(
-                                "memory section {idx} does not match the running design"
-                            )));
-                        }
-                        want.mems[idx] = words;
-                        loaded += 1;
-                        bytes += entry.len;
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.tracker
-            .restore_diff(&mut self.sim, &want)
-            .map_err(TargetError::CorruptSnapshot)?;
+        // The live image is host-side (no virtual-time charge): the walk
+        // reads only the file sections whose content differs from it.
+        let (want, paged) = file.page_onto(self.tracker.layout(), || {
+            self.tracker.capture_full(&self.sim)
+        })?;
+        self.tracker.restore_diff(&mut self.sim, &want)?;
         // Paged restore cost: a fixed soft-dirty walk plus only the
         // payload bytes that actually came off disk — time to first
         // quantum scales with *touched* state, not design size.
-        let charged = self
-            .model
-            .delta_snapshot_fixed_ns
-            .saturating_add(bytes.saturating_mul(self.model.snapshot_ns_per_byte));
+        let charged = self.model.delta_snapshot_fixed_ns.saturating_add(
+            paged
+                .bytes_loaded
+                .saturating_mul(self.model.snapshot_ns_per_byte),
+        );
         self.vtime_ns = self.vtime_ns.saturating_add(charged);
         self.rec.count(Counter::SnapshotsRestored);
         self.rec.observe(Metric::RestoreVtimeNs, charged);
-        span.set_arg(bytes);
+        span.set_arg(paged.bytes_loaded);
         self.sample_trace();
-        Ok(LazyRestore {
-            sections_total: total,
-            sections_loaded: loaded,
-            bytes_loaded: bytes,
-        })
+        Ok(paged)
     }
 
     fn virtual_time_ns(&self) -> u64 {

@@ -307,3 +307,123 @@ fn soc_snapshot_persists_through_bytes() {
         t.bus_read(soc::TIMER_BASE + regs::timer::VALUE).unwrap()
     );
 }
+
+/// One restore-admission rule set on both targets: each damaged copy of
+/// a real SoC capture is refused by the simulator and the FPGA with the
+/// same typed error, and neither target's state moves. A full file
+/// paged onto an identically prepared simulator and FPGA loads the same
+/// sections.
+#[test]
+fn both_targets_admit_the_same_images() {
+    use hardsnap_bus::{HwSnapshot, RegSlot, SnapshotFile, SnapshotLayout, TargetError};
+    use std::sync::Arc;
+    let mut sim = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
+    let mut fpga =
+        FpgaTarget::new(hardsnap_periph::soc().unwrap(), &FpgaOptions::default()).unwrap();
+    let targets: [&mut dyn HwTarget; 2] = [&mut sim, &mut fpga];
+    for t in targets {
+        t.reset();
+        t.bus_write(soc::TIMER_BASE + regs::timer::LOAD, 0x1234)
+            .unwrap();
+        t.step(7);
+    }
+    let good = sim.save_snapshot().unwrap();
+    let reg = good
+        .layout
+        .regs()
+        .iter()
+        .position(|s| s.width < 64)
+        .unwrap();
+    let mem = good
+        .layout
+        .mems()
+        .iter()
+        .position(|s| s.width < 64)
+        .unwrap();
+    // The image on a layout of its own, its register list edited.
+    let relisted = |edit: &dyn Fn(&mut Vec<RegSlot>, &mut Vec<u64>)| {
+        let (mut slots, mut values) = (good.layout.regs().to_vec(), good.regs.clone());
+        edit(&mut slots, &mut values);
+        let l = SnapshotLayout::new("soc_top", slots, good.layout.mems().to_vec());
+        HwSnapshot::new(Arc::new(l), good.cycle, values, good.mems.clone())
+    };
+    let mut rows: Vec<(&str, HwSnapshot)> = Vec::new();
+    let mut foreign = good.clone();
+    foreign.relabel("other_soc");
+    rows.push(("foreign design", foreign));
+    rows.push((
+        "register dropped",
+        relisted(&|s, v| {
+            s.remove(0);
+            v.remove(0);
+        }),
+    ));
+    rows.push((
+        "register added",
+        relisted(&|s, v| {
+            s.push(RegSlot {
+                name: "u_extra.flag".into(),
+                width: 1,
+            });
+            v.push(0);
+        }),
+    ));
+    rows.push((
+        "register renamed",
+        relisted(&|s, _| s[0].name = "u_x.renamed".into()),
+    ));
+    rows.push((
+        "registers reordered",
+        relisted(&|s, v| {
+            s.swap(0, 1);
+            v.swap(0, 1);
+        }),
+    ));
+    let mut wide = good.clone();
+    wide.regs[reg] = 1 << good.layout.regs()[reg].width;
+    rows.push(("register value past its width", wide));
+    let mut short = good.clone();
+    short.mems[0].pop();
+    rows.push(("memory one word short", short));
+    let mut wide = good.clone();
+    wide.mems[mem][0] = 1 << good.layout.mems()[mem].width;
+    rows.push(("memory word past its width", wide));
+
+    for (what, img) in &rows {
+        let before = (sim.save_snapshot().unwrap(), fpga.save_snapshot().unwrap());
+        let on_sim = sim.restore_snapshot(img).unwrap_err();
+        let on_fpga = fpga.restore_snapshot(img).unwrap_err();
+        assert_eq!(on_sim, on_fpga, "{what}: the targets disagree");
+        let design = matches!(on_sim, TargetError::DesignMismatch { .. });
+        let corrupt = matches!(on_sim, TargetError::CorruptSnapshot(_));
+        assert!(
+            if *what == "foreign design" {
+                design
+            } else {
+                corrupt
+            },
+            "{what}: {on_sim:?}"
+        );
+        let after = (sim.save_snapshot().unwrap(), fpga.save_snapshot().unwrap());
+        for (b, a) in [(&before.0, &after.0), (&before.1, &after.1)] {
+            assert_eq!((&a.regs, &a.mems), (&b.regs, &b.mems), "{what} wrote state");
+        }
+    }
+
+    // Page one full file onto both, after the same divergence.
+    let file = SnapshotFile::from_bytes(hardsnap_bus::persist::write_full(&good)).unwrap();
+    let targets: [&mut dyn HwTarget; 2] = [&mut sim, &mut fpga];
+    let mut paged = Vec::new();
+    for t in targets {
+        t.bus_write(soc::TIMER_BASE + regs::timer::LOAD, 99)
+            .unwrap();
+        t.bus_write(soc::SHA_BASE + regs::sha256::BLOCK0, 0x5eed)
+            .unwrap();
+        t.step(3);
+        paged.push(t.restore_snapshot_lazy(&file).unwrap());
+        let back = t.save_snapshot().unwrap();
+        assert_eq!((&back.regs, &back.mems), (&good.regs, &good.mems));
+    }
+    assert_eq!(paged[0], paged[1]);
+    assert!(paged[0].sections_loaded > 0 && paged[0].sections_loaded < paged[0].sections_total);
+}
