@@ -389,6 +389,9 @@ echo "==> sched gate: warm-pool daemon, mixed-priority burst, lanes vs fifo"
 # the head, then narrow high-priority jobs behind it. Under lanes the
 # narrows must wait less (packing + priority) than under strict fifo,
 # with every digest bit-identical to the fifo reference.
+job_state() { # status file, job name -> queued|running|done
+    awk -v name="$2" '$1 == "job" && $NF == name { print $3 }' "$1"
+}
 run_burst() { # state-dir, sched policy, summary-out; leaves no daemon
     local dir=$1 policy=$2 outf=$3
     local sock="$dir/serve.sock"
@@ -416,7 +419,9 @@ run_burst() { # state-dir, sched policy, summary-out; leaves no daemon
         exit 1
     fi
     local hold wide id
-    hold=$("$CLI" submit demo:6 --socket "$sock" --name hold \
+    # demo:8 (256 paths in 64-instruction legs) runs for hundreds of
+    # milliseconds, far longer than the six submissions below take.
+    hold=$("$CLI" submit demo:8 --socket "$sock" --name hold \
         --leg-instructions 64 | awk '{print $3}')
     # The wide job must arrive while hold runs, or it seats instantly.
     for _ in $(seq 1 500); do
@@ -429,6 +434,26 @@ run_burst() { # state-dir, sched policy, summary-out; leaves no daemon
     for i in 1 2 3 4 5; do
         "$CLI" submit demo:2 --socket "$sock" --name "n$i" --priority 7 > /dev/null
     done
+    # The comparison means something only if the burst met its premise:
+    # hold still runs, so wide cannot seat, and under fifo every narrow
+    # job queues behind wide (lanes may already have seated some).
+    "$CLI" status --socket "$sock" > "$dir/premise.txt"
+    local premise=1
+    if [ "$(job_state "$dir/premise.txt" hold)" != running ] \
+        || [ "$(job_state "$dir/premise.txt" wide)" != queued ]; then
+        premise=""
+    fi
+    if [ "$policy" = fifo ]; then
+        for i in 1 2 3 4 5; do
+            [ "$(job_state "$dir/premise.txt" "n$i")" = queued ] || premise=""
+        done
+    fi
+    if [ -z "$premise" ]; then
+        echo "sched gate premise not met under $policy: after the fifth narrow submission" \
+            "hold must run, wide must queue and (fifo) every narrow job must queue:"
+        cat "$dir/premise.txt"
+        exit 1
+    fi
     "$CLI" wait "$wide" --socket "$sock" > /dev/null
     for id in $(seq 1 7); do
         "$CLI" wait "$id" --socket "$sock" > /dev/null

@@ -15,7 +15,7 @@
 
 use hardsnap::firmware;
 use hardsnap::{ConsistencyMode, Engine, EngineConfig, Searcher, TelemetryConfig};
-use hardsnap_bench::{banner, fmt_ns, row};
+use hardsnap_bench::{banner, fmt_ns, row, Spread};
 use hardsnap_bus::HwTarget;
 use hardsnap_fpga::{FpgaOptions, FpgaTarget};
 use hardsnap_sim::SimTarget;
@@ -64,40 +64,6 @@ struct ScalePoint {
     sum_vtime_ns: u64,
     digest: u64,
     host_secs: f64,
-}
-
-/// Median (the upper one for an even count), minimum and maximum.
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(mut xs: Vec<f64>) -> Spread {
-        xs.sort_by(f64::total_cmp);
-        Spread {
-            median: xs[xs.len() / 2],
-            min: xs[0],
-            max: xs[xs.len() - 1],
-        }
-    }
-
-    fn map(&self, f: impl Fn(f64) -> f64) -> Spread {
-        let (a, b) = (f(self.min), f(self.max));
-        Spread {
-            median: f(self.median),
-            min: a.min(b),
-            max: a.max(b),
-        }
-    }
-
-    fn json(&self, decimals: usize) -> String {
-        format!(
-            "{{\"median\": {:.decimals$}, \"min\": {:.decimals$}, \"max\": {:.decimals$}}}",
-            self.median, self.min, self.max
-        )
-    }
 }
 
 /// Runs the fork-heavy workload on `workers` replicas.

@@ -6,21 +6,36 @@
 //! timeouts, scan-chain bit flips, truncated captures, restore
 //! timeouts, full hangs — see `hardsnap_bus::FaultPlan`) and records
 //! the recovery work (retries, re-captures, quarantines) plus the
-//! virtual-time overhead. The hard invariant checked on every point:
+//! virtual-time overhead. The hard invariant checked on every run:
 //! the canonical result digest is **bit-identical to the fault-free
 //! run** — recovery is semantically invisible.
 //!
-//! Usage: `exp_fault_recovery [--smoke] [--json PATH]`.
+//! The engine runs two workers, and which replica draws which fault
+//! follows the schedule, so a faulted point is a distribution: each
+//! point runs [`RUNS`] times and the record holds the median and range
+//! of every count and of the modeled time. The fault-free point's
+//! modeled time is a sum of per-state costs and must not move at all.
+//!
+//! Usage: `exp_fault_recovery [--smoke] [--json PATH]` (`--smoke`, the
+//! CI chaos gate, runs each point once on a smaller firmware).
 
 use hardsnap::firmware;
 use hardsnap::{
     ConsistencyMode, Engine, EngineConfig, FaultPlan, FaultyTarget, HwTarget, MetricsSnapshot,
     Searcher, TelemetryConfig,
 };
-use hardsnap_bench::{banner, fmt_ns, row};
+use hardsnap_bench::{banner, fmt_ns, row, Spread};
 use hardsnap_sim::SimTarget;
 
 const WORKERS: usize = 2;
+
+/// Runs per point outside `--smoke`.
+const RUNS: usize = 9;
+
+/// Modeled time of the fault-free campaign over `branching_firmware(5)`:
+/// a sum of per-state costs, the same at any worker count and on every
+/// run.
+const CLEAN_VTIME_NS_K5: u64 = 4_510_605_800;
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -79,6 +94,49 @@ struct Point {
     digest: u64,
     host_ms: u64,
     recovery: Vec<Recovery>,
+}
+
+/// One fault class's recovery over a point's runs.
+struct ClassSpread {
+    class: String,
+    /// Per run, 0 where the class did not occur.
+    episodes: Spread,
+    /// Medians over the runs where the class occurred.
+    p50_vtime_ns: u64,
+    p99_vtime_ns: u64,
+    /// The largest over the runs.
+    p99_retries: u64,
+}
+
+/// Every fault class seen in any of `runs`, in first-seen order.
+fn class_spreads(runs: &[Point]) -> Vec<ClassSpread> {
+    let mut classes: Vec<&str> = Vec::new();
+    for rec in runs.iter().flat_map(|p| &p.recovery) {
+        if !classes.contains(&rec.class.as_str()) {
+            classes.push(&rec.class);
+        }
+    }
+    classes
+        .into_iter()
+        .map(|class| {
+            let per_run: Vec<Option<&Recovery>> = runs
+                .iter()
+                .map(|p| p.recovery.iter().find(|r| r.class == class))
+                .collect();
+            let seen: Vec<&Recovery> = per_run.iter().flatten().copied().collect();
+            let median = |f: fn(&Recovery) -> u64| {
+                Spread::of(seen.iter().map(|r| f(r) as f64).collect()).median as u64
+            };
+            let episodes = per_run.iter().map(|r| r.map_or(0.0, |r| r.episodes as f64));
+            ClassSpread {
+                class: class.to_string(),
+                episodes: Spread::of(episodes.collect()),
+                p50_vtime_ns: median(|r| r.p50_vtime_ns),
+                p99_vtime_ns: median(|r| r.p99_vtime_ns),
+                p99_retries: seen.iter().map(|r| r.p99_retries).max().unwrap_or(0),
+            }
+        })
+        .collect()
 }
 
 fn run_point(asm: &str, rate: f64, config: &EngineConfig) -> Point {
@@ -176,7 +234,7 @@ fn main() {
         "--- {WORKERS}-worker engine over branching firmware (k={fork_k}), \
          uniform fault rate sweep ---"
     );
-    let widths = [7, 9, 8, 10, 12, 13, 10, 9];
+    let widths = [7, 12, 12, 12, 12, 10, 20, 9];
     row(
         &[
             "rate",
@@ -193,47 +251,67 @@ fn main() {
 
     let asm = firmware::branching_firmware(fork_k);
     let config = config();
-    let mut points: Vec<Point> = rates.iter().map(|&r| run_point(&asm, r, &config)).collect();
-    points.push(run_quarantine(&asm, &config));
-    let clean_vtime = points[0].vtime_ns;
-    let clean_digest = points[0].digest;
-    for (i, p) in points.iter().enumerate() {
-        let quarantine_row = i == points.len() - 1;
+    let runs = if smoke { 1 } else { RUNS };
+    let mut points: Vec<Vec<Point>> = rates
+        .iter()
+        .map(|&r| (0..runs).map(|_| run_point(&asm, r, &config)).collect())
+        .collect();
+    points.push((0..runs).map(|_| run_quarantine(&asm, &config)).collect());
+    let (clean_vtime, clean_digest) = (points[0][0].vtime_ns, points[0][0].digest);
+    for p in &points[0] {
         assert_eq!(
-            p.digest, clean_digest,
-            "rate {}: faults leaked into the result",
-            p.rate
+            p.vtime_ns, clean_vtime,
+            "the fault-free modeled time moved between runs"
         );
+    }
+    if fork_k == 5 {
+        assert_eq!(clean_vtime, CLEAN_VTIME_NS_K5, "fault-free modeled time");
+    }
+    let overhead = |p: &Point| p.vtime_ns as f64 / clean_vtime as f64 - 1.0;
+    let spread =
+        |runs: &[Point], f: &dyn Fn(&Point) -> f64| Spread::of(runs.iter().map(f).collect());
+    let counts = |s: &Spread| format!("{} ({}-{})", s.median, s.min, s.max);
+    let tag = |i: usize, p: &Point| {
+        if i == points.len() - 1 {
+            format!("q@{:.2}", p.rate)
+        } else {
+            format!("{:.2}", p.rate)
+        }
+    };
+    for (i, runs) in points.iter().enumerate() {
+        for p in runs {
+            assert_eq!(
+                p.digest, clean_digest,
+                "rate {}: faults leaked into the result",
+                p.rate
+            );
+        }
+        let over = spread(runs, &|p| overhead(p) * 100.0);
         row(
             &[
-                &if quarantine_row {
-                    format!("q@{:.2}", p.rate)
-                } else {
-                    format!("{:.2}", p.rate)
-                },
-                &p.injected.to_string(),
-                &p.retried.to_string(),
-                &p.recovered.to_string(),
-                &p.quarantined.to_string(),
-                &fmt_ns(p.vtime_ns),
-                &format!(
-                    "{:+.1}%",
-                    (p.vtime_ns as f64 / clean_vtime as f64 - 1.0) * 100.0
-                ),
-                &format!("{:08x}", p.digest as u32),
+                &tag(i, &runs[0]),
+                &counts(&spread(runs, &|p| p.injected as f64)),
+                &counts(&spread(runs, &|p| p.retried as f64)),
+                &counts(&spread(runs, &|p| p.recovered as f64)),
+                &counts(&spread(runs, &|p| p.quarantined as f64)),
+                &fmt_ns(spread(runs, &|p| p.vtime_ns as f64).median as u64),
+                &format!("{:+.1}% ({:+.1}..{:+.1})", over.median, over.min, over.max),
+                &format!("{:08x}", runs[0].digest as u32),
             ],
             &widths,
         );
     }
-    let quarantine = points.last().unwrap();
     assert!(
-        quarantine.quarantined >= 1,
+        points.last().unwrap().iter().all(|p| p.quarantined >= 1),
         "the zero-budget hang plan must quarantine at least one replica"
     );
 
     println!();
     println!("--- per-fault-class recovery latency (telemetry histograms) ---");
-    let rwidths = [7, 16, 9, 13, 13, 12];
+    println!(
+        "(episodes: median and range over runs; latencies: median over the runs with an episode)"
+    );
+    let rwidths = [7, 16, 13, 13, 13, 12];
     row(
         &[
             "rate",
@@ -245,72 +323,77 @@ fn main() {
         ],
         &rwidths,
     );
-    for (i, p) in points.iter().enumerate() {
-        let tag = if i == points.len() - 1 {
-            format!("q@{:.2}", p.rate)
-        } else {
-            format!("{:.2}", p.rate)
-        };
-        for rec in &p.recovery {
+    let mut point_recovery: Vec<Vec<ClassSpread>> = Vec::new();
+    for (i, runs) in points.iter().enumerate() {
+        let classes = class_spreads(runs);
+        for c in &classes {
             row(
                 &[
-                    &tag,
-                    &rec.class,
-                    &rec.episodes.to_string(),
-                    &fmt_ns(rec.p50_vtime_ns),
-                    &fmt_ns(rec.p99_vtime_ns),
-                    &rec.p99_retries.to_string(),
+                    &tag(i, &runs[0]),
+                    &c.class,
+                    &counts(&c.episodes),
+                    &fmt_ns(c.p50_vtime_ns),
+                    &fmt_ns(c.p99_vtime_ns),
+                    &c.p99_retries.to_string(),
                 ],
                 &rwidths,
             );
         }
+        point_recovery.push(classes);
     }
     assert!(
-        points
+        point_recovery
             .iter()
             .skip(1)
-            .any(|p| p.recovery.iter().any(|r| r.episodes > 0)),
+            .any(|classes| classes.iter().any(|c| c.episodes.max > 0.0)),
         "faulted points must produce per-class recovery histograms"
     );
 
     let mut entries = String::new();
-    for (i, p) in points.iter().enumerate() {
+    for (i, (runs, classes)) in points.iter().zip(&point_recovery).enumerate() {
         if i > 0 {
             entries.push_str(",\n");
         }
-        let recovery = p
-            .recovery
+        let recovery = classes
             .iter()
-            .map(|r| {
+            .map(|c| {
                 format!(
                     "{{\"class\": \"{}\", \"episodes\": {}, \"p50_vtime_ns\": {}, \
                      \"p99_vtime_ns\": {}, \"p99_retries\": {}}}",
-                    r.class, r.episodes, r.p50_vtime_ns, r.p99_vtime_ns, r.p99_retries
+                    c.class,
+                    c.episodes.json(0),
+                    c.p50_vtime_ns,
+                    c.p99_vtime_ns,
+                    c.p99_retries
                 )
             })
             .collect::<Vec<_>>()
             .join(", ");
         entries.push_str(&format!(
-            "    {{\"rate\": {:.2}, \"zero_budget_quarantine\": {}, \"injected\": {}, \
-             \"retried\": {}, \"recovered\": {}, \"quarantined\": {}, \
-             \"hw_vtime_ns\": {}, \"overhead_vs_clean\": {:.4}, \
+            "    {{\"rate\": {:.2}, \"zero_budget_quarantine\": {}, \"runs\": {}, \
+             \"injected\": {}, \"retried\": {}, \"recovered\": {}, \"quarantined\": {}, \
+             \"hw_vtime_ns\": {}, \"overhead_vs_clean\": {}, \
              \"host_ms\": {}, \"digest\": \"{:016x}\", \"recovery\": [{recovery}]}}",
-            p.rate,
+            runs[0].rate,
             i == points.len() - 1,
-            p.injected,
-            p.retried,
-            p.recovered,
-            p.quarantined,
-            p.vtime_ns,
-            p.vtime_ns as f64 / clean_vtime as f64 - 1.0,
-            p.host_ms,
-            p.digest,
+            runs.len(),
+            spread(runs, &|p| p.injected as f64).json(0),
+            spread(runs, &|p| p.retried as f64).json(0),
+            spread(runs, &|p| p.recovered as f64).json(0),
+            spread(runs, &|p| p.quarantined as f64).json(0),
+            spread(runs, &|p| p.vtime_ns as f64).json(0),
+            spread(runs, &overhead).json(4),
+            spread(runs, &|p| p.host_ms as f64).json(0),
+            runs[0].digest,
         ));
     }
     let json = format!(
         "{{\n  \"experiment\": \"fault_recovery\",\n  \
          \"workload\": \"branching_firmware({fork_k}), quantum 4, {WORKERS} workers, HardSnap\",\n  \
-         \"invariant\": \"canonical digest bit-identical to fault-free at every point\",\n  \
+         \"invariant\": \"canonical digest bit-identical to fault-free on every run\",\n  \
+         \"runs_per_point\": {runs},\n  \
+         \"spread\": \"which replica draws which fault follows the schedule: counts, modeled time \
+         and overhead are the median, min and max over the runs\",\n  \
          \"points\": [\n{entries}\n  ]\n}}\n"
     );
     std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));

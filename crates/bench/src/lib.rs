@@ -40,6 +40,48 @@ pub fn row(cols: &[&str], widths: &[usize]) {
     println!("{}", line.trim_end());
 }
 
+/// Median (the upper one for an even count), minimum and maximum of a
+/// repeated measurement.
+pub struct Spread {
+    /// The median.
+    pub median: f64,
+    /// The smallest sample.
+    pub min: f64,
+    /// The largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `xs` (at least one sample).
+    pub fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: xs[xs.len() / 2],
+            min: xs[0],
+            max: xs[xs.len() - 1],
+        }
+    }
+
+    /// The spread with `f` applied to each statistic; `min` and `max`
+    /// swap if `f` is decreasing.
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> Spread {
+        let (a, b) = (f(self.min), f(self.max));
+        Spread {
+            median: f(self.median),
+            min: a.min(b),
+            max: a.max(b),
+        }
+    }
+
+    /// `{"median": …, "min": …, "max": …}` with `decimals` places.
+    pub fn json(&self, decimals: usize) -> String {
+        format!(
+            "{{\"median\": {:.decimals$}, \"min\": {:.decimals$}, \"max\": {:.decimals$}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
 /// Generates a synthetic design with `n_regs` 64-bit shift registers
 /// (state = 64 * n_regs bits) behind the standard AXI interface, for the
 /// snapshot-latency size sweep (E1). The AXI slave answers reads of

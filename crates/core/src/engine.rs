@@ -425,12 +425,13 @@ pub struct HwAssertion {
 pub struct Engine {
     /// The symbolic executor of worker 0, which runs on the calling
     /// thread; its solver statistics cover every worker after a run.
-    /// With one worker every state (the root, the frontier between runs,
-    /// completed paths) stays live in its pool and is flattened only for
-    /// a checkpoint, since importing a state into the pool it came from
-    /// is a fixed point; past one worker states are flattened at every
-    /// publish. `run` imports carried-in and other workers' completed
-    /// paths into this pool.
+    /// Its pool is the one that outlives a run: the root, worker 0's
+    /// items and completed paths, and what a stop left in worker 0's
+    /// deque stay live in it, and are flattened only for a checkpoint or
+    /// a hand-off to another worker (importing a state into the pool it
+    /// came from is a fixed point, so skipping the flatten is exact).
+    /// `run` imports carried-in and other workers' completed paths into
+    /// this pool.
     pub executor: Executor,
     /// The shared, lock-sharded snapshot store.
     pub store: SnapshotStore,
@@ -452,7 +453,8 @@ pub struct Engine {
     /// cannot rebuild itself ([`Engine::set_failover`]).
     failover: Option<Box<dyn HwTarget>>,
     /// Schedulable work between runs: roots, resumed states, and what a
-    /// budget stop left queued. Live items belong to `executor`'s pool.
+    /// budget stop left queued. Live items belong to `executor`'s pool;
+    /// the next run starts them all in worker 0's deque.
     frontier: VecDeque<WorkItem>,
     /// xorshift64* state of [`Searcher::Random`], kept across runs.
     rng: u64,
@@ -552,7 +554,7 @@ impl Engine {
         let s = self
             .executor
             .initial_state(program.image.clone(), program.entry);
-        let root = ItemState::keep(s, &self.executor.pool, self.workers.len() == 1);
+        let root = ItemState::live(s, &self.executor.pool);
         self.frontier.push_back(WorkItem::new(root, None));
     }
 
@@ -627,13 +629,17 @@ impl Engine {
             carry.vtime_ns,
             carry.quanta,
         );
-        let queue = Queue::new(std::mem::take(&mut self.frontier), self.rng, exhausted);
+        // Every frontier item starts in worker 0's deque, live in its
+        // pool (`executor`'s) or portable.
+        let frontier = std::mem::take(&mut self.frontier);
+        let queue = Queue::new(frontier.len(), self.rng, exhausted);
         let shared = Shared::new(
             queue,
             self.store.clone(),
             &self.config,
             &self.hw_assertions,
             self.workers.len(),
+            self.executor.pool.id(),
             &carry,
             self.failover.take(),
         );
@@ -646,13 +652,13 @@ impl Engine {
                 .map(|w| {
                     scp.spawn(move || {
                         let mut ex = Executor::new(shared.config.policy);
-                        let mut out = run_worker(shared, w, &mut ex);
+                        let mut out = run_worker(shared, w, &mut ex, VecDeque::new());
                         out.solver = ex.solver.stats;
                         out
                     })
                 })
                 .collect();
-            let mut outputs = vec![run_worker(shared, w0, executor)];
+            let mut outputs = vec![run_worker(shared, w0, executor, frontier)];
             outputs.extend(
                 handles
                     .into_iter()
@@ -661,11 +667,15 @@ impl Engine {
             outputs
         });
         // An unused spare survives for the next run; whatever the stop
-        // flag stranded in the queue is the still-schedulable frontier.
+        // flag stranded in the workers' deques or mid-hand-off is the
+        // still-schedulable frontier.
         self.failover = shared.failover.lock().take();
+        for o in &mut outputs {
+            self.frontier.append(&mut o.left);
+        }
         let (stop, dropped) = {
             let mut q = shared.q.lock();
-            self.frontier = std::mem::take(&mut q.items);
+            self.frontier.append(&mut q.handoff);
             self.rng = q.rng;
             q.outcome()
         };
@@ -771,12 +781,13 @@ impl Engine {
     /// Drains the schedulable frontier for campaign checkpointing: every
     /// state a budget stop left queued (plus any never-run root) leaves
     /// as a portable state plus the id of its private snapshot in
-    /// [`Engine::store`] (`None` for a power-on root). A one-worker
-    /// frontier is flattened here, out of [`Engine::executor`]'s pool;
-    /// past one worker it already was. Every queued state's context was
-    /// saved when its quantum ended, so nothing lives only on a replica.
-    /// Sorted by state id, so the checkpoint is byte-stable at any
-    /// worker count.
+    /// [`Engine::store`] (`None` for a power-on root). What a stop left
+    /// in worker 0's deque is flattened here, out of
+    /// [`Engine::executor`]'s pool; the other workers flattened theirs
+    /// when they stopped, and a hand-off in flight already was. Every
+    /// queued state's context was saved when its quantum ended, so
+    /// nothing lives only on a replica. Sorted by state id, so the
+    /// checkpoint is byte-stable at any worker count.
     ///
     /// # Errors
     ///

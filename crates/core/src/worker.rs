@@ -1,14 +1,15 @@
 //! The work-item loop of Algorithm 1, run by every worker of an
 //! [`Engine`](crate::Engine).
 //!
-//! Each worker owns a private hardware replica and pulls `(state,
-//! snapshot)` work items from one shared queue. A quantum is the whole
-//! of Algorithm 1 for one item: select it (the [`Searcher`] picks from
-//! the queue), context-switch the replica to it, serve interrupts and
-//! step, then publish the successors with fresh private snapshots
+//! Each worker owns a private hardware replica and a deque of `(state,
+//! snapshot)` work items. A quantum is the whole of Algorithm 1 for one
+//! item: select it (the [`Searcher`] picks from the worker's deque),
+//! context-switch the replica to it, serve interrupts and step, then
+//! publish the successors to the same deque with fresh private snapshots
 //! (`UpdateState` for a continuation, one capture shared by every fork
 //! child). Worker 0 runs on the caller's thread; the others are scoped
-//! threads sharing the lock-sharded [`SnapshotStore`].
+//! threads sharing the lock-sharded [`SnapshotStore`] and one [`Queue`]
+//! of budget and termination bookkeeping.
 //!
 //! The context switch is the only step the three consistency modes
 //! disagree on: HardSnap restores the item's snapshot (power-on reset
@@ -22,17 +23,30 @@
 //! ## Where states live
 //!
 //! HardSnap context-switches only the hardware between quanta; the
-//! software state stays in the symbolic VM. With one worker every state
-//! stays interned in that worker's term pool (`Engine::executor`), which
-//! both produces and consumes it. A state is flattened into a
-//! [`PortableState`] only where it leaves that pool: at every publish
-//! when the run has more than one worker, because any worker's executor
-//! may pick it, and in `Engine::take_frontier` for a checkpoint. Skipping
-//! the flatten is exact (see [`ItemState`]).
+//! software state stays in the symbolic VM that runs it. The items a
+//! worker publishes stay in its own deque, live in its executor's term
+//! pool, and the shared [`Queue`] holds only the items being handed off.
+//! A state is flattened into a [`PortableState`] only where it leaves
+//! its pool:
+//!
+//! - a hand-off: when another worker waits with an empty deque and this
+//!   one holds at least two items, it flattens its oldest, the root of
+//!   its largest unexplored subtree (as Cloud9's workers ship work only
+//!   to an idle one);
+//! - a completed path, or what a stop left in the deque, of any worker
+//!   but worker 0, whose pool is `Engine::executor`'s and outlives the
+//!   run;
+//! - `Engine::take_frontier`, for a checkpoint.
+//!
+//! Every frontier item (the root, a resumed state, what a stop left)
+//! starts in worker 0's deque, so at one worker nothing is handed off
+//! and every state stays live. Skipping the flatten is exact (see
+//! [`ItemState`]).
 //!
 //! ## Determinism by merge order
 //!
-//! Scheduling is racy past one worker (work-sharing queue), but a
+//! Scheduling is racy past one worker (which worker runs an item
+//! follows the timing of hand-offs), but a
 //! HardSnap quantum starts by restoring the item's private hardware
 //! image, so each state's execution is a pure function of `(state, its
 //! snapshot)`. When exploration runs to completion the *set* of bugs,
@@ -103,55 +117,96 @@ impl WorkItem {
             history: History::default(),
         }
     }
+
+    /// The item with its state flattened out of `pool`, for a worker
+    /// whose pool is another.
+    fn detached(mut self, pool: &TermPool) -> WorkItem {
+        self.state = ItemState::Portable(self.state.into_portable(pool));
+        self
+    }
 }
 
-/// A work item's or completed path's symbolic state: live in worker 0's
-/// term pool, or flattened where it leaves that pool (see the module
-/// docs). Skipping the flatten is exact: importing a state into the pool
-/// it was exported from maps every term to itself (the smart
-/// constructors' fixed point) and interns nothing, so every `TermId`,
-/// answer-cache key and digest is what a round trip gives.
+/// A work item's or completed path's symbolic state: live in the term
+/// pool of the worker that published it, or flattened where it leaves
+/// that pool (see the module docs). Skipping the flatten is exact:
+/// importing a state into the pool it was exported from maps every term
+/// to itself (the smart constructors' fixed point) and interns nothing,
+/// so every `TermId`, answer-cache key and digest is what a round trip
+/// gives.
 pub(crate) enum ItemState {
-    /// Interned in worker 0's pool.
-    Live(SymState),
+    /// Interned in the pool whose [`TermPool::id`] it carries, and read
+    /// only through that pool: another pool's `TermId`s name other terms.
+    Live(SymState, u64),
     /// Detached from any pool; any executor may import it.
     Portable(PortableState),
 }
 
 impl ItemState {
-    /// `state`, interned in `pool`: kept live when `pool`'s executor is
-    /// the only one that reads it back, flattened otherwise.
-    pub(crate) fn keep(state: SymState, pool: &TermPool, one_worker: bool) -> ItemState {
-        if one_worker {
-            ItemState::Live(state)
-        } else {
-            ItemState::Portable(PortableState::export(pool, &state))
-        }
+    /// `state`, live in `pool`.
+    pub(crate) fn live(state: SymState, pool: &TermPool) -> ItemState {
+        ItemState::Live(state, pool.id())
     }
 
     pub(crate) fn id(&self) -> StateId {
         match self {
-            ItemState::Live(s) => s.id,
+            ItemState::Live(s, _) => s.id,
             ItemState::Portable(p) => p.id,
         }
     }
 
-    /// The state interned in `pool`, whose executor must be the one a
-    /// live state belongs to.
+    /// The state interned in `pool`.
+    ///
+    /// # Panics
+    ///
+    /// If the state is live in another pool.
     pub(crate) fn into_live(self, pool: &mut TermPool) -> SymState {
         match self {
-            ItemState::Live(s) => s,
+            ItemState::Live(s, owner) => {
+                check_pool(s.id, owner, pool);
+                s
+            }
             ItemState::Portable(p) => p.import(pool),
         }
     }
 
-    /// The state detached from `pool`, the pool a live state belongs to.
+    /// A copy of the state, interned in `pool`; the item is untouched.
+    ///
+    /// # Panics
+    ///
+    /// If the state is live in another pool.
+    fn copy_into(&self, pool: &mut TermPool) -> SymState {
+        match self {
+            ItemState::Live(s, owner) => {
+                check_pool(s.id, *owner, pool);
+                s.clone()
+            }
+            ItemState::Portable(p) => p.import(pool),
+        }
+    }
+
+    /// The state detached from `pool`.
+    ///
+    /// # Panics
+    ///
+    /// If the state is live in another pool.
     pub(crate) fn into_portable(self, pool: &TermPool) -> PortableState {
         match self {
-            ItemState::Live(s) => PortableState::export(pool, &s),
+            ItemState::Live(s, owner) => {
+                check_pool(s.id, owner, pool);
+                PortableState::export(pool, &s)
+            }
             ItemState::Portable(p) => p,
         }
     }
+}
+
+/// Refuses to read a state live in pool `owner` through another pool.
+fn check_pool(state: StateId, owner: u64, pool: &TermPool) {
+    assert!(
+        owner == pool.id(),
+        "state {state:?} is live in term pool {owner}, not in pool {}",
+        pool.id()
+    );
 }
 
 /// A state's forwarded-I/O log and device age (cycles of hardware time
@@ -162,14 +217,21 @@ struct History {
     age: u64,
 }
 
-/// The work queue plus the termination and stop bookkeeping, guarded by
-/// one mutex.
+/// The run's budget, termination and stop bookkeeping plus the items
+/// being handed off, guarded by one mutex. Every other queued item sits
+/// in the deque of the worker that holds it (see the module docs).
 pub(crate) struct Queue {
-    pub(crate) items: VecDeque<WorkItem>,
+    /// Items flattened by their holder for a waiting worker, oldest
+    /// first.
+    pub(crate) handoff: VecDeque<WorkItem>,
     /// xorshift64* state of [`Searcher::Random`].
     pub(crate) rng: u64,
+    /// Items queued in any worker's deque or in `handoff`.
+    queued: usize,
     /// Items being processed (termination detection).
     inflight: usize,
+    /// Workers blocked in [`next_item`] with an empty deque.
+    waiting: usize,
     stopped: bool,
     dropped: u64,
     /// First budget to trip, in the canonical priority order; `None`
@@ -178,41 +240,45 @@ pub(crate) struct Queue {
 }
 
 impl Queue {
-    pub(crate) fn new(items: VecDeque<WorkItem>, rng: u64, exhausted: Option<StopReason>) -> Queue {
+    /// A queue for a run whose `queued` frontier items start in worker
+    /// 0's deque.
+    pub(crate) fn new(queued: usize, rng: u64, exhausted: Option<StopReason>) -> Queue {
         Queue {
-            items,
+            handoff: VecDeque::new(),
             rng,
+            queued,
             inflight: 0,
+            waiting: 0,
             stopped: exhausted.is_some(),
             dropped: 0,
             why: exhausted,
         }
     }
 
-    /// `SelectNextState` (paper line 4).
-    fn select(&mut self, searcher: Searcher) -> Option<WorkItem> {
+    /// `SelectNextState` (paper line 4), over a worker's own deque.
+    fn select(&mut self, own: &mut VecDeque<WorkItem>, searcher: Searcher) -> Option<WorkItem> {
         match searcher {
-            Searcher::Dfs => self.items.pop_back(),
-            Searcher::Bfs | Searcher::RoundRobin => self.items.pop_front(),
+            Searcher::Dfs => own.pop_back(),
+            Searcher::Bfs | Searcher::RoundRobin => own.pop_front(),
             Searcher::Random(_) => {
-                if self.items.is_empty() {
+                if own.is_empty() {
                     return None;
                 }
-                let i = self.draw(self.items.len());
-                self.items.swap_remove_back(i)
+                let i = self.draw(own.len());
+                own.swap_remove_back(i)
             }
         }
     }
 
     /// Whether [`Queue::select`] is sure to pick a continuation pushed
-    /// now, the newest item: under `Dfs` always, under the others only
-    /// from an otherwise empty queue. `Random` then spends the draw that
-    /// `select` would, so skipping the push and select leaves its pick
-    /// sequence unchanged.
-    fn selects_newest(&mut self, searcher: Searcher) -> bool {
+    /// to `own` now, the newest item: under `Dfs` always, under the
+    /// others only from an otherwise empty deque. `Random` then spends
+    /// the draw that `select` would, so skipping the push and select
+    /// leaves its pick sequence unchanged.
+    fn selects_newest(&mut self, own: &VecDeque<WorkItem>, searcher: Searcher) -> bool {
         match searcher {
             Searcher::Dfs => true,
-            _ if !self.items.is_empty() => false,
+            _ if !own.is_empty() => false,
             Searcher::Random(_) => {
                 self.draw(1);
                 true
@@ -250,11 +316,13 @@ pub(crate) struct Shared<'a> {
     assertions: &'a [HwAssertion],
     /// With one worker the replica's live context is the continuation it
     /// just saved, so picking that continuation skips the context
-    /// switch, and every state stays live in the one executor's pool
-    /// ([`ItemState`]). Past one worker, which worker picks an item is a
-    /// race: skipping the switch there would make modeled time
-    /// schedule-dependent, and states travel flattened.
+    /// switch. Past one worker, which worker runs an item follows the
+    /// timing of hand-offs: skipping the switch there would make modeled
+    /// time schedule-dependent, so every quantum restores.
     one_worker: bool,
+    /// [`TermPool::id`] of `Engine::executor`'s pool, worker 0's: the one
+    /// pool that outlives the run, so states leave only it live.
+    engine_pool: u64,
     pub(crate) executed: AtomicU64,
     paths: AtomicU64,
     /// Hardware virtual time consumed across all workers (per-attempt
@@ -280,12 +348,14 @@ pub(crate) struct Carry {
 }
 
 impl<'a> Shared<'a> {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         q: Queue,
         store: SnapshotStore,
         config: &'a EngineConfig,
         assertions: &'a [HwAssertion],
         workers: usize,
+        engine_pool: u64,
         start: &Carry,
         failover: Option<Box<dyn HwTarget>>,
     ) -> Shared<'a> {
@@ -296,6 +366,7 @@ impl<'a> Shared<'a> {
             config,
             assertions,
             one_worker: workers == 1,
+            engine_pool,
             executed: AtomicU64::new(start.instructions),
             paths: AtomicU64::new(start.paths),
             vtime: AtomicU64::new(start.vtime_ns),
@@ -364,7 +435,11 @@ impl Worker {
 #[derive(Default)]
 pub(crate) struct WorkerOutput {
     pub(crate) bugs: Vec<BugReport>,
+    /// Live only from worker 0 (see the module docs).
     pub(crate) completed: Vec<ItemState>,
+    /// What a stop left in the worker's deque, for the engine's
+    /// frontier; live only from worker 0.
+    pub(crate) left: VecDeque<WorkItem>,
     pub(crate) covered: HashSet<u32>,
     pub(crate) metrics: EngineMetrics,
     pub(crate) vtime_ns: u64,
@@ -496,68 +571,104 @@ fn check_budgets(shared: &Shared, g: &mut Queue) {
     }
 }
 
-/// Blocks until a work item is available; `None` on termination (queue
-/// drained with nothing in flight, or stop flag). Budgets are checked
-/// before selecting, so an item picked at the boundary stays queued for
-/// the campaign checkpoint instead of being dropped.
-fn next_item(shared: &Shared) -> Option<WorkItem> {
+/// Blocks until a work item is available: the searcher's pick from
+/// `own`, else one another worker handed off. `None` on termination
+/// (nothing queued anywhere and nothing in flight, or stop flag).
+/// Budgets are checked before selecting, so an item picked at the
+/// boundary stays queued for the campaign checkpoint instead of being
+/// dropped.
+fn next_item(shared: &Shared, own: &mut VecDeque<WorkItem>) -> Option<WorkItem> {
     let mut g = shared.q.lock();
     loop {
         check_budgets(shared, &mut g);
-        if g.stopped {
-            shared.cv.notify_all();
+        if g.stopped || g.queued + g.inflight == 0 {
+            if g.waiting > 0 {
+                shared.cv.notify_all();
+            }
             return None;
         }
-        if let Some(it) = g.select(shared.config.searcher) {
+        let picked = g.select(own, shared.config.searcher);
+        if let Some(it) = picked.or_else(|| g.handoff.pop_front()) {
+            g.queued -= 1;
             g.inflight += 1;
             return Some(it);
         }
-        if g.inflight == 0 {
-            shared.cv.notify_all();
-            return None;
-        }
+        // The queued items are in other workers' deques: wait for a
+        // hand-off or the end of the run.
+        g.waiting += 1;
         g = shared
             .cv
             .wait(g)
             .unwrap_or_else(|poisoned| poisoned.into_inner());
+        g.waiting -= 1;
     }
 }
 
-/// Publishes `successors` and retires the in-flight slot, dropping
-/// successors beyond the fork-bomb guard.
-fn finish_item(shared: &Shared, successors: Vec<WorkItem>) {
+/// Publishes `successors` to `own` and retires the in-flight slot,
+/// dropping successors beyond the fork-bomb guard. While another worker
+/// waits and `own` holds at least two items, hands the oldest off,
+/// flattened out of `pool`. Wakes waiting workers only for a hand-off,
+/// a stop or the end of the run.
+fn finish_item(
+    shared: &Shared,
+    w: &Worker,
+    pool: &TermPool,
+    own: &mut VecDeque<WorkItem>,
+    successors: Vec<WorkItem>,
+) {
     let mut g = shared.q.lock();
     g.inflight -= 1;
     for s in successors {
-        if g.items.len() + g.inflight >= shared.config.max_states {
+        if g.queued + g.inflight >= shared.config.max_states {
             g.dropped += 1;
             if let Some(sid) = s.snap {
                 shared.store.remove(sid);
             }
             continue;
         }
-        g.items.push_back(s);
+        own.push_back(s);
+        g.queued += 1;
     }
     check_budgets(shared, &mut g);
+    if g.waiting == 0 {
+        return;
+    }
+    let mut wake = g.stopped || g.queued + g.inflight == 0;
+    while !g.stopped && g.waiting > g.handoff.len() && own.len() >= 2 {
+        let oldest = own.pop_front().expect("two items held");
+        g.handoff.push_back(oldest.detached(pool));
+        w.rec.count(Counter::StatesHandedOff);
+        wake = true;
+    }
     drop(g);
-    shared.cv.notify_all();
+    if wake {
+        shared.cv.notify_all();
+    }
 }
 
-/// Runs one worker until the queue drains or a budget stops the run.
+/// Runs one worker, starting from the items in `own`, until the run
+/// drains or a budget stops it.
 ///
 /// Each item runs as an attempt (see [`run_quantum`]). A failed attempt
 /// un-counts its instructions and is replayed on the reset replica; a
 /// replica past `replica_fault_budget` is quarantined: rebuilt with
 /// [`HwTarget::fork_clean`] (or swapped for the failover spare) and the
-/// item re-queued for any worker. After `max_item_attempts` failures in
-/// total the state is killed and named in the fault log.
-pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> WorkerOutput {
+/// item re-queued in the worker's deque, from where it may be handed
+/// off. After `max_item_attempts` failures in total the state is killed
+/// and named in the fault log.
+pub(crate) fn run_worker(
+    shared: &Shared,
+    w: &mut Worker,
+    ex: &mut Executor,
+    mut own: VecDeque<WorkItem>,
+) -> WorkerOutput {
+    let _stop = StopOnUnwind(shared);
     let config = shared.config;
     let mut out = WorkerOutput::default();
     let (retried, recovered) = (w.sup.retried, w.sup.recovered);
     // Terminal quantum failures since this replica was (re)built.
     let mut health_faults: u32 = 0;
-    'items: while let Some(mut item) = next_item(shared) {
+    'items: while let Some(mut item) = next_item(shared, &mut own) {
         let mut attempts: u32 = item.strikes;
         loop {
             attempts += 1;
@@ -568,7 +679,7 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                 vt0: w.vtime(),
                 ..Attempt::default()
             };
-            let outcome = run_quantum(shared, w, ex, &item, &mut scratch, &mut out);
+            let outcome = run_quantum(shared, w, ex, &own, &item, &mut scratch, &mut out);
             let spent = w.vtime().saturating_sub(scratch.vt0);
             shared.vtime.fetch_add(spent, Ordering::Relaxed);
             out.vtime_ns += spent;
@@ -586,7 +697,7 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                             .map(|s| s.state.id())
                             .find(|&id| id == item.state.id());
                     }
-                    finish_item(shared, successors);
+                    finish_item(shared, w, &ex.pool, &mut own, successors);
                     continue 'items;
                 }
                 Err(e) => {
@@ -603,7 +714,7 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                         if let Some(sid) = item.snap {
                             shared.store.remove(sid);
                         }
-                        finish_item(shared, Vec::new());
+                        finish_item(shared, w, &ex.pool, &mut own, Vec::new());
                         continue 'items;
                     }
                     if health_faults > config.retry.replica_fault_budget {
@@ -628,7 +739,7 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
                         }
                         health_faults = 0;
                         item.strikes = attempts;
-                        finish_item(shared, vec![item]);
+                        finish_item(shared, w, &ex.pool, &mut own, vec![item]);
                         continue 'items;
                     }
                     w.target.reset();
@@ -640,7 +751,27 @@ pub(crate) fn run_worker(shared: &Shared, w: &mut Worker, ex: &mut Executor) -> 
     out.faults.recovered = w.sup.recovered - recovered;
     out.faults.injected += w.target.fault_stats().map_or(0, |s| s.injected());
     out.telemetry = w.rec.snapshot();
+    out.left = if ex.pool.id() == shared.engine_pool {
+        own
+    } else {
+        own.into_iter().map(|it| it.detached(&ex.pool)).collect()
+    };
     out
+}
+
+/// Raises the stop flag if its worker unwinds. The worker's in-flight
+/// item and its deque stay counted, so without a stop the other workers
+/// would wait for them forever, and the panic would never reach the
+/// caller.
+struct StopOnUnwind<'s, 'a>(&'s Shared<'a>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.q.lock().stopped = true;
+            self.0.cv.notify_all();
+        }
+    }
 }
 
 /// Runs one work item for up to one quantum: context switch, then
@@ -657,15 +788,13 @@ fn run_quantum(
     shared: &Shared,
     w: &mut Worker,
     ex: &mut Executor,
+    own: &VecDeque<WorkItem>,
     item: &WorkItem,
     scratch: &mut Attempt,
     out: &mut WorkerOutput,
 ) -> Result<Vec<WorkItem>, TargetError> {
     let config = shared.config;
-    let mut state = match &item.state {
-        ItemState::Live(s) => s.clone(),
-        ItemState::Portable(p) => p.import(&mut ex.pool),
-    };
+    let mut state = item.state.copy_into(&mut ex.pool);
     let _qspan = w.rec.span("engine", "quantum");
     begin_quantum(shared, w, out);
     if w.live.take() != Some(state.id) {
@@ -717,7 +846,7 @@ fn run_quantum(
         let continuation = match outcome {
             StepOutcome::ContinueWith(s) => {
                 if now < config.max_instructions {
-                    if remaining == 0 && runs_on(shared, w, scratch) {
+                    if remaining == 0 && runs_on(shared, w, own, scratch) {
                         // No UpdateState/RestoreState pair between two
                         // quanta of one state; a failure replays both.
                         w.rec.observe(
@@ -744,8 +873,7 @@ fn run_quantum(
                 let mut items = Vec::with_capacity(succ.len());
                 for s in succ {
                     let existing = if s.id == state_id { item.snap } else { None };
-                    let mut it =
-                        WorkItem::new(ItemState::keep(s, &ex.pool, shared.one_worker), None);
+                    let mut it = WorkItem::new(ItemState::live(s, &ex.pool), None);
                     if let Some(stored) = &stored {
                         it.snap = Some(install(&shared.store, stored.clone(), existing));
                     }
@@ -755,9 +883,15 @@ fn run_quantum(
                 return Ok(items);
             }
             StepOutcome::Halted(s) => {
+                // The path leaves this worker: live only from the pool
+                // that outlives the run.
                 scratch
                     .completed
-                    .push(ItemState::keep(s, &ex.pool, shared.one_worker));
+                    .push(if ex.pool.id() == shared.engine_pool {
+                        ItemState::live(s, &ex.pool)
+                    } else {
+                        ItemState::Portable(PortableState::export(&ex.pool, &s))
+                    });
                 return Ok(end_path(shared, w, item, state_id, out));
             }
             StepOutcome::Bug {
@@ -775,10 +909,7 @@ fn run_quantum(
         };
         // UpdateState: the continuation's context goes into its private
         // snapshot (HardSnap) or its replay history (baselines).
-        let mut it = WorkItem::new(
-            ItemState::keep(continuation, &ex.pool, shared.one_worker),
-            None,
-        );
+        let mut it = WorkItem::new(ItemState::live(continuation, &ex.pool), None);
         if config.mode == ConsistencyMode::HardSnap {
             let stored = capture(shared, w, state_id, out)?;
             it.snap = Some(install(&shared.store, stored, item.snap));
@@ -800,7 +931,7 @@ fn begin_quantum(shared: &Shared, w: &Worker, out: &mut WorkerOutput) {
 /// then the state's own, exactly as after a restore, so saving and
 /// restoring it would only cost device time — a capture per quantum for
 /// a long init sequence.
-fn runs_on(shared: &Shared, w: &Worker, scratch: &Attempt) -> bool {
+fn runs_on(shared: &Shared, w: &Worker, own: &VecDeque<WorkItem>, scratch: &Attempt) -> bool {
     shared.one_worker
         && budget_stop(
             shared.config,
@@ -810,7 +941,7 @@ fn runs_on(shared: &Shared, w: &Worker, scratch: &Attempt) -> bool {
             shared.quanta.load(Ordering::Relaxed),
         )
         .is_none()
-        && shared.q.lock().selects_newest(shared.config.searcher)
+        && shared.q.lock().selects_newest(own, shared.config.searcher)
 }
 
 /// Hardware context switch (paper lines 5-9): makes the replica hold
@@ -990,5 +1121,35 @@ fn install(store: &SnapshotStore, stored: Stored, existing: Option<SnapId>) -> S
             sid
         }
         (Stored::Full(full), None) => store.insert(full),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hardsnap_symex::Concretization;
+
+    fn live_item(id: u64) -> (Executor, ItemState) {
+        let mut ex = Executor::new(Concretization::Minimal);
+        let mut state = ex.initial_state(vec![0; 16], 0);
+        state.id = StateId(id);
+        let item = ItemState::live(state, &ex.pool);
+        (ex, item)
+    }
+
+    #[test]
+    fn a_live_state_is_read_back_through_its_own_pool() {
+        let (mut ex, item) = live_item(7);
+        let terms = ex.pool.len();
+        assert_eq!(item.copy_into(&mut ex.pool).id, StateId(7));
+        assert_eq!(item.into_live(&mut ex.pool).id, StateId(7));
+        assert_eq!(ex.pool.len(), terms, "a live state interns nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "state StateId(7) is live in term pool")]
+    fn a_live_state_refuses_another_pool() {
+        let (_ex, item) = live_item(7);
+        item.into_live(&mut TermPool::new());
     }
 }

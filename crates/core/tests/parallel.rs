@@ -5,6 +5,7 @@
 use hardsnap::firmware::{self, PlantedBug};
 use hardsnap::{
     ConsistencyMode, Engine, EngineConfig, EngineMetrics, ParallelEngine, RunResult, Searcher,
+    StopReason, TelemetryConfig,
 };
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget, TargetCaps, TargetError};
 use hardsnap_sim::SimTarget;
@@ -80,6 +81,60 @@ fn worker_count_does_not_change_the_result() {
         par_digests[0].2 <= t2,
         "one worker skips restores, never adds"
     );
+}
+
+/// A budget stop returns every worker's deque to the engine's frontier
+/// (flattened, but for worker 0's), and the next `run()` on the same
+/// engine starts all of it in worker 0's deque. The legs together must
+/// complete exactly the paths of one uninterrupted run, each once.
+#[test]
+fn rerunning_one_engine_after_budget_stops_completes_every_path_once() {
+    let asm = firmware::branching_firmware(5);
+    let whole = sequential_run(&asm, &config());
+    assert_eq!(whole.metrics.paths_completed, 32);
+    let path = |s: &hardsnap_symex::SymState| (s.id.0, s.pc, s.instret, s.console.clone());
+    let want: Vec<_> = whole.completed.iter().map(path).collect();
+    let prog = hardsnap_isa::assemble(&asm).unwrap();
+    for workers in [2, 4] {
+        // Each run counts instructions from zero (no campaign carry).
+        let cfg = EngineConfig {
+            max_instructions: whole.instructions / 4,
+            ..config()
+        };
+        let mut engine = Engine::with_workers(sim(), workers, cfg).unwrap();
+        engine.load_firmware(&prog);
+        let (mut got, mut instructions, mut runs) = (Vec::new(), 0, 0);
+        let last = loop {
+            let r = engine.run();
+            runs += 1;
+            got.extend(r.completed.iter().map(path));
+            instructions += r.instructions;
+            if r.stop == StopReason::Complete {
+                break r;
+            }
+            // A budget that trips on the quantum draining the frontier
+            // still reads `Instructions`; the next run then completes
+            // with nothing to do.
+            assert_eq!(r.stop, StopReason::Instructions, "workers={workers}");
+            assert!(runs < 100, "workers={workers}: never completed");
+        };
+        assert!(runs >= 3, "workers={workers}: only {runs} runs");
+        got.sort();
+        let mut ids: Vec<u64> = got.iter().map(|p| p.0).collect();
+        ids.dedup();
+        assert_eq!(
+            ids.len(),
+            got.len(),
+            "workers={workers}: a path completed twice"
+        );
+        assert_eq!(got, want, "workers={workers}: completed paths differ");
+        assert_eq!(instructions, whole.instructions, "workers={workers}");
+        assert_eq!(last.covered_pcs, whole.covered_pcs, "workers={workers}");
+        assert!(
+            engine.store.is_empty() && engine.store.total_bytes() == 0,
+            "workers={workers}: snapshots left in the store"
+        );
+    }
 }
 
 #[test]
@@ -158,15 +213,23 @@ struct Seen {
     met: Condvar,
 }
 
+/// How long a [`ThreadSpy`] restore waits for the other worker: long
+/// enough for a spawned thread to start and wait for a hand-off.
+const MEET_WAIT: Duration = Duration::from_millis(50);
+
 /// Delegating target that records which threads clock it; the replicas
-/// it forks record into the same set. Restores wait until `meet`
-/// distinct threads have reached one: only fork children restore, and
-/// the first fork queues two of them, so with two workers each picks
-/// one and both are certain to run.
+/// it forks record into the same set. Each restore waits, at most
+/// [`MEET_WAIT`], until `meet` distinct threads have reached one. Every
+/// item starts in worker 0's deque, and worker 0 hands one to the other
+/// worker only between quanta, once that worker waits; so worker 0
+/// holds back a restore at a time until the other worker has restored a
+/// handed-off item, and with two workers both run.
 struct ThreadSpy {
     inner: Box<dyn HwTarget>,
     seen: Arc<Seen>,
     meet: usize,
+    /// Panic in every restore, after recording the thread.
+    panic_on_restore: bool,
 }
 
 impl HwTarget for ThreadSpy {
@@ -206,9 +269,11 @@ impl HwTarget for ThreadSpy {
         let mut met = self.seen.restored.lock().unwrap();
         met.insert(std::thread::current().id());
         self.seen.met.notify_all();
-        // The timeout only turns a missing worker into a failed
-        // assertion instead of a hung test.
-        let deadline = Instant::now() + Duration::from_secs(10);
+        if self.panic_on_restore {
+            drop(met);
+            panic!("restore refused");
+        }
+        let deadline = Instant::now() + MEET_WAIT;
         while met.len() < self.meet && Instant::now() < deadline {
             met = self
                 .seen
@@ -231,37 +296,86 @@ impl HwTarget for ThreadSpy {
             inner: self.inner.fork_clean()?,
             seen: self.seen.clone(),
             meet: self.meet,
+            panic_on_restore: self.panic_on_restore,
         }))
     }
 }
 
 /// Worker 0 runs on the calling thread, so a one-worker run spawns no
 /// thread at all (whichever constructor built it) and two workers spawn
-/// exactly one.
+/// exactly one. Every item starts in worker 0's deque, so the other
+/// worker runs only what worker 0 handed it, and the hand-off counter
+/// shows it.
 #[test]
 fn worker_zero_runs_on_the_calling_thread() {
     let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
     let me = std::thread::current().id();
+    let config = || EngineConfig {
+        telemetry: TelemetryConfig::ON,
+        ..config()
+    };
     let threads = |meet: usize, build: &dyn Fn(Box<dyn HwTarget>) -> Engine| {
         let seen = Arc::new(Seen::default());
         let spy = ThreadSpy {
             inner: sim(),
             seen: seen.clone(),
             meet,
+            panic_on_restore: false,
         };
         let mut engine = build(Box::new(spy));
         engine.load_firmware(&prog);
-        assert_eq!(engine.run().metrics.paths_completed, 8);
+        let r = engine.run();
+        assert_eq!(r.metrics.paths_completed, 8);
+        let handed_off = r
+            .telemetry
+            .expect("telemetry on")
+            .counter("states_handed_off");
         let stepped = seen.stepped.lock().unwrap().clone();
-        stepped
+        (stepped, handed_off)
     };
     let one = threads(1, &|t| Engine::new(t, config()));
-    assert_eq!(one, HashSet::from([me]), "Engine::new");
+    assert_eq!(one, (HashSet::from([me]), 0), "Engine::new");
     let one = threads(1, &|t| {
         ParallelEngine::new(t.as_ref(), 1, config()).unwrap()
     });
-    assert_eq!(one, HashSet::from([me]), "ParallelEngine::new at 1 worker");
-    let two = threads(2, &|t| Engine::with_workers(t, 2, config()).unwrap());
+    assert_eq!(
+        one,
+        (HashSet::from([me]), 0),
+        "ParallelEngine::new at 1 worker"
+    );
+    let (two, handed_off) = threads(2, &|t| Engine::with_workers(t, 2, config()).unwrap());
     assert!(two.contains(&me), "worker 0 ran elsewhere: {two:?}");
     assert_eq!(two.len(), 2, "want the caller plus one worker: {two:?}");
+    assert!(handed_off >= 1, "the other worker ran without a hand-off");
+}
+
+/// A worker that panics stops the run: the other workers return instead
+/// of waiting forever for its in-flight item, and the panic reaches the
+/// caller of `run`.
+#[test]
+fn a_panicking_worker_stops_the_run() {
+    let prog = hardsnap_isa::assemble(&firmware::branching_firmware(3)).unwrap();
+    for workers in [2, 4] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let prog = prog.clone();
+        std::thread::spawn(move || {
+            let spy = ThreadSpy {
+                inner: sim(),
+                seen: Arc::new(Seen::default()),
+                meet: 1,
+                panic_on_restore: true,
+            };
+            let mut engine = Engine::with_workers(Box::new(spy), workers, config()).unwrap();
+            engine.load_firmware(&prog);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run()));
+            tx.send(run.is_err()).unwrap();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("workers={workers}: the run hung after a worker panicked"));
+        assert!(
+            panicked,
+            "workers={workers}: the panic did not reach the caller"
+        );
+    }
 }

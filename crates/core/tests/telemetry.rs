@@ -63,6 +63,11 @@ fn one_worker_collects_its_track_telemetry() {
     assert_eq!(t.counter("context_switches"), r.metrics.context_switches);
     assert_eq!(t.counter("snapshots_saved"), r.metrics.snapshots_saved);
     assert!(t.counter("quanta") > 0, "quantum counter must tick");
+    assert_eq!(
+        t.counter("states_handed_off"),
+        0,
+        "one worker has no one to hand a state to"
+    );
     assert!(
         t.hist("quantum_instructions").is_some(),
         "quantum length histogram recorded"

@@ -6,6 +6,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies a term within its [`TermPool`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -134,18 +135,40 @@ fn mask(width: u32) -> u64 {
 }
 
 /// Hash-consing arena for terms.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 pub struct TermPool {
+    /// Process-unique: a [`TermId`] means something only in its pool.
+    id: u64,
     terms: Vec<Term>,
     widths: Vec<u32>,
     index: HashMap<Term, TermId>,
     var_counter: u32,
 }
 
+impl Default for TermPool {
+    fn default() -> Self {
+        // Unique by `fetch_add` alone; the id publishes no other data.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        TermPool {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            terms: Vec::new(),
+            widths: Vec::new(),
+            index: HashMap::new(),
+            var_counter: 0,
+        }
+    }
+}
+
 impl TermPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         TermPool::default()
+    }
+
+    /// This pool's id, unique in the process: a holder of [`TermId`]s
+    /// records it to check that it reads them back from the same pool.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of distinct terms.
@@ -564,6 +587,12 @@ mod tests {
         let c2 = p.constant(5, 32);
         assert_eq!(c1, c2);
         assert_ne!(p.constant(5, 16), c1);
+    }
+
+    #[test]
+    fn every_pool_has_its_own_id() {
+        let (p, q) = (TermPool::new(), TermPool::default());
+        assert_ne!(p.id(), q.id());
     }
 
     #[test]

@@ -87,6 +87,9 @@ enum_metric! {
         DeltaSnapshotsSaved => "delta_snapshots_saved",
         /// Scheduler quanta executed.
         Quanta => "quanta",
+        /// Work items a worker flattened out of its term pool and
+        /// handed to a waiting worker.
+        StatesHandedOff => "states_handed_off",
         /// MMIO reads forwarded to the target.
         BusReads => "bus_reads",
         /// MMIO writes forwarded to the target.
