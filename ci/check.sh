@@ -13,6 +13,9 @@ cargo test -q --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> rustdoc gate (a broken or ambiguous doc link fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 echo "==> parallel-engine worker-determinism guard"
 cargo test -q --offline -p hardsnap --test parallel
 

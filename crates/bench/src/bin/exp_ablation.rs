@@ -23,7 +23,7 @@ fn main() {
     );
 
     // ---- 1. snapshot storage: full vs delta ------------------------------
-    println!("--- snapshot storage representation (branching k=5, BFS) ---");
+    println!("--- snapshot storage representation (branching k=5, round-robin) ---");
     let widths = [8, 9, 12, 13, 11];
     row(
         &["store", "paths", "snapshots", "peak-bytes", "live-bytes"],
@@ -32,7 +32,7 @@ fn main() {
     for delta in [false, true] {
         let prog = hardsnap_isa::assemble(&firmware::branching_firmware(5)).unwrap();
         let mut e = engine(EngineConfig {
-            searcher: Searcher::Bfs,
+            searcher: Searcher::RoundRobin,
             quantum: 4,
             delta_snapshots: delta,
             max_instructions: 2_000_000,

@@ -567,16 +567,7 @@ pub fn resume_campaign(dir: &Path, engine: &mut Engine) -> Result<(), CampaignEr
         file.meta()?.check_shape(engine.target().snapshot_shape())?;
     }
     let cp = decode(&file, &engine.store)?;
-    engine.seed_prior(
-        cp.instructions,
-        cp.paths_completed,
-        cp.vtime_ns,
-        cp.quanta,
-        cp.covered,
-        cp.bugs,
-        cp.completed,
-    );
-    engine.resume_frontier(cp.frontier);
+    engine.resume(cp);
     Ok(())
 }
 
@@ -588,7 +579,7 @@ mod tests {
     use hardsnap_bus::persist::for_each_damage;
     use hardsnap_bus::{HwTarget, SnapshotDelta};
     use hardsnap_sim::SimTarget;
-    use hardsnap_symex::PortableTerm;
+    use hardsnap_symex::{Term, TermId};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -911,11 +902,13 @@ mod tests {
         let x = state
             .terms
             .iter()
-            .position(|t| matches!(t, PortableTerm::Var { width: 32, .. }))
-            .expect("a symbolic input") as u32;
-        state
-            .terms
-            .push(PortableTerm::Extract { a: x, hi: 0, lo: 5 });
+            .position(|t| matches!(t, Term::Var { width: 32, .. }))
+            .expect("a symbolic input");
+        state.terms.push(Term::Extract {
+            a: TermId(x as u32),
+            hi: 0,
+            lo: 5,
+        });
         save_campaign(&dir, &store, &cp).unwrap();
         let mut engine = soc_engine(EngineConfig {
             mode: ConsistencyMode::HardSnap,

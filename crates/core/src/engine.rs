@@ -21,6 +21,7 @@
 //!   no state management: all symbolic states share the live hardware
 //!   (fast but wrong — the mode used by prior hardware-in-the-loop DSE).
 
+use crate::campaign::Checkpoint;
 use crate::snapshots::{SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, RetryPolicy};
 use crate::worker::{run_worker, Carry, ItemState, Queue, Shared, WorkItem, Worker, WorkerOutput};
@@ -139,9 +140,9 @@ impl std::fmt::Display for StopReason {
 pub enum Searcher {
     /// Depth-first (fewest context switches).
     Dfs,
-    /// Breadth-first (most context switches — stresses snapshotting).
-    Bfs,
-    /// Round-robin over active states.
+    /// Round-robin over active states: the oldest first, so the
+    /// frontier is explored breadth-first (most context switches —
+    /// stresses snapshotting).
     RoundRobin,
     /// Uniform random state selection (KLEE's random-state search),
     /// deterministic for a given seed.
@@ -462,7 +463,7 @@ pub struct Engine {
     covered: HashSet<u32>,
     hw_assertions: Vec<HwAssertion>,
     /// Results of the run that produced a resumed campaign
-    /// ([`Engine::seed_prior`]), folded into the next run.
+    /// ([`Engine::resume`]), folded into the next run.
     carry: Carry,
 }
 
@@ -806,48 +807,35 @@ impl Engine {
             .drain(..)
             .map(|it| (it.state.into_portable(pool), it.snap))
             .collect();
-        out.sort_by_key(|(s, _)| s.id.0);
+        out.sort_by_key(|(p, _)| p.state.id.0);
         Ok(out)
     }
 
-    /// Enqueues a frontier exported by [`Engine::take_frontier`] (with
-    /// snapshot ids re-mapped to this engine's store by the campaign
-    /// loader), in order.
-    pub fn resume_frontier(&mut self, frontier: Vec<(PortableState, Option<SnapId>)>) {
+    /// Resumes a saved campaign: enqueues its frontier, in order, with
+    /// snapshot ids already mapped to this engine's store (as
+    /// [`load_campaign`](crate::campaign::load_campaign) leaves them),
+    /// and seeds the saved run's results, so the next [`Engine::run`]
+    /// folds them into its budgets (instruction and path caps continue
+    /// where the saved run stopped) and into its `RunResult` — making
+    /// save → resume report exactly what one uninterrupted run would
+    /// have.
+    pub fn resume(&mut self, cp: Checkpoint) {
         for w in &mut self.workers {
             w.live = None;
         }
         self.frontier.extend(
-            frontier
+            cp.frontier
                 .into_iter()
                 .map(|(state, snap)| WorkItem::new(ItemState::Portable(state), snap)),
         );
-    }
-
-    /// Seeds the engine with the results of the run that produced a
-    /// saved campaign, so the next [`Engine::run`] folds them into its
-    /// budgets (instruction and path caps continue where the saved run
-    /// stopped) and into its `RunResult` — making save → resume report
-    /// exactly what one uninterrupted run would have.
-    #[allow(clippy::too_many_arguments)]
-    pub fn seed_prior(
-        &mut self,
-        instructions: u64,
-        paths_completed: u64,
-        vtime_ns: u64,
-        quanta: u64,
-        covered: impl IntoIterator<Item = u32>,
-        bugs: Vec<BugReport>,
-        completed: Vec<PortableState>,
-    ) {
-        self.covered.extend(covered);
+        self.covered.extend(cp.covered);
         self.carry = Carry {
-            bugs,
-            completed,
-            instructions,
-            paths: paths_completed,
-            vtime_ns,
-            quanta,
+            bugs: cp.bugs,
+            completed: cp.completed,
+            instructions: cp.instructions,
+            paths: cp.paths_completed,
+            vtime_ns: cp.vtime_ns,
+            quanta: cp.quanta,
         };
     }
 }

@@ -26,8 +26,9 @@
 //! software state stays in the symbolic VM that runs it. The items a
 //! worker publishes stay in its own deque, live in its executor's term
 //! pool, and the shared [`Queue`] holds only the items being handed off.
-//! A state is flattened into a [`PortableState`] only where it leaves
-//! its pool:
+//! A state is detached into a [`PortableState`] (the same `SymState`
+//! over a term list of its own: its term closure, renumbered) only where
+//! it leaves its pool:
 //!
 //! - a hand-off: when another worker waits with an empty deque and this
 //!   one holds at least two items, it flattens its oldest, the root of
@@ -40,8 +41,9 @@
 //!
 //! Every frontier item (the root, a resumed state, what a stop left)
 //! starts in worker 0's deque, so at one worker nothing is handed off
-//! and every state stays live. Skipping the flatten is exact (see
-//! [`ItemState`]).
+//! and every state stays live. A worker that picks a detached item
+//! rebuilds its term list in its own pool and remaps the state onto the
+//! result. Skipping the detach is exact (see [`ItemState`]).
 //!
 //! ## Determinism by merge order
 //!
@@ -118,26 +120,27 @@ impl WorkItem {
         }
     }
 
-    /// The item with its state flattened out of `pool`, for a worker
-    /// whose pool is another.
+    /// The item with its state detached from `pool`, for a worker whose
+    /// pool is another.
     fn detached(mut self, pool: &TermPool) -> WorkItem {
         self.state = ItemState::Portable(self.state.into_portable(pool));
         self
     }
 }
 
-/// A work item's or completed path's symbolic state: live in the term
-/// pool of the worker that published it, or flattened where it leaves
-/// that pool (see the module docs). Skipping the flatten is exact:
-/// importing a state into the pool it was exported from maps every term
-/// to itself (the smart constructors' fixed point) and interns nothing,
-/// so every `TermId`, answer-cache key and digest is what a round trip
-/// gives.
+/// A work item's or completed path's symbolic state, a [`SymState`]
+/// either way: live, its `TermId`s index the term pool of the worker
+/// that published it; detached where it leaves that pool (see the
+/// module docs), they index the [`PortableState`]'s own term list.
+/// Skipping the detach is exact: importing a state into the pool it was
+/// exported from maps every term to itself (the smart constructors'
+/// fixed point) and interns nothing, so every `TermId`, answer-cache key
+/// and digest is what a round trip gives.
 pub(crate) enum ItemState {
     /// Interned in the pool whose [`TermPool::id`] it carries, and read
     /// only through that pool: another pool's `TermId`s name other terms.
     Live(SymState, u64),
-    /// Detached from any pool; any executor may import it.
+    /// Over its own term list; any executor may import it.
     Portable(PortableState),
 }
 
@@ -150,7 +153,7 @@ impl ItemState {
     pub(crate) fn id(&self) -> StateId {
         match self {
             ItemState::Live(s, _) => s.id,
-            ItemState::Portable(p) => p.id,
+            ItemState::Portable(p) => p.state.id,
         }
     }
 
@@ -165,7 +168,7 @@ impl ItemState {
                 check_pool(s.id, owner, pool);
                 s
             }
-            ItemState::Portable(p) => p.import(pool),
+            ItemState::Portable(p) => p.into_state(pool),
         }
     }
 
@@ -235,7 +238,7 @@ pub(crate) struct Queue {
     stopped: bool,
     dropped: u64,
     /// First budget to trip, in the canonical priority order; `None`
-    /// while running or when the queue drained.
+    /// while none has.
     why: Option<StopReason>,
 }
 
@@ -259,7 +262,7 @@ impl Queue {
     fn select(&mut self, own: &mut VecDeque<WorkItem>, searcher: Searcher) -> Option<WorkItem> {
         match searcher {
             Searcher::Dfs => own.pop_back(),
-            Searcher::Bfs | Searcher::RoundRobin => own.pop_front(),
+            Searcher::RoundRobin => own.pop_front(),
             Searcher::Random(_) => {
                 if own.is_empty() {
                     return None;
@@ -283,7 +286,7 @@ impl Queue {
                 self.draw(1);
                 true
             }
-            Searcher::Bfs | Searcher::RoundRobin => true,
+            Searcher::RoundRobin => true,
         }
     }
 
@@ -296,12 +299,12 @@ impl Queue {
     }
 
     /// Why the run stopped, and how many successors the fork-bomb guard
-    /// dropped.
+    /// dropped. A run that drained its frontier is complete, even when
+    /// its last quantum also tripped a budget: nothing is left to resume.
     pub(crate) fn outcome(&self) -> (StopReason, u64) {
-        let why = match (self.stopped, self.why) {
-            (true, Some(why)) => why,
-            (true, None) => StopReason::Instructions,
-            (false, _) => StopReason::Complete,
+        let why = match self.why {
+            Some(why) if self.queued + self.inflight > 0 => why,
+            _ => StopReason::Complete,
         };
         (why, self.dropped)
     }

@@ -196,6 +196,29 @@ fn repeated_cuts_chain_to_identical_digest() {
 }
 
 #[test]
+fn a_budget_tripped_as_the_frontier_drains_reads_complete() {
+    // `max_instructions` at the whole run's length: the quantum that
+    // retires the last path also trips the budget, with nothing left to
+    // resume.
+    let asm = firmware::branching_firmware(3);
+    let whole = run_fresh(&asm, &config(), 1);
+    assert_eq!(
+        (whole.stop, whole.instructions),
+        (StopReason::Complete, 109)
+    );
+    let cut = EngineConfig {
+        max_instructions: whole.instructions,
+        ..config()
+    };
+    let mut engine = engine(&cut, 1);
+    engine.load_firmware(&hardsnap_isa::assemble(&asm).unwrap());
+    let r = engine.run();
+    assert_eq!(r.stop, StopReason::Complete);
+    assert_eq!((r.metrics.paths_completed, engine.active_states()), (8, 0));
+    assert_eq!(r.canonical_digest(), whole.canonical_digest());
+}
+
+#[test]
 fn budget_priority_is_stable() {
     // When several budgets are simultaneously exhausted the reported
     // reason follows the documented priority: cancelled > wall-clock >

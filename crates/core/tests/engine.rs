@@ -47,7 +47,7 @@ fn fig1_hardsnap_paths_get_private_hardware() {
 
 #[test]
 fn branching_firmware_all_paths_consistent() {
-    for searcher in [Searcher::Dfs, Searcher::Bfs, Searcher::RoundRobin] {
+    for searcher in [Searcher::Dfs, Searcher::RoundRobin] {
         let mut engine = sim_engine(ConsistencyMode::HardSnap, searcher);
         let prog = hardsnap_isa::assemble(&firmware::branching_firmware(4)).unwrap();
         engine.load_firmware(&prog);
@@ -276,7 +276,7 @@ fn delta_snapshots_are_correct_and_smaller() {
     for delta in [false, true] {
         let soc = hardsnap_periph::soc().unwrap();
         let config = EngineConfig {
-            searcher: Searcher::Bfs, // widest frontier => most snapshots
+            searcher: Searcher::RoundRobin, // widest frontier => most snapshots
             quantum: 4,
             delta_snapshots: delta,
             max_instructions: 300_000,

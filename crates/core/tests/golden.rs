@@ -36,10 +36,9 @@ fn base(mode: ConsistencyMode, searcher: Searcher, delta: bool) -> EngineConfig 
     }
 }
 
-fn searchers() -> [(&'static str, Searcher); 4] {
+fn searchers() -> [(&'static str, Searcher); 3] {
     [
         ("dfs", Searcher::Dfs),
-        ("bfs", Searcher::Bfs),
         ("rr", Searcher::RoundRobin),
         ("random", Searcher::Random(0xC0FFEE)),
     ]
@@ -114,8 +113,10 @@ fn corpus() -> Vec<Case> {
             |c| c.max_instructions = 500,
         ),
         ("max_paths=5/dfs", Searcher::Dfs, false, |c| c.max_paths = 5),
-        ("max_paths=9/bfs", Searcher::Bfs, true, |c| c.max_paths = 9),
-        ("max_states=4/bfs", Searcher::Bfs, false, |c| {
+        ("max_paths=9/rr", Searcher::RoundRobin, true, |c| {
+            c.max_paths = 9
+        }),
+        ("max_states=4/rr", Searcher::RoundRobin, false, |c| {
             c.max_states = 4
         }),
         ("max_states=3/rr", Searcher::RoundRobin, true, |c| {
@@ -194,51 +195,39 @@ fn row(
 fn rows() -> Vec<Row> {
     vec![
     row("branching3/delta=false/dfs", 0x5ad607065cea53c4, Complete, 8, 109, 429221800, &[]),
-    row("branching3/delta=false/bfs", 0x5ad607065cea53c4, Complete, 8, 109, 1061367600, &[]),
     row("branching3/delta=false/rr", 0x5ad607065cea53c4, Complete, 8, 109, 1061367600, &[]),
     row("branching3/delta=false/random", 0x5ad607065cea53c4, Complete, 8, 109, 1020584000, &[]),
     row("branching3/delta=true/dfs", 0x5ad607065cea53c4, Complete, 8, 109, 25443800, &[]),
-    row("branching3/delta=true/bfs", 0x5ad607065cea53c4, Complete, 8, 109, 31794600, &[]),
     row("branching3/delta=true/rr", 0x5ad607065cea53c4, Complete, 8, 109, 31794600, &[]),
     row("branching3/delta=true/random", 0x5ad607065cea53c4, Complete, 8, 109, 31394200, &[]),
     row("branching6/delta=false/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, 3862100200, &[]),
-    row("branching6/delta=false/bfs", 0xb07683a994fe9c2e, Complete, 64, 893, 9062009200, &[]),
     row("branching6/delta=false/rr", 0xb07683a994fe9c2e, Complete, 64, 893, 9062009200, &[]),
     row("branching6/delta=false/random", 0xb07683a994fe9c2e, Complete, 64, 893, 8817307600, &[]),
     row("branching6/delta=true/dfs", 0xb07683a994fe9c2e, Complete, 64, 893, 66570200, &[]),
-    row("branching6/delta=true/bfs", 0xb07683a994fe9c2e, Complete, 64, 893, 118740200, &[]),
     row("branching6/delta=true/rr", 0xb07683a994fe9c2e, Complete, 64, 893, 118740200, &[]),
     row("branching6/delta=true/random", 0xb07683a994fe9c2e, Complete, 64, 893, 116469800, &[]),
     row("init_heavy/delta=false/dfs", 0xc03505a9de80faa3, Complete, 4, 99, 184648200, &[]),
-    row("init_heavy/delta=false/bfs", 0xc03505a9de80faa3, Complete, 4, 99, 164256400, &[]),
     row("init_heavy/delta=false/rr", 0xc03505a9de80faa3, Complete, 4, 99, 164256400, &[]),
     row("init_heavy/delta=false/random", 0xc03505a9de80faa3, Complete, 4, 99, 184648200, &[]),
     row("init_heavy/delta=true/dfs", 0xc03505a9de80faa3, Complete, 4, 99, 23120200, &[]),
-    row("init_heavy/delta=true/bfs", 0xc03505a9de80faa3, Complete, 4, 99, 22919400, &[]),
     row("init_heavy/delta=true/rr", 0xc03505a9de80faa3, Complete, 4, 99, 22919400, &[]),
     row("init_heavy/delta=true/random", 0xc03505a9de80faa3, Complete, 4, 99, 23120200, &[]),
     row("length-overflow/delta=false/dfs", 0xc8d40f38643032dd, Complete, 19, 107, 1102023200, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=false/bfs", 0xc8d40f38643032dd, Complete, 19, 107, 734970800, &[(Unmapped, 0x120)]),
     row("length-overflow/delta=false/rr", 0xc8d40f38643032dd, Complete, 19, 107, 734970800, &[(Unmapped, 0x120)]),
     row("length-overflow/delta=false/random", 0xc8d40f38643032dd, Complete, 19, 107, 1305941200, &[(Unmapped, 0x120)]),
     row("length-overflow/delta=true/dfs", 0xc8d40f38643032dd, Complete, 19, 107, 31900200, &[(Unmapped, 0x120)]),
-    row("length-overflow/delta=true/bfs", 0xc8d40f38643032dd, Complete, 19, 107, 28285800, &[(Unmapped, 0x120)]),
     row("length-overflow/delta=true/rr", 0xc8d40f38643032dd, Complete, 19, 107, 28285800, &[(Unmapped, 0x120)]),
     row("length-overflow/delta=true/random", 0xc8d40f38643032dd, Complete, 19, 107, 33908200, &[(Unmapped, 0x120)]),
     row("magic-command/delta=false/dfs", 0x56d136fef9a1de75, Complete, 2, 14, 61319400, &[(FailHit, 0x130)]),
-    row("magic-command/delta=false/bfs", 0x56d136fef9a1de75, Complete, 2, 14, 40927600, &[(FailHit, 0x130)]),
     row("magic-command/delta=false/rr", 0x56d136fef9a1de75, Complete, 2, 14, 40927600, &[(FailHit, 0x130)]),
     row("magic-command/delta=false/random", 0x56d136fef9a1de75, Complete, 2, 14, 61319400, &[(FailHit, 0x130)]),
     row("magic-command/delta=true/dfs", 0x56d136fef9a1de75, Complete, 2, 14, 20938600, &[(FailHit, 0x130)]),
-    row("magic-command/delta=true/bfs", 0x56d136fef9a1de75, Complete, 2, 14, 20737800, &[(FailHit, 0x130)]),
     row("magic-command/delta=true/rr", 0x56d136fef9a1de75, Complete, 2, 14, 20737800, &[(FailHit, 0x130)]),
     row("magic-command/delta=true/random", 0x56d136fef9a1de75, Complete, 2, 14, 20938600, &[(FailHit, 0x130)]),
     row("irq-gated/delta=false/dfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 61425400, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=false/bfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 41033600, &[(FailHit, 0x154)]),
     row("irq-gated/delta=false/rr", 0xc0c94f1bc526cfdf, Complete, 2, 27, 41033600, &[(FailHit, 0x154)]),
     row("irq-gated/delta=false/random", 0xc0c94f1bc526cfdf, Complete, 2, 27, 41033600, &[(FailHit, 0x154)]),
     row("irq-gated/delta=true/dfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 21043400, &[(FailHit, 0x154)]),
-    row("irq-gated/delta=true/bfs", 0xc0c94f1bc526cfdf, Complete, 2, 27, 20842600, &[(FailHit, 0x154)]),
     row("irq-gated/delta=true/rr", 0xc0c94f1bc526cfdf, Complete, 2, 27, 20842600, &[(FailHit, 0x154)]),
     row("irq-gated/delta=true/random", 0xc0c94f1bc526cfdf, Complete, 2, 27, 20842600, &[(FailHit, 0x154)]),
     row("fig1/hardsnap", 0xedf59fb910028896, Complete, 2, 61, 530800800, &[]),
@@ -259,8 +248,8 @@ fn rows() -> Vec<Row> {
     row("branching6/max_instructions=200/rr/delta=false", 0x02c212f4de383143, Instructions, 0, 200, 2285491600, &[]),
     row("branching6/max_instructions=500/random/delta=true", 0x0968fac63e1cd72d, Instructions, 17, 500, 75741800, &[]),
     row("branching6/max_paths=5/dfs/delta=false", 0xeae5c71ed28b77ff, Paths, 5, 87, 449395600, &[]),
-    row("branching6/max_paths=9/bfs/delta=true", 0xcf8697e5566220b9, Paths, 9, 755, 106328200, &[]),
-    row("branching6/max_states=4/bfs/delta=false", 0x265b12be074eca7a, Complete, 4, 101, 1142814800, &[]),
+    row("branching6/max_paths=9/rr/delta=true", 0xcf8697e5566220b9, Paths, 9, 755, 106328200, &[]),
+    row("branching6/max_states=4/rr/delta=false", 0x265b12be074eca7a, Complete, 4, 101, 1142814800, &[]),
     row("branching6/max_states=3/rr/delta=true", 0xd44d83b94558e3e5, Complete, 3, 78, 29571000, &[]),
     ]
 }

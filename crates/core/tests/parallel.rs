@@ -112,10 +112,12 @@ fn rerunning_one_engine_after_budget_stops_completes_every_path_once() {
             if r.stop == StopReason::Complete {
                 break r;
             }
-            // A budget that trips on the quantum draining the frontier
-            // still reads `Instructions`; the next run then completes
-            // with nothing to do.
             assert_eq!(r.stop, StopReason::Instructions, "workers={workers}");
+            assert!(
+                engine.active_states() > 0,
+                "workers={workers}: a drained run read {}",
+                r.stop
+            );
             assert!(runs < 100, "workers={workers}: never completed");
         };
         assert!(runs >= 3, "workers={workers}: only {runs} runs");

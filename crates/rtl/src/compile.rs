@@ -23,10 +23,10 @@
 //! Bit-exactness relies on two invariants of the interpreter it
 //! replaces:
 //!
-//! * [`Value`]s are always normalized (bits above the width are zero),
-//!   so zero-extension is the identity on the raw `u64` and operand
-//!   `resize`s cost nothing at run time; truncation is a compile-time
-//!   constant mask.
+//! * [`Value`](crate::Value)s are always normalized (bits above the
+//!   width are zero), so zero-extension is the identity on the raw
+//!   `u64` and operand `resize`s cost nothing at run time; truncation
+//!   is a compile-time constant mask.
 //! * Every expression's result width is statically determined by
 //!   [`Expr::width`] rules, so the masks baked into each op equal the
 //!   widths the interpreter computes dynamically.

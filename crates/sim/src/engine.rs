@@ -18,11 +18,12 @@
 //! Two execution backends share these semantics bit-exactly:
 //!
 //! * **Bytecode** (the default, [`SimEngine::Bytecode`]): the module is
-//!   lowered once by [`hardsnap_rtl::compile`] into a levelized op
+//!   lowered once by [`hardsnap_rtl::compile()`] into a levelized op
 //!   array over raw `u64` slots and executed by the activity-driven
-//!   engine in [`crate::compiled`] — only comb blocks in the fan-out
-//!   cone of changed nets re-run each cycle (Verilator-style), and only
-//!   clocked processes whose inputs or targets changed run on an edge.
+//!   engine in the crate's `compiled` module — only comb blocks in the
+//!   fan-out cone of changed nets re-run each cycle (Verilator-style),
+//!   and only clocked processes whose inputs or targets changed run on
+//!   an edge.
 //! * **Interpreter** ([`SimEngine::Interpreter`]): the original
 //!   tree-walking evaluator, retained as the semantic reference for
 //!   differential testing.

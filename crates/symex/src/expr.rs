@@ -125,6 +125,88 @@ pub enum Term {
     },
 }
 
+impl Term {
+    /// The node's operands, in field order.
+    pub(crate) fn children(&self) -> impl Iterator<Item = TermId> {
+        let (n, ids) = match *self {
+            Term::Const { .. } | Term::Var { .. } => (0, [TermId(0); 3]),
+            Term::Unary { a, .. } | Term::Extract { a, .. } | Term::ZExt { a, .. } => (1, [a; 3]),
+            Term::Binary { a, b, .. } | Term::Concat { hi: a, lo: b } => (2, [a, b, b]),
+            Term::Ite { c, t, e } => (3, [c, t, e]),
+        };
+        ids.into_iter().take(n)
+    }
+
+    /// The same node with each operand `c` replaced by `f(c)`.
+    pub(crate) fn map_children(&self, mut f: impl FnMut(TermId) -> TermId) -> Term {
+        let mut node = self.clone();
+        match &mut node {
+            Term::Const { .. } | Term::Var { .. } => {}
+            Term::Unary { a, .. } | Term::Extract { a, .. } | Term::ZExt { a, .. } => *a = f(*a),
+            Term::Binary { a, b, .. } | Term::Concat { hi: a, lo: b } => [*a, *b] = [f(*a), f(*b)],
+            Term::Ite { c, t, e } => [*c, *t, *e] = [f(*c), f(*t), f(*e)],
+        }
+        node
+    }
+
+    /// The node's width, given its operands' (`width_of`), or what makes
+    /// it ill-typed. These are the typing rules of every term a smart
+    /// constructor builds: widths are 1 to 64 bits, a binary operation's
+    /// operands and an `ite`'s arms are equally wide, a condition is one
+    /// bit, an extraction lies inside its operand, a concatenation fits
+    /// 64 bits and a zero extension does not narrow.
+    pub(crate) fn typed_width(&self, width_of: impl Fn(TermId) -> u32) -> Result<u32, String> {
+        let in_range = |width: u32| match width {
+            1..=64 => Ok(width),
+            _ => Err(format!("{width} bits wide")),
+        };
+        match *self {
+            Term::Const { width, .. } | Term::Var { width, .. } => in_range(width),
+            Term::Unary { a, .. } => Ok(width_of(a)),
+            Term::Binary { op, a, b } => {
+                let (wa, wb) = (width_of(a), width_of(b));
+                if wa != wb {
+                    return Err(format!("{op:?} of {wa}- and {wb}-bit operands"));
+                }
+                Ok(match op {
+                    BinOp::Eq | BinOp::Ult | BinOp::Slt => 1,
+                    _ => wa,
+                })
+            }
+            Term::Ite { c, t, e } => {
+                let (wc, wt, we) = (width_of(c), width_of(t), width_of(e));
+                if wc != 1 || wt != we {
+                    return Err(format!(
+                        "ite of a {wc}-bit condition, {wt}- and {we}-bit arms"
+                    ));
+                }
+                Ok(wt)
+            }
+            Term::Extract { a, hi, lo } => {
+                let wa = width_of(a);
+                if hi < lo || hi >= wa {
+                    return Err(format!("extract [{hi}:{lo}] of a {wa}-bit term"));
+                }
+                Ok(hi - lo + 1)
+            }
+            Term::Concat { hi, lo } => {
+                let (wh, wl) = (width_of(hi), width_of(lo));
+                if wh + wl > 64 {
+                    return Err(format!("concat of {wh} and {wl} bits"));
+                }
+                Ok(wh + wl)
+            }
+            Term::ZExt { a, width } => {
+                let wa = width_of(a);
+                if in_range(width)? < wa {
+                    return Err(format!("zero extension of {wa} to {width} bits"));
+                }
+                Ok(width)
+            }
+        }
+    }
+}
+
 fn mask(width: u32) -> u64 {
     debug_assert!(width >= 1 && width <= 64);
     if width == 64 {
@@ -203,7 +285,7 @@ impl TermPool {
         if let Some(&id) = self.index.get(&t) {
             return id;
         }
-        let width = self.compute_width(&t);
+        let width = self.typed_width(&t);
         let id = TermId(self.terms.len() as u32);
         self.index.insert(t.clone(), id);
         self.terms.push(t);
@@ -211,19 +293,36 @@ impl TermPool {
         id
     }
 
-    fn compute_width(&self, t: &Term) -> u32 {
-        match t {
-            Term::Const { width, .. } | Term::Var { width, .. } | Term::ZExt { width, .. } => {
-                *width
-            }
-            Term::Unary { a, .. } => self.width(*a),
-            Term::Binary { op, a, .. } => match op {
-                BinOp::Eq | BinOp::Ult | BinOp::Slt => 1,
-                _ => self.width(*a),
-            },
-            Term::Ite { t, .. } => self.width(*t),
-            Term::Extract { hi, lo, .. } => hi - lo + 1,
-            Term::Concat { hi, lo } => self.width(*hi) + self.width(*lo),
+    /// `t`'s width ([`Term::typed_width`] over this pool's terms).
+    ///
+    /// # Panics
+    ///
+    /// If `t` is ill-typed.
+    fn typed_width(&self, t: &Term) -> u32 {
+        t.typed_width(|c| self.width(c))
+            .unwrap_or_else(|e| panic!("ill-typed term {t:?}: {e}"))
+    }
+
+    /// Debug builds check a smart constructor's operands against the
+    /// typing rules before it folds them away.
+    fn debug_typed(&self, t: Term) {
+        if cfg!(debug_assertions) {
+            self.typed_width(&t);
+        }
+    }
+
+    /// Builds `t` through the smart constructor of its kind, so the
+    /// result is folded and simplified as if the caller had called it.
+    pub(crate) fn build(&mut self, t: &Term) -> TermId {
+        match *t {
+            Term::Const { value, width } => self.constant(value, width),
+            Term::Var { ref name, width } => self.var(name, width),
+            Term::Unary { op, a } => self.unary(op, a),
+            Term::Binary { op, a, b } => self.binary(op, a, b),
+            Term::Ite { c, t, e } => self.ite(c, t, e),
+            Term::Extract { a, hi, lo } => self.extract(a, hi, lo),
+            Term::Concat { hi, lo } => self.concat(hi, lo),
+            Term::ZExt { a, width } => self.zext(a, width),
         }
     }
 
@@ -292,10 +391,8 @@ impl TermPool {
     ///
     /// Panics (debug) on operand width mismatch.
     pub fn binary(&mut self, op: BinOp, a: TermId, b: TermId) -> TermId {
-        let wa = self.width(a);
-        let wb = self.width(b);
-        debug_assert_eq!(wa, wb, "binary width mismatch {op:?}: {wa} vs {wb}");
-        let w = wa;
+        self.debug_typed(Term::Binary { op, a, b });
+        let w = self.width(a);
         let ca = self.as_const(a);
         let cb = self.as_const(b);
         if let (Some(x), Some(y)) = (ca, cb) {
@@ -378,8 +475,7 @@ impl TermPool {
     /// Panics (debug) if the condition is not 1-bit or the arms differ
     /// in width.
     pub fn ite(&mut self, c: TermId, t: TermId, e: TermId) -> TermId {
-        debug_assert_eq!(self.width(c), 1);
-        debug_assert_eq!(self.width(t), self.width(e));
+        self.debug_typed(Term::Ite { c, t, e });
         if let Some(v) = self.as_const(c) {
             return if v == 1 { t } else { e };
         }
@@ -395,8 +491,8 @@ impl TermPool {
     ///
     /// Panics (debug) on out-of-range bits.
     pub fn extract(&mut self, a: TermId, hi: u32, lo: u32) -> TermId {
+        self.debug_typed(Term::Extract { a, hi, lo });
         let w = self.width(a);
-        debug_assert!(hi >= lo && hi < w);
         if lo == 0 && hi == w - 1 {
             return a;
         }
@@ -432,11 +528,10 @@ impl TermPool {
     ///
     /// Panics (debug) if the result exceeds 64 bits.
     pub fn concat(&mut self, hi: TermId, lo: TermId) -> TermId {
-        let wh = self.width(hi);
-        let wl = self.width(lo);
-        debug_assert!(wh + wl <= 64);
+        self.debug_typed(Term::Concat { hi, lo });
         if let (Some(h), Some(l)) = (self.as_const(hi), self.as_const(lo)) {
-            return self.constant((h << wl) | l, wh + wl);
+            let wl = self.width(lo);
+            return self.constant((h << wl) | l, self.width(hi) + wl);
         }
         self.intern(Term::Concat { hi, lo })
     }
@@ -447,8 +542,8 @@ impl TermPool {
     ///
     /// Panics (debug) if `width` is smaller than `a`'s width.
     pub fn zext(&mut self, a: TermId, width: u32) -> TermId {
+        self.debug_typed(Term::ZExt { a, width });
         let w = self.width(a);
-        debug_assert!(width >= w);
         if width == w {
             return a;
         }
@@ -557,17 +652,11 @@ impl TermPool {
                 continue;
             }
             match self.term(t) {
-                Term::Const { .. } => {}
                 Term::Var { name, width } => {
                     let w = out.entry(name.clone()).or_insert(*width);
                     *w = (*w).max(*width);
                 }
-                Term::Unary { a, .. } | Term::ZExt { a, .. } | Term::Extract { a, .. } => {
-                    stack.push(*a)
-                }
-                Term::Binary { a, b, .. } => stack.extend([*a, *b]),
-                Term::Ite { c, t, e } => stack.extend([*c, *t, *e]),
-                Term::Concat { hi, lo } => stack.extend([*hi, *lo]),
+                term => stack.extend(term.children()),
             }
         }
     }

@@ -61,7 +61,7 @@ pub use exec::{
     BugKind, BugReport, Concretization, ExecStats, Executor, NoSymMmio, StepOutcome, SymMmio,
 };
 pub use expr::{BinOp, Term, TermId, TermPool, UnOp};
-pub use portable::{PortableState, PortableTerm};
+pub use portable::PortableState;
 pub use sat::{Lit, SatResult, SatSolver};
 pub use solver::{BvSolver, Model, QueryResult, SolverStats};
 pub use state::{StateId, SymMemory, SymState};

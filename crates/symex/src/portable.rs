@@ -1,11 +1,14 @@
-//! Pool-independent symbolic states for cross-thread transfer.
+//! Pool-independent symbolic states, for a hand-off to another worker
+//! and for campaign checkpoints.
 //!
-//! [`TermId`]s are indices into one executor's private [`TermPool`], so
-//! a [`SymState`] cannot cross a thread boundary on its own. A
-//! [`PortableState`] is the closure of a state's live terms (registers,
-//! memory overlay, path constraints) flattened into a self-contained
-//! vector with *local* child indices; importing it into another pool
-//! rebuilds the terms through the pool's smart constructors.
+//! [`TermId`]s index one executor's private [`TermPool`], so a
+//! [`SymState`] cannot leave its pool on its own. A [`PortableState`] is
+//! the same `SymState` over a term list of its own: its `TermId`s index
+//! [`PortableState::terms`], the closure of the state's terms
+//! (registers, memory overlay, path constraints) numbered in the source
+//! pool's order, so every term's operands precede it. Importing rebuilds
+//! each term through the target pool's smart constructors and remaps
+//! the state onto the result.
 //!
 //! The round trip is structure-preserving: every term in a pool was
 //! itself produced by the smart constructors, so it is a fixed point of
@@ -20,284 +23,75 @@ use crate::state::{StateId, SymMemory, SymState};
 use hardsnap_bus::persist::{put_bytes, put_str, Cursor};
 use hardsnap_bus::MemoryMap;
 use hardsnap_bus::PersistError::{self, Malformed};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// One flattened term node; child references are indices into the
-/// containing [`PortableState::terms`] vector (always smaller than the
-/// node's own index, i.e. the vector is topologically ordered).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PortableTerm {
-    /// Constant.
-    Const {
-        /// Value (normalized to the width).
-        value: u64,
-        /// Width in bits.
-        width: u32,
-    },
-    /// Free variable.
-    Var {
-        /// Unique name.
-        name: String,
-        /// Width in bits.
-        width: u32,
-    },
-    /// Unary operation.
-    Unary {
-        /// Operator.
-        op: UnOp,
-        /// Operand index.
-        a: u32,
-    },
-    /// Binary operation.
-    Binary {
-        /// Operator.
-        op: BinOp,
-        /// Left operand index.
-        a: u32,
-        /// Right operand index.
-        b: u32,
-    },
-    /// If-then-else.
-    Ite {
-        /// Condition index.
-        c: u32,
-        /// Then index.
-        t: u32,
-        /// Else index.
-        e: u32,
-    },
-    /// Bit extraction.
-    Extract {
-        /// Source index.
-        a: u32,
-        /// High bit (inclusive).
-        hi: u32,
-        /// Low bit (inclusive).
-        lo: u32,
-    },
-    /// Concatenation.
-    Concat {
-        /// More-significant index.
-        hi: u32,
-        /// Less-significant index.
-        lo: u32,
-    },
-    /// Zero extension.
-    ZExt {
-        /// Source index.
-        a: u32,
-        /// Result width.
-        width: u32,
-    },
-}
 
 /// A [`SymState`] detached from its [`TermPool`]: safe to move between
 /// threads (the concrete memory base stays shared via `Arc`).
 #[derive(Clone, Debug)]
 pub struct PortableState {
-    /// State id.
-    pub id: StateId,
-    /// Register terms as indices into [`PortableState::terms`].
-    pub regs: [u32; 16],
-    /// Program counter.
-    pub pc: u32,
-    /// Saved PC for `iret`.
-    pub epc: u32,
-    /// Global interrupt enable.
-    pub irq_enabled: bool,
-    /// Servicing an interrupt.
-    pub in_isr: bool,
-    /// Executed `halt`.
-    pub halted: bool,
-    /// Shared concrete memory base image.
-    pub mem_base: Arc<Vec<u8>>,
-    /// Memory overlay as `(addr, term index)`, sorted by address.
-    pub overlay: Vec<(u32, u32)>,
-    /// Path constraints as term indices (in original order).
-    pub constraints: Vec<u32>,
-    /// Flattened term closure, topologically ordered.
-    pub terms: Vec<PortableTerm>,
-    /// Owned hardware snapshot id.
-    pub hw_snapshot: Option<u64>,
-    /// Retired instructions.
-    pub instret: u64,
-    /// Console bytes.
-    pub console: Vec<u8>,
-    /// `sym` hypercall count.
-    pub sym_count: u32,
-    /// Last checkpoint hint.
-    pub last_checkpoint: Option<u16>,
-    /// Memory map, shared with the state it was exported from.
-    pub map: Arc<MemoryMap>,
-    /// Fork counter (see [`SymState::next_fork_id`]).
-    pub fork_nonce: u64,
+    /// The state. Its `TermId`s index [`PortableState::terms`].
+    pub state: SymState,
+    /// The state's term closure: each term's operands index earlier
+    /// entries.
+    pub terms: Vec<Term>,
 }
 
 impl PortableState {
-    /// Flattens `state` out of `pool` into a self-contained value.
+    /// Flattens `state` out of `pool`: its term closure, renumbered in
+    /// the pool's order, and a copy of the state remapped onto it.
     pub fn export(pool: &TermPool, state: &SymState) -> PortableState {
-        let mut overlay: Vec<(u32, TermId)> = state.mem.overlay_entries().collect();
-        overlay.sort_unstable_by_key(|&(a, _)| a);
-
-        // Collect the reachable closure. TermIds are topologically
-        // ordered (children are interned before parents), so sorting the
-        // closure by TermId gives a valid emission order.
-        let mut seen: Vec<TermId> = Vec::new();
-        let mut on_stack: HashMap<TermId, ()> = HashMap::new();
-        let mut work: Vec<TermId> = Vec::new();
-        let roots = state
-            .regs
-            .iter()
-            .copied()
-            .chain(overlay.iter().map(|&(_, t)| t))
-            .chain(state.constraints.iter().copied());
-        for r in roots {
-            work.push(r);
-        }
+        // Children are interned before parents, so the closure sorted by
+        // id lists every term after its operands.
+        let mut closure: Vec<TermId> = Vec::new();
+        let mut seen: HashSet<TermId> = HashSet::new();
+        let mut work: Vec<TermId> = state.roots().collect();
         while let Some(t) = work.pop() {
-            if on_stack.insert(t, ()).is_some() {
-                continue;
-            }
-            seen.push(t);
-            match *pool.term(t) {
-                Term::Const { .. } | Term::Var { .. } => {}
-                Term::Unary { a, .. } | Term::Extract { a, .. } | Term::ZExt { a, .. } => {
-                    work.push(a);
-                }
-                Term::Binary { a, b, .. } => {
-                    work.push(a);
-                    work.push(b);
-                }
-                Term::Ite { c, t, e } => {
-                    work.push(c);
-                    work.push(t);
-                    work.push(e);
-                }
-                Term::Concat { hi, lo } => {
-                    work.push(hi);
-                    work.push(lo);
-                }
+            if seen.insert(t) {
+                closure.push(t);
+                work.extend(pool.term(t).children());
             }
         }
-        seen.sort_unstable();
-
-        let mut local: HashMap<TermId, u32> = HashMap::with_capacity(seen.len());
-        for (i, &t) in seen.iter().enumerate() {
-            local.insert(t, i as u32);
-        }
-        let ix = |local: &HashMap<TermId, u32>, t: TermId| local[&t];
-        let terms: Vec<PortableTerm> = seen
-            .iter()
-            .map(|&t| match pool.term(t) {
-                Term::Const { value, width } => PortableTerm::Const {
-                    value: *value,
-                    width: *width,
-                },
-                Term::Var { name, width } => PortableTerm::Var {
-                    name: name.clone(),
-                    width: *width,
-                },
-                Term::Unary { op, a } => PortableTerm::Unary {
-                    op: *op,
-                    a: ix(&local, *a),
-                },
-                Term::Binary { op, a, b } => PortableTerm::Binary {
-                    op: *op,
-                    a: ix(&local, *a),
-                    b: ix(&local, *b),
-                },
-                Term::Ite { c, t, e } => PortableTerm::Ite {
-                    c: ix(&local, *c),
-                    t: ix(&local, *t),
-                    e: ix(&local, *e),
-                },
-                Term::Extract { a, hi, lo } => PortableTerm::Extract {
-                    a: ix(&local, *a),
-                    hi: *hi,
-                    lo: *lo,
-                },
-                Term::Concat { hi, lo } => PortableTerm::Concat {
-                    hi: ix(&local, *hi),
-                    lo: ix(&local, *lo),
-                },
-                Term::ZExt { a, width } => PortableTerm::ZExt {
-                    a: ix(&local, *a),
-                    width: *width,
-                },
-            })
+        closure.sort_unstable();
+        let local: HashMap<TermId, TermId> = (0..)
+            .map(TermId)
+            .zip(&closure)
+            .map(|(i, &t)| (t, i))
             .collect();
-
+        let renumber = |t: TermId| local[&t];
+        let mut state = state.clone();
+        state.map_terms(renumber);
         PortableState {
-            id: state.id,
-            regs: state.regs.map(|r| ix(&local, r)),
-            pc: state.pc,
-            epc: state.epc,
-            irq_enabled: state.irq_enabled,
-            in_isr: state.in_isr,
-            halted: state.halted,
-            mem_base: state.mem.base_image(),
-            overlay: overlay
-                .into_iter()
-                .map(|(a, t)| (a, ix(&local, t)))
+            state,
+            terms: closure
+                .iter()
+                .map(|&t| pool.term(t).map_children(renumber))
                 .collect(),
-            constraints: state.constraints.iter().map(|&t| ix(&local, t)).collect(),
-            terms,
-            hw_snapshot: state.hw_snapshot,
-            instret: state.instret,
-            console: state.console.clone(),
-            sym_count: state.sym_count,
-            last_checkpoint: state.last_checkpoint,
-            map: state.map.clone(),
-            fork_nonce: state.fork_nonce,
         }
     }
 
-    /// Rebuilds the state inside `pool` (typically another executor's).
+    /// A copy of the state, rebuilt inside `pool` (typically another
+    /// executor's).
     pub fn import(&self, pool: &mut TermPool) -> SymState {
-        let mut ids: Vec<TermId> = Vec::with_capacity(self.terms.len());
-        for t in &self.terms {
-            let id = match t {
-                PortableTerm::Const { value, width } => pool.constant(*value, *width),
-                PortableTerm::Var { name, width } => pool.var(name, *width),
-                PortableTerm::Unary { op, a } => pool.unary(*op, ids[*a as usize]),
-                PortableTerm::Binary { op, a, b } => {
-                    pool.binary(*op, ids[*a as usize], ids[*b as usize])
-                }
-                PortableTerm::Ite { c, t, e } => {
-                    pool.ite(ids[*c as usize], ids[*t as usize], ids[*e as usize])
-                }
-                PortableTerm::Extract { a, hi, lo } => pool.extract(ids[*a as usize], *hi, *lo),
-                PortableTerm::Concat { hi, lo } => {
-                    pool.concat(ids[*hi as usize], ids[*lo as usize])
-                }
-                PortableTerm::ZExt { a, width } => pool.zext(ids[*a as usize], *width),
-            };
-            ids.push(id);
-        }
-        let mut mem = SymMemory::new(self.mem_base.clone());
-        for &(addr, t) in &self.overlay {
-            mem.store8(addr, ids[t as usize]);
-        }
-        SymState {
-            id: self.id,
-            regs: self.regs.map(|r| ids[r as usize]),
-            pc: self.pc,
-            epc: self.epc,
-            irq_enabled: self.irq_enabled,
-            in_isr: self.in_isr,
-            halted: self.halted,
-            mem,
-            constraints: self.constraints.iter().map(|&t| ids[t as usize]).collect(),
-            hw_snapshot: self.hw_snapshot,
-            instret: self.instret,
-            console: self.console.clone(),
-            sym_count: self.sym_count,
-            last_checkpoint: self.last_checkpoint,
-            map: self.map.clone(),
-            fork_nonce: self.fork_nonce,
-        }
+        rebuild(&self.terms, self.state.clone(), pool)
     }
+
+    /// The state rebuilt inside `pool`, remapped in place.
+    pub fn into_state(self, pool: &mut TermPool) -> SymState {
+        rebuild(&self.terms, self.state, pool)
+    }
+}
+
+/// Builds `terms` in `pool`, in order, and remaps `state` from their
+/// indices to the ids they got there.
+fn rebuild(terms: &[Term], mut state: SymState, pool: &mut TermPool) -> SymState {
+    let mut ids: Vec<TermId> = Vec::with_capacity(terms.len());
+    for t in terms {
+        let id = pool.build(&t.map_children(|c| ids[c.0 as usize]));
+        ids.push(id);
+    }
+    state.map_terms(|t| ids[t.0 as usize]);
+    state
 }
 
 // ---------------------------------------------------------------------
@@ -361,95 +155,98 @@ fn binop_from(code: u8) -> Result<BinOp, PersistError> {
 
 impl PortableState {
     /// Serializes to a self-contained little-endian byte image with
-    /// stable discriminants (safe to persist across builds).
+    /// stable discriminants (safe to persist across builds). The memory
+    /// overlay is written sorted by address.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.mem_base.len() + self.terms.len() * 8);
-        out.extend_from_slice(&self.id.0.to_le_bytes());
-        for r in self.regs {
-            out.extend_from_slice(&r.to_le_bytes());
+        let s = &self.state;
+        let mem_base = s.mem.base_image();
+        let mut out = Vec::with_capacity(64 + mem_base.len() + self.terms.len() * 8);
+        out.extend_from_slice(&s.id.0.to_le_bytes());
+        for r in s.regs {
+            out.extend_from_slice(&r.0.to_le_bytes());
         }
-        out.extend_from_slice(&self.pc.to_le_bytes());
-        out.extend_from_slice(&self.epc.to_le_bytes());
-        let flags = u8::from(self.irq_enabled)
-            | (u8::from(self.in_isr) << 1)
-            | (u8::from(self.halted) << 2);
+        out.extend_from_slice(&s.pc.to_le_bytes());
+        out.extend_from_slice(&s.epc.to_le_bytes());
+        let flags = u8::from(s.irq_enabled) | (u8::from(s.in_isr) << 1) | (u8::from(s.halted) << 2);
         out.push(flags);
-        put_bytes(&mut out, &self.mem_base);
-        out.extend_from_slice(&(self.overlay.len() as u32).to_le_bytes());
-        for &(a, t) in &self.overlay {
+        put_bytes(&mut out, &mem_base);
+        let mut overlay: Vec<(u32, TermId)> = s.mem.overlay_entries().collect();
+        overlay.sort_unstable_by_key(|&(a, _)| a);
+        out.extend_from_slice(&(overlay.len() as u32).to_le_bytes());
+        for (a, t) in overlay {
             out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&t.to_le_bytes());
+            out.extend_from_slice(&t.0.to_le_bytes());
         }
-        out.extend_from_slice(&(self.constraints.len() as u32).to_le_bytes());
-        for &c in &self.constraints {
-            out.extend_from_slice(&c.to_le_bytes());
+        out.extend_from_slice(&(s.constraints.len() as u32).to_le_bytes());
+        for c in &s.constraints {
+            out.extend_from_slice(&c.0.to_le_bytes());
         }
         out.extend_from_slice(&(self.terms.len() as u32).to_le_bytes());
         for t in &self.terms {
             match t {
-                PortableTerm::Const { value, width } => {
+                Term::Const { value, width } => {
                     out.push(0);
                     out.extend_from_slice(&value.to_le_bytes());
                     out.extend_from_slice(&width.to_le_bytes());
                 }
-                PortableTerm::Var { name, width } => {
+                Term::Var { name, width } => {
                     out.push(1);
                     put_str(&mut out, name);
                     out.extend_from_slice(&width.to_le_bytes());
                 }
-                PortableTerm::Unary { op, a } => {
+                Term::Unary { op, a } => {
                     out.push(2);
                     out.push(unop_code(*op));
-                    out.extend_from_slice(&a.to_le_bytes());
+                    out.extend_from_slice(&a.0.to_le_bytes());
                 }
-                PortableTerm::Binary { op, a, b } => {
+                Term::Binary { op, a, b } => {
                     out.push(3);
                     out.push(binop_code(*op));
-                    out.extend_from_slice(&a.to_le_bytes());
-                    out.extend_from_slice(&b.to_le_bytes());
+                    out.extend_from_slice(&a.0.to_le_bytes());
+                    out.extend_from_slice(&b.0.to_le_bytes());
                 }
-                PortableTerm::Ite { c, t, e } => {
+                Term::Ite { c, t, e } => {
                     out.push(4);
-                    out.extend_from_slice(&c.to_le_bytes());
-                    out.extend_from_slice(&t.to_le_bytes());
-                    out.extend_from_slice(&e.to_le_bytes());
+                    out.extend_from_slice(&c.0.to_le_bytes());
+                    out.extend_from_slice(&t.0.to_le_bytes());
+                    out.extend_from_slice(&e.0.to_le_bytes());
                 }
-                PortableTerm::Extract { a, hi, lo } => {
+                Term::Extract { a, hi, lo } => {
                     out.push(5);
-                    out.extend_from_slice(&a.to_le_bytes());
+                    out.extend_from_slice(&a.0.to_le_bytes());
                     out.extend_from_slice(&hi.to_le_bytes());
                     out.extend_from_slice(&lo.to_le_bytes());
                 }
-                PortableTerm::Concat { hi, lo } => {
+                Term::Concat { hi, lo } => {
                     out.push(6);
-                    out.extend_from_slice(&hi.to_le_bytes());
-                    out.extend_from_slice(&lo.to_le_bytes());
+                    out.extend_from_slice(&hi.0.to_le_bytes());
+                    out.extend_from_slice(&lo.0.to_le_bytes());
                 }
-                PortableTerm::ZExt { a, width } => {
+                Term::ZExt { a, width } => {
                     out.push(7);
-                    out.extend_from_slice(&a.to_le_bytes());
+                    out.extend_from_slice(&a.0.to_le_bytes());
                     out.extend_from_slice(&width.to_le_bytes());
                 }
             }
         }
-        match self.hw_snapshot {
+        match s.hw_snapshot {
             Some(id) => {
                 out.push(1);
                 out.extend_from_slice(&id.to_le_bytes());
             }
             None => out.push(0),
         }
-        out.extend_from_slice(&self.instret.to_le_bytes());
-        put_bytes(&mut out, &self.console);
-        out.extend_from_slice(&self.sym_count.to_le_bytes());
-        match self.last_checkpoint {
+        out.extend_from_slice(&s.instret.to_le_bytes());
+        put_bytes(&mut out, &s.console);
+        out.extend_from_slice(&s.sym_count.to_le_bytes());
+        match s.last_checkpoint {
             Some(cp) => {
                 out.push(1);
                 out.extend_from_slice(&cp.to_le_bytes());
             }
             None => out.push(0),
         }
-        let regions: Vec<_> = self.map.iter().collect();
+        let regions: Vec<_> = s.map.iter().collect();
         out.extend_from_slice(&(regions.len() as u32).to_le_bytes());
         for r in regions {
             put_str(&mut out, &r.name);
@@ -461,7 +258,7 @@ impl PortableState {
                 hardsnap_bus::RegionKind::Mmio => 2,
             });
         }
-        out.extend_from_slice(&self.fork_nonce.to_le_bytes());
+        out.extend_from_slice(&s.fork_nonce.to_le_bytes());
         out
     }
 
@@ -477,9 +274,9 @@ impl PortableState {
     pub fn from_bytes(data: &[u8]) -> Result<PortableState, PersistError> {
         let mut r = Cursor::new(data, "state");
         let id = StateId(r.get_u64()?);
-        let mut regs = [0u32; 16];
+        let mut regs = [TermId(0); 16];
         for slot in &mut regs {
-            *slot = r.get_u32()?;
+            *slot = TermId(r.get_u32()?);
         }
         let pc = r.get_u32()?;
         let epc = r.get_u32()?;
@@ -491,116 +288,87 @@ impl PortableState {
         let n_overlay = r.count(8)?;
         let mut overlay = Vec::with_capacity(n_overlay);
         for _ in 0..n_overlay {
-            let a = r.get_u32()?;
-            let t = r.get_u32()?;
-            overlay.push((a, t));
+            overlay.push((r.get_u32()?, TermId(r.get_u32()?)));
         }
         let n_constraints = r.count(4)?;
         let mut constraints = Vec::with_capacity(n_constraints);
         for _ in 0..n_constraints {
-            constraints.push(r.get_u32()?);
+            constraints.push(TermId(r.get_u32()?));
         }
         // The smallest term record is a unary one: tag, op, operand.
         let n_terms = r.count(6)?;
         let mut terms = Vec::with_capacity(n_terms);
-        // Each term's width. A well-formed closure is topologically
-        // ordered (children strictly precede parents) and well-typed:
-        // every term is one the pool's smart constructors build, so
-        // `import` never trips their width checks.
+        // Each term's width. A well-formed closure lists each term after
+        // its operands and is well-typed, so `import` builds every term
+        // through a smart constructor that accepts it.
         let mut widths: Vec<u32> = Vec::with_capacity(n_terms);
         for i in 0..n_terms {
-            let child = |t: u32| -> Result<(u32, u32), PersistError> {
-                match widths.get(t as usize) {
-                    Some(&w) => Ok((t, w)),
-                    None => Err(Malformed(format!(
-                        "term {i} references non-preceding term {t}"
-                    ))),
-                }
+            let child = |r: &mut Cursor<'_>| match r.get_u32()? {
+                t if (t as usize) < i => Ok(TermId(t)),
+                t => Err(Malformed(format!(
+                    "term {i} references non-preceding term {t}"
+                ))),
             };
-            let ill = |what: String| Err(Malformed(format!("term {i}: {what}")));
-            let (term, width) = match r.get_u8()? {
-                0 => {
-                    let value = r.get_u64()?;
-                    let width = term_width(i, r.get_u32()?)?;
-                    (PortableTerm::Const { value, width }, width)
-                }
-                1 => {
-                    let name = r.get_str()?;
-                    let width = term_width(i, r.get_u32()?)?;
-                    (PortableTerm::Var { name, width }, width)
-                }
-                2 => {
-                    let op = unop_from(r.get_u8()?)?;
-                    let (a, w) = child(r.get_u32()?)?;
-                    (PortableTerm::Unary { op, a }, w)
-                }
-                3 => {
-                    let op = binop_from(r.get_u8()?)?;
-                    let (a, wa) = child(r.get_u32()?)?;
-                    let (b, wb) = child(r.get_u32()?)?;
-                    if wa != wb {
-                        return ill(format!("{op:?} of {wa}- and {wb}-bit operands"));
-                    }
-                    let w = match op {
-                        BinOp::Eq | BinOp::Ult | BinOp::Slt => 1,
-                        _ => wa,
-                    };
-                    (PortableTerm::Binary { op, a, b }, w)
-                }
-                4 => {
-                    let (c, wc) = child(r.get_u32()?)?;
-                    let (t, wt) = child(r.get_u32()?)?;
-                    let (e, we) = child(r.get_u32()?)?;
-                    if wc != 1 || wt != we {
-                        return ill(format!(
-                            "ite of a {wc}-bit condition, {wt}- and {we}-bit arms"
-                        ));
-                    }
-                    (PortableTerm::Ite { c, t, e }, wt)
-                }
-                5 => {
-                    let (a, wa) = child(r.get_u32()?)?;
-                    let hi = r.get_u32()?;
-                    let lo = r.get_u32()?;
-                    if hi < lo || hi >= wa {
-                        return ill(format!("extract [{hi}:{lo}] of a {wa}-bit term"));
-                    }
-                    (PortableTerm::Extract { a, hi, lo }, hi - lo + 1)
-                }
-                6 => {
-                    let (hi, wh) = child(r.get_u32()?)?;
-                    let (lo, wl) = child(r.get_u32()?)?;
-                    if wh + wl > 64 {
-                        return ill(format!("concat of {wh} and {wl} bits"));
-                    }
-                    (PortableTerm::Concat { hi, lo }, wh + wl)
-                }
-                7 => {
-                    let (a, wa) = child(r.get_u32()?)?;
-                    let width = term_width(i, r.get_u32()?)?;
-                    if width < wa {
-                        return ill(format!("zero extension of {wa} to {width} bits"));
-                    }
-                    (PortableTerm::ZExt { a, width }, width)
-                }
+            let term = match r.get_u8()? {
+                0 => Term::Const {
+                    value: r.get_u64()?,
+                    width: r.get_u32()?,
+                },
+                1 => Term::Var {
+                    name: r.get_str()?,
+                    width: r.get_u32()?,
+                },
+                2 => Term::Unary {
+                    op: unop_from(r.get_u8()?)?,
+                    a: child(&mut r)?,
+                },
+                3 => Term::Binary {
+                    op: binop_from(r.get_u8()?)?,
+                    a: child(&mut r)?,
+                    b: child(&mut r)?,
+                },
+                4 => Term::Ite {
+                    c: child(&mut r)?,
+                    t: child(&mut r)?,
+                    e: child(&mut r)?,
+                },
+                5 => Term::Extract {
+                    a: child(&mut r)?,
+                    hi: r.get_u32()?,
+                    lo: r.get_u32()?,
+                },
+                6 => Term::Concat {
+                    hi: child(&mut r)?,
+                    lo: child(&mut r)?,
+                },
+                7 => Term::ZExt {
+                    a: child(&mut r)?,
+                    width: r.get_u32()?,
+                },
                 c => return Err(Malformed(format!("unknown term tag {c}"))),
             };
+            let width = term
+                .typed_width(|t| widths[t.0 as usize])
+                .map_err(|e| Malformed(format!("term {i}: {e}")))?;
             terms.push(term);
             widths.push(width);
         }
         // Registers hold words, the overlay bytes, constraints conditions.
-        let typed = |t: u32, want: u32, what: &str| match widths.get(t as usize) {
+        let typed = |t: TermId, want: u32, what: &str| match widths.get(t.0 as usize) {
             Some(&w) if w == want => Ok(()),
             Some(&w) => Err(Malformed(format!(
-                "{what} term {t} is {w} bits wide, not {want}"
+                "{what} term {} is {w} bits wide, not {want}",
+                t.0
             ))),
-            None => Err(Malformed(format!("dangling term index {t}"))),
+            None => Err(Malformed(format!("dangling term index {}", t.0))),
         };
         for &t in &regs {
             typed(t, 32, "register")?;
         }
-        for &(_, t) in &overlay {
+        let mut mem = SymMemory::new(mem_base);
+        for (a, t) in overlay {
             typed(t, 8, "memory byte")?;
+            mem.store8(a, t);
         }
         for &c in &constraints {
             typed(c, 1, "constraint")?;
@@ -641,7 +409,7 @@ impl PortableState {
         }
         let fork_nonce = r.get_u64()?;
         r.finish()?;
-        Ok(PortableState {
+        let state = SymState {
             id,
             regs,
             pc,
@@ -649,10 +417,8 @@ impl PortableState {
             irq_enabled: flags & 1 != 0,
             in_isr: flags & 2 != 0,
             halted: flags & 4 != 0,
-            mem_base,
-            overlay,
+            mem,
             constraints,
-            terms,
             hw_snapshot,
             instret,
             console,
@@ -660,16 +426,8 @@ impl PortableState {
             last_checkpoint,
             map: Arc::new(map),
             fork_nonce,
-        })
-    }
-}
-
-/// `width` if the executor builds terms of it (1 to 64 bits).
-fn term_width(i: usize, width: u32) -> Result<u32, PersistError> {
-    if (1..=64).contains(&width) {
-        Ok(width)
-    } else {
-        Err(Malformed(format!("term {i} is {width} bits wide")))
+        };
+        Ok(PortableState { state, terms })
     }
 }
 
@@ -713,16 +471,17 @@ mod wire_tests {
         let p = PortableState::export(&ex.pool, &s);
         let bytes = p.to_bytes();
         let p2 = PortableState::from_bytes(&bytes).unwrap();
-        assert_eq!(p2.id, p.id);
-        assert_eq!(p2.regs, p.regs);
-        assert_eq!(p2.pc, p.pc);
-        assert_eq!(p2.overlay, p.overlay);
-        assert_eq!(p2.constraints, p.constraints);
+        let (s, s2) = (&p.state, &p2.state);
+        assert_eq!(s2.id, s.id);
+        assert_eq!(s2.regs, s.regs);
+        assert_eq!(s2.pc, s.pc);
+        assert_eq!(overlay(s2), overlay(s));
+        assert_eq!(s2.constraints, s.constraints);
         assert_eq!(p2.terms, p.terms);
-        assert_eq!(p2.hw_snapshot, Some(17));
-        assert_eq!(p2.console, b"boot\n");
-        assert_eq!(p2.map, p.map);
-        assert_eq!(*p2.mem_base, *p.mem_base);
+        assert_eq!(s2.hw_snapshot, Some(17));
+        assert_eq!(s2.console, b"boot\n");
+        assert_eq!(s2.map, s.map);
+        assert_eq!(*s2.mem.base_image(), *s.mem.base_image());
         // Re-serialization is byte-identical (deterministic format).
         assert_eq!(p2.to_bytes(), bytes);
         // And the reimported state solves identically.
@@ -733,11 +492,20 @@ mod wire_tests {
         assert_eq!(v, 42);
     }
 
+    /// The memory overlay, sorted by address.
+    fn overlay(s: &SymState) -> Vec<(u32, TermId)> {
+        let mut v: Vec<_> = s.mem.overlay_entries().collect();
+        v.sort_unstable();
+        v
+    }
+
     /// `sample_state` with a register and a memory byte built from every
     /// term kind, over a 16-byte memory image, so a test can afford to
     /// corrupt every byte of its encoding.
     fn every_term_kind(ex: &mut Executor) -> PortableState {
         let mut s = sample_state(ex);
+        assert_eq!(s.mem.overlay_len(), 0);
+        s.mem = SymMemory::new(Arc::new(vec![0; 16]));
         let pool = &mut ex.pool;
         let x = s.reg(1);
         let lo = pool.extract(x, 7, 0);
@@ -749,9 +517,26 @@ mod wire_tests {
         let pick = pool.ite(below, inv, x);
         s.set_reg(3, pick);
         s.mem.store8(4, lo);
-        let mut p = PortableState::export(pool, &s);
-        p.mem_base = Arc::new(vec![0; 16]);
-        p
+        PortableState::export(pool, &s)
+    }
+
+    #[test]
+    fn every_term_kind_bytes_are_pinned() {
+        // All eight term tags, a console and a memory map, by the
+        // SHA-256 of the encoding: checkpoints persist these bytes.
+        let mut ex = Executor::new(Concretization::Minimal);
+        let bytes = every_term_kind(&mut ex).to_bytes();
+        let hex: String = hardsnap_periph::golden::sha256(&bytes)
+            .iter()
+            .map(|w| format!("{w:08x}"))
+            .collect();
+        assert_eq!(
+            (bytes.len(), hex.as_str()),
+            (
+                382,
+                "73cb4d86d00886b6c729503da97b9172afd9cab897a95349e77fcb9e649cb840"
+            )
+        );
     }
 
     #[test]
@@ -787,7 +572,7 @@ mod wire_tests {
         let good = every_term_kind(&mut ex);
         for (len, ok) in [(1 << 16, true), ((1 << 16) + 1, false)] {
             let mut p = good.clone();
-            p.terms.push(PortableTerm::Var {
+            p.terms.push(Term::Var {
                 name: "v".repeat(len),
                 width: 8,
             });
@@ -804,49 +589,52 @@ mod wire_tests {
         let mut ex = Executor::new(Concretization::Minimal);
         let good = every_term_kind(&mut ex);
         PortableState::from_bytes(&good.to_bytes()).unwrap();
-        let var32 = good
-            .terms
-            .iter()
-            .position(|t| matches!(t, PortableTerm::Var { width: 32, .. }))
-            .unwrap() as u32;
-        let byte = good.overlay[0].1;
-        let cond = good.constraints[0];
-        let konst = |width| PortableTerm::Const { value: 0, width };
-        let next = good.terms.len() as u32;
+        let var32 = TermId(
+            good.terms
+                .iter()
+                .position(|t| matches!(t, Term::Var { width: 32, .. }))
+                .unwrap() as u32,
+        );
+        let [(addr, byte)] = overlay(&good.state)[..] else {
+            panic!("one memory byte")
+        };
+        let cond = good.state.constraints[0];
+        let konst = |width| Term::Const { value: 0, width };
+        let next = TermId(good.terms.len() as u32);
         // Each extra term is one no smart constructor builds.
         let terms = [
             konst(0),
             konst(65),
-            PortableTerm::Var {
+            Term::Var {
                 name: "v".into(),
                 width: 0,
             },
-            PortableTerm::Extract {
+            Term::Extract {
                 a: var32,
                 hi: 0,
                 lo: 5,
             },
-            PortableTerm::Extract {
+            Term::Extract {
                 a: var32,
                 hi: 32,
                 lo: 0,
             },
-            PortableTerm::ZExt { a: var32, width: 8 },
-            PortableTerm::ZExt {
+            Term::ZExt { a: var32, width: 8 },
+            Term::ZExt {
                 a: var32,
                 width: 65,
             },
-            PortableTerm::Binary {
+            Term::Binary {
                 op: BinOp::Add,
                 a: var32,
                 b: byte,
             },
-            PortableTerm::Ite {
+            Term::Ite {
                 c: var32,
                 t: var32,
                 e: var32,
             },
-            PortableTerm::Ite {
+            Term::Ite {
                 c: cond,
                 t: var32,
                 e: byte,
@@ -860,18 +648,18 @@ mod wire_tests {
         }
         let mut bad = good.clone();
         bad.terms.push(konst(64));
-        bad.terms.push(PortableTerm::Concat { hi: next, lo: byte });
+        bad.terms.push(Term::Concat { hi: next, lo: byte });
         assert!(PortableState::from_bytes(&bad.to_bytes()).is_err());
         // Roots of the wrong width: a byte in a register, a word in
         // memory, a word as a constraint.
-        let roots: [fn(&mut PortableState, u32, u32); 3] = [
-            |p, _, byte| p.regs[2] = byte,
-            |p, word, _| p.overlay[0].1 = word,
-            |p, word, _| p.constraints[0] = word,
+        let roots: [fn(&mut SymState, u32, TermId, TermId); 3] = [
+            |s, _, _, byte| s.regs[2] = byte,
+            |s, addr, word, _| s.mem.store8(addr, word),
+            |s, _, word, _| s.constraints[0] = word,
         ];
         for (k, set) in roots.into_iter().enumerate() {
             let mut bad = good.clone();
-            set(&mut bad, var32, byte);
+            set(&mut bad.state, addr, var32, byte);
             assert!(
                 PortableState::from_bytes(&bad.to_bytes()).is_err(),
                 "root {k}"

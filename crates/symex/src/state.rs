@@ -188,6 +188,30 @@ impl SymState {
         self.constraints.push(c);
     }
 
+    /// Every term the state holds: registers, memory overlay bytes (in
+    /// unspecified order), path constraints.
+    pub(crate) fn roots(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.regs
+            .iter()
+            .copied()
+            .chain(self.mem.overlay.values().copied())
+            .chain(self.constraints.iter().copied())
+    }
+
+    /// Replaces each term `t` the state holds (see [`SymState::roots`])
+    /// with `f(t)`: moves the state into another numbering of its terms.
+    pub(crate) fn map_terms(&mut self, mut f: impl FnMut(TermId) -> TermId) {
+        let overlay = self.mem.overlay.values_mut();
+        for t in self
+            .regs
+            .iter_mut()
+            .chain(overlay)
+            .chain(&mut self.constraints)
+        {
+            *t = f(*t);
+        }
+    }
+
     /// True if every register is concrete (useful in tests/metrics).
     pub fn fully_concrete(&self, pool: &TermPool) -> bool {
         self.regs.iter().all(|&r| pool.as_const(r).is_some())

@@ -1,8 +1,9 @@
 //! `Instant`-based micro-bench timers replacing `criterion`.
 //!
 //! The API is deliberately criterion-shaped ([`Criterion`],
-//! [`Bencher::iter`], [`criterion_group!`], [`criterion_main!`]) so the
-//! bench files under `crates/bench/benches/` only change imports. The
+//! [`Bencher::iter`], [`criterion_group!`](crate::criterion_group!),
+//! [`criterion_main!`](crate::criterion_main!)) so the bench files
+//! under `crates/bench/benches/` only change imports. The
 //! measurement model is much simpler than criterion's: a warmup phase,
 //! then `sample_size` timed samples of an adaptively chosen batch size,
 //! reported as min / median / max nanoseconds per iteration. No
@@ -171,7 +172,8 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares `main()` running the given [`criterion_group!`] groups.
+/// Declares `main()` running the given
+/// [`criterion_group!`](crate::criterion_group!) groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {

@@ -17,9 +17,9 @@
 //! * [`sync`] — `std::sync` wrappers with `parking_lot`-style
 //!   infallible `lock()`/`read()`/`write()` plus `std::sync::mpsc`
 //!   re-exports;
-//! * [`bench`] — `Instant`-based micro-bench timers (warmup +
-//!   median-of-k) with a criterion-shaped facade so bench files only
-//!   change their imports;
+//! * [`bench`](mod@bench) — `Instant`-based micro-bench timers
+//!   (warmup + median-of-k) with a criterion-shaped facade so bench
+//!   files only change their imports;
 //! * [`json`] — a minimal JSON reader/writer so tests and CI can
 //!   validate the artifacts the workspace emits (Chrome traces,
 //!   metrics dumps, `BENCH_*.json`) without `serde_json`.

@@ -1,6 +1,6 @@
 //! A minimal, zero-dependency property-testing harness.
 //!
-//! [`prop_check!`] runs a property over N generated cases from a fixed
+//! [`prop_check!`](crate::prop_check!) runs a property over N generated cases from a fixed
 //! seed. On failure it shrinks integer and vector inputs by halving,
 //! then panics with the *case seed* so the exact failing input can be
 //! reproduced by running the same property with `seed = <printed>` and
@@ -312,8 +312,9 @@ where
 }
 
 /// Runs `cases` generated inputs of `strategy` through `prop`, shrinking
-/// and reporting the seed on failure. Used via [`prop_check!`]; callers
-/// needing full control may invoke it directly.
+/// and reporting the seed on failure. Used via
+/// [`prop_check!`](crate::prop_check!); callers needing full control
+/// may invoke it directly.
 ///
 /// # Panics
 ///

@@ -148,12 +148,7 @@ fn corrupt_snapshot_rejected_cleanly() {
 /// snapshot machinery.
 #[test]
 fn quantum_one_stress() {
-    for searcher in [
-        Searcher::Dfs,
-        Searcher::Bfs,
-        Searcher::RoundRobin,
-        Searcher::Random(3),
-    ] {
+    for searcher in [Searcher::Dfs, Searcher::RoundRobin, Searcher::Random(3)] {
         let prog = hardsnap_isa::assemble(&firmware::branching_firmware(2)).unwrap();
         let config = EngineConfig {
             searcher,
