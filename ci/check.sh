@@ -77,7 +77,12 @@ echo "==> persistence gate: save -> fresh-process resume, digest bit-identical"
 # uninterrupted run, whatever engine, worker count, or snapshot
 # representation produced the checkpoint. The save must leave its one
 # checkpoint file, and that file (nested images included) must pass
-# deep validation standalone.
+# deep validation standalone. Each run reports why it stopped and how
+# many states it left: the cut run `instructions` with states left,
+# the resumed run `complete` with none.
+stop_and_frontier() { # analyze output -> "<stop reason> <frontier>"
+    awk '/^stop reason/ {s = $NF} /^frontier/ {f = $3} END {print s, f}' "$1"
+}
 for delta in off on; do
     for eng in interp bytecode; do
         for w in 1 2 4; do
@@ -85,10 +90,17 @@ for delta in off on; do
             rm -rf "$dir"
             cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
                 analyze demo --workers "$w" --sim-engine "$eng" --delta-snapshots "$delta" \
-                --max-instructions 40 --save-snapshots "$dir" > /dev/null
+                --max-instructions 40 --save-snapshots "$dir" > "target/cut.$delta.$eng.$w.txt"
             cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
                 analyze demo --workers "$w" --sim-engine "$eng" --delta-snapshots "$delta" \
                 --resume "$dir" > "target/resume.$delta.$eng.$w.txt"
+            read -r cut_stop cut_left <<< "$(stop_and_frontier "target/cut.$delta.$eng.$w.txt")"
+            read -r res_stop res_left <<< "$(stop_and_frontier "target/resume.$delta.$eng.$w.txt")"
+            if [ "$cut_stop" != instructions ] || [ -z "$cut_left" ] || [ "$cut_left" = 0 ] \
+                || [ "$res_stop" != complete ] || [ "$res_left" != 0 ]; then
+                echo "stop reports wrong: --delta-snapshots $delta --sim-engine $eng --workers $w cut '$cut_stop' with '$cut_left' states left (want instructions, > 0), resumed '$res_stop' with '$res_left' (want complete, 0)"
+                exit 1
+            fi
             d=$(grep 'canonical digest' "target/resume.$delta.$eng.$w.txt" | awk '{print $NF}')
             if [ "$d" != "$engine_digest" ]; then
                 echo "resume diverged: --delta-snapshots $delta --sim-engine $eng --workers $w gave '$d', want $engine_digest"
@@ -104,6 +116,7 @@ for delta in off on; do
     done
 done
 echo "    resumed digests match across delta x engines x workers: $engine_digest"
+echo "    cut runs stop at instructions with states left, resumed runs complete with none"
 # One worker is deterministic down to the byte: both sim engines must
 # write the same checkpoint. Past one worker the frontier a budget cuts
 # depends on the schedule, so those files differ from run to run.
@@ -243,6 +256,20 @@ if [ "$rc_ok" != 0 ] || [ "$rc_ob" != 4 ] || [ "$rc_fl" != 3 ]; then
 fi
 ok_digest=$(awk '{print $(NF-1)}' target/serve.ok.txt)
 
+# Wall clock is the engine's deadline, fixed when the job starts: a
+# cold job spends more than 1 ms building its prototype, so it stops at
+# its first quantum boundary over budget, and result.json names the
+# wall-clock stop.
+wall_id=$("$CLI" submit demo:5 --socket "$SOCK" --name wall --wall-ms 1 | awk '{print $3}')
+rc_wall=0; "$CLI" wait "$wall_id" --socket "$SOCK" > /dev/null || rc_wall=$?
+wall_result="$SDIR/jobs/$wall_id/result.json"
+if [ "$rc_wall" != 4 ] || ! grep -q '"verdict": *"over-budget"' "$wall_result" \
+    || ! grep -q '"stop": *"wall-clock"' "$wall_result"; then
+    echo "wall budget: exit $rc_wall (want 4) and result.json (want over-budget, wall-clock):"
+    cat "$wall_result" 2>/dev/null || true
+    exit 1
+fi
+
 # Admission control: a job wider than the whole pool is a typed
 # saturation rejection (exit 2), not an error or a hang.
 rc_sat=0; "$CLI" submit demo:3 --socket "$SOCK" --workers 3 > /dev/null 2>&1 || rc_sat=$?
@@ -276,7 +303,7 @@ fi
 "$CLI" cancel daemon --socket "$SOCK" > /dev/null
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
-echo "    verdict exit codes + SIGKILL recovery OK, digest $rec_digest"
+echo "    verdict exit codes + wall budget + SIGKILL recovery OK, digest $rec_digest"
 
 echo "==> observability gate: subscribe stream, Prometheus scrape, flight recorder"
 # A fresh daemon serves Prometheus text exposition on an ephemeral TCP

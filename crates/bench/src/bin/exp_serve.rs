@@ -56,11 +56,14 @@ fn demo_spec(name: &str, k: u32, leg: u64) -> JobSpec {
 /// canonical digest.
 fn reference_digest(spec: &JobSpec, tag: &str) -> u64 {
     let dir = tmp(&format!("ref-{tag}"));
-    let out = runner::run_job(spec, &dir, &CancelToken::new(), false, None, &mut |_| {})
-        .expect("reference run");
-    assert_eq!(out.verdict, Verdict::Completed, "reference must complete");
+    let mut digest = 0;
+    let (verdict, _) = runner::run_job(spec, &dir, &CancelToken::new(), false, None, &mut |r| {
+        digest = r.canonical_digest()
+    })
+    .expect("reference run");
+    assert_eq!(verdict, Verdict::Completed, "reference must complete");
     let _ = std::fs::remove_dir_all(&dir);
-    out.digest
+    digest
 }
 
 struct Contention {
@@ -166,22 +169,28 @@ fn phase_over_budget(k: u32, reference: u64) -> OverBudget {
     let dir = tmp("over-budget");
     let mut spec = demo_spec("tight", k, 128);
     spec.max_vtime_ns = 50_000; // a handful of quanta
-    let out = runner::run_job(&spec, &dir, &CancelToken::new(), false, None, &mut |_| {})
-        .expect("budgeted run");
-    let Verdict::OverBudget(stop) = out.verdict else {
-        panic!("expected OverBudget, got {:?}", out.verdict);
+    let mut partial_instructions = 0;
+    let (verdict, _) = runner::run_job(&spec, &dir, &CancelToken::new(), false, None, &mut |r| {
+        partial_instructions = r.instructions
+    })
+    .expect("budgeted run");
+    let Verdict::OverBudget(stop) = verdict else {
+        panic!("expected OverBudget, got {verdict:?}");
     };
     // The cancelled-at-quantum-boundary checkpoint must resume under a
     // raised budget to the exact uninterrupted digest.
     spec.max_vtime_ns = 0;
-    let resumed = runner::run_job(&spec, &dir, &CancelToken::new(), false, None, &mut |_| {})
-        .expect("resumed run");
-    assert_eq!(resumed.verdict, Verdict::Completed);
+    let mut resumed_digest = 0;
+    let (verdict, _) = runner::run_job(&spec, &dir, &CancelToken::new(), false, None, &mut |r| {
+        resumed_digest = r.canonical_digest()
+    })
+    .expect("resumed run");
+    assert_eq!(verdict, Verdict::Completed);
     let _ = std::fs::remove_dir_all(&dir);
     OverBudget {
         stop,
-        partial_instructions: out.instructions,
-        resumed_matches: resumed.digest == reference,
+        partial_instructions,
+        resumed_matches: resumed_digest == reference,
     }
 }
 

@@ -385,10 +385,14 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         None => engine.load_firmware(&program),
     }
     let result = engine.run();
+    // Read before the save, which drains the frontier into the checkpoint.
+    let frontier = engine.active_states();
     if let Some(dir) = save_dir {
         snapshot_campaign(Path::new(dir), &mut engine, &result)?;
         println!("campaign saved to {dir}/");
     }
+    println!("stop reason     : {}", result.stop.as_str());
+    println!("frontier        : {frontier} states");
     println!("paths completed : {}", result.metrics.paths_completed);
     println!("instructions    : {}", result.instructions);
     println!("context switches: {}", result.metrics.context_switches);

@@ -32,15 +32,6 @@ use hardsnap_util::sync::scope;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-/// Whether per-operation I/O tracing is on, sampled once per process
-/// (it sits on the hottest path in the engine: every forwarded MMIO
-/// operation and every replayed one). Controlled by the
-/// `HARDSNAP_TELEMETRY=io` switch (see
-/// [`hardsnap_telemetry::TelemetryConfig`]).
-pub(crate) fn trace_io() -> bool {
-    hardsnap_telemetry::global().trace_io
-}
-
 /// State-consistency strategy (the three scenarios of paper Fig. 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsistencyMode {
@@ -53,8 +44,8 @@ pub enum ConsistencyMode {
 }
 
 /// Cooperative cancellation handle shared between an engine run and an
-/// outside controller (the serve daemon's watchdog, a signal handler, a
-/// test harness). Cancelling is a *request*, honoured at the next
+/// outside controller (the serve daemon's `cancel` verb, a signal
+/// handler, a test harness). Cancelling is a *request*, honoured at the next
 /// quantum boundary: the engine stops exactly as it does for a budget —
 /// frontier intact, partial [`RunResult`] valid, campaign checkpoint
 /// resumable — rather than being killed mid-quantum.
@@ -193,8 +184,8 @@ pub struct EngineConfig {
     /// all budgets, *between* quanta, so the partial result and any
     /// campaign checkpoint taken afterwards are always valid.
     pub wall_deadline: Option<std::time::Instant>,
-    /// Cooperative cancellation: an outside controller (serve watchdog,
-    /// signal handler) flips the token and the run stops at the next
+    /// Cooperative cancellation: an outside controller (a serve client's
+    /// `cancel`, a signal handler) flips the token and the run stops at the next
     /// quantum boundary with [`StopReason::Cancelled`].
     pub cancel: CancelToken,
     /// Retry/backoff/quarantine policy for fallible target operations

@@ -70,8 +70,8 @@
 //! state is killed and named in the fault log.
 
 use crate::engine::{
-    budget_stop, trace_io, ConsistencyMode, EngineConfig, EngineMetrics, HwAssertion, IoOp,
-    Searcher, StopReason, CYCLES_PER_INSTRUCTION,
+    budget_stop, ConsistencyMode, EngineConfig, EngineMetrics, HwAssertion, IoOp, Searcher,
+    StopReason, CYCLES_PER_INSTRUCTION,
 };
 use crate::snapshots::{Base, SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, Supervisor};
@@ -483,6 +483,8 @@ struct Mmio<'a> {
     sup: &'a mut Supervisor,
     abort: Option<BusError>,
     log: Option<&'a mut Vec<IoOp>>,
+    /// Print each forwarded operation (`TelemetryConfig::trace_io`).
+    trace_io: bool,
     /// The state's device age and the target's cycle counter at window
     /// start.
     age_base: u64,
@@ -502,7 +504,9 @@ impl Mmio<'_> {
     }
 
     fn forwarded(&mut self, op: IoOp) {
-        trace_op(&op);
+        if self.trace_io {
+            trace_op(&op);
+        }
         if let Some(log) = &mut self.log {
             log.push(op);
         }
@@ -540,19 +544,18 @@ impl SymMmio for Mmio<'_> {
     }
 }
 
-/// The one I/O trace line, for forwarded and replayed operations alike.
+/// The one I/O trace line, for forwarded and replayed operations alike
+/// (printed when the run's `TelemetryConfig::trace_io` is on).
 fn trace_op(op: &IoOp) {
-    if trace_io() {
-        let (dir, arrow) = if op.is_write {
-            ("W", "<-")
-        } else {
-            ("R", "->")
-        };
-        eprintln!(
-            "io {dir} {:#010x} {arrow} {:#010x} @age {}",
-            op.addr, op.value, op.at_age
-        );
-    }
+    let (dir, arrow) = if op.is_write {
+        ("W", "<-")
+    } else {
+        ("R", "->")
+    };
+    eprintln!(
+        "io {dir} {:#010x} {arrow} {:#010x} @age {}",
+        op.addr, op.value, op.at_age
+    );
 }
 
 /// Raises the stop flag (recording why) when a budget has tripped.
@@ -830,6 +833,7 @@ fn run_quantum(
             sup: &mut w.sup,
             abort: None,
             log: reboot.then_some(&mut log),
+            trace_io: config.telemetry.trace_io,
             age_base: window_age,
             cycle_base: window_cycle,
         };
@@ -989,7 +993,9 @@ fn context_switch(
                 if op.at_age > age_now {
                     w.target.step(op.at_age - age_now);
                 }
-                trace_op(op);
+                if config.telemetry.trace_io {
+                    trace_op(op);
+                }
                 if op.is_write {
                     let _ = w.target.bus_write(op.addr, op.value);
                 } else {

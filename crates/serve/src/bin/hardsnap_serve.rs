@@ -144,7 +144,6 @@ Clients: hardsnap-cli submit|status|wait|cancel|metrics|subscribe|top."
     if resumed > 0 {
         eprintln!("hardsnap-serve: resumed {resumed} unfinished job(s)");
     }
-    daemon.spawn_watchdog(Duration::from_millis(50));
     if let Some(addr) = metrics_addr {
         let bound = daemon.spawn_metrics_http(&addr)?;
         // Machine-parseable (the CI gate scrapes it): keep this format.

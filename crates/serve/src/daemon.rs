@@ -1,7 +1,6 @@
 //! The campaign daemon: admission control, budget-aware priority
 //! scheduling over a bounded replica pool, a warm replica pool for
-//! fast job starts, watchdog cancellation, crash-safe journaling and
-//! restart recovery.
+//! fast job starts, crash-safe journaling and restart recovery.
 //!
 //! ## State machine
 //!
@@ -12,6 +11,12 @@
 //! `jobs/<id>/checkpoint/campaign.hscamp` every leg) → terminal verdict
 //! → `result.json` (crash-atomic) → `Done`. A queued job cancelled
 //! before it seats takes the same terminal commit.
+//!
+//! A job is its [`JobSummary`]: what `status` reports, what every leg's
+//! progress is written onto ([`JobSummary::record`]) and what
+//! `result.json` persists. Budgets, the wall-clock deadline included,
+//! are the engine's to enforce at quantum boundaries; the daemon only
+//! cancels on a client's request.
 //!
 //! ## Scheduling
 //!
@@ -63,12 +68,12 @@
 //! to an uninterrupted run — the property `exp_serve` and the CI serve
 //! gate assert end to end.
 
-use crate::events::{EventBody, EventBus, Subscription};
-use crate::job::{DaemonStats, JobSpec, JobState, JobSummary, Verdict, MAX_LANE};
-use crate::pool::WarmPool;
+use crate::events::{Event, EventBody, EventBus, Subscription};
+use crate::job::{DaemonStats, JobSpec, JobState, JobSummary, Verdict};
+use crate::pool::{Lease, WarmPool};
 use crate::proto::{read_line, write_line, Request, Response};
 use crate::runner;
-use crate::{digest_hex, ServeError};
+use crate::ServeError;
 use hardsnap::{CancelToken, StopReason};
 use hardsnap_bus::persist::write_atomic;
 use hardsnap_telemetry::{
@@ -85,6 +90,10 @@ use std::time::{Duration, Instant};
 /// spans are shed (counters and histograms are unaffected — only the
 /// Chrome trace loses tail history).
 const JOB_SPAN_CAP: usize = 65_536;
+
+/// Flight-recorder ring size: the most recent events kept for the
+/// post-mortem `flight.json`.
+const FLIGHT_CAPACITY: usize = 4096;
 
 /// Which order the scheduler grants replicas in. Never affects any
 /// job's canonical digest — only when it runs.
@@ -129,11 +138,6 @@ pub struct DaemonConfig {
     /// replicas. Submissions past this bound get
     /// [`ServeError::Saturated`].
     pub queue_max: usize,
-    /// Grace period past a job's wall deadline before the watchdog
-    /// force-cancels it (the engine normally stops itself at the first
-    /// quantum boundary past the deadline; the watchdog is the backstop
-    /// for a wedged leg).
-    pub watchdog_grace: Duration,
     /// Enable per-job engine telemetry (per-leg metric snapshots, the
     /// `metrics` verb's per-job detail, `jobs/<id>/metrics.json` and
     /// the Chrome trace). Observe-only: digests are unaffected either
@@ -143,9 +147,6 @@ pub struct DaemonConfig {
     /// that falls further behind sheds its oldest events (counted);
     /// the runner never blocks on it.
     pub event_queue_cap: usize,
-    /// Flight-recorder ring size (most recent events kept for the
-    /// post-mortem `flight.json`).
-    pub flight_capacity: usize,
     /// Prototypes to keep pre-built (0 = no warm pool; every job
     /// builds its own).
     pub warm_pool: usize,
@@ -162,10 +163,8 @@ impl Default for DaemonConfig {
             state_dir: PathBuf::from("hardsnap-serve-state"),
             pool_replicas: 4,
             queue_max: 8,
-            watchdog_grace: Duration::from_millis(250),
             observe: true,
             event_queue_cap: 1024,
-            flight_capacity: 4096,
             warm_pool: 0,
             sched: SchedPolicy::Lanes,
             aging_ms: 500,
@@ -173,34 +172,21 @@ impl Default for DaemonConfig {
     }
 }
 
+/// One job: its summary plus what a summary cannot hold.
 struct Job {
+    /// What `status` reports and `result.json` persists; queue wait and
+    /// budget use are filled in live by [`Job::report`].
+    summary: JobSummary,
     spec: JobSpec,
-    state: JobState,
-    verdict: Option<Verdict>,
-    stop: Option<StopReason>,
-    digest: Option<u64>,
-    instructions: u64,
-    vtime_ns: u64,
-    quanta: u64,
-    paths: u64,
-    bugs: u64,
     /// Per-leg engine telemetry merged over the job's lifetime (empty
     /// when the daemon runs unobserved).
     telemetry: MetricsSnapshot,
     cancel: CancelToken,
     submitted_at: Instant,
     started_at: Option<Instant>,
-    /// Absolute wall deadline (watchdog backstop); `None` = none.
-    deadline: Option<Instant>,
-    queue_wait_ms: u64,
-    run_ms: u64,
-    /// Priority lane (clamped spec priority).
-    lane: u64,
-    /// `"warm"` / `"cold"` once seated; `None` while queued.
-    provenance: Option<String>,
     /// Warm-pool lease, held from seat time until the run thread
     /// finishes (its drop returns the prototype to the pool).
-    lease: Option<crate::pool::Lease>,
+    lease: Option<Lease>,
 }
 
 /// `used/cap` in permille, saturating at 1000; 0 for unbudgeted.
@@ -213,46 +199,40 @@ fn frac_permille(used: u64, cap: u64) -> u64 {
 }
 
 impl Job {
+    fn new(spec: JobSpec, summary: JobSummary) -> Job {
+        Job {
+            summary,
+            spec,
+            telemetry: MetricsSnapshot::empty(),
+            cancel: CancelToken::new(),
+            submitted_at: Instant::now(),
+            started_at: None,
+            lease: None,
+        }
+    }
+
     /// Budget consumed: the max over every configured budget, permille.
     fn budget_permille(&self) -> u64 {
-        let wall_used = match (self.spec.wall_ms, self.started_at) {
-            (ms, Some(t)) if ms > 0 && self.state == JobState::Running => {
-                t.elapsed().as_millis() as u64
-            }
-            (ms, _) if ms > 0 => self.run_ms,
-            _ => 0,
+        let s = &self.summary;
+        let wall_used = match self.started_at {
+            Some(t) if s.state == JobState::Running => t.elapsed().as_millis() as u64,
+            _ => s.run_ms,
         };
-        frac_permille(self.instructions, self.spec.max_instructions)
-            .max(frac_permille(self.vtime_ns, self.spec.max_vtime_ns))
-            .max(frac_permille(self.quanta, self.spec.max_quanta))
+        frac_permille(s.instructions, self.spec.max_instructions)
+            .max(frac_permille(s.vtime_ns, self.spec.max_vtime_ns))
+            .max(frac_permille(s.quanta, self.spec.max_quanta))
             .max(frac_permille(wall_used, self.spec.wall_ms))
     }
 
-    fn summary(&self, id: u64) -> JobSummary {
-        JobSummary {
-            id,
-            name: self.spec.name.clone(),
-            state: self.state.clone(),
-            verdict: self.verdict.clone(),
-            stop: self.stop,
-            digest: self.digest.map(digest_hex),
-            instructions: self.instructions,
-            vtime_ns: self.vtime_ns,
-            quanta: self.quanta,
-            paths: self.paths,
-            bugs: self.bugs,
-            budget_permille: self.budget_permille(),
-            // Live while queued (so `top` can show queue age), frozen
-            // at seat time otherwise.
-            queue_wait_ms: if self.state == JobState::Queued {
-                self.submitted_at.elapsed().as_millis() as u64
-            } else {
-                self.queue_wait_ms
-            },
-            run_ms: self.run_ms,
-            lane: self.lane,
-            provenance: self.provenance.clone(),
+    /// The summary as of now: queue wait grows while the job is queued
+    /// (so `top` can show queue age) and is frozen at seat time.
+    fn report(&self) -> JobSummary {
+        let mut s = self.summary.clone();
+        s.budget_permille = self.budget_permille();
+        if s.state == JobState::Queued {
+            s.queue_wait_ms = self.submitted_at.elapsed().as_millis() as u64;
         }
+        s
     }
 }
 
@@ -267,7 +247,7 @@ struct Inner {
 }
 
 /// The campaign service. Wrap in an [`Arc`] and share between the
-/// socket loop, job threads and the watchdog.
+/// socket loop and job threads.
 pub struct Daemon {
     cfg: DaemonConfig,
     inner: Mutex<Inner>,
@@ -295,7 +275,6 @@ impl Daemon {
     pub fn new(cfg: DaemonConfig) -> Result<Arc<Daemon>, ServeError> {
         std::fs::create_dir_all(cfg.state_dir.join("jobs"))
             .map_err(|e| ServeError::Io(format!("{}: {e}", cfg.state_dir.display())))?;
-        let flight_capacity = cfg.flight_capacity;
         let rec = Recorder::enabled(0, "serve");
         // The pool builds its prototypes on background threads;
         // Daemon::new never waits for them.
@@ -312,7 +291,7 @@ impl Daemon {
             changed: Condvar::new(),
             rec,
             bus: EventBus::new(),
-            flight: FlightRecorder::new(flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             pool,
             started: Instant::now(),
         }))
@@ -332,20 +311,22 @@ impl Daemon {
     /// Callers must NOT hold the inner lock (no need — events carry
     /// their payload).
     fn emit(&self, body: EventBody) {
-        let ts = self.now_ms();
+        let ts_ms = self.now_ms();
         let kind = body.kind();
-        let (_, dropped) = self.bus.publish(ts, body.clone());
+        let (seq, dropped) = self.bus.publish(ts_ms, body.clone());
         self.rec.count(Counter::ServeEventsPublished);
         for _ in 0..dropped {
             self.rec.count(Counter::ServeEventsDropped);
         }
-        let ev = crate::events::Event {
-            seq: 0, // flight entries are sequenced by the ring itself
-            ts_ms: ts,
+        // The entry carries the bus's sequence number, so a post-mortem
+        // lines up with what subscribers received.
+        let ev = Event {
+            seq,
+            ts_ms,
             dropped: 0,
             body,
         };
-        self.flight.push(ts, kind, ev.to_value().to_json());
+        self.flight.push(ts_ms, kind, ev.to_value().to_json());
     }
 
     /// Crash-atomic journal write, with the fsync+rename latency
@@ -368,7 +349,7 @@ impl Daemon {
     /// job; [`ServeError::Io`] if the journal write fails (the job is
     /// then *not* admitted).
     pub fn submit(self: &Arc<Daemon>, spec: JobSpec) -> Result<u64, ServeError> {
-        let (id, name, workers, lane) = {
+        let (id, admitted) = {
             let mut g = self.inner.lock().unwrap();
             if g.shutting_down {
                 self.rec.count(Counter::JobsRejected);
@@ -408,46 +389,21 @@ impl Daemon {
             std::fs::create_dir_all(&dir)
                 .map_err(|e| ServeError::Io(format!("{}: {e}", dir.display())))?;
             self.journal_write(&dir.join("job.json"), spec.to_value().to_json().as_bytes())?;
-            let name = spec.name.clone();
-            let workers = spec.workers as u64;
-            let lane = spec.priority.min(MAX_LANE);
-            g.jobs.insert(
+            let summary = JobSummary::queued(id, &spec);
+            let admitted = EventBody::Admitted {
                 id,
-                Job {
-                    spec,
-                    state: JobState::Queued,
-                    verdict: None,
-                    stop: None,
-                    digest: None,
-                    instructions: 0,
-                    vtime_ns: 0,
-                    quanta: 0,
-                    paths: 0,
-                    bugs: 0,
-                    telemetry: MetricsSnapshot::empty(),
-                    cancel: CancelToken::new(),
-                    submitted_at: Instant::now(),
-                    started_at: None,
-                    deadline: None,
-                    queue_wait_ms: 0,
-                    run_ms: 0,
-                    lane,
-                    provenance: None,
-                    lease: None,
-                },
-            );
+                name: spec.name.clone(),
+                workers: spec.workers as u64,
+                lane: summary.lane,
+            };
+            g.jobs.insert(id, Job::new(spec, summary));
             g.queue.push_back(id);
             self.rec.count(Counter::JobsAdmitted);
             self.rec
                 .observe(Metric::ServeQueueDepth, g.queue.len() as u64);
-            (id, name, workers, lane)
+            (id, admitted)
         };
-        self.emit(EventBody::Admitted {
-            id,
-            name,
-            workers,
-            lane,
-        });
+        self.emit(admitted);
         self.schedule();
         Ok(id)
     }
@@ -473,7 +429,7 @@ impl Daemon {
                         let j = &g.jobs[&id];
                         let waited = j.submitted_at.elapsed().as_millis() as u64;
                         (
-                            j.lane.saturating_mul(aging).saturating_add(waited),
+                            j.summary.lane.saturating_mul(aging).saturating_add(waited),
                             waited,
                             id,
                         )
@@ -518,18 +474,15 @@ impl Daemon {
                 let lease = self.pool.as_ref().and_then(|p| p.try_lease());
                 let source = if lease.is_some() { "warm" } else { "cold" };
                 let job = g.jobs.get_mut(&id).unwrap();
-                job.state = JobState::Running;
-                job.queue_wait_ms = job.submitted_at.elapsed().as_millis() as u64;
+                let wait_ms = job.submitted_at.elapsed().as_millis() as u64;
+                job.summary.state = JobState::Running;
+                job.summary.queue_wait_ms = wait_ms;
+                job.summary.provenance = Some(source.to_string());
                 job.started_at = Some(Instant::now());
-                job.provenance = Some(source.to_string());
                 job.lease = lease;
-                if job.spec.wall_ms > 0 {
-                    job.deadline = Some(Instant::now() + Duration::from_millis(job.spec.wall_ms));
-                }
+                self.rec.observe(Metric::ServeQueueWaitMs, wait_ms);
                 self.rec
-                    .observe(Metric::ServeQueueWaitMs, job.queue_wait_ms);
-                self.rec
-                    .observe(Metric::queue_wait_lane(job.lane), job.queue_wait_ms);
+                    .observe(Metric::queue_wait_lane(job.summary.lane), wait_ms);
                 (id, source)
             };
             self.changed.notify_all();
@@ -549,13 +502,12 @@ impl Daemon {
             (j.spec.clone(), j.cancel.clone(), j.lease.take())
         };
         let dir = self.job_dir(id);
-        let started = Instant::now();
         let me = &self;
         let observe = self.cfg.observe;
         // Replicas fork from the leased prototype, or from one the
         // runner builds when the job was seated cold; forks are power-on
         // replicas, so warm and cold runs digest identically.
-        let outcome = runner::run_job(
+        let ended = runner::run_job(
             &spec,
             &dir.join("checkpoint"),
             &cancel,
@@ -563,61 +515,57 @@ impl Daemon {
             lease.as_ref().map(|l| l.prototype()),
             &mut |r| {
                 // Each leg is a fresh engine, so counters in
-                // `r.telemetry` are per-leg deltas while
-                // instructions/vtime/quanta are cumulative (resumed
-                // from the checkpoint). Derive events under the lock,
-                // publish after releasing it.
+                // `r.telemetry` are per-leg deltas while the progress
+                // `record` writes is cumulative (resumed from the
+                // checkpoint). Derive events under the lock, publish
+                // after releasing it.
                 let mut events: Vec<EventBody> = Vec::new();
                 {
                     let mut g = me.inner.lock().unwrap();
-                    if let Some(j) = g.jobs.get_mut(&id) {
-                        j.instructions = r.instructions;
-                        j.vtime_ns = r.hw_virtual_time_ns;
-                        j.quanta = r.metrics.quanta;
-                        j.paths = r.metrics.paths_completed;
-                        j.bugs = r.bugs.len() as u64;
-                        events.push(EventBody::Heartbeat {
+                    let j = g.jobs.get_mut(&id).unwrap();
+                    j.summary.record(r);
+                    let s = &j.summary;
+                    events.push(EventBody::Heartbeat {
+                        id,
+                        instructions: s.instructions,
+                        vtime_ns: s.vtime_ns,
+                        quanta: s.quanta,
+                        paths: s.paths,
+                        bugs: s.bugs,
+                        budget_permille: j.budget_permille(),
+                    });
+                    if !matches!(r.stop, StopReason::Complete | StopReason::Paths) {
+                        events.push(EventBody::Checkpoint {
                             id,
-                            instructions: j.instructions,
-                            vtime_ns: j.vtime_ns,
-                            quanta: j.quanta,
-                            paths: j.paths,
-                            bugs: j.bugs,
-                            budget_permille: j.budget_permille(),
+                            instructions: r.instructions,
                         });
-                        if !matches!(r.stop, StopReason::Complete | StopReason::Paths) {
-                            events.push(EventBody::Checkpoint {
+                    }
+                    if r.faults.recovered > 0 {
+                        events.push(EventBody::FaultRecovered {
+                            id,
+                            recovered: r.faults.recovered,
+                        });
+                    }
+                    if r.faults.quarantined > 0 {
+                        events.push(EventBody::Quarantine {
+                            id,
+                            quarantined: r.faults.quarantined,
+                        });
+                    }
+                    if let Some(t) = &r.telemetry {
+                        let spills = t.counter("store_spills");
+                        let page_ins = t.counter("store_page_ins");
+                        if spills > 0 || page_ins > 0 {
+                            events.push(EventBody::Spill {
                                 id,
-                                instructions: j.instructions,
+                                spills,
+                                page_ins,
                             });
                         }
-                        if r.faults.recovered > 0 {
-                            events.push(EventBody::FaultRecovered {
-                                id,
-                                recovered: r.faults.recovered,
-                            });
-                        }
-                        if r.faults.quarantined > 0 {
-                            events.push(EventBody::Quarantine {
-                                id,
-                                quarantined: r.faults.quarantined,
-                            });
-                        }
-                        if let Some(t) = &r.telemetry {
-                            let spills = t.counter("store_spills");
-                            let page_ins = t.counter("store_page_ins");
-                            if spills > 0 || page_ins > 0 {
-                                events.push(EventBody::Spill {
-                                    id,
-                                    spills,
-                                    page_ins,
-                                });
-                            }
-                            j.telemetry.merge(t.clone());
-                            if j.telemetry.spans.len() > JOB_SPAN_CAP {
-                                let excess = j.telemetry.spans.len() - JOB_SPAN_CAP;
-                                j.telemetry.spans.drain(..excess);
-                            }
+                        j.telemetry.merge(t.clone());
+                        if j.telemetry.spans.len() > JOB_SPAN_CAP {
+                            let excess = j.telemetry.spans.len() - JOB_SPAN_CAP;
+                            j.telemetry.spans.drain(..excess);
                         }
                     }
                 }
@@ -634,28 +582,25 @@ impl Daemon {
             let mut g = self.inner.lock().unwrap();
             g.running_replicas -= spec.workers;
             let job = g.jobs.get_mut(&id).unwrap();
-            job.run_ms = started.elapsed().as_millis() as u64;
-            match outcome {
-                Ok(o) => {
-                    job.verdict = Some(o.verdict.clone());
-                    job.stop = Some(o.stop);
-                    job.digest = Some(o.digest);
-                    job.instructions = o.instructions;
-                    job.paths = o.paths;
-                    job.bugs = o.bugs;
-                    if matches!(o.verdict, Verdict::Cancelled) {
-                        self.rec.count(Counter::JobsCancelled);
-                    }
+            job.summary.run_ms = job.started_at.map_or(0, |t| t.elapsed().as_millis() as u64);
+            // The last leg's record holds the baseline's digest and
+            // counters; the stop is the one of the run that decided the
+            // verdict, a repeat attempt's when one ended the job.
+            let verdict = match ended {
+                Ok((verdict, stop)) => {
+                    job.summary.stop = Some(stop);
+                    verdict
                 }
-                Err(e) => job.verdict = Some(Verdict::Error(e.to_string())),
-            }
-            self.rec.count(Counter::JobsCompleted);
-            let telemetry = if job.telemetry == MetricsSnapshot::empty() {
-                None
-            } else {
-                Some(job.telemetry.clone())
+                Err(e) => Verdict::Error(e.to_string()),
             };
-            (job.summary(id), telemetry)
+            if verdict == Verdict::Cancelled {
+                self.rec.count(Counter::JobsCancelled);
+            }
+            job.summary.verdict = Some(verdict);
+            self.rec.count(Counter::JobsCompleted);
+            let telemetry =
+                (job.telemetry != MetricsSnapshot::empty()).then(|| job.telemetry.clone());
+            (job.report(), telemetry)
         };
         // Per-job observability artifacts land before the terminal
         // commit: if the daemon dies between them, the re-run rewrites
@@ -666,7 +611,7 @@ impl Daemon {
         }
         // Until result.json exists, a restart re-runs the job from its
         // checkpoint.
-        self.commit_terminal(id, summary);
+        self.commit_terminal(summary);
         self.schedule();
     }
 
@@ -674,13 +619,21 @@ impl Daemon {
     /// crash-atomically, then the job turns `Done` in memory, then
     /// `Terminal` is published. Whoever observes `Done` (`status`,
     /// `wait`, [`Daemon::wait_idle`], a restart) finds `result.json`.
-    fn commit_terminal(&self, id: u64, mut summary: JobSummary) {
+    fn commit_terminal(&self, mut summary: JobSummary) {
+        let id = summary.id;
         summary.state = JobState::Done;
         let _ = self.journal_write(
             &self.job_dir(id).join("result.json"),
             summary.to_value().to_json().as_bytes(),
         );
-        self.inner.lock().unwrap().jobs.get_mut(&id).unwrap().state = JobState::Done;
+        self.inner
+            .lock()
+            .unwrap()
+            .jobs
+            .get_mut(&id)
+            .unwrap()
+            .summary
+            .state = JobState::Done;
         self.emit(EventBody::Terminal {
             id,
             verdict: summary
@@ -712,7 +665,7 @@ impl Daemon {
             let Some(job) = g.jobs.get_mut(&id) else {
                 return Err(ServeError::Job(format!("unknown job {id}")));
             };
-            match job.state {
+            match job.summary.state {
                 JobState::Done => return Ok(()), // idempotent
                 JobState::Running => {
                     job.cancel.cancel();
@@ -721,18 +674,18 @@ impl Daemon {
                 }
                 // A verdict on a queued job means a cancel is already
                 // committing it.
-                JobState::Queued if job.verdict.is_some() => return Ok(()),
+                JobState::Queued if job.summary.verdict.is_some() => return Ok(()),
                 JobState::Queued => {
-                    job.verdict = Some(Verdict::Cancelled);
-                    job.queue_wait_ms = job.submitted_at.elapsed().as_millis() as u64;
-                    let summary = job.summary(id);
+                    job.summary.verdict = Some(Verdict::Cancelled);
+                    job.summary.queue_wait_ms = job.submitted_at.elapsed().as_millis() as u64;
+                    let summary = job.report();
                     g.queue.retain(|&q| q != id);
                     self.rec.count(Counter::JobsCancelled);
                     summary
                 }
             }
         };
-        self.commit_terminal(id, summary);
+        self.commit_terminal(summary);
         Ok(())
     }
 
@@ -740,8 +693,8 @@ impl Daemon {
     pub fn status(&self, id: Option<u64>) -> Vec<JobSummary> {
         let g = self.inner.lock().unwrap();
         match id {
-            Some(id) => g.jobs.get(&id).map(|j| j.summary(id)).into_iter().collect(),
-            None => g.jobs.iter().map(|(&id, j)| j.summary(id)).collect(),
+            Some(id) => g.jobs.get(&id).map(Job::report).into_iter().collect(),
+            None => g.jobs.values().map(Job::report).collect(),
         }
     }
 
@@ -767,8 +720,7 @@ impl Daemon {
     }
 
     /// The daemon-wide aggregated metrics snapshot: the daemon's own
-    /// recorder (admission, queue, journal fsync, watchdog, event-bus
-    /// counters) merged with every job's engine telemetry
+    /// recorder (admission, queue, journal fsync, event-bus counters) merged with every job's engine telemetry
     /// (counters/histograms only — spans stay per-job, they'd swamp the
     /// wire) plus live occupancy gauges. Counts one `metrics` scrape.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -833,7 +785,7 @@ impl Daemon {
     /// [`ServeError::Protocol`] on a corrupt journal file.
     pub fn recover(self: &Arc<Daemon>) -> Result<usize, ServeError> {
         let jobs_dir = self.cfg.state_dir.join("jobs");
-        let mut found: Vec<(u64, JobSpec, Option<JobSummary>)> = Vec::new();
+        let mut found: Vec<(u64, JobSpec, JobSummary)> = Vec::new();
         let entries = std::fs::read_dir(&jobs_dir)
             .map_err(|e| ServeError::Io(format!("{}: {e}", jobs_dir.display())))?;
         for entry in entries.flatten() {
@@ -854,59 +806,26 @@ impl Daemon {
                 &parse(&job_json)
                     .map_err(|e| ServeError::Protocol(format!("job {id} journal: {e}")))?,
             )?;
-            let done = match read("result.json")? {
-                Some(s) => {
-                    Some(JobSummary::from_value(&parse(&s).map_err(|e| {
-                        ServeError::Protocol(format!("job {id} result: {e}"))
-                    })?)?)
-                }
-                None => None,
+            // A terminal job's summary is its result.json; any other
+            // job queues afresh and resumes from its checkpoint.
+            let summary = match read("result.json")? {
+                Some(s) => JobSummary::from_value(
+                    &parse(&s)
+                        .map_err(|e| ServeError::Protocol(format!("job {id} result: {e}")))?,
+                )?,
+                None => JobSummary::queued(id, &spec),
             };
-            found.push((id, spec, done));
+            found.push((id, spec, summary));
         }
         found.sort_by_key(|(id, _, _)| *id);
         let mut resumed = 0;
         {
             let mut g = self.inner.lock().unwrap();
-            for (id, spec, done) in found {
+            for (id, spec, summary) in found {
                 g.next_id = g.next_id.max(id + 1);
-                let terminal = done.is_some();
-                let lane = spec.priority.min(MAX_LANE);
-                let job = Job {
-                    spec,
-                    state: if terminal {
-                        JobState::Done
-                    } else {
-                        JobState::Queued
-                    },
-                    verdict: done.as_ref().and_then(|s| s.verdict.clone()),
-                    stop: done.as_ref().and_then(|s| s.stop),
-                    digest: None, // summaries carry it as hex; re-derived below
-                    instructions: done.as_ref().map_or(0, |s| s.instructions),
-                    vtime_ns: done.as_ref().map_or(0, |s| s.vtime_ns),
-                    quanta: done.as_ref().map_or(0, |s| s.quanta),
-                    paths: done.as_ref().map_or(0, |s| s.paths),
-                    bugs: done.as_ref().map_or(0, |s| s.bugs),
-                    telemetry: MetricsSnapshot::empty(),
-                    cancel: CancelToken::new(),
-                    submitted_at: Instant::now(),
-                    started_at: None,
-                    deadline: None,
-                    queue_wait_ms: done.as_ref().map_or(0, |s| s.queue_wait_ms),
-                    run_ms: done.as_ref().map_or(0, |s| s.run_ms),
-                    lane,
-                    provenance: done.as_ref().and_then(|s| s.provenance.clone()),
-                    lease: None,
-                };
-                let job = Job {
-                    digest: done
-                        .as_ref()
-                        .and_then(|s| s.digest.as_deref())
-                        .and_then(parse_digest_hex),
-                    ..job
-                };
-                g.jobs.insert(id, job);
-                if !terminal {
+                let queued = summary.state != JobState::Done;
+                g.jobs.insert(id, Job::new(spec, summary));
+                if queued {
                     g.queue.push_back(id);
                     resumed += 1;
                     self.rec.count(Counter::JobsRecovered);
@@ -917,55 +836,13 @@ impl Daemon {
         Ok(resumed)
     }
 
-    /// One watchdog sweep: force-cancels running jobs past their wall
-    /// deadline plus the grace period. Returns how many were cancelled.
-    /// The engine normally stops itself at the first quantum boundary
-    /// past the deadline; this is the backstop for a wedged leg.
-    pub fn watchdog_sweep(&self) -> usize {
-        let hit_ids: Vec<u64> = {
-            let g = self.inner.lock().unwrap();
-            let now = Instant::now();
-            g.jobs
-                .iter()
-                .filter(|(_, job)| {
-                    job.state == JobState::Running
-                        && job.deadline.is_some_and(|dl| {
-                            now > dl + self.cfg.watchdog_grace && !job.cancel.is_cancelled()
-                        })
-                })
-                .map(|(&id, job)| {
-                    job.cancel.cancel();
-                    id
-                })
-                .collect()
-        };
-        for &id in &hit_ids {
-            self.rec.count(Counter::ServeWatchdogCancels);
-            self.emit(EventBody::WatchdogCancel { id });
-        }
-        hit_ids.len()
-    }
-
-    /// Spawns the watchdog thread (sweeps every `period` until the
-    /// daemon shuts down).
-    pub fn spawn_watchdog(self: &Arc<Daemon>, period: Duration) {
-        let me = Arc::clone(self);
-        std::thread::spawn(move || loop {
-            if me.inner.lock().unwrap().shutting_down {
-                break;
-            }
-            me.watchdog_sweep();
-            std::thread::sleep(period);
-        });
-    }
-
     /// Blocks until every job is `Done` (test / drain helper), or the
     /// timeout elapses. Returns `true` when idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut g = self.inner.lock().unwrap();
         loop {
-            if g.jobs.values().all(|j| j.state == JobState::Done) {
+            if g.jobs.values().all(|j| j.summary.state == JobState::Done) {
                 return true;
             }
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
@@ -1173,10 +1050,6 @@ impl Daemon {
         });
         Ok(bound)
     }
-}
-
-fn parse_digest_hex(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.trim_start_matches("0x"), 16).ok()
 }
 
 #[cfg(test)]
@@ -1503,6 +1376,42 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&d.cfg.state_dir);
         let _ = std::fs::remove_dir_all(&d2.cfg.state_dir);
+    }
+
+    #[test]
+    fn flight_entries_carry_the_sequence_number_subscribers_received() {
+        let d = daemon("flight-seq", 1, 4);
+        let sub = d.subscribe();
+        let id = d.submit(demo("f")).unwrap();
+        let received = std::iter::from_fn(|| sub.recv_timeout(Duration::from_secs(60)))
+            .find(|ev| matches!(ev.body, EventBody::Terminal { id: t, .. } if t == id))
+            .expect("the subscriber receives the terminal event")
+            .seq;
+        // The entry lands just after the publish the subscriber saw.
+        let recorded = || -> Option<u64> {
+            let dump = d.dump_flight_value();
+            let entry = dump
+                .get("entries")?
+                .as_arr()?
+                .iter()
+                .find(|e| e.get("kind").and_then(Value::as_str) == Some("terminal"))?;
+            parse(entry.get("detail")?.as_str()?)
+                .ok()?
+                .get("seq")?
+                .as_u64()
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let seq = loop {
+            if let Some(seq) = recorded() {
+                break seq;
+            }
+            assert!(Instant::now() < deadline, "no terminal flight entry");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(received > 0);
+        assert_eq!(seq, received);
+        assert!(d.wait_idle(Duration::from_secs(60)));
+        let _ = std::fs::remove_dir_all(&d.cfg.state_dir);
     }
 
     #[test]

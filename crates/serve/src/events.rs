@@ -2,9 +2,11 @@
 //!
 //! Every observable thing a job does — admission, start, each leg's
 //! heartbeat, checkpoints, spill/page-in activity, fault recovery,
-//! quarantine, watchdog cancellation, the terminal verdict — is a
-//! typed [`EventBody`] published on the daemon-wide [`EventBus`] and
-//! streamed to `subscribe` clients as NDJSON.
+//! quarantine, the terminal verdict — is a typed [`EventBody`]
+//! published on the daemon-wide [`EventBus`] and streamed to
+//! `subscribe` clients as NDJSON. A job stopped by its wall-clock
+//! deadline says so in its terminal event's stop reason (`wall-clock`),
+//! like any other budget.
 //!
 //! ## The observer must never perturb the observed
 //!
@@ -98,11 +100,6 @@ pub enum EventBody {
         /// Replicas quarantined this leg.
         quarantined: u64,
     },
-    /// The watchdog force-cancelled the job (wall deadline + grace).
-    WatchdogCancel {
-        /// Job id.
-        id: u64,
-    },
     /// The job reached a terminal verdict and `result.json` landed.
     Terminal {
         /// Job id.
@@ -129,7 +126,6 @@ impl EventBody {
             EventBody::Spill { .. } => "spill",
             EventBody::FaultRecovered { .. } => "fault-recovered",
             EventBody::Quarantine { .. } => "quarantine",
-            EventBody::WatchdogCancel { .. } => "watchdog-cancel",
             EventBody::Terminal { .. } => "terminal",
         }
     }
@@ -144,7 +140,6 @@ impl EventBody {
             | EventBody::Spill { id, .. }
             | EventBody::FaultRecovered { id, .. }
             | EventBody::Quarantine { id, .. }
-            | EventBody::WatchdogCancel { id }
             | EventBody::Terminal { id, .. } => *id,
         }
     }
@@ -195,7 +190,6 @@ impl Event {
             EventBody::Started { source, .. } => {
                 m.insert("source".into(), Value::Str(source.clone()));
             }
-            EventBody::WatchdogCancel { .. } => {}
             EventBody::Heartbeat {
                 instructions,
                 vtime_ns,
@@ -309,7 +303,6 @@ impl Event {
                 id,
                 quarantined: u("quarantined")?,
             },
-            "watchdog-cancel" => EventBody::WatchdogCancel { id },
             "terminal" => EventBody::Terminal {
                 id,
                 verdict: opt_s("verdict")
@@ -509,7 +502,6 @@ mod tests {
                 id: 1,
                 quarantined: 1,
             },
-            EventBody::WatchdogCancel { id: 1 },
             EventBody::Terminal {
                 id: 1,
                 verdict: "completed".into(),

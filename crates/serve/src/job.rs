@@ -1,8 +1,8 @@
 //! Job specifications, budgets and verdicts — the unit of work the
 //! daemon schedules, journals and reports.
 
-use crate::ServeError;
-use hardsnap::StopReason;
+use crate::{digest_hex, ServeError};
+use hardsnap::{RunResult, StopReason};
 use hardsnap_util::json::Value;
 use std::collections::BTreeMap;
 
@@ -37,8 +37,9 @@ pub struct JobSpec {
     pub max_vtime_ns: u64,
     /// Scheduling-quantum budget (0 = unlimited).
     pub max_quanta: u64,
-    /// Wall-clock deadline in ms from job start (0 = none). Enforced by
-    /// the engine at quantum boundaries and by the daemon's watchdog.
+    /// Wall-clock deadline in ms from job start (0 = none). One
+    /// deadline per job: the engine stops every leg and every repeat
+    /// attempt at the first quantum boundary past it.
     pub wall_ms: u64,
     /// Resident-byte budget for the job's snapshot store (0 = none).
     pub snapshot_mem_budget: u64,
@@ -175,7 +176,7 @@ pub enum Verdict {
     /// A budget tripped; the job was cancelled at a quantum boundary
     /// and its checkpoint is resumable with a raised budget.
     OverBudget(StopReason),
-    /// Cancelled by a client (or the watchdog); checkpoint resumable.
+    /// Cancelled by a client; checkpoint resumable.
     Cancelled,
     /// `repeat` re-executions all produced the same canonical digest.
     Stable {
@@ -194,6 +195,19 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// The verdict a run earns by why it stopped: the one rule, for a
+    /// job's baseline and for each repeat attempt alike.
+    pub fn of(stop: StopReason) -> Verdict {
+        match stop {
+            StopReason::Complete | StopReason::Paths => Verdict::Completed,
+            StopReason::Cancelled => Verdict::Cancelled,
+            StopReason::WallClock
+            | StopReason::VirtualTime
+            | StopReason::Quanta
+            | StopReason::Instructions => Verdict::OverBudget(stop),
+        }
+    }
+
     /// Stable wire name.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -220,9 +234,10 @@ impl Verdict {
 }
 
 /// Where a job is in its lifecycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Admitted, journaled, waiting for replicas.
+    #[default]
     Queued,
     /// Executing on the pool.
     Running,
@@ -243,7 +258,7 @@ impl JobState {
 
 /// Everything `status` reports about one job (and what `result.json`
 /// persists for a terminal one).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct JobSummary {
     /// Daemon-assigned id (admission order).
     pub id: u64,
@@ -253,9 +268,11 @@ pub struct JobSummary {
     pub state: JobState,
     /// Terminal verdict (`None` while queued/running).
     pub verdict: Option<Verdict>,
-    /// Why the final run stopped.
+    /// Why the run that decided the verdict stopped (while running:
+    /// why the last leg stopped).
     pub stop: Option<StopReason>,
-    /// Canonical digest of the (possibly partial) result, hex.
+    /// Canonical digest of the job's result so far, hex: partial until
+    /// the baseline completes. A repeat attempt never replaces it.
     pub digest: Option<String>,
     /// Instructions executed so far / in total.
     pub instructions: u64,
@@ -285,6 +302,30 @@ pub struct JobSummary {
 }
 
 impl JobSummary {
+    /// A freshly admitted job's summary.
+    pub fn queued(id: u64, spec: &JobSpec) -> JobSummary {
+        JobSummary {
+            id,
+            name: spec.name.clone(),
+            lane: spec.priority.min(MAX_LANE),
+            ..JobSummary::default()
+        }
+    }
+
+    /// Writes one run's cumulative progress onto the summary: its stop
+    /// reason, canonical digest and counters. The daemon calls it after
+    /// every leg, so the terminal commit finds the baseline's last leg
+    /// here.
+    pub fn record(&mut self, r: &RunResult) {
+        self.stop = Some(r.stop);
+        self.digest = Some(digest_hex(r.canonical_digest()));
+        self.instructions = r.instructions;
+        self.vtime_ns = r.hw_virtual_time_ns;
+        self.quanta = r.metrics.quanta;
+        self.paths = r.metrics.paths_completed;
+        self.bugs = r.bugs.len() as u64;
+    }
+
     /// Serializes for the wire and for `result.json`.
     pub fn to_value(&self) -> Value {
         let mut m = BTreeMap::from([
@@ -324,7 +365,7 @@ impl JobSummary {
                     // digests, because JSON numbers are f64.
                     m.insert(
                         "divergence_state_id".into(),
-                        Value::Str(crate::digest_hex(*divergence_state_id)),
+                        Value::Str(digest_hex(*divergence_state_id)),
                     );
                 }
                 Verdict::Error(msg) => {

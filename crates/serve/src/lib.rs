@@ -9,10 +9,12 @@
 //!
 //! * **Jobs with hard budgets** — virtual time, scheduling quanta,
 //!   instruction count, a wall-clock deadline and a snapshot-store byte
-//!   budget, all enforced *cooperatively*: a watchdog cancels (never
-//!   kills) an over-budget job at a quantum boundary via
-//!   [`hardsnap::CancelToken`], so the partial [`hardsnap::RunResult`]
-//!   and its campaign checkpoint stay valid and resumable.
+//!   budget, all enforced *cooperatively* by the engine at quantum
+//!   boundaries (never a kill), so the partial [`hardsnap::RunResult`]
+//!   and its campaign checkpoint stay valid and resumable. The
+//!   wall-clock deadline is fixed once per job and bounds every leg and
+//!   every repeat attempt; a client's `cancel` stops a job the same
+//!   way, through [`hardsnap::CancelToken`].
 //! * **Admission control** — a job is admitted only when the replica
 //!   pool and the bounded queue have room; otherwise the submission is
 //!   rejected with the typed [`ServeError::Saturated`], never silently

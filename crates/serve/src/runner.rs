@@ -10,9 +10,10 @@
 //! of the daemon loses at most one leg, and the restart path is the
 //! same code path as an ordinary leg boundary. Budgets (virtual
 //! time, quanta, wall-clock, instructions) and the cancel token are
-//! enforced by the engine *between quanta*, so every stop — including a
-//! watchdog cancellation — leaves a valid partial result and a
-//! resumable checkpoint.
+//! enforced by the engine *between quanta*, so every stop leaves a
+//! valid partial result and a resumable checkpoint. The wall-clock
+//! budget is one deadline, fixed when [`run_job`] starts: every leg and
+//! every repeat attempt runs under it.
 //!
 //! Every leg and every repeat attempt runs on replicas forked from one
 //! **prototype** with [`HwTarget::fork_clean`]: a warm-pool lease's, or
@@ -24,9 +25,13 @@
 //! Flaky detection re-executes a *completed* job `repeat` times total,
 //! each attempt on a freshly forked replica (quarantined by
 //! construction: nothing is shared with the baseline run) with a
-//! re-seeded fault plan, and compares canonical digests. Any divergence
-//! is a robustness bug in the analysis stack — recovery was supposed to
-//! make fault schedules invisible.
+//! re-seeded fault plan and the baseline's budgets. Each attempt earns
+//! a verdict by the baseline's rule, [`Verdict::of`]: one cut short by a
+//! budget or a cancel decides the job's verdict by its own stop, and
+//! only a completed attempt compares canonical digests with the
+//! baseline. A divergence between completed runs is a robustness bug in
+//! the analysis stack — recovery was supposed to make fault schedules
+//! invisible.
 
 use crate::job::{JobSpec, Verdict};
 use crate::ServeError;
@@ -49,23 +54,6 @@ pub const DEFAULT_LEG_INSTRUCTIONS: u64 = 4096;
 /// Golden-ratio multiplier used to re-seed fault plans across flaky
 /// repeat attempts.
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Terminal outcome of [`run_job`].
-#[derive(Clone, Debug)]
-pub struct Outcome {
-    /// Terminal verdict.
-    pub verdict: Verdict,
-    /// Why the baseline run stopped.
-    pub stop: StopReason,
-    /// Canonical digest of the baseline result.
-    pub digest: u64,
-    /// Cumulative instructions executed (including resumed carry).
-    pub instructions: u64,
-    /// Paths completed.
-    pub paths: u64,
-    /// Bugs found.
-    pub bugs: u64,
-}
 
 /// Fault seed for repeat attempt `attempt` (0 = the baseline run).
 /// Re-seeding the fault plan is the whole point of the flaky detector:
@@ -129,39 +117,27 @@ fn replica(
     }
 }
 
-fn base_config(
-    spec: &JobSpec,
-    cancel: &CancelToken,
-    deadline: Option<Instant>,
-    observe: bool,
-) -> EngineConfig {
-    // Telemetry is observe-only: turning it on changes no engine
-    // decision, so observed and unobserved runs digest identically
-    // (pinned by the observer-effect tests).
-    let mut telemetry = hardsnap_telemetry::TelemetryConfig::default();
-    if observe {
-        telemetry.enabled = true;
+/// A spec budget for the engine: 0 on the wire means unbudgeted.
+fn budget(n: u64) -> u64 {
+    if n > 0 {
+        n
+    } else {
+        u64::MAX
     }
+}
+
+/// The engine configuration every run of the job shares: its budgets,
+/// its one wall-clock `deadline` and its cancel token.
+fn base_config(spec: &JobSpec, cancel: &CancelToken, deadline: Option<Instant>) -> EngineConfig {
     EngineConfig {
         mode: ConsistencyMode::HardSnap,
         searcher: Searcher::RoundRobin,
-        telemetry,
         delta_snapshots: spec.delta_snapshots,
-        max_vtime_ns: if spec.max_vtime_ns > 0 {
-            spec.max_vtime_ns
-        } else {
-            u64::MAX
-        },
-        max_quanta: if spec.max_quanta > 0 {
-            spec.max_quanta
-        } else {
-            u64::MAX
-        },
-        snapshot_mem_budget: if spec.snapshot_mem_budget > 0 {
-            Some(spec.snapshot_mem_budget as usize)
-        } else {
-            None
-        },
+        max_instructions: budget(spec.max_instructions),
+        max_vtime_ns: budget(spec.max_vtime_ns),
+        max_quanta: budget(spec.max_quanta),
+        snapshot_mem_budget: (spec.snapshot_mem_budget > 0)
+            .then_some(spec.snapshot_mem_budget as usize),
         wall_deadline: deadline,
         cancel: cancel.clone(),
         ..EngineConfig::default()
@@ -205,11 +181,7 @@ fn run_legs(
     } else {
         DEFAULT_LEG_INSTRUCTIONS
     };
-    let spec_cap = if spec.max_instructions > 0 {
-        spec.max_instructions
-    } else {
-        u64::MAX
-    };
+    let spec_cap = base.max_instructions;
     // Recovery: a pre-existing checkpoint (daemon restart) tells us how
     // many instructions are already in the bag, so the first leg's
     // clamp lands on the same boundary an uninterrupted run would.
@@ -236,23 +208,18 @@ fn run_legs(
 }
 
 /// One uninterrupted repeat attempt on a quarantined (freshly forked)
-/// replica with a re-seeded fault plan. No checkpointing: the attempt
-/// is compared by digest and discarded.
+/// replica with a re-seeded fault plan, under the job's budgets and
+/// deadline (`base`). No checkpointing: the attempt is judged and
+/// discarded.
 fn run_attempt(
     spec: &JobSpec,
-    cancel: &CancelToken,
+    base: &EngineConfig,
     attempt: u32,
     program: &Program,
     proto: &dyn HwTarget,
 ) -> Result<RunResult, ServeError> {
     let target = replica(proto, spec, attempt)?;
-    // Repeat attempts are digest-compared and discarded; they never
-    // need telemetry.
-    let mut config = base_config(spec, cancel, None, false);
-    if spec.max_instructions > 0 {
-        config.max_instructions = spec.max_instructions;
-    }
-    let mut engine = Engine::with_workers(target, spec.workers, config).map_err(job_err)?;
+    let mut engine = Engine::with_workers(target, spec.workers, base.clone()).map_err(job_err)?;
     engine.load_firmware(program);
     Ok(engine.run())
 }
@@ -273,18 +240,21 @@ fn divergence_state_id(a: &RunResult, b: &RunResult) -> u64 {
         .unwrap_or(0)
 }
 
-/// Executes a job to its terminal verdict.
+/// Executes a job to its terminal verdict. Returns the verdict and the
+/// stop reason of the run that decided it: the baseline's, or that of
+/// the repeat attempt that ended it.
 ///
 /// `dir` is the job's checkpoint directory (created on first
 /// checkpoint); it may already hold a campaign from a previous daemon
 /// incarnation, in which case the job resumes seamlessly. Every replica
 /// is forked from `proto` — a leased warm-pool prototype — or, when it
 /// is `None`, from one [`build_prototype`] makes at job start; either
-/// way the digest is the same. `on_leg` is called after every leg with
-/// the cumulative partial result so the daemon can publish live
-/// progress. With `observe` the engine's telemetry recorder is enabled
-/// for each leg (per-leg [`RunResult::telemetry`] snapshots become
-/// available) — observe-only, digests are unaffected.
+/// way the digest is the same. `on_leg` is called after every baseline
+/// leg with the cumulative partial result, which the daemon writes onto
+/// the job's summary and publishes; the last call carries the
+/// baseline's final result. With `observe` the engine's telemetry
+/// recorder is enabled for each leg (per-leg [`RunResult::telemetry`]
+/// snapshots become available) — observe-only, digests are unaffected.
 ///
 /// # Errors
 ///
@@ -296,7 +266,7 @@ pub fn run_job(
     observe: bool,
     proto: Option<&dyn HwTarget>,
     on_leg: &mut dyn FnMut(&RunResult),
-) -> Result<Outcome, ServeError> {
+) -> Result<(Verdict, StopReason), ServeError> {
     let deadline = (spec.wall_ms > 0).then(|| Instant::now() + Duration::from_millis(spec.wall_ms));
     let program = assemble(spec)?;
     let cold;
@@ -307,51 +277,42 @@ pub fn run_job(
             cold.as_ref()
         }
     };
-    let base = base_config(spec, cancel, deadline, observe);
-    let baseline = run_legs(spec, dir, &base, &program, proto, on_leg)?;
-    let stop = baseline.stop;
-    let mut verdict = match stop {
-        StopReason::Complete | StopReason::Paths => Verdict::Completed,
-        StopReason::Cancelled => Verdict::Cancelled,
-        StopReason::WallClock
-        | StopReason::VirtualTime
-        | StopReason::Quanta
-        | StopReason::Instructions => Verdict::OverBudget(stop),
-    };
-    let digest = baseline.canonical_digest();
+    let base = base_config(spec, cancel, deadline);
+    // Telemetry is observe-only: turning it on changes no engine
+    // decision, so observed and unobserved runs digest identically
+    // (pinned by the observer-effect tests). Repeat attempts are judged
+    // and discarded; they never need it.
+    let mut legs = base.clone();
+    legs.telemetry.enabled |= observe;
+    let baseline = run_legs(spec, dir, &legs, &program, proto, on_leg)?;
+    let verdict = Verdict::of(baseline.stop);
     // Flaky detection: only a *completed* baseline is worth repeating —
     // a budget-cut prefix legitimately depends on where the cut fell.
-    if verdict == Verdict::Completed && spec.repeat >= 2 {
-        verdict = Verdict::Stable {
-            attempts: spec.repeat,
-        };
-        for attempt in 1..spec.repeat {
-            let rerun = run_attempt(spec, cancel, attempt, &program, proto)?;
-            if rerun.stop == StopReason::Cancelled {
-                verdict = Verdict::Cancelled;
-                break;
-            }
-            if rerun.canonical_digest() != digest {
-                verdict = Verdict::Flaky {
-                    divergence_state_id: divergence_state_id(&baseline, &rerun),
-                };
-                break;
-            }
-        }
+    if verdict != Verdict::Completed || spec.repeat < 2 {
+        return Ok((verdict, baseline.stop));
     }
-    Ok(Outcome {
-        verdict,
-        stop,
-        digest,
-        instructions: baseline.instructions,
-        paths: baseline.metrics.paths_completed,
-        bugs: baseline.bugs.len() as u64,
-    })
+    let digest = baseline.canonical_digest();
+    for attempt in 1..spec.repeat {
+        let rerun = run_attempt(spec, &base, attempt, &program, proto)?;
+        let verdict = match Verdict::of(rerun.stop) {
+            Verdict::Completed if rerun.canonical_digest() == digest => continue,
+            Verdict::Completed => Verdict::Flaky {
+                divergence_state_id: divergence_state_id(&baseline, &rerun),
+            },
+            cut => cut,
+        };
+        return Ok((verdict, rerun.stop));
+    }
+    let stable = Verdict::Stable {
+        attempts: spec.repeat,
+    };
+    Ok((stable, baseline.stop))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobSummary;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir =
@@ -366,6 +327,25 @@ mod tests {
             leg_instructions: 64,
             ..JobSpec::default()
         }
+    }
+
+    /// Runs a job as the daemon does: every leg written onto a summary,
+    /// then the verdict and the stop of the run that decided it.
+    fn run(
+        spec: &JobSpec,
+        dir: &Path,
+        cancel: &CancelToken,
+        proto: Option<&dyn HwTarget>,
+        on_leg: &mut dyn FnMut(&RunResult),
+    ) -> (Verdict, JobSummary) {
+        let mut summary = JobSummary::queued(0, spec);
+        let (verdict, stop) = run_job(spec, dir, cancel, false, proto, &mut |r| {
+            summary.record(r);
+            on_leg(r);
+        })
+        .unwrap();
+        summary.stop = Some(stop);
+        (verdict, summary)
     }
 
     /// A prototype driven away from power-on: written over the bus,
@@ -389,9 +369,7 @@ mod tests {
     fn legged_run_matches_uninterrupted_digest() {
         let dir = tmp("legged");
         let cancel = CancelToken::new();
-        let mut legged_vtime = 0;
-        let legged = run_job(&demo_spec(), &dir, &cancel, false, None, &mut |r| {
-            legged_vtime = r.hw_virtual_time_ns;
+        let (verdict, legged) = run(&demo_spec(), &dir, &cancel, None, &mut |_| {
             let files: Vec<_> = std::fs::read_dir(&dir)
                 .unwrap()
                 .map(|e| e.unwrap().file_name())
@@ -401,17 +379,12 @@ mod tests {
                 [MANIFEST],
                 "a checkpoint is one file after every leg"
             );
-        })
-        .unwrap();
-        assert_eq!(legged.verdict, Verdict::Completed);
+        });
+        assert_eq!(verdict, Verdict::Completed);
 
         let mut one_shot = demo_spec();
         one_shot.leg_instructions = 0; // one huge leg
-        let mut whole_vtime = 0;
-        let whole = run_job(&one_shot, &tmp("whole"), &cancel, false, None, &mut |r| {
-            whole_vtime = r.hw_virtual_time_ns
-        })
-        .unwrap();
+        let (_, whole) = run(&one_shot, &tmp("whole"), &cancel, None, &mut |_| {});
         assert_eq!(
             legged.digest, whole.digest,
             "legging must not change semantics"
@@ -421,7 +394,7 @@ mod tests {
         // and restored on the next leg's fresh replica, which one
         // uninterrupted run does not need.
         assert_eq!(
-            (legged_vtime, whole_vtime),
+            (legged.vtime_ns, whole.vtime_ns),
             (449_613_600, 408_830_000),
             "modeled time"
         );
@@ -430,18 +403,9 @@ mod tests {
         // a dirtied prototype gives the same digest and modeled times.
         let dirty = dirtied_prototype();
         let forked = tmp("forked");
-        for (spec, vtime) in [(demo_spec(), legged_vtime), (one_shot, whole_vtime)] {
-            let mut got = 0;
-            let out = run_job(
-                &spec,
-                &forked,
-                &cancel,
-                false,
-                Some(dirty.as_ref()),
-                &mut |r| got = r.hw_virtual_time_ns,
-            )
-            .unwrap();
-            assert_eq!((out.digest, got), (whole.digest, vtime));
+        for (spec, vtime) in [(demo_spec(), legged.vtime_ns), (one_shot, whole.vtime_ns)] {
+            let (_, out) = run(&spec, &forked, &cancel, Some(dirty.as_ref()), &mut |_| {});
+            assert_eq!((&out.digest, out.vtime_ns), (&whole.digest, vtime));
             let _ = std::fs::remove_dir_all(&forked);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -453,8 +417,8 @@ mod tests {
         let cancel = CancelToken::new();
         let mut spec = demo_spec();
         spec.max_vtime_ns = 1_000; // absurdly tight: trips on the first quantum
-        let out = run_job(&spec, &dir, &cancel, false, None, &mut |_| {}).unwrap();
-        assert_eq!(out.verdict, Verdict::OverBudget(StopReason::VirtualTime));
+        let (verdict, _) = run(&spec, &dir, &cancel, None, &mut |_| {});
+        assert_eq!(verdict, Verdict::OverBudget(StopReason::VirtualTime));
         assert!(
             dir.join(MANIFEST).exists(),
             "over-budget job must leave a checkpoint"
@@ -463,17 +427,15 @@ mod tests {
         // Raise the budget and resume from the same directory: the
         // finished digest must equal an uninterrupted run's.
         spec.max_vtime_ns = 0;
-        let resumed = run_job(&spec, &dir, &cancel, false, None, &mut |_| {}).unwrap();
-        assert_eq!(resumed.verdict, Verdict::Completed);
-        let whole = run_job(
+        let (verdict, resumed) = run(&spec, &dir, &cancel, None, &mut |_| {});
+        assert_eq!(verdict, Verdict::Completed);
+        let (_, whole) = run(
             &demo_spec(),
             &tmp("vtime-whole"),
             &cancel,
-            false,
             None,
             &mut |_| {},
-        )
-        .unwrap();
+        );
         assert_eq!(resumed.digest, whole.digest);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -483,22 +445,20 @@ mod tests {
         let dir = tmp("cancel");
         let cancel = CancelToken::new();
         cancel.cancel(); // pre-cancelled: stops at the first boundary
-        let out = run_job(&demo_spec(), &dir, &cancel, false, None, &mut |_| {}).unwrap();
-        assert_eq!(out.verdict, Verdict::Cancelled);
+        let (verdict, _) = run(&demo_spec(), &dir, &cancel, None, &mut |_| {});
+        assert_eq!(verdict, Verdict::Cancelled);
         assert!(dir.join(MANIFEST).exists());
 
         let fresh = CancelToken::new();
-        let resumed = run_job(&demo_spec(), &dir, &fresh, false, None, &mut |_| {}).unwrap();
-        assert_eq!(resumed.verdict, Verdict::Completed);
-        let whole = run_job(
+        let (verdict, resumed) = run(&demo_spec(), &dir, &fresh, None, &mut |_| {});
+        assert_eq!(verdict, Verdict::Completed);
+        let (_, whole) = run(
             &demo_spec(),
             &tmp("cancel-whole"),
             &fresh,
-            false,
             None,
             &mut |_| {},
-        )
-        .unwrap();
+        );
         assert_eq!(resumed.digest, whole.digest);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -509,9 +469,9 @@ mod tests {
         let mut spec = demo_spec();
         spec.fault_rate = 0.05;
         spec.repeat = 3;
-        let out = run_job(&spec, &tmp("stable"), &cancel, false, None, &mut |_| {}).unwrap();
+        let (verdict, _) = run(&spec, &tmp("stable"), &cancel, None, &mut |_| {});
         assert_eq!(
-            out.verdict,
+            verdict,
             Verdict::Stable { attempts: 3 },
             "recovery must hide low-rate faults"
         );
@@ -519,9 +479,9 @@ mod tests {
         // Attempt/replay hides even a 60% fault rate: a failed quantum
         // is replayed from its snapshot until it gets through.
         spec.fault_rate = 0.6;
-        let out = run_job(&spec, &tmp("replayed"), &cancel, false, None, &mut |_| {}).unwrap();
+        let (verdict, _) = run(&spec, &tmp("replayed"), &cancel, None, &mut |_| {});
         assert_eq!(
-            out.verdict,
+            verdict,
             Verdict::Stable { attempts: 3 },
             "replay must hide a 60% fault rate"
         );
@@ -530,11 +490,54 @@ mod tests {
         // surviving path set depends on the fault schedule: flaky by
         // design.
         spec.fault_rate = 0.9;
-        let out = run_job(&spec, &tmp("flaky"), &cancel, false, None, &mut |_| {}).unwrap();
+        let (verdict, _) = run(&spec, &tmp("flaky"), &cancel, None, &mut |_| {});
         assert!(
-            matches!(out.verdict, Verdict::Flaky { .. }),
-            "expected flaky at 90% fault rate, got {:?}",
-            out.verdict
+            matches!(verdict, Verdict::Flaky { .. }),
+            "expected flaky at 90% fault rate, got {verdict:?}"
+        );
+    }
+
+    #[test]
+    fn a_repeat_attempt_cut_by_a_budget_reads_over_budget() {
+        // A repeat attempt re-seeds its faults, so its recovery costs
+        // differ from the baseline's: a virtual-time budget one ns above
+        // what the baseline takes lets the baseline complete and cuts
+        // the attempt short. That is a budget verdict decided by the
+        // attempt, not a divergence.
+        let cancel = CancelToken::new();
+        let mut spec = JobSpec {
+            firmware: "demo:4".into(),
+            fault_rate: 0.3,
+            fault_seed: 1,
+            repeat: 2,
+            ..JobSpec::default()
+        };
+        let (verdict, free) = run(&spec, &tmp("cut-free"), &cancel, None, &mut |_| {});
+        assert_eq!(verdict, Verdict::Stable { attempts: 2 });
+
+        spec.max_vtime_ns = free.vtime_ns + 1;
+        let mut baseline_stop = None;
+        let (verdict, cut) = run(&spec, &tmp("cut"), &cancel, None, &mut |r| {
+            baseline_stop = Some(r.stop)
+        });
+        assert_eq!(baseline_stop, Some(StopReason::Complete));
+        assert_eq!(verdict, Verdict::OverBudget(StopReason::VirtualTime));
+        // The summary names the attempt's stop, from which a reader
+        // rebuilds the verdict, and keeps the baseline's digest.
+        assert_eq!(cut.stop, Some(StopReason::VirtualTime));
+        assert_eq!((&cut.digest, cut.vtime_ns), (&free.digest, free.vtime_ns));
+    }
+
+    #[test]
+    fn a_repeat_attempt_past_the_deadline_stops_before_its_first_quantum() {
+        let spec = demo_spec();
+        let program = assemble(&spec).unwrap();
+        let proto = build_prototype().unwrap();
+        let base = base_config(&spec, &CancelToken::new(), Some(Instant::now()));
+        let r = run_attempt(&spec, &base, 1, &program, proto.as_ref()).unwrap();
+        assert_eq!(
+            (r.stop, r.instructions, r.metrics.quanta),
+            (StopReason::WallClock, 0, 0)
         );
     }
 }

@@ -1,9 +1,8 @@
 //! Bounded in-memory flight recorder.
 //!
 //! A ring buffer of the most recent observability events, kept by the
-//! campaign daemon so that a crash (panic, SIGTERM, watchdog kill of
-//! the process) leaves a post-mortem trail on disk next to the job
-//! journal. The ring is strictly bounded: when full, the oldest entry
+//! campaign daemon so that a crash (panic, SIGTERM) leaves a
+//! post-mortem trail on disk next to the job journal. The ring is strictly bounded: when full, the oldest entry
 //! is evicted and counted, never blocking or growing. Entries carry a
 //! monotonic sequence number so a reader can tell exactly how much
 //! history was shed.

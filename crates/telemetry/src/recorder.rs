@@ -123,13 +123,10 @@ enum_metric! {
         JobsRejected => "serve.jobs_rejected",
         /// Campaign-service jobs that reached a terminal verdict.
         JobsCompleted => "serve.jobs_completed",
-        /// Campaign-service jobs cancelled (watchdog or client).
+        /// Campaign-service jobs cancelled by a client.
         JobsCancelled => "serve.jobs_cancelled",
         /// In-flight jobs recovered after a daemon restart.
         JobsRecovered => "serve.jobs_recovered",
-        /// Running jobs cancelled by the daemon watchdog (wall-clock
-        /// deadline exceeded).
-        ServeWatchdogCancels => "serve.watchdog_cancels",
         /// Lifecycle/progress events published on the daemon event bus.
         ServeEventsPublished => "serve.events_published",
         /// Events dropped because a subscriber queue was full (the bus
